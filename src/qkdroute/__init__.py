@@ -22,8 +22,6 @@ from .engine import (
     apply_increment,
     cost_delta,
     run,
-    select_optimal_set,
-    select_worst_pair,
 )
 from .keysim import (
     CompromiseReport,
@@ -79,8 +77,6 @@ __all__ = [
     "load_network",
     "run",
     "save_network",
-    "select_optimal_set",
-    "select_worst_pair",
     "set_deficiency",
     "simulate",
     "uniform_target",

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-from decimal import Decimal
 from pathlib import Path as FsPath
 from typing import Dict, Optional, Tuple, Union
 
@@ -145,6 +144,41 @@ def _sha256(path: FsPath) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_manifest(
+    out: FsPath,
+    files: Dict[str, FsPath],
+    command: str,
+    input_path: Union[str, FsPath],
+    **fields: object,
+) -> None:
+    """Write ``manifest.json`` listing ``files`` and add it to ``files``."""
+    manifest = {
+        "format": MANIFEST_FORMAT,
+        "tool": "qkdroute",
+        "version": __version__,
+        "command": command,
+        "input": str(input_path),
+        "input_sha256": _sha256(FsPath(input_path)),
+        "artifacts": {name: path.name for name, path in files.items()},
+        **fields,
+    }
+    files["manifest"] = out / "manifest.json"
+    files["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def read_route_manifest(path: Union[str, FsPath]) -> dict:
+    """Load a run manifest, refusing one whose input file has changed."""
+    manifest = json.loads(FsPath(path).read_text())
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise NetworkFormatError(f"{path} is not a run manifest")
+    input_path = FsPath(manifest["input"])
+    if not input_path.is_file() or _sha256(input_path) != manifest["input_sha256"]:
+        raise NetworkFormatError(
+            f"{input_path} is missing or differs from the input recorded in {path}"
+        )
+    return manifest
+
+
 def write_route_artifacts(
     out_dir: Union[str, FsPath],
     outcome: RoutingOutcome,
@@ -174,14 +208,9 @@ def write_route_artifacts(
     files["effective_csv"].write_text(render_matrix_csv(outcome.effective, scale))
     files["trace_csv"].write_text(render_trace_csv(outcome, scale))
 
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "tool": "qkdroute",
-        "version": __version__,
-        "command": "route",
-        "input": str(input_path),
-        "input_sha256": _sha256(FsPath(input_path)),
-        "config": {
+    _write_manifest(
+        out, files, "route", input_path,
+        config={
             "m": config.m,
             "delta_r_kbps": None
             if config.delta_r is None
@@ -192,11 +221,7 @@ def write_route_artifacts(
             "strict_guard": config.strict_guard,
             "resolution_bps": str(scale.resolution_bps),
         },
-        "artifacts": {name: path.name for name, path in files.items()},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    files["manifest"] = manifest_path
+    )
     return files
 
 
@@ -274,19 +299,10 @@ def write_simulation_artifacts(
         json.dumps(simulation_report_dict(sim, report), indent=2, sort_keys=True) + "\n"
     )
     files["report_txt"].write_text(render_simulation_text(sim, report, dump_keys))
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "tool": "qkdroute",
-        "version": __version__,
-        "command": "simulate",
-        "input": str(input_path),
-        "input_sha256": _sha256(FsPath(input_path)),
-        "routing": str(routing_path),
-        "routing_sha256": _sha256(FsPath(routing_path)),
-        "config": {"tau_seconds": str(sim.tau), "seed": sim.seed},
-        "artifacts": {name: path.name for name, path in files.items()},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    files["manifest"] = manifest_path
+    _write_manifest(
+        out, files, "simulate", input_path,
+        routing=str(routing_path),
+        routing_sha256=_sha256(FsPath(routing_path)),
+        config={"tau_seconds": str(sim.tau), "seed": sim.seed},
+    )
     return files

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path as FsPath
@@ -24,7 +23,6 @@ from . import __version__, artifacts, engine, keysim
 from .model import RouterConfig, ValidationError, validate
 from .netfile import NetworkFormatError, load_network
 from .paths import (
-    PairPathCache,
     enumerate_m_path_sets,
     enumerate_simple_paths,
     find_unroutable_pairs,
@@ -66,15 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="network description JSON")
     common.add_argument("--m", type=int, default=None,
                         help="disjoint paths per route set (overrides the file)")
+    with_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_input.add_argument("--input", required=True, help="network description JSON")
 
-    p_validate = sub.add_parser("validate", parents=[common],
+    p_validate = sub.add_parser("validate", parents=[with_input],
                                 help="check degree and connectivity requirements")
 
     p_route = sub.add_parser("route", parents=[common],
                              help="run the routing loop and write artifacts")
+    source = p_route.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="network description JSON")
+    source.add_argument("--from-manifest", default=None,
+                        help="re-run a previous route from its manifest.json")
     p_route.add_argument("--delta-r", default=None,
                          help="rate step in kbit/s (overrides the file)")
     p_route.add_argument("--r-max", type=int, default=None,
@@ -89,16 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artifact directory (default qkdroute_out)")
     p_route.add_argument("--sweep", default=None,
                          help="comma-separated delta-r values to run in parallel")
-    p_route.add_argument("--from-manifest", default=None,
-                         help="re-run a previous route from its manifest.json")
 
-    p_paths = sub.add_parser("paths", parents=[common],
+    p_paths = sub.add_parser("paths", parents=[with_input],
                              help="list disjoint path sets for one pair")
     p_paths.add_argument("--pair", type=_parse_pair, required=True,
                          help="node pair, e.g. 1,3")
     p_paths.add_argument("--hop-limit", type=int, default=None)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[with_input],
                            help="simulate key delivery over a routing artifact")
     p_sim.add_argument("--routing", required=True,
                        help="routing_list.json or the directory holding it")
@@ -139,10 +140,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph, _, config = load_network(args.input)
     m = args.m if args.m is not None else config.m
     report = validate(graph, m)
-    report = dataclasses.replace(
-        report,
-        remote_pairs_without_m_sets=find_unroutable_pairs(graph, m),
-    )
+    unroutable = find_unroutable_pairs(graph, m)
     print(f"nodes: {graph.node_count}, edges: {len(graph.edges)}")
     print(f"minimum degree: {report.min_degree} (need >= {m})")
     print(f"connected: {'yes' if report.connected else 'no'}")
@@ -150,12 +148,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"degree violations: {list(report.degree_violations)}")
     else:
         print("degree violations: none")
-    if report.remote_pairs_without_m_sets:
+    if unroutable:
         print(
             "remote pairs with no disjoint path set: "
-            + ", ".join(f"({i}, {j})" for i, j in report.remote_pairs_without_m_sets)
+            + ", ".join(f"({i}, {j})" for i, j in unroutable)
         )
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return EXIT_OK if report.ok and not unroutable else EXIT_INVALID
 
 
 def _run_route(
@@ -182,9 +180,7 @@ def _sweep_worker(task: tuple[str, RouterConfig, str]) -> tuple[str, int, str, i
 
 def cmd_route(args: argparse.Namespace) -> int:
     if args.from_manifest:
-        manifest = json.loads(FsPath(args.from_manifest).read_text())
-        if manifest.get("format") != artifacts.MANIFEST_FORMAT:
-            raise NetworkFormatError(f"{args.from_manifest} is not a run manifest")
+        manifest = artifacts.read_route_manifest(args.from_manifest)
         args.input = manifest["input"]
         cfg = manifest["config"]
         args.m = cfg["m"]
@@ -309,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetworkFormatError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (keysim.CapacityError, engine.GuardViolation, OSError) as exc:
+    except (keysim.CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

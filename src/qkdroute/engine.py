@@ -15,7 +15,7 @@ canonical order.  Runs are bit-reproducible for a given input and seed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,11 +23,9 @@ import numpy as np
 from .model import (
     Edge,
     NetworkGraph,
-    NodeId,
     RouterConfig,
     ValidationError,
     check_target_matrix,
-    validate,
 )
 from .paths import MPathSet, PairPathCache, set_deficiency
 
@@ -153,14 +151,6 @@ def worst_pairs(deficiency: np.ndarray) -> List[Edge]:
     ]
 
 
-def select_worst_pair(
-    deficiency: np.ndarray, rng: np.random.Generator
-) -> Edge:
-    """Uniformly random element of the argmax of the pair deficiency."""
-    pair, _ = _choose(rng, worst_pairs(deficiency))
-    return pair  # type: ignore[return-value]
-
-
 def optimal_sets(
     candidates: Sequence[MPathSet], deficiency: np.ndarray
 ) -> List[MPathSet]:
@@ -170,18 +160,6 @@ def optimal_sets(
     pool = [s for score, s in scored if score == best]
     shortest = min(s.total_hops for s in pool)
     return [s for s in pool if s.total_hops == shortest]
-
-
-def select_optimal_set(
-    candidates: Sequence[MPathSet],
-    deficiency: np.ndarray,
-    rng: np.random.Generator,
-) -> MPathSet:
-    """Pick among optimal candidates, resolving residual ties by seed."""
-    if not candidates:
-        raise ValueError("no candidate path sets")
-    chosen, _ = _choose(rng, optimal_sets(candidates, deficiency))
-    return chosen  # type: ignore[return-value]
 
 
 def apply_increment(
@@ -246,10 +224,9 @@ def run(
         final cost and accepted iteration count.
     """
     check_target_matrix(target, graph.node_count)
-    if config.delta_r is None or config.delta_r <= 0:
-        raise ValidationError("config.delta_r must be a positive unit count")
-    report = validate(graph, config.m)
-    if not report.connected:
+    if config.delta_r is None:
+        raise ValidationError("config.delta_r must be set")
+    if not graph.is_connected():
         raise ValidationError("graph must be connected")
 
     rng = np.random.default_rng(config.seed)
@@ -302,9 +279,8 @@ def run(
                 return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
         finalists = optimal_sets(candidates, deficiency)
         chosen, sets_tied = _choose(rng, finalists)
-        updated = apply_increment(
-            effective, pair, chosen, config.delta_r, strict_guard=config.strict_guard
-        )
+        # under the strict guard, every candidate already passed _guard_ok
+        updated = apply_increment(effective, pair, chosen, config.delta_r)
         new_delta = cost_delta(target, updated)
         if new_delta > delta:
             # reject and roll back: `effective` was never mutated

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -119,12 +119,6 @@ def uniform_target(node_count: int, units: int) -> np.ndarray:
     return mat
 
 
-def target_from_rows(rows: Sequence[Sequence[int]], node_count: int) -> np.ndarray:
-    mat = np.asarray(rows, dtype=np.int64)
-    check_target_matrix(mat, node_count)
-    return mat
-
-
 def check_target_matrix(target: np.ndarray, node_count: int) -> None:
     if target.shape != (node_count, node_count):
         raise ValidationError(
@@ -145,8 +139,6 @@ class ValidationReport:
     min_degree: int
     degree_violations: Tuple[NodeId, ...]
     connected: bool
-    # filled in by qkdroute.paths.find_unroutable_pairs when a scan is requested
-    remote_pairs_without_m_sets: Optional[Tuple[Edge, ...]] = None
 
     @property
     def ok(self) -> bool:

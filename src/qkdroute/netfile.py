@@ -107,10 +107,10 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
             units = scale.units_from_kbps(entry["rate_kbps"], f"edges[{idx}].rate_kbps")
         except (TypeError, ValueError) as exc:
             raise NetworkFormatError(str(exc)) from exc
-        _require(units > 0, f"edges[{idx}].rate_kbps must be positive")
+        # the model cannot see a duplicate once it is merged into this dict;
+        # self-loops and non-positive rates are left to the model's checks
         key = (min(u, v), max(u, v))
         _require(key not in rates, f"duplicate edge ({u}, {v})")
-        _require(u != v, f"edges[{idx}] is a self-loop on node {u}")
         rates[key] = units
 
     try:

@@ -12,14 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import Edge, NetworkGraph, NodeId, canonical_edge
-
-DeficiencyFn = Union[Callable[[NodeId, NodeId], int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class Path:
@@ -180,16 +177,9 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
     return tuple(sets)
 
 
-def set_deficiency(path_set: MPathSet, deficiency: DeficiencyFn) -> int:
-    """Worst (largest) pair deficiency over every edge of every member path.
-
-    ``deficiency`` is either a callable d(i, j) or a symmetric matrix.
-    """
-    if callable(deficiency):
-        values = (deficiency(u, v) for u, v in path_set.edges)
-    else:
-        values = (int(deficiency[u, v]) for u, v in path_set.edges)
-    return max(values)
+def set_deficiency(path_set: MPathSet, deficiency: np.ndarray) -> int:
+    """Worst (largest) pair deficiency over every edge of every member path."""
+    return max(int(deficiency[u, v]) for u, v in path_set.edges)
 
 
 class PairPathCache:

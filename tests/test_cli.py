@@ -44,6 +44,22 @@ def test_validate_degree_failure(tmp_path, capsys):
     assert "remote pairs with no disjoint path set: (0, 2), (0, 3), (1, 3)" in out
 
 
+def test_validate_fails_on_unroutable_pair(tmp_path, capsys):
+    # two triangles sharing node 2: every degree is >= 2, yet no pair across
+    # the cut vertex has two internally disjoint paths
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    doc = {
+        "nodes": 5,
+        "edges": [{"u": u, "v": v, "rate_kbps": 1.0} for u, v in edges],
+        "target": 0.1,
+    }
+    path = write_net(tmp_path, "bowtie.json", doc)
+    assert main(["validate", "--input", str(path), "--m", "2"]) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "degree violations: none" in out
+    assert "remote pairs with no disjoint path set: (0, 3), (0, 4), (1, 3), (1, 4)" in out
+
+
 def test_validate_disconnected(tmp_path, capsys):
     doc = {
         "nodes": 4,
@@ -108,12 +124,29 @@ def test_route_from_manifest_reproduces(k23_file, tmp_path, capsys):
     ]) == EXIT_OK
     assert main([
         "route", "--from-manifest", str(first / "manifest.json"),
-        "--input", "ignored", "--out-dir", str(again),
+        "--out-dir", str(again),
     ]) == EXIT_OK
     capsys.readouterr()
     for name in ("routing_list.txt", "routing_list.json", "effective_rates.csv",
                  "trace.csv", "manifest.json"):
         assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_route_from_manifest_refuses_changed_input(k23_file, tmp_path, capsys):
+    net = tmp_path / "k23.json"
+    net.write_text(k23_file.read_text())
+    first = tmp_path / "first"
+    assert main(["route", "--input", str(net), "--out-dir", str(first)]) == EXIT_OK
+    doc = json.loads(net.read_text())
+    doc["target"] = 2 * doc["target"]
+    net.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([
+        "route", "--from-manifest", str(first / "manifest.json"),
+        "--out-dir", str(tmp_path / "again"),
+    ]) == EXIT_INVALID
+    assert "differs from the input recorded" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 def test_route_sweep(k23_file, tmp_path, capsys):

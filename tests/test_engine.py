@@ -7,12 +7,11 @@ from qkdroute.engine import (
     GuardViolation,
     RoutingList,
     StopReason,
+    _choose,
     apply_increment,
     cost_delta,
     optimal_sets,
     run,
-    select_optimal_set,
-    select_worst_pair,
     worst_pairs,
 )
 from qkdroute.model import NetworkGraph, RouterConfig, ValidationError, uniform_target
@@ -51,14 +50,16 @@ def test_worst_pair_selection(dense5):
     picks = set()
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        picks.add(select_worst_pair(deficiency, rng))
+        pair, tied = _choose(rng, worst_pairs(deficiency))
+        assert tied == 2
+        picks.add(pair)
     assert picks == {(0, 4), (1, 3)}
 
     # unique maximizer needs no draw and is returned as-is
     deficiency[0, 4] = deficiency[4, 0] = 999
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert select_worst_pair(deficiency, rng) == (0, 4)
+    assert _choose(rng, worst_pairs(deficiency)) == ((0, 4), 1)
     assert rng.bit_generator.state == before
 
 
@@ -68,12 +69,6 @@ def test_select_optimal_set_filters(dense5):
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
     finalists = optimal_sets(candidates, deficiency)
     assert [str(s) for s in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
-    rng = np.random.default_rng(0)
-    assert str(select_optimal_set(candidates, deficiency, rng)) == (
-        "{(1, 0, 3), (1, 2, 3)}"
-    )
-    with pytest.raises(ValueError):
-        select_optimal_set([], deficiency, rng)
 
 
 def test_apply_increment_is_pure(dense5):

@@ -159,12 +159,11 @@ def test_random_graphs_match_oracle():
                 assert not (a.interior & b.interior)
 
 
-def test_set_deficiency_accepts_matrix_and_callable(dense5):
+def test_set_deficiency_takes_worst_edge(dense5):
     graph, target = dense5
     deficiency = target - graph.rate_matrix()
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
     assert set_deficiency(s, deficiency) == -300
-    assert set_deficiency(s, lambda u, v: int(deficiency[u, v])) == -300
     s2 = MPathSet((Path((1, 0, 3)), Path((1, 2, 4, 3))))
     assert set_deficiency(s2, deficiency) == -100
 
