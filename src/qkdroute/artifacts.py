@@ -26,6 +26,8 @@ from .units import UnitScale
 
 ROUTING_FORMAT = "qkdroute.routing/1"
 MANIFEST_FORMAT = "qkdroute.manifest/1"
+# the route manifest's config fields that a replay reads back
+_ROUTE_CONFIG_KEYS = {"m", "delta_r_kbps", "r_max", "seed", "hop_limit", "strict_guard"}
 
 
 def render_routing_text(
@@ -77,15 +79,19 @@ def read_routing_artifact(
         doc = json.loads(FsPath(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise NetworkFormatError(f"cannot parse routing artifact {path}: {exc}") from exc
-    if doc.get("format") != ROUTING_FORMAT:
-        raise NetworkFormatError(
-            f"{path} is not a routing artifact (format={doc.get('format')!r})"
-        )
-    routing = RoutingList()
-    for entry in doc["records"]:
-        path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
-        routing.add(path_set, int(entry["rate_units"]))
-    effective = np.asarray(doc["effective_units"], dtype=np.int64)
+    if not isinstance(doc, dict) or doc.get("format") != ROUTING_FORMAT:
+        raise NetworkFormatError(f"{path} is not a routing artifact")
+    try:
+        routing = RoutingList()
+        for entry in doc["records"]:
+            path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
+            routing.add(path_set, int(entry["rate_units"]))
+        nodes = doc["nodes"]
+        effective = np.asarray(doc["effective_units"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"malformed routing artifact {path}: {exc!r}") from exc
+    if effective.shape != (nodes, nodes):
+        raise NetworkFormatError(f"{path}: effective_units is not {nodes} x {nodes}")
     return routing, effective, doc
 
 
@@ -167,12 +173,22 @@ def _write_manifest(
 
 
 def read_route_manifest(path: Union[str, FsPath]) -> dict:
-    """Load a run manifest, refusing one whose input file has changed."""
-    manifest = json.loads(FsPath(path).read_text())
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise NetworkFormatError(f"{path} is not a run manifest")
+    """Load a route manifest, refusing a malformed one or a changed input."""
+    try:
+        manifest = json.loads(FsPath(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise NetworkFormatError(f"cannot parse manifest {path}: {exc}") from exc
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != MANIFEST_FORMAT
+        or manifest.get("command") != "route"
+        or not isinstance(manifest.get("input"), str)
+        or not isinstance(manifest.get("config"), dict)
+        or not _ROUTE_CONFIG_KEYS <= manifest["config"].keys()
+    ):
+        raise NetworkFormatError(f"{path} is not a route manifest")
     input_path = FsPath(manifest["input"])
-    if not input_path.is_file() or _sha256(input_path) != manifest["input_sha256"]:
+    if not input_path.is_file() or _sha256(input_path) != manifest.get("input_sha256"):
         raise NetworkFormatError(
             f"{input_path} is missing or differs from the input recorded in {path}"
         )

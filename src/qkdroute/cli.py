@@ -254,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"routing artifact is for {meta['nodes']} nodes, network has "
             f"{graph.node_count}"
         )
-    if meta["resolution_bps"] != str(graph.scale.resolution_bps):
+    if meta.get("resolution_bps") != str(graph.scale.resolution_bps):
         raise NetworkFormatError("routing artifact resolution does not match network")
     for record in routing.records():
         for path in record.path_set.paths:

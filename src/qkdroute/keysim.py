@@ -74,24 +74,9 @@ class SegmentAllocation:
 
 
 @dataclass(frozen=True)
-class RelayTranscript:
-    """Public messages for one record on one member path.
-
-    ``messages[t]`` is the XOR published by the path's (t+1)-th node, i.e.
-    its incoming-link segment XOR its outgoing-link segment.  Empty for a
-    direct two-node path.
-    """
-
-    path_set: MPathSet
-    path: Path
-    messages: Tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class PairKey:
-    """Final key of one node pair, with the two endpoint computations."""
+    """Final key of one node pair and whether both endpoints computed it."""
 
-    pair: Edge
     bits: np.ndarray
     agreed: bool
 
@@ -105,7 +90,6 @@ FULLY_LEAKED = "fully_leaked"
 class RecordCompromise:
     record: RoutingRecord
     leaked: bool
-    bit_length: int
 
 
 @dataclass(frozen=True)
@@ -223,13 +207,16 @@ def relay_path_key(
     allocation: SegmentAllocation,
     path_set: MPathSet,
     path: Path,
-) -> Tuple[np.ndarray, np.ndarray, RelayTranscript]:
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
     """Deliver one member-path key to both endpoints.
 
     Returns:
         The path key as known at the smaller endpoint (its first-link
         segment), the key as recovered at the larger endpoint from its
-        last-link segment plus the transcript, and the transcript itself.
+        last-link segment plus the public messages, and the messages
+        themselves: ``messages[t]`` is the XOR published by the path's
+        (t+1)-th node, its incoming-link segment XOR its outgoing-link
+        segment (none for a direct two-node path).
     """
     segments = [
         allocation.relay_bits(pools, path_set, edge) for edge in path.edges
@@ -242,7 +229,7 @@ def relay_path_key(
     key_at_j = segments[-1]
     for message in reversed(messages):
         key_at_j = np.bitwise_xor(key_at_j, message)
-    return key_at_i, key_at_j, RelayTranscript(path_set, path, messages)
+    return key_at_i, key_at_j, messages
 
 
 def assemble_pair_keys(
@@ -252,7 +239,7 @@ def assemble_pair_keys(
     """Concatenate per-record XOR blocks into each pair's final key.
 
     The two endpoint views are assembled independently (one from first-link
-    segments, one from transcript-recovered keys) and compared; ``agreed``
+    segments, one from message-recovered keys) and compared; ``agreed``
     records the verdict.
     """
     by_pair: Dict[Edge, List[RoutingRecord]] = {}
@@ -271,11 +258,9 @@ def assemble_pair_keys(
                 block_j = np.bitwise_xor(block_j, view[1])
             i_blocks.append(block_i)
             j_blocks.append(block_j)
-        bits_i = np.concatenate(i_blocks) if i_blocks else np.zeros(0, np.uint8)
-        bits_j = np.concatenate(j_blocks) if j_blocks else np.zeros(0, np.uint8)
-        keys[pair] = PairKey(
-            pair=pair, bits=bits_i, agreed=bool(np.array_equal(bits_i, bits_j))
-        )
+        bits_i = np.concatenate(i_blocks)
+        bits_j = np.concatenate(j_blocks)
+        keys[pair] = PairKey(bits_i, bool(np.array_equal(bits_i, bits_j)))
     return keys
 
 
@@ -285,12 +270,10 @@ class KeySimulation:
 
     graph: NetworkGraph
     routing_list: RoutingList
-    effective: np.ndarray
     tau: Decimal
     seed: int
     pools: Mapping[Edge, KeyPool]
     allocation: SegmentAllocation
-    transcripts: Mapping[Tuple[MPathSet, Path], RelayTranscript]
     pair_keys: Mapping[Edge, PairKey]
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
@@ -317,24 +300,18 @@ def simulate(
         pools, routing_list, effective, graph.scale, tau_dec
     )
     relayed: Dict[Tuple[MPathSet, Path], Tuple[np.ndarray, np.ndarray]] = {}
-    transcripts: Dict[Tuple[MPathSet, Path], RelayTranscript] = {}
     for record in routing_list.records():
         for path in record.path_set.paths:
-            key_i, key_j, transcript = relay_path_key(
-                pools, allocation, record.path_set, path
-            )
+            key_i, key_j, _ = relay_path_key(pools, allocation, record.path_set, path)
             relayed[(record.path_set, path)] = (key_i, key_j)
-            transcripts[(record.path_set, path)] = transcript
     pair_keys = assemble_pair_keys(routing_list, relayed)
     return KeySimulation(
         graph=graph,
         routing_list=routing_list,
-        effective=effective,
         tau=tau_dec,
         seed=seed,
         pools=pools,
         allocation=allocation,
-        transcripts=transcripts,
         pair_keys=pair_keys,
     )
 
@@ -344,7 +321,7 @@ def adversary_reconstruct(
     path_set: MPathSet,
     compromised: Iterable[NodeId],
 ) -> Optional[np.ndarray]:
-    """Rebuild a record's key block from corrupt nodes' pools and transcripts.
+    """Rebuild a record's key block from corrupt nodes' pools and public messages.
 
     The adversary holds the full pools of every edge incident to a
     compromised node, plus all public relay messages.  For each member path
@@ -358,18 +335,15 @@ def adversary_reconstruct(
     corrupt = frozenset(compromised)
     block: Optional[np.ndarray] = None
     for path in path_set.paths:
-        anchor: Optional[int] = None
-        for t, node in enumerate(path.nodes[1:-1], start=1):
-            if node in corrupt:
-                anchor = t
-                break
+        interior = path.nodes[1:-1]
+        anchor = next((t for t, node in enumerate(interior, 1) if node in corrupt), None)
         if anchor is None:
             return None
         # segment on the link arriving at the anchor node, read from the
         # pool the adversary owns through that node
         arriving_edge = path.edges[anchor - 1]
         first = sim.allocation.relay_bits(sim.pools, path_set, arriving_edge)
-        messages = sim.transcripts[(path_set, path)].messages
+        _, _, messages = relay_path_key(sim.pools, sim.allocation, path_set, path)
         for m_index in range(anchor - 1):
             first = np.bitwise_xor(first, messages[m_index])
         block = first if block is None else np.bitwise_xor(block, first)
@@ -389,6 +363,9 @@ def assess_compromise(
     less than designed, so it raises rather than reporting.
     """
     corrupt = frozenset(compromised)
+    outside = sorted(n for n in corrupt if not 0 <= n < sim.graph.node_count)
+    if outside:
+        raise ValueError(f"compromised nodes {outside} are not in the network")
     records: List[RecordCompromise] = []
     leaked_by_pair: Dict[Edge, int] = {}
     status: Dict[Edge, str] = {}
@@ -403,21 +380,15 @@ def assess_compromise(
             rebuilt, sim.record_block(record.path_set)
         ):
             raise AssertionError("adversary reconstructed an incorrect block")
-        length = len(sim.allocation.relay_bits(sim.pools, record.path_set,
-                                               record.path_set.paths[0].edges[0]))
-        records.append(RecordCompromise(record, leaked, length))
+        records.append(RecordCompromise(record, leaked))
         pair = record.pair
-        leaked_by_pair.setdefault(pair, 0)
-        if leaked:
-            leaked_by_pair[pair] += length
-    for pair in sim.routing_list.pairs():
-        flags = [rc.leaked for rc in records if rc.record.pair == pair]
-        if all(flags):
-            status[pair] = FULLY_LEAKED
-        elif any(flags):
-            status[pair] = PARTIALLY_LEAKED
-        else:
-            status[pair] = SECURE
+        leaked_by_pair[pair] = leaked_by_pair.get(pair, 0) + (
+            len(rebuilt) if leaked else 0
+        )
+        verdict = FULLY_LEAKED if leaked else SECURE
+        status[pair] = (
+            verdict if status.get(pair, verdict) == verdict else PARTIALLY_LEAKED
+        )
     bound = None
     if epsilon is not None:
         m_values = {record.path_set.m for record in sim.routing_list.records()}

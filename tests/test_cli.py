@@ -149,6 +149,34 @@ def test_route_from_manifest_refuses_changed_input(k23_file, tmp_path, capsys):
     assert not (tmp_path / "again").exists()
 
 
+def test_route_from_manifest_refuses_malformed(k23_file, tmp_path, capsys):
+    route_dir = tmp_path / "route"
+    sim_dir = tmp_path / "sim"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    assert main([
+        "simulate", "--input", str(k23_file), "--routing", str(route_dir),
+        "--tau", "1", "--out-dir", str(sim_dir),
+    ]) == EXIT_OK
+    good = json.loads((route_dir / "manifest.json").read_text())
+    without_input = {k: v for k, v in good.items() if k != "input"}
+    without_config = {k: v for k, v in good.items() if k != "config"}
+    manifests = [
+        write_net(tmp_path, "array.json", [good]),
+        write_net(tmp_path, "no_input.json", without_input),
+        write_net(tmp_path, "no_config.json", without_config),
+        sim_dir / "manifest.json",
+        tmp_path / "missing.json",
+    ]
+    capsys.readouterr()
+    for manifest in manifests:
+        assert main([
+            "route", "--from-manifest", str(manifest),
+            "--out-dir", str(tmp_path / "again"),
+        ]) == EXIT_INVALID, manifest.name
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 def test_route_sweep(k23_file, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     assert main([
@@ -248,6 +276,41 @@ def test_simulate_rejects_mismatched_network(k23_file, ring6_file, tmp_path,
         "--tau", "1",
     ]) == EXIT_INVALID
     assert "5 nodes" in capsys.readouterr().err
+
+
+def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    good = json.loads((route_dir / "routing_list.json").read_text())
+    no_rate = json.loads(json.dumps(good))
+    del no_rate["records"][0]["rate_units"]
+    bad_shape = dict(good, effective_units=good["effective_units"][:-1])
+    artifacts = [
+        write_net(tmp_path, "array.json", [good]),
+        write_net(tmp_path, "no_rate.json", no_rate),
+        write_net(tmp_path, "bad_shape.json", bad_shape),
+    ]
+    capsys.readouterr()
+    for artifact in artifacts:
+        assert main([
+            "simulate", "--input", str(k23_file), "--routing", str(artifact),
+            "--tau", "1",
+        ]) == EXIT_INVALID, artifact.name
+        assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+    for nodes in ("0,99", "-1", "5"):
+        assert main([
+            "simulate", "--input", str(k23_file), "--routing", str(route_dir),
+            "--tau", "1", f"--compromise={nodes}",
+        ]) == EXIT_INVALID, nodes
+        captured = capsys.readouterr()
+        assert "not in the network" in captured.err
+        assert "compromised nodes:" not in captured.out
 
 
 def test_simulate_warns_on_fractional_bits(k23_file, tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_relay_matches_forward_oracle(k23):
                 sim.allocation.relay_bits(sim.pools, record.path_set, edge)
                 for edge in path.edges
             ]
-            key_i, key_j, transcript = relay_path_key(
+            key_i, key_j, messages = relay_path_key(
                 sim.pools, sim.allocation, record.path_set, path
             )
             oracle_key, oracle_messages = relay_key_forward(
@@ -179,7 +179,7 @@ def test_relay_matches_forward_oracle(k23):
             )
             assert key_i.tolist() == segments[0].tolist()
             assert key_j.tolist() == oracle_key
-            assert [m.tolist() for m in transcript.messages] == oracle_messages
+            assert [m.tolist() for m in messages] == oracle_messages
             assert np.array_equal(key_i, key_j)
 
 
@@ -276,18 +276,21 @@ def test_adversary_reconstruction_exact(k23):
     assert np.array_equal(rebuilt, sim.pair_keys[(0, 4)].bits)
 
 
-def test_every_compromise_subset_cross_checks(k23):
+def test_every_compromise_subset_cross_checks(request):
     """assess_compromise raises if the structural rule and the constructive
-    adversary ever disagree, so sweeping all subsets is a full cross-check."""
-    graph, target = k23
-    out = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
-    sim = simulate(graph, out.routing_list, out.effective, tau="0.5", seed=2)
-    nodes = range(graph.node_count)
-    for size in range(graph.node_count + 1):
-        for subset in itertools.combinations(nodes, size):
-            report = assess_compromise(sim, subset)
-            for rc in report.records:
-                assert rc.leaked == record_is_leaked(rc.record.path_set, subset)
+    adversary ever disagree, so sweeping all subsets is a full cross-check.
+    On ring6 some paths have three interior nodes, so the adversary also
+    telescopes from a first corrupt relay past the first hop."""
+    for fixture, delta_r in (("k23", 100), ("ring6", 10)):
+        graph, target = request.getfixturevalue(fixture)
+        out = run(graph, target, RouterConfig(m=2, delta_r=delta_r, seed=0))
+        sim = simulate(graph, out.routing_list, out.effective, tau="0.5", seed=2)
+        nodes = range(graph.node_count)
+        for size in range(graph.node_count + 1):
+            for subset in itertools.combinations(nodes, size):
+                report = assess_compromise(sim, subset)
+                for rc in report.records:
+                    assert rc.leaked == record_is_leaked(rc.record.path_set, subset)
 
 
 def test_longer_paths_need_only_one_corrupt_interior(ring6):
