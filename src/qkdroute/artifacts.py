@@ -20,7 +20,7 @@ from . import __version__
 from .engine import RoutingList, RoutingOutcome
 from .keysim import CompromiseReport, KeySimulation
 from .model import NetworkGraph, RouterConfig
-from .netfile import NetworkFormatError
+from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 from .paths import MPathSet, Path
 from .units import UnitScale
 
@@ -72,26 +72,51 @@ def routing_to_dict(
 
 
 def read_routing_artifact(
-    path: Union[str, FsPath],
+    path: Union[str, FsPath], graph: NetworkGraph
 ) -> Tuple[RoutingList, np.ndarray, dict]:
-    """Load a routing JSON artifact back into library types."""
+    """Load a routing JSON artifact and check it against ``graph``.
+
+    Refuses another node count or resolution, a record on a non-edge or with
+    a rate that is not a positive integer, and ``effective_units`` that is not
+    the edge rates plus the records' pair credits minus their edge debits.
+    """
     try:
         doc = json.loads(FsPath(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise NetworkFormatError(f"cannot parse routing artifact {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != ROUTING_FORMAT:
         raise NetworkFormatError(f"{path} is not a routing artifact")
+    n = graph.node_count
+    if doc.get("nodes") != n:
+        raise NetworkFormatError(
+            f"routing artifact is for {doc.get('nodes')} nodes, network has {n}"
+        )
+    if doc.get("resolution_bps") != str(graph.scale.resolution_bps):
+        raise NetworkFormatError("routing artifact resolution does not match network")
     try:
         routing = RoutingList()
+        expected = graph.rate_matrix()
         for entry in doc["records"]:
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
-            routing.add(path_set, int(entry["rate_units"]))
-        nodes = doc["nodes"]
-        effective = np.asarray(doc["effective_units"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+            rate = entry["rate_units"]
+            if not isinstance(rate, int) or isinstance(rate, bool) or rate <= 0:
+                raise ValueError(f"rate_units {rate!r} is not a positive integer")
+            for u, v in path_set.edges:
+                if not graph.has_edge(u, v):
+                    raise ValueError(f"edge ({u}, {v}) is not in the network")
+                expected[u, v] -= rate
+                expected[v, u] -= rate
+            i, j = path_set.endpoints
+            expected[i, j] += rate
+            expected[j, i] += rate
+            routing.add(path_set, rate)
+        effective = np.asarray(doc["effective_units"])
+    except (LookupError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"malformed routing artifact {path}: {exc!r}") from exc
-    if effective.shape != (nodes, nodes):
-        raise NetworkFormatError(f"{path}: effective_units is not {nodes} x {nodes}")
+    if effective.shape != (n, n) or effective.dtype.kind != "i":
+        raise NetworkFormatError(f"{path}: effective_units is not {n} x {n} integers")
+    if not np.array_equal(effective, expected):
+        raise NetworkFormatError(f"{path}: effective_units disagrees with its records")
     return routing, effective, doc
 
 
@@ -172,8 +197,11 @@ def _write_manifest(
     files["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_route_manifest(path: Union[str, FsPath]) -> dict:
-    """Load a route manifest, refusing a malformed one or a changed input."""
+def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
+    """Load the input a route manifest names, under the manifest's config.
+
+    Refuses a malformed manifest, a changed input and a config ``parse_router`` refuses.
+    """
     try:
         manifest = json.loads(FsPath(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -187,12 +215,24 @@ def read_route_manifest(path: Union[str, FsPath]) -> dict:
         or not _ROUTE_CONFIG_KEYS <= manifest["config"].keys()
     ):
         raise NetworkFormatError(f"{path} is not a route manifest")
-    input_path = FsPath(manifest["input"])
-    if not input_path.is_file() or _sha256(input_path) != manifest.get("input_sha256"):
+    input_path = manifest["input"]
+    recorded = manifest.get("input_sha256")
+    if not FsPath(input_path).is_file() or _sha256(FsPath(input_path)) != recorded:
         raise NetworkFormatError(
             f"{input_path} is missing or differs from the input recorded in {path}"
         )
-    return manifest
+    network = load_network(input_path)
+    # input_sha256 already pins resolution_bps; the rest is a router object
+    router = {
+        ("M" if key == "m" else key): value
+        for key, value in manifest["config"].items()
+        if key != "resolution_bps"
+    }
+    try:
+        config = parse_router(router, network.graph.scale)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from exc
+    return input_path, network._replace(config=config)
 
 
 def write_route_artifacts(

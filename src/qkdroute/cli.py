@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import __version__, artifacts, engine, keysim
 from .model import RouterConfig, ValidationError, validate
-from .netfile import NetworkFormatError, load_network
+from .netfile import LoadedNetwork, NetworkFormatError, load_network
 from .paths import (
     enumerate_m_path_sets,
     enumerate_simple_paths,
@@ -120,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merged_config(file_config: RouterConfig, args: argparse.Namespace,
                    scale) -> RouterConfig:
+    """The one place where command-line flags override the file's router config."""
     updates: dict = {}
     if args.m is not None:
         updates["m"] = args.m
@@ -137,12 +138,12 @@ def _merged_config(file_config: RouterConfig, args: argparse.Namespace,
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    graph, _, config = load_network(args.input)
-    m = args.m if args.m is not None else config.m
-    report = validate(graph, m)
-    unroutable = find_unroutable_pairs(graph, m)
+    graph, _, file_config = load_network(args.input)
+    config = _merged_config(file_config, args, graph.scale)
+    report = validate(graph, config.m)
+    unroutable = find_unroutable_pairs(graph, config.m, config.hop_limit)
     print(f"nodes: {graph.node_count}, edges: {len(graph.edges)}")
-    print(f"minimum degree: {report.min_degree} (need >= {m})")
+    print(f"minimum degree: {report.min_degree} (need >= {config.m})")
     print(f"connected: {'yes' if report.connected else 'no'}")
     if report.degree_violations:
         print(f"degree violations: {list(report.degree_violations)}")
@@ -157,54 +158,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _run_route(
-    input_path: str,
-    config: RouterConfig,
-    out_dir: FsPath,
-) -> tuple[engine.RoutingOutcome, dict]:
-    graph, target, _ = load_network(input_path)
-    outcome = engine.run(graph, target, config)
-    files = artifacts.write_route_artifacts(out_dir, outcome, graph, config, input_path)
-    return outcome, files
+    network: LoadedNetwork, config: RouterConfig, out_dir: str, input_path: str
+) -> engine.RoutingOutcome:
+    outcome = engine.run(network.graph, network.target, config)
+    artifacts.write_route_artifacts(out_dir, outcome, network.graph, config, input_path)
+    return outcome
 
 
-def _sweep_worker(task: tuple[str, RouterConfig, str]) -> tuple[str, int, str, int]:
-    input_path, config, out_dir = task
-    outcome, _ = _run_route(input_path, config, FsPath(out_dir))
-    return (
-        out_dir,
-        outcome.iterations,
-        outcome.stop_reason.value,
-        outcome.final_delta,
-    )
+def _sweep_worker(task: tuple) -> tuple[str, int, str, int]:
+    outcome = _run_route(*task)
+    return task[2], outcome.iterations, outcome.stop_reason.value, outcome.final_delta
 
 
 def cmd_route(args: argparse.Namespace) -> int:
     if args.from_manifest:
-        manifest = artifacts.read_route_manifest(args.from_manifest)
-        args.input = manifest["input"]
-        cfg = manifest["config"]
-        args.m = cfg["m"]
-        args.delta_r = cfg["delta_r_kbps"]
-        args.r_max = cfg["r_max"]
-        args.seed = cfg["seed"]
-        args.hop_limit = cfg["hop_limit"]
-        args.no_strict_guard = not cfg["strict_guard"]
-    graph, target, file_config = load_network(args.input)
-    config = _merged_config(file_config, args, graph.scale)
-    if config.delta_r is None:
-        raise ValidationError(
-            "delta_r is not set; pass --delta-r or add router.delta_r_kbps to the file"
-        )
-    scale = graph.scale
+        input_path, network = artifacts.read_route_manifest(args.from_manifest)
+    else:
+        input_path = args.input
+        network = load_network(input_path)
+    scale = network.graph.scale
+    config = _merged_config(network.config, args, scale)
 
     if args.sweep:
-        values = [v for v in args.sweep.split(",") if v.strip()]
         tasks = []
-        for value in values:
-            step = scale.units_from_kbps(value.strip(), "--sweep")
-            combo = dataclasses.replace(config, delta_r=step)
-            combo_dir = FsPath(args.out_dir) / f"delta_r_{value.strip()}"
-            tasks.append((args.input, combo, str(combo_dir)))
+        for value in (v.strip() for v in args.sweep.split(",") if v.strip()):
+            combo = dataclasses.replace(
+                config, delta_r=scale.units_from_kbps(value, "--sweep")
+            )
+            combo_dir = str(FsPath(args.out_dir) / f"delta_r_{value}")
+            tasks.append((network, combo, combo_dir, input_path))
         # combos are independent; order of completion does not matter
         with ProcessPoolExecutor() as pool:
             results = list(pool.map(_sweep_worker, tasks))
@@ -215,7 +197,11 @@ def cmd_route(args: argparse.Namespace) -> int:
             )
         return EXIT_OK
 
-    outcome, files = _run_route(args.input, config, FsPath(args.out_dir))
+    if config.delta_r is None:
+        raise ValidationError(
+            "delta_r is not set; pass --delta-r or add router.delta_r_kbps to the file"
+        )
+    outcome = _run_route(network, config, args.out_dir, input_path)
     print(
         f"stop: {outcome.stop_reason.value} after {outcome.iterations} iterations, "
         f"final delta {scale.kbps_str(outcome.final_delta)} kbit/s"
@@ -226,13 +212,13 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    graph, target, config = load_network(args.input)
-    m = args.m if args.m is not None else config.m
+    graph, target, file_config = load_network(args.input)
+    config = _merged_config(file_config, args, graph.scale)
     i, j = args.pair
-    paths = enumerate_simple_paths(graph, i, j, args.hop_limit)
-    sets = enumerate_m_path_sets(paths, m)
+    paths = enumerate_simple_paths(graph, i, j, config.hop_limit)
+    sets = enumerate_m_path_sets(paths, config.m)
     deficiency = target - graph.rate_matrix()
-    print(f"pair ({min(i, j)}, {max(i, j)}), M={m}: "
+    print(f"pair ({min(i, j)}, {max(i, j)}), M={config.m}: "
           f"{len(paths)} simple paths, {len(sets)} disjoint sets")
     if not sets:
         print("no disjoint path set exists for this pair")
@@ -248,22 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
-    routing, effective, meta = artifacts.read_routing_artifact(routing_path)
-    if meta["nodes"] != graph.node_count:
-        raise NetworkFormatError(
-            f"routing artifact is for {meta['nodes']} nodes, network has "
-            f"{graph.node_count}"
-        )
-    if meta.get("resolution_bps") != str(graph.scale.resolution_bps):
-        raise NetworkFormatError("routing artifact resolution does not match network")
-    for record in routing.records():
-        for path in record.path_set.paths:
-            for u, v in path.edges:
-                if not graph.has_edge(u, v):
-                    raise NetworkFormatError(
-                        f"routing record uses edge ({u}, {v}) "
-                        "which is not in the network"
-                    )
+    routing, effective, _ = artifacts.read_routing_artifact(routing_path, graph)
     tau = as_decimal(args.tau, "--tau")
     if not all(
         graph.scale.bits_exact(graph.rate(u, v), tau) for u, v in graph.edges

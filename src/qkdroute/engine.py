@@ -15,6 +15,7 @@ canonical order.  Runs are bit-reproducible for a given input and seed.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,15 +79,6 @@ class RoutingList:
     def pairs(self) -> Tuple[Edge, ...]:
         return tuple(sorted({s.endpoints for s in self._rates}))
 
-    def __len__(self) -> int:
-        return len(self._rates)
-
-    def __contains__(self, path_set: MPathSet) -> bool:
-        return path_set in self._rates
-
-    def __getitem__(self, path_set: MPathSet) -> int:
-        return self._rates[path_set]
-
 
 @dataclass(frozen=True)
 class IterationTrace:
@@ -124,10 +116,18 @@ class RoutingOutcome:
         return reason
 
 
+@functools.lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j, built once per n and read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def cost_delta(target: np.ndarray, effective: np.ndarray) -> int:
     """Largest shortfall target - effective over unordered pairs i != j."""
-    n = target.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(target.shape[0])
     return int((target[iu] - effective[iu]).max())
 
 
@@ -141,8 +141,7 @@ def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
 
 def worst_pairs(deficiency: np.ndarray) -> List[Edge]:
     """All unordered pairs attaining the maximum deficiency, in row order."""
-    n = deficiency.shape[0]
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_pairs(deficiency.shape[0])
     values = deficiency[iu]
     top = values.max()
     return [

@@ -121,7 +121,7 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
         raise ValidationError(f"{path}: graph is disconnected")
 
     target = _parse_target(raw.get("target", 0), node_count, scale)
-    config = _parse_router(raw.get("router", {}), scale)
+    config = parse_router(raw.get("router", {}), scale)
     return LoadedNetwork(graph, target, config)
 
 
@@ -152,7 +152,8 @@ def _parse_target(raw: object, node_count: int, scale: UnitScale) -> np.ndarray:
     return uniform_target(node_count, units)
 
 
-def _parse_router(raw: object, scale: UnitScale) -> RouterConfig:
+def parse_router(raw: object, scale: UnitScale) -> RouterConfig:
+    """Parse a ``router`` object; the one reader of router-config JSON."""
     _require(isinstance(raw, dict), "router must be an object")
     assert isinstance(raw, dict)
     unknown = set(raw) - _ROUTER_KEYS

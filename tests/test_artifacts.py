@@ -49,7 +49,7 @@ def test_routing_text_render(dense5):
 def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
     files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
-    routing, effective, doc = read_routing_artifact(files["routing_json"])
+    routing, effective, doc = read_routing_artifact(files["routing_json"], graph)
     assert doc["format"] == ROUTING_FORMAT
     assert doc["seed"] == 4
     assert doc["m"] == 2
@@ -60,17 +60,18 @@ def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     assert original == loaded
 
 
-def test_read_rejects_wrong_format(tmp_path):
+def test_read_rejects_wrong_format(dense5, tmp_path):
+    graph, _ = dense5
     bogus = tmp_path / "other.json"
     bogus.write_text(json.dumps({"format": "something/9"}))
     with pytest.raises(NetworkFormatError, match="not a routing artifact"):
-        read_routing_artifact(bogus)
+        read_routing_artifact(bogus, graph)
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     with pytest.raises(NetworkFormatError, match="cannot parse"):
-        read_routing_artifact(broken)
+        read_routing_artifact(broken, graph)
     with pytest.raises(NetworkFormatError):
-        read_routing_artifact(tmp_path / "missing.json")
+        read_routing_artifact(tmp_path / "missing.json", graph)
 
 
 def test_matrix_csv_full_precision(dense5):

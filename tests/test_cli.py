@@ -8,6 +8,7 @@ from qkdroute import __version__
 from qkdroute.artifacts import read_routing_artifact
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, main
 from qkdroute.keysim import record_is_leaked
+from qkdroute.netfile import load_network
 
 
 def write_net(tmp_path, name, doc):
@@ -58,6 +59,17 @@ def test_validate_fails_on_unroutable_pair(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "degree violations: none" in out
     assert "remote pairs with no disjoint path set: (0, 3), (0, 4), (1, 3), (1, 4)" in out
+
+
+def test_validate_and_paths_honour_file_hop_limit(ring6_file, tmp_path, capsys):
+    doc = json.loads(ring6_file.read_text())
+    doc["router"]["hop_limit"] = 2
+    path = write_net(tmp_path, "ring6_hop2.json", doc)
+    assert main(["validate", "--input", str(path)]) == EXIT_INVALID
+    assert ("remote pairs with no disjoint path set: (0, 4), (0, 5), (3, 4), (3, 5)"
+            in capsys.readouterr().out)
+    assert main(["paths", "--input", str(path), "--pair", "0,5"]) == EXIT_OK
+    assert "0 disjoint sets" in capsys.readouterr().out
 
 
 def test_validate_disconnected(tmp_path, capsys):
@@ -113,6 +125,8 @@ def test_route_requires_delta_r(tmp_path, capsys):
     # the same file routes once the step is given on the command line
     assert main(["route", "--input", str(path), "--delta-r", "0.1",
                  "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["route", "--input", str(path), "--sweep", "0.1",
+                 "--out-dir", str(tmp_path / "s")]) == EXIT_OK
 
 
 def test_route_from_manifest_reproduces(k23_file, tmp_path, capsys):
@@ -130,6 +144,12 @@ def test_route_from_manifest_reproduces(k23_file, tmp_path, capsys):
     for name in ("routing_list.txt", "routing_list.json", "effective_rates.csv",
                  "trace.csv", "manifest.json"):
         assert (first / name).read_bytes() == (again / name).read_bytes()
+    # a flag overrides the manifest's config as it overrides a file's
+    assert main([
+        "route", "--from-manifest", str(first / "manifest.json"),
+        "--out-dir", str(tmp_path / "short"), "--r-max", "1",
+    ]) == EXIT_OK
+    assert json.loads((tmp_path / "short" / "routing_list.json").read_text())["iterations"] == 1
 
 
 def test_route_from_manifest_refuses_changed_input(k23_file, tmp_path, capsys):
@@ -160,12 +180,17 @@ def test_route_from_manifest_refuses_malformed(k23_file, tmp_path, capsys):
     good = json.loads((route_dir / "manifest.json").read_text())
     without_input = {k: v for k, v in good.items() if k != "input"}
     without_config = {k: v for k, v in good.items() if k != "config"}
+    bad_configs = [{"m": "2"}, {"m": True}, {"seed": "x"}, {"strict_guard": "no"},
+                   {"delta_r_kbps": [1]}]
     manifests = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_input.json", without_input),
         write_net(tmp_path, "no_config.json", without_config),
         sim_dir / "manifest.json",
         tmp_path / "missing.json",
+    ] + [
+        write_net(tmp_path, f"config_{k}.json", dict(good, config={**good["config"], **bad}))
+        for k, bad in enumerate(bad_configs)
     ]
     capsys.readouterr()
     for manifest in manifests:
@@ -240,7 +265,8 @@ def test_simulate_end_to_end(k23_file, tmp_path, capsys):
     report = json.loads((sim_dir / "simulation_report.json").read_text())
     statuses = {tuple(e["pair"]): e["status"] for e in report["pairs"]}
     # recompute each pair's verdict from the routed records themselves
-    routing, _, _ = read_routing_artifact(route_dir / "routing_list.json")
+    graph = load_network(k23_file).graph
+    routing, _, _ = read_routing_artifact(route_dir / "routing_list.json", graph)
     for pair in routing.pairs():
         flags = [
             record_is_leaked(r.path_set, {1, 2})
@@ -285,10 +311,24 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
     no_rate = json.loads(json.dumps(good))
     del no_rate["records"][0]["rate_units"]
     bad_shape = dict(good, effective_units=good["effective_units"][:-1])
+    bad_rates = [
+        dict(good, records=[dict(good["records"][0], rate_units=rate)] + good["records"][1:])
+        for rate in (100.7, -100, True)
+    ]
+    # (1, 2) is not an edge of K{2,3}
+    off_edge = dict(good, records=[dict(good["records"][0], paths=[[0, 1, 2, 4], [0, 3, 4]])]
+                    + good["records"][1:])
+    drifted = json.loads(json.dumps(good))
+    drifted["effective_units"][0][1] += 100
+    drifted["effective_units"][1][0] += 100
     artifacts = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_rate.json", no_rate),
         write_net(tmp_path, "bad_shape.json", bad_shape),
+        write_net(tmp_path, "off_edge.json", off_edge),
+        write_net(tmp_path, "drifted.json", drifted),
+    ] + [
+        write_net(tmp_path, f"rate_{k}.json", doc) for k, doc in enumerate(bad_rates)
     ]
     capsys.readouterr()
     for artifact in artifacts:

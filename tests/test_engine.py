@@ -6,6 +6,7 @@ import pytest
 from qkdroute.engine import (
     GuardViolation,
     RoutingList,
+    RoutingRecord,
     StopReason,
     _choose,
     apply_increment,
@@ -195,8 +196,7 @@ def test_routing_list_merges_records():
     s2 = MPathSet((Path((3, 2, 1)), Path((3, 0, 1))))  # same set, reversed
     routing.add(s1, 10)
     routing.add(s2, 10)
-    assert len(routing) == 1
-    assert routing[s1] == 20
+    assert routing.records() == (RoutingRecord(s1, 20),)
     assert routing.rate_for_pair((1, 3)) == 20
     assert routing.pairs() == ((1, 3),)
 
@@ -226,7 +226,7 @@ def test_zero_target_returns_immediately(ring6):
     assert out.iterations == 0
     assert out.stop_reason is StopReason.CONVERGED
     assert np.array_equal(out.effective, graph.rate_matrix())
-    assert len(out.routing_list) == 0
+    assert out.routing_list.records() == ()
 
 
 def test_delta_r_required(ring6):

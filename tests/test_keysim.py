@@ -300,7 +300,7 @@ def test_longer_paths_need_only_one_corrupt_interior(ring6):
     # {(3, 0, 1, 4, 5), (3, 2, 5)}: corrupting 0 on one path and 2 on the
     # other opens the record even though 1 and 4 stay honest
     target_set = MPathSet((Path((3, 0, 1, 4, 5)), Path((3, 2, 5))))
-    assert target_set in out.routing_list
+    assert target_set in [r.path_set for r in out.routing_list.records()]
     rebuilt = adversary_reconstruct(sim, target_set, {0, 2})
     assert rebuilt is not None
     assert np.array_equal(rebuilt, sim.record_block(target_set))

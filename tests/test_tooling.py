@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qkdroute
 
 SRC = Path(qkdroute.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_all_names_resolve():
@@ -40,3 +46,24 @@ def test_no_unused_top_level_imports():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_cli_constructs_no_format_error():
+    # format checks live in netfile and artifacts; the CLI only dispatches
+    tree = ast.parse((SRC / "cli.py").read_text())
+    built = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "NetworkFormatError"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert built == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / demo)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
