@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path as FsPath
 from typing import Dict, Optional, Tuple, Union
 
@@ -182,13 +183,17 @@ def _write_manifest(
     input_path: Union[str, FsPath],
     **fields: object,
 ) -> None:
-    """Write ``manifest.json`` listing ``files`` and add it to ``files``."""
+    """Write ``manifest.json`` listing ``files`` and add it to ``files``.
+
+    ``input`` is recorded relative to ``out``, so the manifest replays from
+    any working directory.
+    """
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool": "qkdroute",
         "version": __version__,
         "command": command,
-        "input": str(input_path),
+        "input": os.path.relpath(os.path.abspath(input_path), os.path.abspath(out)),
         "input_sha256": _sha256(FsPath(input_path)),
         "artifacts": {name: path.name for name, path in files.items()},
         **fields,
@@ -200,6 +205,7 @@ def _write_manifest(
 def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
     """Load the input a route manifest names, under the manifest's config.
 
+    A relative ``input`` is resolved against the manifest's directory.
     Refuses a malformed manifest, a changed input and a config ``parse_router`` refuses.
     """
     try:
@@ -215,7 +221,9 @@ def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
         or not _ROUTE_CONFIG_KEYS <= manifest["config"].keys()
     ):
         raise NetworkFormatError(f"{path} is not a route manifest")
-    input_path = manifest["input"]
+    input_path = os.path.normpath(
+        os.path.join(os.path.dirname(os.path.abspath(path)), manifest["input"])
+    )
     recorded = manifest.get("input_sha256")
     if not FsPath(input_path).is_file() or _sha256(FsPath(input_path)) != recorded:
         raise NetworkFormatError(

@@ -10,6 +10,11 @@ All rates are integer units, so cost comparisons and the step accounting are
 exact.  Randomness is confined to tie-breaking: one draw from a seeded PCG64
 generator per tie with two or more candidates, taken over the candidates in
 canonical order.  Runs are bit-reproducible for a given input and seed.
+
+The loop updates the effective and deficiency matrices in place and scores a
+pair's candidates from a table of flat edge indices built the first time the
+pair is served.  ``apply_increment``, ``set_deficiency`` and ``_guard_ok``
+are the pure definitions it agrees with.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,18 +122,18 @@ class RoutingOutcome:
 
 
 @functools.lru_cache(maxsize=4)
-def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs i < j, built once per n and read-only."""
+def _upper_pairs(n: int) -> Tuple[np.ndarray, Tuple[Edge, ...]]:
+    """Flat indices ``i * n + j`` of the pairs i < j, read-only, and the pairs."""
     rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    cells = rows * n + cols
+    cells.flags.writeable = False
+    return cells, tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def cost_delta(target: np.ndarray, effective: np.ndarray) -> int:
     """Largest shortfall target - effective over unordered pairs i != j."""
-    iu = _upper_pairs(target.shape[0])
-    return int((target[iu] - effective[iu]).max())
+    cells, _ = _upper_pairs(target.shape[0])
+    return int((target.take(cells) - effective.take(cells)).max())
 
 
 def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
@@ -141,24 +146,71 @@ def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
 
 def worst_pairs(deficiency: np.ndarray) -> List[Edge]:
     """All unordered pairs attaining the maximum deficiency, in row order."""
-    iu = _upper_pairs(deficiency.shape[0])
-    values = deficiency[iu]
-    top = values.max()
+    cells, pairs = _upper_pairs(deficiency.shape[0])
+    values = deficiency.take(cells)
+    return [pairs[k] for k in (values == values.max()).nonzero()[0].tolist()]
+
+
+class Candidate(NamedTuple):
+    """A candidate set with its edges as flat matrix indices ``u * n + v``."""
+
+    path_set: MPathSet
+    cells: Tuple[int, ...]
+    hops: int
+
+
+def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> List[Candidate]:
+    """One row per set, in the given order, for scoring without matrix lookups."""
     return [
-        (int(iu[0][k]), int(iu[1][k]))
-        for k in np.flatnonzero(values == top)
+        Candidate(s, tuple(u * node_count + v for u, v in s.edges), s.total_hops)
+        for s in path_sets
     ]
 
 
+def admissible(
+    candidates: Sequence[Candidate], effective: np.ndarray, delta_r: int
+) -> List[Candidate]:
+    """Candidates whose every edge holds at least delta_r, as ``_guard_ok`` decides."""
+    short = set((effective.ravel() < delta_r).nonzero()[0].tolist())
+    return [c for c in candidates if short.isdisjoint(c.cells)]
+
+
 def optimal_sets(
-    candidates: Sequence[MPathSet], deficiency: np.ndarray
+    candidates: Sequence[Candidate], deficiency: np.ndarray
 ) -> List[MPathSet]:
-    """Least-deficient candidates, narrowed to minimal total hop count."""
-    scored = [(set_deficiency(s, deficiency), s) for s in candidates]
-    best = min(score for score, _ in scored)
-    pool = [s for score, s in scored if score == best]
-    shortest = min(s.total_hops for s in pool)
-    return [s for s in pool if s.total_hops == shortest]
+    """Least-deficient candidates, narrowed to minimal total hop count.
+
+    A candidate's score is ``set_deficiency`` of its set.  Finalists keep
+    the candidates' order.
+    """
+    flat = deficiency.ravel().tolist()
+    scores = [max(map(flat.__getitem__, cells)) for _, cells, _ in candidates]
+    best = min(scores)
+    pool = [c for c, score in zip(candidates, scores) if score == best]
+    shortest = min(hops for _, _, hops in pool)
+    return [s for s, _, hops in pool if hops == shortest]
+
+
+def _shift(
+    effective: np.ndarray,
+    deficiency: np.ndarray,
+    pair: Edge,
+    path_set: MPathSet,
+    amount: int,
+) -> None:
+    """``apply_increment`` in place on both matrices; a negative amount undoes it.
+
+    Both matrices must be C-contiguous, so ``ravel`` returns a view.
+    """
+    n = effective.shape[0]
+    i, j = pair
+    cells = [i * n + j, j * n + i]
+    for u, v in path_set.edges:
+        cells += (u * n + v, v * n + u)
+    step = np.full(len(cells), -amount, dtype=np.int64)
+    step[:2] = amount
+    effective.ravel()[cells] += step
+    deficiency.ravel()[cells] -= step
 
 
 def apply_increment(
@@ -170,8 +222,8 @@ def apply_increment(
 ) -> np.ndarray:
     """Move delta_r of rate from the member edges onto the pair.
 
-    Returns a new matrix; the input is left untouched so a caller can keep
-    it as the rollback state.
+    Returns a new matrix and leaves the input untouched.  ``run`` applies
+    the same step in place.
 
     Raises:
         GuardViolation: with ``strict_guard``, when any member edge holds
@@ -230,9 +282,12 @@ def run(
 
     rng = np.random.default_rng(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
+    tables: Dict[Edge, List[Candidate]] = {}
     routing = RoutingList()
     trace: List[IterationTrace] = []
+    # both matrices are updated in place; target - effective == deficiency
     effective = graph.rate_matrix()
+    deficiency = target - effective
     delta = cost_delta(target, effective)
     r = 0
 
@@ -261,28 +316,34 @@ def run(
         return outcome()
 
     while delta > 0 and (config.r_max is None or r < config.r_max):
-        deficiency = target - effective
         pair, pairs_tied = _choose(rng, worst_pairs(deficiency))
         if graph.has_edge(*pair):
             # the bottleneck is a direct link; no amount of re-routing
             # helps it, so the run ends here
             return stop(StopReason.DIRECT_PAIR_WORST, pair, pairs_tied)
-        candidates = cache.m_path_sets(pair)
-        if not candidates:
+        path_sets = cache.m_path_sets(pair)
+        if not path_sets:
             return stop(StopReason.NO_M_SET, pair, pairs_tied)
+        candidates = tables.get(pair)
+        if candidates is None:
+            candidates = tables[pair] = candidate_table(path_sets, graph.node_count)
         if config.strict_guard:
-            candidates = tuple(
-                s for s in candidates if _guard_ok(s, effective, config.delta_r)
-            )
+            candidates = admissible(candidates, effective, config.delta_r)
             if not candidates:
                 return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
         finalists = optimal_sets(candidates, deficiency)
         chosen, sets_tied = _choose(rng, finalists)
-        # under the strict guard, every candidate already passed _guard_ok
-        updated = apply_increment(effective, pair, chosen, config.delta_r)
-        new_delta = cost_delta(target, updated)
+        audit = (
+            tuple((s, set_deficiency(s, deficiency)) for s, _, _ in candidates)
+            if trace_candidates
+            else None
+        )
+        # under the strict guard, every candidate already passed the guard
+        _shift(effective, deficiency, pair, chosen, config.delta_r)
+        new_delta = cost_delta(target, effective)
         if new_delta > delta:
-            # reject and roll back: `effective` was never mutated
+            # reject and roll back
+            _shift(effective, deficiency, pair, chosen, -config.delta_r)
             return stop(
                 StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta
             )
@@ -297,14 +358,9 @@ def run(
                 sets_tied=sets_tied,
                 delta_before=delta,
                 delta_after=new_delta,
-                candidates=tuple(
-                    (s, set_deficiency(s, deficiency)) for s in candidates
-                )
-                if trace_candidates
-                else None,
+                candidates=audit,
             )
         )
-        effective = updated
         delta = new_delta
 
     return stop(StopReason.CONVERGED if delta <= 0 else StopReason.R_MAX)

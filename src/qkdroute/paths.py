@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +82,13 @@ class MPathSet:
             if a.interior & b.interior:
                 raise ValueError(f"paths {a} and {b} share interior node(s)")
         object.__setattr__(self, "paths", paths)
+
+    @classmethod
+    def _disjoint(cls, paths: Tuple[Path, ...]) -> "MPathSet":
+        """Wrap paths already sorted, same-ended and disjoint, skipping the checks."""
+        path_set = object.__new__(cls)
+        object.__setattr__(path_set, "paths", paths)
+        return path_set
 
     @property
     def endpoints(self) -> Edge:
@@ -157,7 +165,8 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
 
     Input paths must share endpoints.  Output order is lexicographic in the
     member node sequences, which is the canonical candidate order used for
-    seeded tie-breaking.
+    seeded tie-breaking.  Only disjoint prefixes are extended, so the work
+    follows the sets found rather than every m-combination of ``paths``.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -166,14 +175,34 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
         endpoints = paths[0].endpoints
         if any(p.endpoints != endpoints for p in paths):
             raise ValueError("all paths must share the same endpoints")
-    interiors = [p.interior for p in paths]
+        if len(set(paths)) != len(paths):
+            raise ValueError("duplicate path")
+    # conflicts[k]: bitmask over path indices of the paths that share an
+    # interior node with path k
+    interiors = [p.nodes[1:-1] for p in paths]
+    holders: Dict[NodeId, int] = {}
+    for k, interior in enumerate(interiors):
+        for v in interior:
+            holders[v] = holders.get(v, 0) | (1 << k)
+    conflicts = [
+        reduce(or_, map(holders.__getitem__, interior), 0)
+        for interior in interiors
+    ]
     sets: list[MPathSet] = []
-    for combo in itertools.combinations(range(len(paths)), m):
-        if all(
-            not (interiors[a] & interiors[b])
-            for a, b in itertools.combinations(combo, 2)
-        ):
-            sets.append(MPathSet(tuple(paths[k] for k in combo)))
+
+    def extend(prefix: Tuple[Path, ...], options: int) -> None:
+        # options: bitmask of the later paths disjoint from every member of
+        # prefix; taking them lowest index first keeps combinations order
+        while options:
+            low = options & -options
+            options ^= low
+            k = low.bit_length() - 1
+            if len(prefix) == m - 1:
+                sets.append(MPathSet._disjoint(prefix + (paths[k],)))
+            else:
+                extend(prefix + (paths[k],), options & ~conflicts[k])
+
+    extend((), (1 << len(paths)) - 1)
     return tuple(sets)
 
 

@@ -38,20 +38,28 @@ def dfs_simple_paths(
     return found
 
 
-def disjoint_subsets(
+def ordered_disjoint_subsets(
     paths: Sequence[Tuple[int, ...]], m: int
-) -> Set[FrozenSet[Tuple[int, ...]]]:
-    """All m-subsets of paths whose interiors are pairwise disjoint."""
-    result: Set[FrozenSet[Tuple[int, ...]]] = set()
-    for combo in itertools.combinations(paths, m):
+) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Every m-combination of the sorted paths whose interiors are pairwise
+    disjoint, in ``itertools.combinations`` order."""
+    result: List[Tuple[Tuple[int, ...], ...]] = []
+    for combo in itertools.combinations(sorted(paths), m):
         interiors = [set(p[1:-1]) for p in combo]
         if all(
             not (interiors[a] & interiors[b])
             for a in range(m)
             for b in range(a + 1, m)
         ):
-            result.add(frozenset(combo))
+            result.append(combo)
     return result
+
+
+def disjoint_subsets(
+    paths: Sequence[Tuple[int, ...]], m: int
+) -> Set[FrozenSet[Tuple[int, ...]]]:
+    """All m-subsets of paths whose interiors are pairwise disjoint."""
+    return {frozenset(combo) for combo in ordered_disjoint_subsets(paths, m)}
 
 
 def relay_key_forward(

@@ -30,6 +30,7 @@ from qkdroute.engine import (
     RoutingList,
     StopReason,
     apply_increment,
+    candidate_table,
     optimal_sets,
     run,
     worst_pairs,
@@ -105,7 +106,8 @@ def test_acceptance_dense5_golden_run(dense5):
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
-            assert entry.chosen_set in optimal_sets(sets, deficiency)
+            table = candidate_table(sets, graph.node_count)
+            assert entry.chosen_set in optimal_sets(table, deficiency)
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4
             effective = apply_increment(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from qkdroute import __version__
 from qkdroute.artifacts import read_routing_artifact
@@ -152,6 +155,28 @@ def test_route_from_manifest_reproduces(k23_file, tmp_path, capsys):
     assert json.loads((tmp_path / "short" / "routing_list.json").read_text())["iterations"] == 1
 
 
+def test_route_from_manifest_replays_from_another_directory(
+    k23_file, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "k23.json").write_text(k23_file.read_text())
+    monkeypatch.chdir(tmp_path)
+    assert main(["route", "--input", "k23.json", "--out-dir", "rel"]) == EXIT_OK
+    first = json.loads((tmp_path / "rel" / "manifest.json").read_text())
+    assert first["input"] == "../k23.json"
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(sub)
+    assert main([
+        "route", "--from-manifest", "../rel/manifest.json", "--out-dir", "again",
+    ]) == EXIT_OK
+    capsys.readouterr()
+    again = json.loads((sub / "again" / "manifest.json").read_text())
+    assert again["input"] == "../../k23.json"
+    assert again["input_sha256"] == first["input_sha256"]
+    for name in ("routing_list.json", "trace.csv"):
+        assert (tmp_path / "rel" / name).read_bytes() == (sub / "again" / name).read_bytes()
+
+
 def test_route_from_manifest_refuses_changed_input(k23_file, tmp_path, capsys):
     net = tmp_path / "k23.json"
     net.write_text(k23_file.read_text())
@@ -216,6 +241,46 @@ def test_route_sweep(k23_file, tmp_path, capsys):
     fast = json.loads((out_dir / "delta_r_0.1" / "routing_list.json").read_text())
     slow = json.loads((out_dir / "delta_r_0.05" / "routing_list.json").read_text())
     assert slow["iterations"] == 2 * fast["iterations"]
+
+
+def grid_doc(side, rate_kbps):
+    """side x side grid with one rate on every edge, so pairs and sets tie often."""
+    edges = []
+    for row in range(side):
+        for col in range(side):
+            node = row * side + col
+            if col + 1 < side:
+                edges.append({"u": node, "v": node + 1, "rate_kbps": rate_kbps})
+            if row + 1 < side:
+                edges.append({"u": node, "v": node + side, "rate_kbps": rate_kbps})
+    return {
+        "nodes": side * side,
+        "edges": edges,
+        "target": 0.1,
+        "router": {"M": 2, "delta_r_kbps": 0.01, "seed": 0, "strict_guard": True},
+    }
+
+
+@pytest.mark.parametrize("rate_kbps, stop, routing_sha256, trace_sha256", [
+    (1.0, "cost_worsened after 275 iterations",
+     "578638a7799083d784741cdc034a58b6f942ef775006c57c37dfd28484d3d2cf",
+     "d2c5dc2c77fdca594ff53d1a1b8d180f3c6e22ff7ab5723cbe29e2c5576db720"),
+    (0.1, "guard_exhausted after 23 iterations",
+     "fc73324e79a9684ff6a76a4d0c421575ee257761a65780f32483c13558bf6b3a",
+     "266b78cb31b715d0d14d576df0b96ccbafca5603fa998a4aed2d8287ae4e973c"),
+])
+def test_route_grid_outputs_pinned(tmp_path, capsys, rate_kbps, stop,
+                                   routing_sha256, trace_sha256):
+    """The seeded draw sequence on a 4x4 grid, pinned byte for byte."""
+    path = write_net(tmp_path, "grid.json", grid_doc(4, rate_kbps))
+    out_dir = tmp_path / "out"
+    assert main(["route", "--input", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+    assert f"stop: {stop}" in capsys.readouterr().out
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("routing_list.json", "trace.csv")
+    }
+    assert digests == {"routing_list.json": routing_sha256, "trace.csv": trace_sha256}
 
 
 def test_paths_command(dense5_file, capsys):

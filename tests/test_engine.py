@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdroute.engine import (
     GuardViolation,
@@ -9,14 +13,23 @@ from qkdroute.engine import (
     RoutingRecord,
     StopReason,
     _choose,
+    _guard_ok,
+    admissible,
     apply_increment,
+    candidate_table,
     cost_delta,
     optimal_sets,
     run,
     worst_pairs,
 )
 from qkdroute.model import NetworkGraph, RouterConfig, ValidationError, uniform_target
-from qkdroute.paths import MPathSet, Path, enumerate_m_path_sets, enumerate_simple_paths
+from qkdroute.paths import (
+    MPathSet,
+    Path,
+    enumerate_m_path_sets,
+    enumerate_simple_paths,
+    set_deficiency,
+)
 
 from golden import (
     DENSE5_EXPECTED_TABLES,
@@ -68,8 +81,54 @@ def test_select_optimal_set_filters(dense5):
     graph, target = dense5
     deficiency = target - graph.rate_matrix()
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
-    finalists = optimal_sets(candidates, deficiency)
+    finalists = optimal_sets(candidate_table(candidates, graph.node_count), deficiency)
     assert [str(s) for s in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
+
+
+@st.composite
+def scoring_cases(draw):
+    """A connected graph, a pair with its sets, a rate state, delta_r and guard."""
+    n = draw(st.integers(4, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    # a random spanning tree keeps the graph connected; chords add routes
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    chords = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, keep in zip(pairs, chords) if keep}
+    graph = NetworkGraph(n, {edge: 1 for edge in edges})
+    i, j = draw(st.sampled_from(pairs))
+    m = draw(st.integers(1, 3))
+    sets = enumerate_m_path_sets(enumerate_simple_paths(graph, i, j), m)
+
+    def symmetric(low, high):
+        # a narrow value range makes score and hop ties common
+        upper = draw(st.lists(st.integers(low, high), min_size=n * n, max_size=n * n))
+        mat = np.triu(np.array(upper, dtype=np.int64).reshape(n, n), k=1)
+        return mat + mat.T
+
+    effective = symmetric(-1, 8)
+    target = symmetric(0, 4)
+    delta_r = draw(st.integers(0, 3))
+    return graph, sets, effective, target, delta_r, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scoring_cases())
+def test_table_scoring_matches_reference(case):
+    """Table-based guard and scoring pick the reference finalists, in order."""
+    graph, sets, effective, target, delta_r, strict_guard = case
+    deficiency = target - effective
+    kept = [s for s in sets if not strict_guard or _guard_ok(s, effective, delta_r)]
+    table = candidate_table(sets, graph.node_count)
+    if strict_guard:
+        table = admissible(table, effective, delta_r)
+    assert [c.path_set for c in table] == kept
+    if not kept:
+        return
+    best = min(set_deficiency(s, deficiency) for s in kept)
+    pool = [s for s in kept if set_deficiency(s, deficiency) == best]
+    shortest = min(s.total_hops for s in pool)
+    expected = [s for s in pool if s.total_hops == shortest]
+    assert optimal_sets(table, deficiency) == expected
 
 
 def test_apply_increment_is_pure(dense5):
@@ -163,7 +222,8 @@ def test_dense5_trajectory_envelope(dense5):
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
-            assert entry.chosen_set in optimal_sets(sets, deficiency)
+            table = candidate_table(sets, graph.node_count)
+            assert entry.chosen_set in optimal_sets(table, deficiency)
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
             )

@@ -16,7 +16,7 @@ from qkdroute.paths import (
     set_deficiency,
 )
 
-from oracles import dfs_simple_paths, disjoint_subsets
+from oracles import dfs_simple_paths, ordered_disjoint_subsets
 
 
 def adjacency_of(graph):
@@ -65,6 +65,8 @@ def test_k23_enumeration(k23):
     sets = enumerate_m_path_sets(paths, 2)
     assert len(sets) == 3
     assert enumerate_simple_paths(graph, 4, 0) == paths
+    with pytest.raises(ValueError, match="duplicate"):
+        enumerate_m_path_sets(paths + paths[:1], 1)
 
 
 def test_dense5_enumeration(dense5):
@@ -122,14 +124,16 @@ def test_matches_dfs_oracle_on_fixtures(dense5, ring6, mesh10):
                 assert ours == dfs_simple_paths(adj, i, j)
 
 
-def test_disjoint_sets_match_oracle(dense5):
-    graph, _ = dense5
-    for pair in [(1, 3), (0, 4), (2, 3)]:
-        paths = enumerate_simple_paths(graph, *pair)
-        for m in (1, 2, 3):
-            ours = {frozenset(p.nodes for p in s.paths)
-                    for s in enumerate_m_path_sets(paths, m)}
-            assert ours == disjoint_subsets([p.nodes for p in paths], m)
+def test_disjoint_sets_match_oracle(k23, dense5, ring6, mesh10):
+    """Same sets in the same order: seeded tie-breaks index into the sequence."""
+    for graph in (k23[0], dense5[0], ring6[0], mesh10[0]):
+        adj = adjacency_of(graph)
+        for i, j in itertools.combinations(range(graph.node_count), 2):
+            paths = enumerate_simple_paths(graph, i, j)
+            oracle_paths = dfs_simple_paths(adj, i, j)
+            for m in (1, 2, 3):
+                expected = ordered_disjoint_subsets(oracle_paths, m)
+                assert [s.sort_key() for s in enumerate_m_path_sets(paths, m)] == expected
 
 
 def test_random_graphs_match_oracle():
@@ -152,11 +156,11 @@ def test_random_graphs_match_oracle():
         i, j = sorted(rng.sample(range(n), 2))
         hop_limit = rng.choice([None, 2, 3])
         ours = enumerate_simple_paths(graph, i, j, hop_limit)
-        assert {p.nodes for p in ours} == dfs_simple_paths(adj, i, j, hop_limit)
-        sets = enumerate_m_path_sets(ours, 2)
-        for s in sets:
-            for a, b in itertools.combinations(s.paths, 2):
-                assert not (a.interior & b.interior)
+        oracle_paths = dfs_simple_paths(adj, i, j, hop_limit)
+        assert {p.nodes for p in ours} == oracle_paths
+        for m in (1, 2, 3):
+            expected = ordered_disjoint_subsets(oracle_paths, m)
+            assert [s.sort_key() for s in enumerate_m_path_sets(ours, m)] == expected
 
 
 def test_set_deficiency_takes_worst_edge(dense5):
