@@ -440,6 +440,32 @@ def test_simulate_key_dump(k23_file, tmp_path, capsys):
     assert "key hex:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("network, tau, key_lines, keys_sha256", [
+    # the 5M-bit pool of edge (0, 1) is longer than one 2**22-bit draw
+    ("mesh10_file", "1000", 32,
+     "96e8afcba1c8c45928409d987fb6c39e2c394284c6f82dc06ab6b3c7f5488dfc"),
+    # 1003-bit pools: draws drop leftover bits between pools, and relay
+    # segments start mid-byte
+    ("ring6_file", "1.003", 8,
+     "5663f73045d701b30bac61c9ddbd44474f1aec0f14226bc9aad758fe0438affe"),
+])
+def test_simulate_key_bytes_pinned(request, tmp_path, capsys, network, tau,
+                                   key_lines, keys_sha256):
+    """The key bytes ``--dump-keys`` prints, pinned byte for byte."""
+    path = request.getfixturevalue(network)
+    route_dir = tmp_path / "route"
+    assert main(["route", "--input", str(path), "--out-dir", str(route_dir)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([
+        "simulate", "--input", str(path), "--routing", str(route_dir),
+        "--tau", tau, "--dump-keys",
+    ]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if "key hex:" in line]
+    assert len(lines) == key_lines
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == keys_sha256
+
+
 def test_module_entry_point(ring6_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qkdroute", "--version"],
