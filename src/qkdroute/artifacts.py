@@ -77,9 +77,11 @@ def read_routing_artifact(
 ) -> Tuple[RoutingList, np.ndarray, dict]:
     """Load a routing JSON artifact and check it against ``graph``.
 
-    Refuses another node count or resolution, a record on a non-edge or with
-    a rate that is not a positive integer, and ``effective_units`` that is not
-    the edge rates plus the records' pair credits minus their edge debits.
+    Refuses another node count or resolution, a record on a non-edge, with a
+    rate that is not a positive integer or with other than ``m`` paths,
+    ``effective_units`` that is not the edge rates plus the records' pair
+    credits minus their edge debits, a negative edge under ``strict_guard``,
+    and rates that do not add up to ``iterations`` steps of ``delta_r_units``.
     """
     try:
         doc = json.loads(FsPath(path).read_text())
@@ -95,13 +97,22 @@ def read_routing_artifact(
     if doc.get("resolution_bps") != str(graph.scale.resolution_bps):
         raise NetworkFormatError("routing artifact resolution does not match network")
     try:
+        m, steps, step = doc["m"], doc["iterations"], doc["delta_r_units"]
+        if not all(_is_int(value) for value in (m, steps, step)):
+            raise ValueError("m, iterations and delta_r_units must be integers")
+        if not isinstance(doc["strict_guard"], bool):
+            raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
         routing = RoutingList()
         expected = graph.rate_matrix()
+        routed = 0
         for entry in doc["records"]:
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
+            if path_set.m != m:
+                raise ValueError(f"record {path_set} has {path_set.m} paths, not m = {m}")
             rate = entry["rate_units"]
-            if not isinstance(rate, int) or isinstance(rate, bool) or rate <= 0:
+            if not _is_int(rate) or rate <= 0:
                 raise ValueError(f"rate_units {rate!r} is not a positive integer")
+            routed += rate
             for u, v in path_set.edges:
                 if not graph.has_edge(u, v):
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
@@ -118,7 +129,22 @@ def read_routing_artifact(
         raise NetworkFormatError(f"{path}: effective_units is not {n} x {n} integers")
     if not np.array_equal(effective, expected):
         raise NetworkFormatError(f"{path}: effective_units disagrees with its records")
+    if doc["strict_guard"]:
+        for u, v in graph.edges:
+            if effective[u, v] < 0:
+                raise NetworkFormatError(
+                    f"{path}: edge ({u}, {v}) is negative under the strict guard"
+                )
+    if routed != steps * step:
+        raise NetworkFormatError(
+            f"{path}: records hold {routed} units, not {steps} iterations "
+            f"of {step} units"
+        )
     return routing, effective, doc
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def render_matrix_csv(matrix: np.ndarray, scale: UnitScale) -> str:

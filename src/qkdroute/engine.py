@@ -71,18 +71,13 @@ class RoutingList:
         self._rates[path_set] = self._rates.get(path_set, 0) + delta_r
 
     def records(self) -> Tuple[RoutingRecord, ...]:
-        """Records sorted by endpoints, then member node sequences."""
+        """Records sorted by member node sequences.
+
+        One pair's records need not be adjacent: {(0, 1, 5), ...} sorts
+        between {(0, 1, 4), ...} and {(0, 2, 4), ...}.
+        """
         ordered = sorted(self._rates.items(), key=lambda kv: kv[0].sort_key())
         return tuple(RoutingRecord(s, rate) for s, rate in ordered)
-
-    def rate_for_pair(self, pair: Edge) -> int:
-        i, j = min(pair), max(pair)
-        return sum(
-            rate for s, rate in self._rates.items() if s.endpoints == (i, j)
-        )
-
-    def pairs(self) -> Tuple[Edge, ...]:
-        return tuple(sorted({s.endpoints for s in self._rates}))
 
 
 @dataclass(frozen=True)

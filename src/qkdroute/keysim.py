@@ -5,6 +5,9 @@ seconds.  The front of each pool is carved into segments: first the slice the
 edge keeps for its own endpoints, then one relay segment per routing record
 that traverses the edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
+Pools are stored packed, eight bits per byte, and a segment is unpacked only
+when it is relayed, so a simulation's peak memory is about the packed pools
+plus the pair keys, which hold one byte per bit.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -33,15 +36,28 @@ class CapacityError(RuntimeError):
     """An edge pool is too short for the segments routed across it."""
 
 
+# bits drawn per generator call; a multiple of 8, so every chunk but a pool's
+# last fills whole bytes, and of 4, so the drawn bit stream does not depend
+# on it (integers(0, 2, dtype=uint8) drops leftover bits only when a call ends)
+_CHUNK_BITS = 1 << 22
+
+
 @dataclass(frozen=True)
 class KeyPool:
     """The shared secret-bit pool of one edge over the harvest window."""
 
     edge: Edge
-    bits: np.ndarray  # uint8 values in {0, 1}, read-only
+    bits: np.ndarray  # np.packbits of the pool's bits, read-only
+    length: int
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
+
+    def unpack(self, start: int, stop: int) -> np.ndarray:
+        """Bits ``start:stop`` of the pool, one byte per bit."""
+        first = start // 8
+        covered = np.unpackbits(self.bits[first : (stop + 7) // 8])
+        return covered[start - 8 * first : stop - 8 * first]
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,7 @@ class SegmentAllocation:
         self, pools: Mapping[Edge, KeyPool], path_set: MPathSet, edge: Edge
     ) -> np.ndarray:
         seg = self.relay[(path_set, canonical_edge(*edge))]
-        return pools[canonical_edge(*edge)].bits[seg.start : seg.stop]
+        return pools[canonical_edge(*edge)].unpack(seg.start, seg.stop)
 
 
 @dataclass(frozen=True)
@@ -129,7 +145,8 @@ def accumulate_pools(
     """Draw each edge's pool of R_ij * tau bits from a seeded generator.
 
     Pools are drawn in canonical edge order so a (graph, tau, seed) triple
-    always produces identical key material.
+    always produces identical key material.  Each pool is drawn in chunks
+    and packed as it goes; the bits are those of one draw per pool.
     """
     tau = as_decimal(tau, "tau")
     if tau <= 0:
@@ -138,9 +155,14 @@ def accumulate_pools(
     pools: Dict[Edge, KeyPool] = {}
     for edge in graph.edges:
         length = graph.scale.bit_count(graph.rate(*edge), tau)
-        bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-        bits.flags.writeable = False
-        pools[edge] = KeyPool(edge, bits)
+        packed = np.empty((length + 7) // 8, dtype=np.uint8)
+        for start in range(0, length, _CHUNK_BITS):
+            chunk = rng.integers(
+                0, 2, size=min(_CHUNK_BITS, length - start), dtype=np.uint8
+            )
+            packed[start // 8 : (start + len(chunk) + 7) // 8] = np.packbits(chunk)
+        packed.flags.writeable = False
+        pools[edge] = KeyPool(edge, packed, length)
     return pools
 
 
@@ -234,34 +256,32 @@ def relay_path_key(
 
 def assemble_pair_keys(
     routing_list: RoutingList,
-    relayed: Mapping[Tuple[MPathSet, Path], Tuple[np.ndarray, np.ndarray]],
+    pools: Mapping[Edge, KeyPool],
+    allocation: SegmentAllocation,
 ) -> Dict[Edge, PairKey]:
-    """Concatenate per-record XOR blocks into each pair's final key.
+    """Relay every record and concatenate its XOR blocks into each pair's key.
 
-    The two endpoint views are assembled independently (one from first-link
-    segments, one from message-recovered keys) and compared; ``agreed``
-    records the verdict.
+    Each record's block is folded independently at both endpoints, one from
+    first-link segments and one from message-recovered keys, and the two
+    views are compared; ``agreed`` holds when they match for every record of
+    the pair.  Only the first endpoint's blocks are kept.
     """
-    by_pair: Dict[Edge, List[RoutingRecord]] = {}
+    blocks: Dict[Edge, List[np.ndarray]] = {}
+    agreed: Dict[Edge, bool] = {}
     for record in routing_list.records():
-        by_pair.setdefault(record.pair, []).append(record)
-    keys: Dict[Edge, PairKey] = {}
-    for pair, records in sorted(by_pair.items()):
-        i_blocks: List[np.ndarray] = []
-        j_blocks: List[np.ndarray] = []
-        for record in records:
-            views = [relayed[(record.path_set, p)] for p in record.path_set.paths]
-            block_i = views[0][0]
-            block_j = views[0][1]
-            for view in views[1:]:
-                block_i = np.bitwise_xor(block_i, view[0])
-                block_j = np.bitwise_xor(block_j, view[1])
-            i_blocks.append(block_i)
-            j_blocks.append(block_j)
-        bits_i = np.concatenate(i_blocks)
-        bits_j = np.concatenate(j_blocks)
-        keys[pair] = PairKey(bits_i, bool(np.array_equal(bits_i, bits_j)))
-    return keys
+        block_i: Optional[np.ndarray] = None
+        block_j: Optional[np.ndarray] = None
+        for path in record.path_set.paths:
+            key_i, key_j, _ = relay_path_key(pools, allocation, record.path_set, path)
+            block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
+            block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
+        pair = record.pair
+        blocks.setdefault(pair, []).append(block_i)
+        agreed[pair] = agreed.get(pair, True) and bool(np.array_equal(block_i, block_j))
+    return {
+        pair: PairKey(np.concatenate(blocks.pop(pair)), agreed[pair])
+        for pair in sorted(blocks)
+    }
 
 
 @dataclass(frozen=True)
@@ -299,12 +319,7 @@ def simulate(
     allocation = allocate_segments(
         pools, routing_list, effective, graph.scale, tau_dec
     )
-    relayed: Dict[Tuple[MPathSet, Path], Tuple[np.ndarray, np.ndarray]] = {}
-    for record in routing_list.records():
-        for path in record.path_set.paths:
-            key_i, key_j, _ = relay_path_key(pools, allocation, record.path_set, path)
-            relayed[(record.path_set, path)] = (key_i, key_j)
-    pair_keys = assemble_pair_keys(routing_list, relayed)
+    pair_keys = assemble_pair_keys(routing_list, pools, allocation)
     return KeySimulation(
         graph=graph,
         routing_list=routing_list,

@@ -1,16 +1,19 @@
 """Independent reference implementations the real code is checked against.
 
 Deliberately naive and structured differently from the library: the path
-oracle is a recursive depth-first search over adjacency sets, and the relay
-oracle walks a path node by node handing a key forward.  Shared bugs with
-the production code would defeat the point, so nothing here imports from
-qkdroute beyond plain data types.
+oracle is a recursive depth-first search over adjacency sets, the relay
+oracle walks a path node by node handing a key forward, and the pool oracle
+draws each pool unpacked in a single call.  Shared bugs with the production
+code would defeat the point, so nothing here imports from qkdroute beyond
+plain data types.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 
 def dfs_simple_paths(
@@ -80,3 +83,17 @@ def relay_key_forward(
     for message in reversed(messages):
         carried = [a ^ b for a, b in zip(carried, message)]
     return carried, messages
+
+
+def rates_by_pair(records: Iterable) -> Dict[Tuple[int, int], int]:
+    """Total rate per node pair, summed over routing records."""
+    totals: Dict[Tuple[int, int], int] = {}
+    for record in records:
+        totals[record.pair] = totals.get(record.pair, 0) + record.rate
+    return totals
+
+
+def one_shot_pools(lengths: Sequence[int], seed: int) -> List[np.ndarray]:
+    """Pools of the given bit lengths, one unpacked draw each, in order."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 2, size=length, dtype=np.uint8) for length in lengths]

@@ -23,7 +23,7 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
-from oracles import dfs_simple_paths, disjoint_subsets
+from oracles import dfs_simple_paths, disjoint_subsets, rates_by_pair
 
 from qkdroute.artifacts import write_route_artifacts
 from qkdroute.engine import (
@@ -113,8 +113,7 @@ def test_acceptance_dense5_golden_run(dense5):
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
             )
-        assert alt.routing_list.rate_for_pair((1, 3)) == 200
-        assert alt.routing_list.rate_for_pair((0, 4)) == 200
+        assert rates_by_pair(alt.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
         if alt.stop_reason is StopReason.CONVERGED:
             assert alt.final_delta == 0
 
@@ -137,7 +136,7 @@ def test_acceptance_ring6_counts(ring6):
         assert out.final_delta == 0
         for i, j in remote:
             assert out.effective[i, j] == 100
-            assert out.routing_list.rate_for_pair((i, j)) == 100
+        assert rates_by_pair(out.routing_list.records()) == {pair: 100 for pair in remote}
     # at the fixture's seed the residual direct rate of edge (0, 1) is
     # 0.4 kbit/s and the routing list matches the reference solution
     out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
@@ -263,13 +262,14 @@ def test_acceptance_key_delivery(ring6):
     graph, target = ring6
     out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
     tau = Decimal(100)
+    rates = rates_by_pair(out.routing_list.records())
     started = time.perf_counter()
     for seed in range(100):
         sim = simulate(graph, out.routing_list, out.effective, tau, seed=seed)
         # both endpoints assembled the same bits, at the routed length
         for pair, key in sim.pair_keys.items():
             assert key.agreed
-            assert len(key.bits) == out.routing_list.rate_for_pair(pair) * 100
+            assert len(key.bits) == rates[pair] * 100
         # segment accounting: every pool is tiled exactly by its effective
         # segment plus the relay segments of the records crossing the edge
         for edge, pool in sim.pools.items():
@@ -328,17 +328,16 @@ def test_acceptance_compromise_security(k23):
     assert seg.length == 8
     seen = set()
     for value in range(256):
-        bits = base[(0, 1)].bits.copy()
+        bits = base[(0, 1)].unpack(0, len(base[(0, 1)]))
         bits[seg.start : seg.stop] = np.unpackbits(np.array([value], np.uint8))
-        bits.flags.writeable = False
+        packed = np.packbits(bits)
+        packed.flags.writeable = False
         pools = dict(base)
-        pools[(0, 1)] = KeyPool((0, 1), bits)
-        views = {}
+        pools[(0, 1)] = KeyPool((0, 1), packed, len(bits))
         for path in set_a.paths:
             key_i, key_j, _ = relay_path_key(pools, allocation, set_a, path)
             assert np.array_equal(key_i, key_j)
-            views[(set_a, path)] = (key_i, key_j)
-        seen.add(int(np.packbits(assemble_pair_keys(routing, views)[(0, 4)].bits)[0]))
+        seen.add(int(np.packbits(assemble_pair_keys(routing, pools, allocation)[(0, 4)].bits)[0]))
     assert seen == set(range(256))
 
     assert compromise_probability_bound(2, "0.1") == 0.01

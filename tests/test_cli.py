@@ -9,7 +9,7 @@ import pytest
 
 from qkdroute import __version__
 from qkdroute.artifacts import read_routing_artifact
-from qkdroute.cli import EXIT_INVALID, EXIT_OK, main
+from qkdroute.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from qkdroute.keysim import record_is_leaked
 from qkdroute.netfile import load_network
 
@@ -332,7 +332,7 @@ def test_simulate_end_to_end(k23_file, tmp_path, capsys):
     # recompute each pair's verdict from the routed records themselves
     graph = load_network(k23_file).graph
     routing, _, _ = read_routing_artifact(route_dir / "routing_list.json", graph)
-    for pair in routing.pairs():
+    for pair in {r.pair for r in routing.records()}:
         flags = [
             record_is_leaked(r.path_set, {1, 2})
             for r in routing.records() if r.pair == pair
@@ -386,6 +386,9 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
     drifted = json.loads(json.dumps(good))
     drifted["effective_units"][0][1] += 100
     drifted["effective_units"][1][0] += 100
+    no_steps = {k: v for k, v in good.items() if k != "iterations"}
+    bad_fields = [dict(good, m="2"), dict(good, delta_r_units=100.0),
+                  dict(good, strict_guard="yes"), no_steps]
     artifacts = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_rate.json", no_rate),
@@ -394,6 +397,8 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
         write_net(tmp_path, "drifted.json", drifted),
     ] + [
         write_net(tmp_path, f"rate_{k}.json", doc) for k, doc in enumerate(bad_rates)
+    ] + [
+        write_net(tmp_path, f"field_{k}.json", doc) for k, doc in enumerate(bad_fields)
     ]
     capsys.readouterr()
     for artifact in artifacts:
@@ -402,6 +407,60 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
             "--tau", "1",
         ]) == EXIT_INVALID, artifact.name
         assert "error:" in capsys.readouterr().err
+
+
+def refuses_routing(k23_file, tmp_path, capsys, doc, message):
+    """Whether ``simulate`` exits 1 on the artifact ``doc``, naming ``message``."""
+    artifact = write_net(tmp_path, "edited.json", doc)
+    capsys.readouterr()
+    code = main(["simulate", "--input", str(k23_file), "--routing", str(artifact),
+                 "--tau", "1"])
+    return code == EXIT_INVALID and message in capsys.readouterr().err
+
+
+def routed_k23(k23_file, tmp_path):
+    main(["route", "--input", str(k23_file), "--out-dir", str(tmp_path / "route")])
+    return json.loads((tmp_path / "route" / "routing_list.json").read_text())
+
+
+def test_simulate_refuses_path_count_other_than_m(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["m"] == 2
+    for m in (1, 3):
+        assert refuses_routing(k23_file, tmp_path, capsys, dict(good, m=m),
+                               f"has 2 paths, not m = {m}")
+
+
+def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    # 800 more units on {(0, 1, 4), (0, 2, 4)} take its edges from 700 to
+    # -100; effective_units and iterations stay consistent with the records
+    doc = json.loads(json.dumps(good))
+    assert doc["records"][0]["paths"] == [[0, 1, 4], [0, 2, 4]]
+    doc["records"][0]["rate_units"] += 800
+    doc["iterations"] += 8
+    effective = doc["effective_units"]
+    for u, v in ((0, 1), (1, 4), (0, 2), (2, 4)):
+        effective[u][v] -= 800
+        effective[v][u] -= 800
+    effective[0][4] += 800
+    effective[4][0] += 800
+    assert refuses_routing(k23_file, tmp_path, capsys, doc,
+                           "edge (0, 1) is negative under the strict guard")
+    # without the guard the artifact reads, and the key simulation refuses it
+    graph = load_network(k23_file).graph
+    unguarded = write_net(tmp_path, "unguarded.json", dict(doc, strict_guard=False))
+    assert read_routing_artifact(unguarded, graph)[1][0, 1] == -100
+    assert main(["simulate", "--input", str(k23_file), "--routing", str(unguarded),
+                 "--tau", "1"]) == EXIT_RUNTIME
+    assert "over-subscribed" in capsys.readouterr().err
+
+
+def test_simulate_refuses_rates_off_the_iteration_count(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    for steps in (good["iterations"] - 1, good["iterations"] + 1):
+        assert refuses_routing(k23_file, tmp_path, capsys, dict(good, iterations=steps),
+                               f"records hold 400 units, not {steps} iterations")
 
 
 def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):

@@ -37,6 +37,7 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
+from oracles import rates_by_pair
 
 
 def dense5_config(**overrides):
@@ -199,8 +200,7 @@ def test_dense5_final_state(dense5):
         assert out.effective[u, v] == value
     assert out.effective[1, 3] == 200
     assert out.effective[0, 4] == 200
-    assert out.routing_list.rate_for_pair((1, 3)) == 200
-    assert out.routing_list.rate_for_pair((0, 4)) == 200
+    assert rates_by_pair(out.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
 
 
 def test_dense5_trajectory_envelope(dense5):
@@ -231,8 +231,7 @@ def test_dense5_trajectory_envelope(dense5):
         assert np.array_equal(effective, out.effective)
         # each remote pair takes exactly two accepted increments
         assert out.iterations == 4
-        assert out.routing_list.rate_for_pair((1, 3)) == 200
-        assert out.routing_list.rate_for_pair((0, 4)) == 200
+        assert rates_by_pair(out.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
         assert out.stop_reason in (
             StopReason.CONVERGED, StopReason.DIRECT_PAIR_WORST
         )
@@ -257,8 +256,7 @@ def test_routing_list_merges_records():
     routing.add(s1, 10)
     routing.add(s2, 10)
     assert routing.records() == (RoutingRecord(s1, 20),)
-    assert routing.rate_for_pair((1, 3)) == 20
-    assert routing.pairs() == ((1, 3),)
+    assert rates_by_pair(routing.records()) == {(1, 3): 20}
 
 
 def test_records_in_canonical_order(ring6):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import functools
 import itertools
 from decimal import Decimal
+from pathlib import Path as FsPath
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qkdroute import keysim
 from qkdroute.engine import RoutingList, run
 from qkdroute.keysim import (
     FULLY_LEAKED,
@@ -25,9 +31,12 @@ from qkdroute.keysim import (
     simulate,
 )
 from qkdroute.model import RouterConfig
+from qkdroute.netfile import load_network
 from qkdroute.paths import MPathSet, Path
 
-from oracles import relay_key_forward
+from oracles import one_shot_pools, relay_key_forward
+
+MESH10_FILE = FsPath(__file__).resolve().parent.parent / "networks" / "mesh10.json"
 
 SET_A = MPathSet((Path((0, 1, 4)), Path((0, 2, 4))))
 SET_B = MPathSet((Path((0, 1, 4)), Path((0, 3, 4))))
@@ -54,7 +63,8 @@ def test_pool_lengths_and_determinism(k23):
     for edge, pool in pools.items():
         assert len(pool) == 2000
         assert pool.bits.dtype == np.uint8
-        assert set(np.unique(pool.bits)) <= {0, 1}
+        assert pool.bits.nbytes == 250  # packed, 8 bits per byte
+        assert set(np.unique(pool.unpack(0, len(pool)))) <= {0, 1}
         assert not pool.bits.flags.writeable
     again = accumulate_pools(graph, Decimal(2), seed=7)
     other = accumulate_pools(graph, Decimal(2), seed=8)
@@ -63,6 +73,40 @@ def test_pool_lengths_and_determinism(k23):
     assert any(
         not np.array_equal(pools[e].bits, other[e].bits) for e in graph.edges
     )
+
+
+@functools.lru_cache(maxsize=1)
+def mesh10_routed():
+    graph, target, config = load_network(MESH10_FILE)
+    return graph, run(graph, target, config)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.integers(1, 8000).map(lambda k: Decimal(k) / 10000),
+    chunk_bits=st.integers(1, 6).map(lambda k: 8 * k) | st.just(keysim._CHUNK_BITS),
+)
+def test_packed_pools_match_one_shot_draws(seed, tau, chunk_bits):
+    """Chunked, packed pools hold the bits of one draw per pool, and every
+    relay segment unpacks to the matching slice of those bits.  mesh10's
+    rates give pools of 0 to 4000 bits, mostly not a multiple of 4 long."""
+    graph, out = mesh10_routed()
+    with mock.patch.object(keysim, "_CHUNK_BITS", chunk_bits):
+        pools = accumulate_pools(graph, tau, seed)
+    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
+    reference = dict(zip(graph.edges, one_shot_pools(lengths, seed)))
+    assert tuple(pools) == graph.edges
+    for edge, pool in pools.items():
+        assert len(pool) == len(reference[edge])
+        assert np.array_equal(pool.bits, np.packbits(reference[edge]))
+    allocation = allocate_segments(pools, out.routing_list, out.effective,
+                                   graph.scale, tau)
+    for (path_set, edge), seg in allocation.relay.items():
+        assert np.array_equal(
+            allocation.relay_bits(pools, path_set, edge),
+            reference[edge][seg.start : seg.stop],
+        )
 
 
 def test_pool_rejects_bad_tau(k23):
@@ -146,9 +190,9 @@ def test_allocation_rejects_exhausted_pool(k23):
     graph, routing, effective = single_record_setup(k23, rate=300)
     # shrink one pool below effective + relay demand
     pools = accumulate_pools(graph, Decimal(1), seed=0)
-    short = np.zeros(800, dtype=np.uint8)
+    short = np.zeros(100, dtype=np.uint8)  # 800 bits, packed
     short.flags.writeable = False
-    pools[(0, 1)] = KeyPool((0, 1), short)
+    pools[(0, 1)] = KeyPool((0, 1), short, 800)
     with pytest.raises(CapacityError, match="exhausted"):
         allocate_segments(pools, routing, effective, graph.scale, Decimal(1))
 
@@ -320,18 +364,18 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     seen = set()
     for value in range(256):
         patched = dict(base)
-        bits = base[(0, 1)].bits.copy()
+        pool = base[(0, 1)]
+        bits = pool.unpack(0, len(pool))
         bits[seg.start : seg.stop] = np.unpackbits(
             np.array([value], dtype=np.uint8)
         )
-        bits.flags.writeable = False
-        patched[(0, 1)] = KeyPool((0, 1), bits)
-        views = {}
+        packed = np.packbits(bits)
+        packed.flags.writeable = False
+        patched[(0, 1)] = KeyPool((0, 1), packed, len(pool))
         for path in SET_A.paths:
             key_i, key_j, _ = relay_path_key(patched, allocation, SET_A, path)
             assert np.array_equal(key_i, key_j)
-            views[(SET_A, path)] = (key_i, key_j)
-        key = assemble_pair_keys(routing, views)[(0, 4)]
+        key = assemble_pair_keys(routing, patched, allocation)[(0, 4)]
         assert key.agreed
         seen.add(int(np.packbits(key.bits)[0]))
     assert seen == set(range(256))
