@@ -8,6 +8,7 @@ artifacts reproducible from their manifest alone.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -78,7 +79,8 @@ def read_routing_artifact(
     """Load a routing JSON artifact and check it against ``graph``.
 
     Refuses another node count or resolution, a record on a non-edge, with a
-    rate that is not a positive integer or with other than ``m`` paths,
+    rate that is not a positive multiple of ``delta_r_units``, with other
+    than ``m`` paths or with a path longer than a set ``hop_limit``,
     ``effective_units`` that is not the edge rates plus the records' pair
     credits minus their edge debits, a negative edge under ``strict_guard``,
     and rates that do not add up to ``iterations`` steps of ``delta_r_units``.
@@ -100,6 +102,11 @@ def read_routing_artifact(
         m, steps, step = doc["m"], doc["iterations"], doc["delta_r_units"]
         if not all(_is_int(value) for value in (m, steps, step)):
             raise ValueError("m, iterations and delta_r_units must be integers")
+        if step <= 0:
+            raise ValueError(f"delta_r_units {step} is not positive")
+        hop_limit = doc["hop_limit"]
+        if hop_limit is not None and not _is_int(hop_limit):
+            raise ValueError(f"hop_limit {hop_limit!r} is not an integer or null")
         if not isinstance(doc["strict_guard"], bool):
             raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
         routing = RoutingList()
@@ -109,9 +116,18 @@ def read_routing_artifact(
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
             if path_set.m != m:
                 raise ValueError(f"record {path_set} has {path_set.m} paths, not m = {m}")
+            longest = max(p.hops for p in path_set.paths)
+            if hop_limit is not None and longest > hop_limit:
+                raise ValueError(
+                    f"record {path_set} has a path of {longest} hops, over hop_limit {hop_limit}"
+                )
             rate = entry["rate_units"]
             if not _is_int(rate) or rate <= 0:
                 raise ValueError(f"rate_units {rate!r} is not a positive integer")
+            if rate % step:
+                raise ValueError(
+                    f"rate_units {rate} is not a multiple of delta_r_units {step}"
+                )
             routed += rate
             for u, v in path_set.edges:
                 if not graph.has_edge(u, v):
@@ -175,23 +191,21 @@ def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
             "stop_reason",
         ]
     )
+    # long runs repeat few values and sets, so each is formatted once per call
+    kbps = functools.cache(scale.kbps_str)
+    set_text = functools.cache(lambda path_set: "|".join(str(p) for p in path_set.paths))
     for entry in outcome.trace:
         pair = entry.selected_pair
-        chosen = (
-            "|".join(str(p) for p in entry.chosen_set.paths)
-            if entry.chosen_set is not None
-            else ""
-        )
         writer.writerow(
             [
               entry.r,
               "" if pair is None else pair[0],
               "" if pair is None else pair[1],
               entry.pairs_tied,
-              chosen,
+              "" if entry.chosen_set is None else set_text(entry.chosen_set),
               entry.sets_tied,
-              scale.kbps_str(entry.delta_before),
-              scale.kbps_str(entry.delta_after),
+              kbps(entry.delta_before),
+              kbps(entry.delta_after),
               entry.stop_reason.value if entry.stop_reason else "",
             ]
         )

@@ -11,18 +11,22 @@ exact.  Randomness is confined to tie-breaking: one draw from a seeded PCG64
 generator per tie with two or more candidates, taken over the candidates in
 canonical order.  Runs are bit-reproducible for a given input and seed.
 
-The loop updates the effective and deficiency matrices in place and scores a
-pair's candidates from a table of flat edge indices built the first time the
-pair is served.  ``apply_increment``, ``set_deficiency`` and ``_guard_ok``
-are the pure definitions it agrees with.
+The loop keeps the effective and deficiency matrices as flat Python ``int``
+lists indexed ``u * n + v`` and updates them in place, one list cell per
+edge and pair with u < v; the symmetric ndarray is built once, for the
+outcome.  A pair's candidates are scored from a table of the same flat
+indices, built the first time the pair is served.  ``apply_increment`` and
+``set_deficiency`` are the ndarray definitions the loop agrees with.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .model import (
     ValidationError,
     check_target_matrix,
 )
-from .paths import MPathSet, PairPathCache, set_deficiency
+from .paths import MPathSet, PairPathCache
 
 
 class GuardViolation(RuntimeError):
@@ -117,18 +121,24 @@ class RoutingOutcome:
 
 
 @functools.lru_cache(maxsize=4)
-def _upper_pairs(n: int) -> Tuple[np.ndarray, Tuple[Edge, ...]]:
-    """Flat indices ``i * n + j`` of the pairs i < j, read-only, and the pairs."""
-    rows, cols = np.triu_indices(n, k=1)
-    cells = rows * n + cols
-    cells.flags.writeable = False
-    return cells, tuple(zip(rows.tolist(), cols.tolist()))
+def _upper_pairs(n: int) -> Tuple[Callable, Tuple[Edge, ...]]:
+    """A getter of the flat cells ``i * n + j`` of the pairs i < j, and the
+    pairs, both in row order."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    cells = tuple(i * n + j for i, j in pairs)
+    # itemgetter of a single key returns the bare item, not a 1-tuple
+    values = itemgetter(*cells) if len(cells) > 1 else lambda flat: (flat[cells[0]],)
+    return values, pairs
 
 
-def cost_delta(target: np.ndarray, effective: np.ndarray) -> int:
-    """Largest shortfall target - effective over unordered pairs i != j."""
-    cells, _ = _upper_pairs(target.shape[0])
-    return int((target.take(cells) - effective.take(cells)).max())
+def cost_delta(deficiency: Sequence[int], n: int) -> int:
+    """Largest shortfall target - effective over unordered pairs i != j.
+
+    ``deficiency`` is the flat n*n list of shortfalls, indexed ``i * n + j``;
+    only the cells i < j are read.
+    """
+    values, _ = _upper_pairs(n)
+    return max(values(deficiency))
 
 
 def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
@@ -139,15 +149,19 @@ def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
     return items[index], len(items)
 
 
-def worst_pairs(deficiency: np.ndarray) -> List[Edge]:
-    """All unordered pairs attaining the maximum deficiency, in row order."""
-    cells, pairs = _upper_pairs(deficiency.shape[0])
-    values = deficiency.take(cells)
-    return [pairs[k] for k in (values == values.max()).nonzero()[0].tolist()]
+def worst_pairs(deficiency: Sequence[int], n: int) -> List[Edge]:
+    """All unordered pairs attaining the maximum deficiency, in row order.
+
+    ``deficiency`` is a flat n*n list as for ``cost_delta``.
+    """
+    values, pairs = _upper_pairs(n)
+    shortfalls = values(deficiency)
+    top = max(shortfalls)
+    return [pair for pair, value in zip(pairs, shortfalls) if value == top]
 
 
 class Candidate(NamedTuple):
-    """A candidate set with its edges as flat matrix indices ``u * n + v``."""
+    """A candidate set with its edges as flat matrix indices ``u * n + v``, u < v."""
 
     path_set: MPathSet
     cells: Tuple[int, ...]
@@ -163,49 +177,52 @@ def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> List[Cand
 
 
 def admissible(
-    candidates: Sequence[Candidate], effective: np.ndarray, delta_r: int
+    candidates: Sequence[Candidate],
+    effective: Sequence[int],
+    delta_r: int,
+    edge_cells: Iterable[int],
 ) -> List[Candidate]:
-    """Candidates whose every edge holds at least delta_r, as ``_guard_ok`` decides."""
-    short = set((effective.ravel() < delta_r).nonzero()[0].tolist())
+    """Candidates whose every edge holds at least delta_r.
+
+    ``effective`` is a flat n*n list; only ``edge_cells``, the cells
+    ``u * n + v`` (u < v) of the graph's edges, are read, because every
+    candidate cell is one of them.
+    """
+    short = {cell for cell in edge_cells if effective[cell] < delta_r}
     return [c for c in candidates if short.isdisjoint(c.cells)]
 
 
 def optimal_sets(
-    candidates: Sequence[Candidate], deficiency: np.ndarray
-) -> List[MPathSet]:
+    candidates: Sequence[Candidate], deficiency: Sequence[int]
+) -> List[Candidate]:
     """Least-deficient candidates, narrowed to minimal total hop count.
 
-    A candidate's score is ``set_deficiency`` of its set.  Finalists keep
+    A candidate's score is the largest value of the flat ``deficiency`` list
+    over its cells, which is ``set_deficiency`` of its set.  Finalists keep
     the candidates' order.
     """
-    flat = deficiency.ravel().tolist()
-    scores = [max(map(flat.__getitem__, cells)) for _, cells, _ in candidates]
+    score = deficiency.__getitem__
+    scores = [max(map(score, c.cells)) for c in candidates]
     best = min(scores)
-    pool = [c for c, score in zip(candidates, scores) if score == best]
-    shortest = min(hops for _, _, hops in pool)
-    return [s for s, _, hops in pool if hops == shortest]
+    pool = [c for c, value in zip(candidates, scores) if value == best]
+    shortest = min(c.hops for c in pool)
+    return [c for c in pool if c.hops == shortest]
 
 
 def _shift(
-    effective: np.ndarray,
-    deficiency: np.ndarray,
-    pair: Edge,
-    path_set: MPathSet,
+    effective: List[int],
+    deficiency: List[int],
+    pair_cell: int,
+    cells: Sequence[int],
     amount: int,
 ) -> None:
-    """``apply_increment`` in place on both matrices; a negative amount undoes it.
-
-    Both matrices must be C-contiguous, so ``ravel`` returns a view.
-    """
-    n = effective.shape[0]
-    i, j = pair
-    cells = [i * n + j, j * n + i]
-    for u, v in path_set.edges:
-        cells += (u * n + v, v * n + u)
-    step = np.full(len(cells), -amount, dtype=np.int64)
-    step[:2] = amount
-    effective.ravel()[cells] += step
-    deficiency.ravel()[cells] -= step
+    """``apply_increment`` in place on the flat lists' cells u < v; a
+    negative amount undoes it."""
+    effective[pair_cell] += amount
+    deficiency[pair_cell] -= amount
+    for cell in cells:
+        effective[cell] -= amount
+        deficiency[cell] += amount
 
 
 def apply_increment(
@@ -218,7 +235,7 @@ def apply_increment(
     """Move delta_r of rate from the member edges onto the pair.
 
     Returns a new matrix and leaves the input untouched.  ``run`` applies
-    the same step in place.
+    the same step in place, to flat lists.
 
     Raises:
         GuardViolation: with ``strict_guard``, when any member edge holds
@@ -246,10 +263,6 @@ def apply_increment(
     return out
 
 
-def _guard_ok(path_set: MPathSet, effective: np.ndarray, delta_r: int) -> bool:
-    return all(effective[u, v] >= delta_r for u, v in path_set.edges)
-
-
 def run(
     graph: NetworkGraph,
     target: np.ndarray,
@@ -275,19 +288,25 @@ def run(
     if not graph.is_connected():
         raise ValidationError("graph must be connected")
 
+    n = graph.node_count
+    step = config.delta_r
     rng = np.random.default_rng(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
     tables: Dict[Edge, List[Candidate]] = {}
+    edge_cells = tuple(u * n + v for u, v in graph.edges)
     routing = RoutingList()
     trace: List[IterationTrace] = []
-    # both matrices are updated in place; target - effective == deficiency
-    effective = graph.rate_matrix()
-    deficiency = target - effective
-    delta = cost_delta(target, effective)
+    # flat lists indexed u * n + v, updated in place; only the cells u < v
+    # are kept current, and target - effective == deficiency on them
+    rates = graph.rate_matrix()
+    effective = rates.ravel().tolist()
+    deficiency = (target - rates).ravel().tolist()
+    delta = cost_delta(deficiency, n)
     r = 0
 
     def outcome() -> RoutingOutcome:
-        return RoutingOutcome(routing, effective, tuple(trace), delta, r)
+        upper = np.triu(np.array(effective, dtype=np.int64).reshape(n, n), k=1)
+        return RoutingOutcome(routing, upper + upper.T, tuple(trace), delta, r)
 
     def stop(
         reason: StopReason,
@@ -311,7 +330,7 @@ def run(
         return outcome()
 
     while delta > 0 and (config.r_max is None or r < config.r_max):
-        pair, pairs_tied = _choose(rng, worst_pairs(deficiency))
+        pair, pairs_tied = _choose(rng, worst_pairs(deficiency, n))
         if graph.has_edge(*pair):
             # the bottleneck is a direct link; no amount of re-routing
             # helps it, so the run ends here
@@ -321,35 +340,38 @@ def run(
             return stop(StopReason.NO_M_SET, pair, pairs_tied)
         candidates = tables.get(pair)
         if candidates is None:
-            candidates = tables[pair] = candidate_table(path_sets, graph.node_count)
+            candidates = tables[pair] = candidate_table(path_sets, n)
         if config.strict_guard:
-            candidates = admissible(candidates, effective, config.delta_r)
+            candidates = admissible(candidates, effective, step, edge_cells)
             if not candidates:
                 return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
-        finalists = optimal_sets(candidates, deficiency)
-        chosen, sets_tied = _choose(rng, finalists)
+        chosen, sets_tied = _choose(rng, optimal_sets(candidates, deficiency))
         audit = (
-            tuple((s, set_deficiency(s, deficiency)) for s, _, _ in candidates)
+            tuple(
+                (c.path_set, max(map(deficiency.__getitem__, c.cells)))
+                for c in candidates
+            )
             if trace_candidates
             else None
         )
         # under the strict guard, every candidate already passed the guard
-        _shift(effective, deficiency, pair, chosen, config.delta_r)
-        new_delta = cost_delta(target, effective)
+        pair_cell = pair[0] * n + pair[1]
+        _shift(effective, deficiency, pair_cell, chosen.cells, step)
+        new_delta = cost_delta(deficiency, n)
         if new_delta > delta:
             # reject and roll back
-            _shift(effective, deficiency, pair, chosen, -config.delta_r)
+            _shift(effective, deficiency, pair_cell, chosen.cells, -step)
             return stop(
-                StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta
+                StopReason.COST_WORSENED, pair, pairs_tied, chosen.path_set, new_delta
             )
-        routing.add(chosen, config.delta_r)
+        routing.add(chosen.path_set, step)
         r += 1
         trace.append(
             IterationTrace(
                 r=r,
                 selected_pair=pair,
                 pairs_tied=pairs_tied,
-                chosen_set=chosen,
+                chosen_set=chosen.path_set,
                 sets_tied=sets_tied,
                 delta_before=delta,
                 delta_after=new_delta,

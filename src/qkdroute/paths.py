@@ -64,7 +64,8 @@ class MPathSet:
     """A set of internally disjoint simple paths between one node pair.
 
     Canonical form: members sorted lexicographically by node sequence, so
-    equal sets compare and hash equal regardless of construction order.
+    equal sets compare and hash equal regardless of construction order.  The
+    hash is computed once, from ``sort_key()``, and kept.
     """
 
     paths: Tuple[Path, ...]
@@ -108,6 +109,13 @@ class MPathSet:
 
     def sort_key(self) -> Tuple[Tuple[NodeId, ...], ...]:
         return tuple(p.nodes for p in self.paths)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.sort_key())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.paths) + "}"

@@ -85,6 +85,44 @@ def relay_key_forward(
     return carried, messages
 
 
+def reference_worst_pairs(deficiency: np.ndarray) -> List[Tuple[int, int]]:
+    """Pairs i < j whose deficiency is the largest, in row order."""
+    n = deficiency.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    top = max(deficiency[pair] for pair in pairs)
+    return [pair for pair in pairs if deficiency[pair] == top]
+
+
+def reference_cost(target: np.ndarray, effective: np.ndarray) -> int:
+    """Largest shortfall target - effective over pairs i < j."""
+    n = target.shape[0]
+    return max(
+        int(target[i, j] - effective[i, j]) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def guard_ok(path_set, effective: np.ndarray, delta_r: int) -> bool:
+    """Every member edge still holds at least one rate step."""
+    return all(effective[u, v] >= delta_r for u, v in path_set.edges)
+
+
+def reference_finalists(
+    path_sets: Sequence,
+    deficiency: np.ndarray,
+    effective: np.ndarray,
+    delta_r: int,
+    strict_guard: bool,
+) -> List:
+    """The guard-ok sets of least worst-edge deficiency, then fewest hops, in order."""
+    kept = [s for s in path_sets if not strict_guard or guard_ok(s, effective, delta_r)]
+    if not kept:
+        return []
+    scores = [max(int(deficiency[edge]) for edge in s.edges) for s in kept]
+    pool = [s for s, score in zip(kept, scores) if score == min(scores)]
+    shortest = min(s.total_hops for s in pool)
+    return [s for s in pool if s.total_hops == shortest]
+
+
 def rates_by_pair(records: Iterable) -> Dict[Tuple[int, int], int]:
     """Total rate per node pair, summed over routing records."""
     totals: Dict[Tuple[int, int], int] = {}

@@ -102,12 +102,13 @@ def test_acceptance_dense5_golden_run(dense5):
         for entry in accepted:
             deficiency = target - effective
             assert entry.selected_pair in {(0, 4), (1, 3)}
-            assert entry.selected_pair in worst_pairs(deficiency)
+            assert entry.selected_pair in worst_pairs(deficiency.ravel().tolist(), 5)
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            assert entry.chosen_set in optimal_sets(table, deficiency)
+            finalists = optimal_sets(table, deficiency.ravel().tolist())
+            assert entry.chosen_set in [c.path_set for c in finalists]
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4
             effective = apply_increment(

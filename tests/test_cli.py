@@ -388,6 +388,7 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
     drifted["effective_units"][1][0] += 100
     no_steps = {k: v for k, v in good.items() if k != "iterations"}
     bad_fields = [dict(good, m="2"), dict(good, delta_r_units=100.0),
+                  dict(good, delta_r_units=0), dict(good, hop_limit="2"),
                   dict(good, strict_guard="yes"), no_steps]
     artifacts = [
         write_net(tmp_path, "array.json", [good]),
@@ -461,6 +462,23 @@ def test_simulate_refuses_rates_off_the_iteration_count(k23_file, tmp_path, caps
     for steps in (good["iterations"] - 1, good["iterations"] + 1):
         assert refuses_routing(k23_file, tmp_path, capsys, dict(good, iterations=steps),
                                f"records hold 400 units, not {steps} iterations")
+
+
+def test_simulate_refuses_path_over_hop_limit(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["hop_limit"] is None
+    assert not refuses_routing(k23_file, tmp_path, capsys, dict(good, hop_limit=2), "hop")
+    assert refuses_routing(k23_file, tmp_path, capsys, dict(good, hop_limit=1),
+                           "has a path of 2 hops, over hop_limit 1")
+
+
+def test_simulate_refuses_rate_off_the_step(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    # four records of 100 units still add up to 2 steps of 200 units
+    assert [record["rate_units"] for record in good["records"]] == [100] * 4
+    assert refuses_routing(k23_file, tmp_path, capsys,
+                           dict(good, delta_r_units=200, iterations=2),
+                           "rate_units 100 is not a multiple of delta_r_units 200")
 
 
 def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):

@@ -13,7 +13,6 @@ from qkdroute.engine import (
     RoutingRecord,
     StopReason,
     _choose,
-    _guard_ok,
     admissible,
     apply_increment,
     candidate_table,
@@ -37,7 +36,13 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
-from oracles import rates_by_pair
+from oracles import (
+    guard_ok,
+    rates_by_pair,
+    reference_cost,
+    reference_finalists,
+    reference_worst_pairs,
+)
 
 
 def dense5_config(**overrides):
@@ -46,26 +51,34 @@ def dense5_config(**overrides):
     return RouterConfig(**base)
 
 
+def flat(matrix):
+    """The flat ``u * n + v`` list the engine helpers take."""
+    return matrix.ravel().tolist()
+
+
 def test_cost_delta(ring6):
     graph, target = ring6
-    assert cost_delta(target, graph.rate_matrix()) == 100
+    assert cost_delta(flat(target - graph.rate_matrix()), 6) == 100
     met = graph.rate_matrix()
     for i, j in graph.remote_pairs():
         met[i, j] = met[j, i] = 100
-    assert cost_delta(target, met) == 0
+    assert cost_delta(flat(target - met), 6) == 0
     surplus = np.full((6, 6), 1000, dtype=np.int64)
     np.fill_diagonal(surplus, 0)
-    assert cost_delta(target, surplus) == -900
+    assert cost_delta(flat(target - surplus), 6) == -900
+    # two nodes have a single pair cell
+    assert cost_delta([0, 7, 7, 0], 2) == 7
+    assert worst_pairs([0, 7, 7, 0], 2) == [(0, 1)]
 
 
 def test_worst_pair_selection(dense5):
     graph, target = dense5
     deficiency = target - graph.rate_matrix()
-    assert worst_pairs(deficiency) == [(0, 4), (1, 3)]
+    assert worst_pairs(flat(deficiency), 5) == [(0, 4), (1, 3)]
     picks = set()
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        pair, tied = _choose(rng, worst_pairs(deficiency))
+        pair, tied = _choose(rng, worst_pairs(flat(deficiency), 5))
         assert tied == 2
         picks.add(pair)
     assert picks == {(0, 4), (1, 3)}
@@ -74,7 +87,7 @@ def test_worst_pair_selection(dense5):
     deficiency[0, 4] = deficiency[4, 0] = 999
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _choose(rng, worst_pairs(deficiency)) == ((0, 4), 1)
+    assert _choose(rng, worst_pairs(flat(deficiency), 5)) == ((0, 4), 1)
     assert rng.bit_generator.state == before
 
 
@@ -82,8 +95,9 @@ def test_select_optimal_set_filters(dense5):
     graph, target = dense5
     deficiency = target - graph.rate_matrix()
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
-    finalists = optimal_sets(candidate_table(candidates, graph.node_count), deficiency)
-    assert [str(s) for s in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
+    table = candidate_table(candidates, graph.node_count)
+    finalists = optimal_sets(table, flat(deficiency))
+    assert [str(c.path_set) for c in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
 
 
 @st.composite
@@ -118,18 +132,19 @@ def test_table_scoring_matches_reference(case):
     """Table-based guard and scoring pick the reference finalists, in order."""
     graph, sets, effective, target, delta_r, strict_guard = case
     deficiency = target - effective
-    kept = [s for s in sets if not strict_guard or _guard_ok(s, effective, delta_r)]
-    table = candidate_table(sets, graph.node_count)
+    n = graph.node_count
+    kept = [s for s in sets if not strict_guard or guard_ok(s, effective, delta_r)]
+    table = candidate_table(sets, n)
     if strict_guard:
-        table = admissible(table, effective, delta_r)
+        edge_cells = [u * n + v for u, v in graph.edges]
+        table = admissible(table, flat(effective), delta_r, edge_cells)
     assert [c.path_set for c in table] == kept
     if not kept:
         return
+    expected = reference_finalists(sets, deficiency, effective, delta_r, strict_guard)
     best = min(set_deficiency(s, deficiency) for s in kept)
-    pool = [s for s in kept if set_deficiency(s, deficiency) == best]
-    shortest = min(s.total_hops for s in pool)
-    expected = [s for s in pool if s.total_hops == shortest]
-    assert optimal_sets(table, deficiency) == expected
+    assert all(set_deficiency(s, deficiency) == best for s in expected)
+    assert [c.path_set for c in optimal_sets(table, flat(deficiency))] == expected
 
 
 def test_apply_increment_is_pure(dense5):
@@ -218,12 +233,13 @@ def test_dense5_trajectory_envelope(dense5):
             deficiency = target - effective
             if entry.stop_reason is not None:
                 break
-            assert entry.selected_pair in worst_pairs(deficiency)
+            assert entry.selected_pair in worst_pairs(flat(deficiency), 5)
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            assert entry.chosen_set in optimal_sets(table, deficiency)
+            finalists = optimal_sets(table, flat(deficiency))
+            assert entry.chosen_set in [c.path_set for c in finalists]
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
             )
@@ -394,3 +410,71 @@ def test_mesh10_plateau(mesh10):
     assert out.final_delta > 0
     deltas = [t.delta_after for t in out.trace if t.stop_reason is None]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+
+
+@st.composite
+def routing_cases(draw):
+    """A connected graph with random rates and targets, and a router config."""
+    n = draw(st.integers(4, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    # a random spanning tree keeps the graph connected; chords add routes
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from(pairs), min_size=2, max_size=2 * n))
+    # edges mostly above the targets, so runs last beyond their first steps
+    rates = {edge: draw(st.integers(20, 80)) for edge in sorted(edges)}
+    graph = NetworkGraph(n, rates)
+    upper = draw(st.lists(st.integers(0, 40), min_size=n * n, max_size=n * n))
+    target = np.triu(np.array(upper, dtype=np.int64).reshape(n, n), k=1)
+    config = RouterConfig(
+        m=draw(st.integers(1, 2)),
+        delta_r=draw(st.integers(1, 4)),
+        r_max=200,
+        seed=draw(st.integers(0, 2**32)),
+        strict_guard=draw(st.booleans()),
+    )
+    return graph, target + target.T, config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(routing_cases())
+def test_run_invariants_on_random_graphs(case):
+    """Replays every accepted step against the ndarray references."""
+    graph, target, config = case
+    step, guard = config.delta_r, config.strict_guard
+    out = run(graph, target, config, trace_candidates=True)
+    sets = {}
+    effective = graph.rate_matrix()
+    for entry in out.trace[:-1]:
+        deficiency = target - effective
+        assert entry.delta_before == reference_cost(target, effective)
+        worst = reference_worst_pairs(deficiency)
+        assert entry.selected_pair in worst and entry.pairs_tied == len(worst)
+        pair = entry.selected_pair
+        if pair not in sets:
+            paths = enumerate_simple_paths(graph, *pair)
+            sets[pair] = enumerate_m_path_sets(paths, config.m)
+        finalists = reference_finalists(sets[pair], deficiency, effective, step, guard)
+        assert entry.chosen_set in finalists and entry.sets_tied == len(finalists)
+        assert all(score == set_deficiency(s, deficiency) for s, score in entry.candidates)
+        effective = apply_increment(effective, pair, entry.chosen_set, step, guard)
+        assert entry.delta_after == reference_cost(target, effective) <= entry.delta_before
+    assert np.array_equal(effective, out.effective)
+    assert out.effective.dtype == np.int64
+    assert np.array_equal(out.effective, out.effective.T)
+    # conservation: edge rates + pair credits - edge debits
+    records = out.routing_list.records()
+    expected = graph.rate_matrix()
+    for record in records:
+        (i, j), rate = record.pair, record.rate
+        expected[i, j] += rate
+        expected[j, i] += rate
+        for u, v in record.path_set.edges:
+            expected[u, v] -= rate
+            expected[v, u] -= rate
+    assert np.array_equal(out.effective, expected)
+    assert sum(record.rate for record in records) == out.iterations * step
+    if guard:
+        assert all(out.effective[edge] >= 0 for edge in graph.edges)
+    last = out.trace[-1]
+    if last.stop_reason is StopReason.COST_WORSENED:
+        assert last.delta_after > last.delta_before

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import json
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkdroute.model import RouterConfig, ValidationError
+from qkdroute.model import NetworkGraph, RouterConfig, ValidationError
 from qkdroute.netfile import (
     NetworkFormatError,
     load_network,
     network_to_dict,
     save_network,
 )
+from qkdroute.units import UnitScale
 
 
 def write(tmp_path, doc, name="net.json"):
@@ -166,3 +172,47 @@ def test_round_trip_matrix_target(tmp_path):
     save_network(out, graph, target, config)
     _, target2, _ = load_network(out)
     assert np.array_equal(target2, target)
+
+
+@st.composite
+def networks(draw):
+    """A connected graph at a drawn resolution, a target matrix and a config."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    edges |= draw(st.sets(st.sampled_from(pairs)))
+    units = st.integers(1, 10**9)
+    scale = UnitScale(Decimal(draw(st.sampled_from(["1", "0.5", "3", "1000", "0.001"]))))
+    graph = NetworkGraph(n, {edge: draw(units) for edge in edges}, scale)
+    if draw(st.booleans()):
+        upper = np.array(draw(st.lists(units, min_size=n * n, max_size=n * n)))
+        target = np.triu(upper.reshape(n, n), k=1)
+        target = target + target.T
+    else:
+        target = np.full((n, n), draw(units), dtype=np.int64)
+        np.fill_diagonal(target, 0)
+    config = RouterConfig(
+        m=draw(st.integers(1, 4)),
+        delta_r=draw(st.none() | units),
+        r_max=draw(st.none() | st.integers(0, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        hop_limit=draw(st.none() | st.integers(1, 8)),
+        strict_guard=draw(st.booleans()),
+    )
+    return graph, target, config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(networks())
+def test_round_trip_random_networks(case):
+    graph, target, config = case
+    doc = network_to_dict(graph, target, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        save_network(path, graph, target, config)
+        assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
+        graph2, target2, config2 = load_network(path)
+    assert graph2.rates == graph.rates
+    assert graph2.scale == graph.scale
+    assert np.array_equal(target2, target)
+    assert config2 == config
