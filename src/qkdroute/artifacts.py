@@ -24,7 +24,7 @@ from .keysim import CompromiseReport, KeySimulation
 from .model import NetworkGraph, RouterConfig
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 from .paths import MPathSet, Path
-from .units import UnitScale
+from .units import MAX_UNITS, UnitScale
 
 ROUTING_FORMAT = "qkdroute.routing/1"
 MANIFEST_FORMAT = "qkdroute.manifest/1"
@@ -79,11 +79,12 @@ def read_routing_artifact(
     """Load a routing JSON artifact and check it against ``graph``.
 
     Refuses another node count or resolution, a record on a non-edge, with a
-    rate that is not a positive multiple of ``delta_r_units``, with other
-    than ``m`` paths or with a path longer than a set ``hop_limit``,
-    ``effective_units`` that is not the edge rates plus the records' pair
-    credits minus their edge debits, a negative edge under ``strict_guard``,
-    and rates that do not add up to ``iterations`` steps of ``delta_r_units``.
+    rate that is not a positive multiple of ``delta_r_units`` or is over
+    ``MAX_UNITS``, with other than ``m`` paths or with a path longer than a
+    set ``hop_limit``, ``effective_units`` that is not the edge rates plus the
+    records' pair credits minus their edge debits, a negative edge under
+    ``strict_guard``, and rates that do not add up to ``iterations`` steps of
+    ``delta_r_units``.
     """
     try:
         doc = json.loads(FsPath(path).read_text())
@@ -122,8 +123,10 @@ def read_routing_artifact(
                     f"record {path_set} has a path of {longest} hops, over hop_limit {hop_limit}"
                 )
             rate = entry["rate_units"]
-            if not _is_int(rate) or rate <= 0:
-                raise ValueError(f"rate_units {rate!r} is not a positive integer")
+            if not _is_int(rate) or not 0 < rate <= MAX_UNITS:
+                raise ValueError(
+                    f"rate_units {rate!r} is not an integer from 1 to {MAX_UNITS}"
+                )
             if rate % step:
                 raise ValueError(
                     f"rate_units {rate} is not a multiple of delta_r_units {step}"
@@ -221,19 +224,27 @@ def _write_manifest(
     files: Dict[str, FsPath],
     command: str,
     input_path: Union[str, FsPath],
+    routing_path: Optional[Union[str, FsPath]] = None,
     **fields: object,
 ) -> None:
     """Write ``manifest.json`` listing ``files`` and add it to ``files``.
 
-    ``input`` is recorded relative to ``out``, so the manifest replays from
-    any working directory.
+    ``input`` and ``routing`` are recorded relative to ``out``, so the
+    manifest reads the same, and replays, from any working directory.
     """
+
+    def relative(path: Union[str, FsPath]) -> str:
+        return os.path.relpath(os.path.abspath(path), os.path.abspath(out))
+
+    if routing_path is not None:
+        fields["routing"] = relative(routing_path)
+        fields["routing_sha256"] = _sha256(FsPath(routing_path))
     manifest = {
         "format": MANIFEST_FORMAT,
         "tool": "qkdroute",
         "version": __version__,
         "command": command,
-        "input": os.path.relpath(os.path.abspath(input_path), os.path.abspath(out)),
+        "input": relative(input_path),
         "input_sha256": _sha256(FsPath(input_path)),
         "artifacts": {name: path.name for name, path in files.items()},
         **fields,
@@ -404,9 +415,7 @@ def write_simulation_artifacts(
     )
     files["report_txt"].write_text(render_simulation_text(sim, report, dump_keys))
     _write_manifest(
-        out, files, "simulate", input_path,
-        routing=str(routing_path),
-        routing_sha256=_sha256(FsPath(routing_path)),
+        out, files, "simulate", input_path, routing_path,
         config={"tau_seconds": str(sim.tau), "seed": sim.seed},
     )
     return files

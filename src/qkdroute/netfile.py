@@ -69,8 +69,8 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
 
     Raises:
         NetworkFormatError: on malformed JSON or schema violations
-            (self-loops, duplicate edges, non-positive or unrepresentable
-            rates, asymmetric explicit targets, unknown keys).
+            (self-loops, duplicate edges, non-positive, unrepresentable or
+            out-of-range rates, asymmetric explicit targets, unknown keys).
         ValidationError: when the graph is disconnected.
     """
     path = Path(path)
@@ -112,6 +112,13 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
         key = (min(u, v), max(u, v))
         _require(key not in rates, f"duplicate edge ({u}, {v})")
         rates[key] = units
+    # a connected graph needs at least nodes - 1 edges; checked before the
+    # graph allocates one adjacency entry per declared node
+    if node_count > len(rates) + 1:
+        raise ValidationError(
+            f"{path}: graph is disconnected: {node_count} nodes cannot be "
+            f"connected by {len(rates)} edges"
+        )
 
     try:
         graph = NetworkGraph(node_count=node_count, rates=rates, scale=scale)

@@ -103,7 +103,7 @@ class MPathSet:
     def total_hops(self) -> int:
         return sum(p.hops for p in self.paths)
 
-    @cached_property
+    @property
     def edges(self) -> Tuple[Edge, ...]:
         return tuple(e for p in self.paths for e in p.edges)
 
@@ -165,6 +165,9 @@ def enumerate_simple_paths(
                 visited.remove(w)
 
     extend(start)
+    # extend refers to itself through its closure; deleting it frees this
+    # call's state now rather than at the next cycle collection
+    del extend
     return tuple(found)
 
 
@@ -211,6 +214,7 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
                 extend(prefix + (paths[k],), options & ~conflicts[k])
 
     extend((), (1 << len(paths)) - 1)
+    del extend  # see enumerate_simple_paths
     return tuple(sets)
 
 
@@ -220,7 +224,7 @@ def set_deficiency(path_set: MPathSet, deficiency: np.ndarray) -> int:
 
 
 class PairPathCache:
-    """Per-run memo of path and path-set enumerations, keyed by node pair.
+    """Per-run memo of path-set enumerations, keyed by node pair.
 
     Not thread-safe; each routing run owns its own instance.
     """
@@ -229,29 +233,25 @@ class PairPathCache:
         self._graph = graph
         self._m = m
         self._hop_limit = hop_limit
-        self._paths: Dict[Edge, Tuple[Path, ...]] = {}
         self._sets: Dict[Edge, Tuple[MPathSet, ...]] = {}
-
-    def simple_paths(self, pair: Edge) -> Tuple[Path, ...]:
-        key = canonical_edge(*pair)
-        if key not in self._paths:
-            self._paths[key] = enumerate_simple_paths(
-                self._graph, key[0], key[1], self._hop_limit
-            )
-        return self._paths[key]
 
     def m_path_sets(self, pair: Edge) -> Tuple[MPathSet, ...]:
         key = canonical_edge(*pair)
         if key not in self._sets:
-            self._sets[key] = enumerate_m_path_sets(self.simple_paths(key), self._m)
+            paths = enumerate_simple_paths(self._graph, *key, self._hop_limit)
+            self._sets[key] = enumerate_m_path_sets(paths, self._m)
         return self._sets[key]
 
 
 def find_unroutable_pairs(
     graph: NetworkGraph, m: int, hop_limit: Optional[int] = None
 ) -> Tuple[Edge, ...]:
-    """Remote pairs for which no set of m internally disjoint paths exists."""
-    cache = PairPathCache(graph, m, hop_limit)
+    """Remote pairs for which no set of m internally disjoint paths exists.
+
+    Pairs are enumerated one at a time and only the unroutable ones are
+    kept, so the scan holds one pair's paths and sets at a time.
+    """
     return tuple(
-        pair for pair in graph.remote_pairs() if not cache.m_path_sets(pair)
+        pair for pair in graph.remote_pairs()
+        if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
     )

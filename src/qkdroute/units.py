@@ -7,30 +7,47 @@ step accounting are exact.  A rate unit is ``resolution_bps`` bits per second
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
+from typing import Iterator
 
 _KBPS = Decimal(1000)
+# the largest rate in units; rate and target matrices are int64
+MAX_UNITS = 2**63 - 1
 
 
 def as_decimal(value: object, field: str = "value") -> Decimal:
-    """Coerce a JSON-ish numeric value to Decimal without binary float drift."""
-    if isinstance(value, Decimal):
-        return value
+    """Coerce a JSON-ish numeric value to a finite Decimal without binary float drift."""
     if isinstance(value, bool):
         raise TypeError(f"{field} must be a number, got bool")
-    if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, float):
+    if isinstance(value, Decimal):
+        dec = value
+    elif isinstance(value, int):
+        dec = Decimal(value)
+    elif isinstance(value, float):
         # repr of a float is its shortest decimal form, which is what the
         # user wrote in all practical cases
-        return Decimal(str(value))
-    if isinstance(value, str):
+        dec = Decimal(str(value))
+    elif isinstance(value, str):
         try:
-            return Decimal(value)
+            dec = Decimal(value)
         except InvalidOperation as exc:
             raise ValueError(f"{field} is not a number: {value!r}") from exc
-    raise TypeError(f"{field} must be a number, got {type(value).__name__}")
+    else:
+        raise TypeError(f"{field} must be a number, got {type(value).__name__}")
+    if not dec.is_finite():
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return dec
+
+
+@contextmanager
+def _in_range(what: str) -> Iterator[None]:
+    """Turn a Decimal overflow inside the block into a ValueError."""
+    try:
+        yield
+    except Overflow as exc:
+        raise ValueError(f"{what} is out of range") from exc
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,9 @@ class UnitScale:
         if res <= 0:
             raise ValueError(f"resolution_bps must be positive, got {res}")
         object.__setattr__(self, "resolution_bps", res)
+        # so that kbps() of every unit count that fits the matrices is finite
+        with _in_range(f"resolution_bps {res}"):
+            self.kbps(MAX_UNITS)
 
     def units_from_kbps(self, value: object, field: str = "rate") -> int:
         """Convert a kbit/s value to integer units, rejecting remainders.
@@ -51,10 +71,11 @@ class UnitScale:
         Raises:
             ValueError: if the value is not an exact multiple of the
                 resolution (such inputs would silently corrupt the integer
-                bookkeeping downstream).
+                bookkeeping downstream), or is more than MAX_UNITS units.
         """
         dec = as_decimal(value, field)
-        with localcontext() as ctx:
+        what = f"{field} {dec} kbit/s in units of {self.resolution_bps} bit/s"
+        with localcontext() as ctx, _in_range(what):
             ctx.prec = 50
             units = dec * _KBPS / self.resolution_bps
         if units != units.to_integral_value():
@@ -62,6 +83,8 @@ class UnitScale:
                 f"{field} {dec} kbit/s is not representable at a resolution "
                 f"of {self.resolution_bps} bit/s"
             )
+        if abs(units) > MAX_UNITS:
+            raise ValueError(f"{field} {dec} kbit/s is more than {MAX_UNITS} units")
         return int(units)
 
     def kbps(self, units: int) -> Decimal:
@@ -76,11 +99,14 @@ class UnitScale:
             text = "0"
         return text
 
+    def _bits(self, units: int, tau: Decimal) -> Decimal:
+        with _in_range(f"tau {tau} s"):
+            return Decimal(int(units)) * self.resolution_bps * tau
+
     def bit_count(self, units: int, tau: Decimal) -> int:
         """Number of whole bits produced at ``units`` over ``tau`` seconds."""
-        bits = Decimal(int(units)) * self.resolution_bps * tau
-        return int(bits.to_integral_value(rounding=ROUND_FLOOR))
+        return int(self._bits(units, tau).to_integral_value(rounding=ROUND_FLOOR))
 
     def bits_exact(self, units: int, tau: Decimal) -> bool:
-        bits = Decimal(int(units)) * self.resolution_bps * tau
+        bits = self._bits(units, tau)
         return bits == bits.to_integral_value()

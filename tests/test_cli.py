@@ -357,6 +357,67 @@ def test_simulate_accepts_artifact_file_path(k23_file, tmp_path, capsys):
     ]) == EXIT_OK
 
 
+def test_simulate_manifest_records_routing_relative_to_itself(
+    k23_file, tmp_path, monkeypatch, capsys
+):
+    trees = [tmp_path / "absolute", tmp_path / "relative"]
+    for tree in trees:
+        (tree / "sub").mkdir(parents=True)
+        (tree / "k23.json").write_text(k23_file.read_text())
+        assert main([
+            "route", "--input", str(tree / "k23.json"), "--out-dir", str(tree / "route"),
+        ]) == EXIT_OK
+    assert main([
+        "simulate", "--input", str(trees[0] / "k23.json"),
+        "--routing", str(trees[0] / "route"), "--tau", "1",
+        "--out-dir", str(trees[0] / "sim"),
+    ]) == EXIT_OK
+    monkeypatch.chdir(trees[1] / "sub")
+    assert main([
+        "simulate", "--input", "../k23.json", "--routing", "../route", "--tau", "1",
+        "--out-dir", "../sim",
+    ]) == EXIT_OK
+    capsys.readouterr()
+    manifests = [(tree / "sim" / "manifest.json").read_bytes() for tree in trees]
+    assert manifests[0] == manifests[1]
+    recorded = json.loads(manifests[0])["routing"]
+    assert (trees[0] / "sim" / recorded).resolve() == trees[0] / "route" / "routing_list.json"
+
+
+@pytest.mark.parametrize("net_edit, rate_units, command", [
+    (('"rate_kbps": 1.0', '"rate_kbps": "Infinity"'), None, ["validate"]),
+    (('"rate_kbps": 1.0', '"rate_kbps": 1e30'), None, ["route", "--delta-r", "0.1"]),
+    # a literal that only a decimal parser can hold
+    (("{", '{"resolution_bps": 1e-999999, '), None, ["validate"]),
+    (None, None, ["route", "--delta-r", "1e999999"]),
+    (None, None, ["simulate", "--tau", "1e999999"]),
+    (None, None, ["simulate", "--tau", "nan"]),
+    (None, None, ["simulate", "--tau", "inf"]),
+    (None, None, ["simulate", "--tau", "1", "--epsilon", "nan"]),
+    (None, 10**30, ["simulate", "--tau", "1"]),
+])
+def test_out_of_range_numbers_exit_1(k23_file, tmp_path, capsys, net_edit, rate_units,
+                                     command):
+    """Each number is refused where it enters, with one ``error:`` line."""
+    route_dir = tmp_path / "route"
+    assert main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)]) == EXIT_OK
+    net = tmp_path / "net.json"
+    net.write_text(k23_file.read_text().replace(*net_edit, 1) if net_edit
+                   else k23_file.read_text())
+    routing = json.loads((route_dir / "routing_list.json").read_text())
+    if rate_units is not None:
+        routing["records"][0]["rate_units"] = rate_units
+    argv = [command[0], "--input", str(net)] + command[1:]
+    if command[0] == "route":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if command[0] == "simulate":
+        argv += ["--routing", str(write_net(tmp_path, "routing.json", routing))]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_simulate_rejects_mismatched_network(k23_file, ring6_file, tmp_path,
                                              capsys):
     route_dir = tmp_path / "route"

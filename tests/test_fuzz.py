@@ -1,0 +1,143 @@
+"""Fuzzed inputs: a broken network file, route manifest or routing artifact
+makes the command exit 1 with one ``error:`` line, and raises nothing."""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdroute.cli import EXIT_INVALID, EXIT_OK, main
+
+from conftest import NETWORKS_DIR
+
+# a literal no float holds; the network reader parses it as a Decimal
+HUGE = "1e999999"
+# values put in place of a field; HUGE is spliced into the JSON text
+INSERTED = [float("nan"), float("inf"), float("-inf"), HUGE, 10**30]
+
+# Per document:
+#   unread: keys no reader looks at, so any edit of them is still valid;
+#   optional: keys a reader may do without;
+#   any_int: keys for which every integer is valid (seed, step budget, hop
+#     limit, M), plus the network's node count, which stays small so the
+#     reader is never asked for a large allocation.
+DOCS = {
+    "network": {
+        "unread": set(),
+        "optional": {"target", "router", "M", "delta_r_kbps", "r_max", "seed",
+                     "hop_limit", "strict_guard"},
+        "any_int": {"nodes", "M", "r_max", "seed", "hop_limit"},
+    },
+    "manifest": {
+        "unread": {"tool", "version", "artifacts", "resolution_bps"},
+        "optional": set(),
+        "any_int": {"m", "r_max", "seed", "hop_limit"},
+    },
+    "routing": {
+        "unread": {"seed", "r_max", "final_delta_units", "stop_reason", "pair",
+                   "rate_kbps"},
+        "optional": set(),
+        "any_int": {"hop_limit"},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """The k23 network, and the manifest and routing artifact it routes to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    net = root / "k23.json"
+    net.write_text((NETWORKS_DIR / "k23.json").read_text())
+    with redirect_stdout(io.StringIO()):
+        assert main(["route", "--input", str(net), "--out-dir", str(root / "route")]) == EXIT_OK
+    docs = {
+        "network": json.loads(net.read_text()),
+        "manifest": json.loads((root / "route" / "manifest.json").read_text()),
+        "routing": json.loads((root / "route" / "routing_list.json").read_text()),
+    }
+    return root, docs
+
+
+def _sites(doc, prefix=()):
+    """Every key and index path into a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _sites(value, prefix + (key,))
+
+
+def _mutations(kind, doc):
+    """Every (site, edit) that a reader of ``kind`` must refuse."""
+    rules = DOCS[kind]
+    out = []
+    for site in _sites(doc):
+        if rules["unread"].intersection(site):
+            continue
+        leaf = site[-1]
+        if isinstance(leaf, str) and leaf not in rules["optional"]:
+            out.append((site, "drop"))
+        out.append((site, "swap"))
+        out.extend(
+            (site, value) for value in INSERTED
+            if not (value == 10**30 and leaf in rules["any_int"])
+        )
+    return out
+
+
+def _apply(doc, site, edit):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for part in site[:-1]:
+        parent = parent[part]
+    if edit == "drop":
+        del parent[site[-1]]
+    elif edit == "swap":
+        # a container of the other kind stands in for any value
+        parent[site[-1]] = [] if isinstance(parent[site[-1]], dict) else {}
+    else:
+        parent[site[-1]] = edit
+    return json.dumps(doc).replace(json.dumps(HUGE), HUGE)
+
+
+@st.composite
+def broken_inputs(draw, docs):
+    kind = draw(st.sampled_from(sorted(DOCS)))
+    site, edit = draw(st.sampled_from(_mutations(kind, docs[kind])))
+    return kind, site, edit
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_broken_inputs_exit_1_with_an_error_line(originals, data):
+    root, docs = originals
+    kind, site, edit = data.draw(broken_inputs(docs))
+    text = _apply(docs[kind], site, edit)
+    net = root / "k23.json"
+    if kind == "network":
+        broken = root / "broken_net.json"
+        argv = ["validate", "--input", str(broken)]
+    elif kind == "manifest":
+        # beside the original, so a relative input still resolves
+        broken = root / "route" / "broken_manifest.json"
+        argv = ["route", "--from-manifest", str(broken), "--out-dir", str(root / "again")]
+    else:
+        broken = root / "broken_routing.json"
+        argv = ["simulate", "--input", str(net), "--routing", str(broken), "--tau", "1"]
+    broken.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_INVALID, (kind, site, edit, out.getvalue())
+    assert len(lines) == 1 and lines[0].startswith("error:"), (kind, site, edit, lines)
+    assert not (root / "again").exists()

@@ -149,6 +149,14 @@ def test_disconnected_rejected_at_load(tmp_path):
         load_network(write(tmp_path, doc))
 
 
+def test_node_count_beyond_the_edges_refused_before_building(tmp_path):
+    # one edge connects at most two nodes; the graph is never allocated
+    doc = {"nodes": 100_000, "edges": [{"u": 0, "v": 1, "rate_kbps": 1}]}
+    with pytest.raises(ValidationError, match="disconnected") as refused:
+        load_network(write(tmp_path, doc))
+    assert "100000 nodes" in str(refused.value) and "1 edges" in str(refused.value)
+
+
 def test_round_trip(tmp_path, dense5_file):
     graph, target, config = load_network(dense5_file)
     out = tmp_path / "copy.json"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -188,3 +190,31 @@ def test_find_unroutable_pairs():
     # on a path graph no pair has two disjoint routes
     chain = NetworkGraph(4, {(0, 1): 100, (1, 2): 100, (2, 3): 100})
     assert find_unroutable_pairs(chain, 2) == ((0, 2), (0, 3), (1, 3))
+
+
+def test_unroutable_scan_holds_one_pair_at_a_time():
+    # 4x4 grid: 96 remote pairs, up to hundreds of disjoint sets each
+    side = 4
+    rates = {}
+    for node in range(side * side):
+        if node % side + 1 < side:
+            rates[(node, node + 1)] = 100
+        if node + side < side * side:
+            rates[(node, node + side)] = 100
+    graph = NetworkGraph(side * side, rates)
+    tracemalloc.start()
+    try:
+        cache = PairPathCache(graph, 2)
+        for pair in graph.remote_pairs():
+            cache.m_path_sets(pair)
+        gc.collect()
+        every_pair, _ = tracemalloc.get_traced_memory()
+        del cache
+        gc.collect()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        assert find_unroutable_pairs(graph, 2) == ()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < every_pair / 4

@@ -60,6 +60,20 @@ def test_cli_constructs_no_format_error():
     assert built == []
 
 
+def test_cli_main_handles_only_the_input_and_runtime_errors():
+    # out-of-range numbers are refused where they enter, as one of these
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update(ast.unparse(t).rsplit(".", 1)[-1] for t in types)
+    assert caught == {"NetworkFormatError", "ValidationError", "ValueError",
+                      "CapacityError", "OSError"}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))

@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from qkdroute.units import UnitScale, as_decimal
+from qkdroute.units import MAX_UNITS, UnitScale, as_decimal
 
 
 def test_kbps_to_units_default_resolution():
@@ -62,3 +62,32 @@ def test_as_decimal_accepts_common_spellings():
 def test_resolution_must_be_positive():
     with pytest.raises(ValueError):
         UnitScale(Decimal(0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "-Infinity", "NaN",
+                                   Decimal("sNaN"), Decimal("-inf")])
+def test_as_decimal_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        as_decimal(value, "rate")
+
+
+def test_decimal_overflow_becomes_value_error():
+    with pytest.raises(ValueError, match="out of range"):
+        UnitScale(Decimal("1e-999999")).units_from_kbps(1)
+    with pytest.raises(ValueError, match="out of range"):
+        UnitScale().units_from_kbps(Decimal("1e999999"))
+    with pytest.raises(ValueError, match="out of range"):
+        UnitScale(Decimal("1e999999"))
+    with pytest.raises(ValueError, match="out of range"):
+        UnitScale().bit_count(1000, Decimal("1e999999"))
+    with pytest.raises(ValueError, match="out of range"):
+        UnitScale().bits_exact(1000, Decimal("1e999999"))
+
+
+def test_unit_counts_must_fit_int64():
+    scale = UnitScale()
+    assert scale.units_from_kbps(Decimal(MAX_UNITS) / 1000) == MAX_UNITS
+    with pytest.raises(ValueError, match="units"):
+        scale.units_from_kbps(Decimal(MAX_UNITS + 1) / 1000)
+    with pytest.raises(ValueError, match="units"):
+        scale.units_from_kbps(-Decimal(MAX_UNITS + 1) / 1000)
