@@ -81,10 +81,11 @@ def read_routing_artifact(
     Refuses another node count or resolution, a record on a non-edge, with a
     rate that is not a positive multiple of ``delta_r_units`` or is over
     ``MAX_UNITS``, with other than ``m`` paths or with a path longer than a
-    set ``hop_limit``, ``effective_units`` that is not the edge rates plus the
-    records' pair credits minus their edge debits, a negative edge under
-    ``strict_guard``, and rates that do not add up to ``iterations`` steps of
-    ``delta_r_units``.
+    set ``hop_limit``, with a ``pair`` other than its paths' endpoints or a
+    ``rate_kbps`` other than its ``rate_units`` in kbit/s, ``effective_units``
+    that is not the edge rates plus the records' pair credits minus their
+    edge debits, a negative edge under ``strict_guard``, and rates that do
+    not add up to ``iterations`` steps of ``delta_r_units``.
     """
     try:
         doc = json.loads(FsPath(path).read_text())
@@ -117,6 +118,11 @@ def read_routing_artifact(
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
             if path_set.m != m:
                 raise ValueError(f"record {path_set} has {path_set.m} paths, not m = {m}")
+            pair = list(path_set.endpoints)
+            if entry["pair"] != pair or not all(map(_is_int, entry["pair"])):
+                raise ValueError(
+                    f"record {path_set} names pair {entry['pair']!r}, not its endpoints {pair}"
+                )
             longest = max(p.hops for p in path_set.paths)
             if hop_limit is not None and longest > hop_limit:
                 raise ValueError(
@@ -130,6 +136,12 @@ def read_routing_artifact(
             if rate % step:
                 raise ValueError(
                     f"rate_units {rate} is not a multiple of delta_r_units {step}"
+                )
+            kbps = graph.scale.kbps_str(rate)
+            if entry["rate_kbps"] != kbps:
+                raise ValueError(
+                    f"rate_kbps {entry['rate_kbps']!r} is not {kbps!r}, "
+                    f"the rate of {rate} rate_units"
                 )
             routed += rate
             for u, v in path_set.edges:

@@ -9,6 +9,15 @@ Pools are stored packed, eight bits per byte, and a segment is unpacked only
 when it is relayed, so a simulation's peak memory is about the packed pools
 plus the pair keys, which hold one byte per bit.
 
+The pools' bits come from one ``numpy.random.default_rng(seed)`` stream, in
+canonical edge order, and are exactly those that
+``integers(0, 2, dtype=uint8)`` would return if called once per pool.  The
+generator's 64-bit words are read as 32-bit words, low half first.  A pool of
+L bits takes ceil(L / 4) of them and uses the top bit of each of their four
+bytes, lowest byte first; the unused bits of its last 32-bit word are
+dropped.  A high half-word that no pool has read yet is carried to the next
+pool, which starts with it.
+
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
 links; the far endpoint recovers the first-link segment by folding those
@@ -20,6 +29,7 @@ anything.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
@@ -33,13 +43,26 @@ from .units import UnitScale, as_decimal
 
 
 class CapacityError(RuntimeError):
-    """An edge pool is too short for the segments routed across it."""
+    """An edge pool is too short for the segments routed across it, or the
+    pools are too large for the machine's memory."""
 
 
-# bits drawn per generator call; a multiple of 8, so every chunk but a pool's
-# last fills whole bytes, and of 4, so the drawn bit stream does not depend
-# on it (integers(0, 2, dtype=uint8) drops leftover bits only when a call ends)
-_CHUNK_BITS = 1 << 22
+# 32-bit generator words a pool draws per step: 4 MiB of raw words, packed to
+# 512 KiB.  Even, so every step but a pool's last fills whole bytes.
+_STEP_WORDS = 1 << 20
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _top_bits(raw: np.ndarray) -> np.ndarray:
+    """The top bit of every byte of ``raw``'s 64-bit words, lowest byte
+    first, packed eight to a byte; ``raw`` serves as scratch."""
+    octets = raw.astype("<u8", copy=False).view(np.uint8)
+    np.right_shift(octets, 7, out=octets)
+    return np.packbits(octets)
 
 
 @dataclass(frozen=True)
@@ -145,22 +168,51 @@ def accumulate_pools(
     """Draw each edge's pool of R_ij * tau bits from a seeded generator.
 
     Pools are drawn in canonical edge order so a (graph, tau, seed) triple
-    always produces identical key material.  Each pool is drawn in chunks
-    and packed as it goes; the bits are those of one draw per pool.
+    always produces identical key material.  Each pool's bits are the top
+    bits of the bytes of ceil(R_ij * tau / 4) 32-bit generator words, lowest
+    byte first, as the module docstring sets out.  The words are read raw,
+    64 bits at a time, in steps of ``_STEP_WORDS``; ``head`` holds the bits
+    of a high half-word left over by one pool, which the next pool starts
+    with.  Every pool is packed as it is drawn.
+
+    Raises:
+        ValueError: when tau is not positive.
+        CapacityError: when the packed pools would not fit in physical
+            memory; this is checked before anything is drawn.
     """
     tau = as_decimal(tau, "tau")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    rng = np.random.default_rng(seed)
+    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
+    needed = sum((length + 7) // 8 for length in lengths)
+    memory = _physical_memory()
+    if needed > memory:
+        raise CapacityError(
+            f"key pools of {needed} bytes at tau {tau} s exceed the "
+            f"{memory} bytes of physical memory"
+        )
+    draw = np.random.default_rng(seed).bit_generator.random_raw
+    # the four bits of a carried high half-word, as a byte's top nibble
+    head: Optional[int] = None
     pools: Dict[Edge, KeyPool] = {}
-    for edge in graph.edges:
-        length = graph.scale.bit_count(graph.rate(*edge), tau)
+    for edge, length in zip(graph.edges, lengths):
+        words = (length + 3) // 4
         packed = np.empty((length + 7) // 8, dtype=np.uint8)
-        for start in range(0, length, _CHUNK_BITS):
-            chunk = rng.integers(
-                0, 2, size=min(_CHUNK_BITS, length - start), dtype=np.uint8
-            )
-            packed[start // 8 : (start + len(chunk) + 7) // 8] = np.packbits(chunk)
+        for start in range(0, words, _STEP_WORDS):
+            count = min(_STEP_WORDS, words - start)
+            out = packed[start // 2 : (start + count + 1) // 2]
+            if head is None:
+                out[:] = _top_bits(draw((count + 1) // 2))
+                head = (int(out[-1]) << 4) & 0xFF if count % 2 else None
+            else:
+                # every packed byte straddles two raw words
+                fresh = _top_bits(draw(count // 2))
+                out[0] = head
+                out[1:] = fresh[: len(out) - 1] << 4
+                out[: len(fresh)] |= fresh >> 4
+                head = None if count % 2 else (int(fresh[-1]) << 4) & 0xFF
+        if length % 8:
+            packed[-1] &= (0xFF << (8 - length % 8)) & 0xFF
         packed.flags.writeable = False
         pools[edge] = KeyPool(edge, packed, length)
     return pools

@@ -4,10 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from qkdroute import __version__
+from qkdroute import __version__, keysim
 from qkdroute.artifacts import read_routing_artifact
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from qkdroute.keysim import record_is_leaked
@@ -496,10 +497,12 @@ def test_simulate_refuses_path_count_other_than_m(k23_file, tmp_path, capsys):
 def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     # 800 more units on {(0, 1, 4), (0, 2, 4)} take its edges from 700 to
-    # -100; effective_units and iterations stay consistent with the records
+    # -100; rate_kbps, effective_units and iterations stay consistent with
+    # the records
     doc = json.loads(json.dumps(good))
     assert doc["records"][0]["paths"] == [[0, 1, 4], [0, 2, 4]]
     doc["records"][0]["rate_units"] += 800
+    doc["records"][0]["rate_kbps"] = "0.9"
     doc["iterations"] += 8
     effective = doc["effective_units"]
     for u, v in ((0, 1), (1, 4), (0, 2), (2, 4)):
@@ -540,6 +543,45 @@ def test_simulate_refuses_rate_off_the_step(k23_file, tmp_path, capsys):
     assert refuses_routing(k23_file, tmp_path, capsys,
                            dict(good, delta_r_units=200, iterations=2),
                            "rate_units 100 is not a multiple of delta_r_units 200")
+
+
+def test_simulate_refuses_pair_other_than_the_endpoints(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["records"][0]["pair"] == [0, 4]
+    for pair in ([2, 3], [4, 0], [0], [0.0, 4.0], None):
+        doc = json.loads(json.dumps(good))
+        doc["records"][0]["pair"] = pair
+        assert refuses_routing(k23_file, tmp_path, capsys, doc,
+                               f"names pair {pair!r}, not its endpoints [0, 4]"), pair
+
+
+def test_simulate_refuses_rate_kbps_other_than_rate_units(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["records"][0]["rate_kbps"] == "0.1"
+    for kbps in ("999", "0.10", 0.1, None):
+        doc = json.loads(json.dumps(good))
+        doc["records"][0]["rate_kbps"] = kbps
+        assert refuses_routing(k23_file, tmp_path, capsys, doc,
+                               f"rate_kbps {kbps!r} is not '0.1'"), kbps
+
+
+def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsys):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+    simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
+                "--out-dir", str(tmp_path / "sim")]
+    # six 1 kbit/s pools of 1e18 bits each: refused before any is allocated
+    assert main(simulate + ["--tau", "1e15"]) == EXIT_RUNTIME
+    assert "key pools of 750000000000000000 bytes" in capsys.readouterr().err
+    # at tau = 1 s they pack to 6 x 125 bytes
+    with mock.patch.object(keysim, "_physical_memory", return_value=749):
+        assert main(simulate + ["--tau", "1"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err == ("error: key pools of 750 bytes at tau 1 s exceed the "
+                            "749 bytes of physical memory\n")
+    assert captured.out == ""
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):

@@ -39,8 +39,7 @@ DOCS = {
         "any_int": {"m", "r_max", "seed", "hop_limit"},
     },
     "routing": {
-        "unread": {"seed", "r_max", "final_delta_units", "stop_reason", "pair",
-                   "rate_kbps"},
+        "unread": {"seed", "r_max", "final_delta_units", "stop_reason"},
         "optional": set(),
         "any_int": {"hop_limit"},
     },

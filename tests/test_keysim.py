@@ -30,7 +30,7 @@ from qkdroute.keysim import (
     relay_path_key,
     simulate,
 )
-from qkdroute.model import RouterConfig
+from qkdroute.model import NetworkGraph, RouterConfig
 from qkdroute.netfile import load_network
 from qkdroute.paths import MPathSet, Path
 
@@ -85,14 +85,15 @@ def mesh10_routed():
 @given(
     seed=st.integers(0, 2**32 - 1),
     tau=st.integers(1, 8000).map(lambda k: Decimal(k) / 10000),
-    chunk_bits=st.integers(1, 6).map(lambda k: 8 * k) | st.just(keysim._CHUNK_BITS),
+    step_words=st.integers(1, 6).map(lambda k: 2 * k) | st.just(keysim._STEP_WORDS),
 )
-def test_packed_pools_match_one_shot_draws(seed, tau, chunk_bits):
-    """Chunked, packed pools hold the bits of one draw per pool, and every
-    relay segment unpacks to the matching slice of those bits.  mesh10's
-    rates give pools of 0 to 4000 bits, mostly not a multiple of 4 long."""
+def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
+    """Pools drawn from raw words in steps and packed hold the bits of one
+    draw per pool, and every relay segment unpacks to the matching slice of
+    those bits.  mesh10's rates give pools of 0 to 4000 bits, mostly not a
+    multiple of 4 long, so most pools leave a half-word to the next."""
     graph, out = mesh10_routed()
-    with mock.patch.object(keysim, "_CHUNK_BITS", chunk_bits):
+    with mock.patch.object(keysim, "_STEP_WORDS", step_words):
         pools = accumulate_pools(graph, tau, seed)
     lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
     reference = dict(zip(graph.edges, one_shot_pools(lengths, seed)))
@@ -107,6 +108,38 @@ def test_packed_pools_match_one_shot_draws(seed, tau, chunk_bits):
             allocation.relay_bits(pools, path_set, edge),
             reference[edge][seg.start : seg.stop],
         )
+
+
+def test_pool_starts_on_the_carried_half_word():
+    """At the real step size: a pool of three 32-bit words leaves the high
+    half of the second 64-bit word unread, a 0-bit pool draws nothing, and a
+    pool longer than one step starts with that half-word.  It ends on a
+    whole 64-bit word, so the pool after it starts on a fresh one."""
+    step_bits = 4 * keysim._STEP_WORDS
+    # one rate unit is 1 bit/s, so at tau = 0.5 s these are 9, 0,
+    # step_bits + 18 and 5 bits: 3, 0, _STEP_WORDS + 5 and 2 words
+    graph = NetworkGraph(4, {(0, 1): 18, (0, 2): 1, (0, 3): 2 * step_bits + 36,
+                             (1, 2): 10})
+    lengths = [9, 0, step_bits + 18, 5]
+    tau = Decimal("0.5")
+    assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == lengths
+    pools = accumulate_pools(graph, tau, seed=4)
+    for edge, reference in zip(graph.edges, one_shot_pools(lengths, seed=4)):
+        assert len(pools[edge]) == len(reference)
+        assert np.array_equal(pools[edge].bits, np.packbits(reference))
+    raw = np.random.default_rng(4).bit_generator.random_raw(2)
+    carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
+    assert pools[(0, 3)].unpack(0, 4).tolist() == carried
+
+
+def test_pools_refused_beyond_physical_memory(k23):
+    graph, _ = k23
+    # six 1 kbit/s edges over 2 s pack to 6 x 250 bytes
+    with mock.patch.object(keysim, "_physical_memory", return_value=1499):
+        with pytest.raises(CapacityError, match="pools of 1500 bytes"):
+            accumulate_pools(graph, Decimal(2), seed=0)
+    with mock.patch.object(keysim, "_physical_memory", return_value=1500):
+        assert len(accumulate_pools(graph, Decimal(2), seed=0)) == 6
 
 
 def test_pool_rejects_bad_tau(k23):

@@ -74,6 +74,17 @@ def test_cli_main_handles_only_the_input_and_runtime_errors():
                       "CapacityError", "OSError"}
 
 
+def test_keysim_draws_no_integers():
+    # pools come from raw generator words; integers(0, 2) would spend a
+    # 32-bit word on every four key bits
+    tree = ast.parse((SRC / "keysim.py").read_text())
+    calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "integers"
+    ]
+    assert calls == []
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
