@@ -78,14 +78,15 @@ def read_routing_artifact(
 ) -> Tuple[RoutingList, np.ndarray, dict]:
     """Load a routing JSON artifact and check it against ``graph``.
 
-    Refuses another node count or resolution, a record on a non-edge, with a
-    rate that is not a positive multiple of ``delta_r_units`` or is over
-    ``MAX_UNITS``, with other than ``m`` paths or with a path longer than a
-    set ``hop_limit``, with a ``pair`` other than its paths' endpoints or a
-    ``rate_kbps`` other than its ``rate_units`` in kbit/s, ``effective_units``
-    that is not the edge rates plus the records' pair credits minus their
-    edge debits, a negative edge under ``strict_guard``, and rates that do
-    not add up to ``iterations`` steps of ``delta_r_units``.
+    Refuses another node count or resolution, a record for a directly linked
+    pair or on a non-edge, with a rate that is not a positive multiple of
+    ``delta_r_units`` or is over ``MAX_UNITS``, with other than ``m`` paths or
+    with a path longer than a set ``hop_limit``, with a ``pair`` other than its
+    paths' endpoints or a ``rate_kbps`` other than its ``rate_units`` in
+    kbit/s, ``effective_units`` that is not the edge rates plus the records'
+    pair credits minus their edge debits, a negative edge under
+    ``strict_guard``, and rates that do not add up to ``iterations`` steps of
+    ``delta_r_units``.
     """
     try:
         doc = json.loads(FsPath(path).read_text())
@@ -123,6 +124,8 @@ def read_routing_artifact(
                 raise ValueError(
                     f"record {path_set} names pair {entry['pair']!r}, not its endpoints {pair}"
                 )
+            if graph.has_edge(*pair):
+                raise ValueError(f"record {path_set} routes {pair}, a directly linked pair")
             longest = max(p.hops for p in path_set.paths)
             if hop_limit is not None and longest > hop_limit:
                 raise ValueError(

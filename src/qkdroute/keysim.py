@@ -30,6 +30,7 @@ anything.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
@@ -162,6 +163,21 @@ def compromise_probability_bound(m: int, epsilon: object) -> float:
     return float(eps**m)
 
 
+def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> List[int]:
+    """Bits in each edge's pool, in canonical edge order; refuses (CapacityError)
+    packed pools, and then packed pools plus ``key_bytes``, beyond physical memory."""
+    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
+    needed = sum((length + 7) // 8 for length in lengths)
+    memory = _physical_memory()
+    for what, extra in (("key pools", 0), ("key pools and pair keys", key_bytes)):
+        if needed + extra > memory:
+            raise CapacityError(
+                f"{what} of {needed + extra} bytes at tau {tau} s exceed the "
+                f"{memory} bytes of physical memory"
+            )
+    return lengths
+
+
 def accumulate_pools(
     graph: NetworkGraph, tau: Decimal, seed: int
 ) -> Dict[Edge, KeyPool]:
@@ -183,14 +199,7 @@ def accumulate_pools(
     tau = as_decimal(tau, "tau")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    needed = sum((length + 7) // 8 for length in lengths)
-    memory = _physical_memory()
-    if needed > memory:
-        raise CapacityError(
-            f"key pools of {needed} bytes at tau {tau} s exceed the "
-            f"{memory} bytes of physical memory"
-        )
+    lengths = _pool_lengths(graph, tau)
     draw = np.random.default_rng(seed).bit_generator.random_raw
     # the four bits of a carried high half-word, as a byte's top nibble
     head: Optional[int] = None
@@ -365,8 +374,16 @@ def simulate(
     tau: object,
     seed: int = 0,
 ) -> KeySimulation:
-    """Run pool accumulation, allocation, relay and assembly end to end."""
+    """Run pool accumulation, allocation, relay and assembly end to end.
+
+    Refuses (CapacityError), before drawing, packed pools plus pair keys (a
+    byte per bit, the largest twice) that would not fit in physical memory.
+    """
     tau_dec = as_decimal(tau, "tau")
+    key_bits: Counter[Edge] = Counter()
+    for record in routing_list.records():
+        key_bits[record.pair] += graph.scale.bit_count(record.rate, tau_dec)
+    _pool_lengths(graph, tau_dec, sum(key_bits.values()) + max(key_bits.values(), default=0))
     pools = accumulate_pools(graph, tau_dec, seed)
     allocation = allocate_segments(
         pools, routing_list, effective, graph.scale, tau_dec

@@ -18,9 +18,10 @@ integer units exactly or are rejected, never silently rounded.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .model import (
     check_target_matrix,
     uniform_target,
 )
-from .units import UnitScale, as_decimal
+from .units import UnitScale
 
 
 class NetworkFormatError(ValueError):
@@ -51,6 +52,17 @@ _TOP_KEYS = {"nodes", "edges", "target", "router", "resolution_bps"}
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise NetworkFormatError(message)
+
+
+@contextmanager
+def _format_errors() -> Iterator[None]:
+    """Re-raise a TypeError or ValueError inside the block as a NetworkFormatError."""
+    try:
+        yield
+    except NetworkFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise NetworkFormatError(str(exc)) from exc
 
 
 def _int_field(raw: object, name: str, allow_none: bool = False) -> Optional[int]:
@@ -79,39 +91,29 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
     except (OSError, json.JSONDecodeError) as exc:
         raise NetworkFormatError(f"cannot parse {path}: {exc}") from exc
 
-    _require(isinstance(raw, dict), "top level must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
-
-    node_count = _int_field(raw.get("nodes"), "nodes")
-    assert node_count is not None
-
-    try:
-        scale = UnitScale(as_decimal(raw.get("resolution_bps", 1), "resolution_bps"))
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(str(exc)) from exc
-
-    edges_raw = raw.get("edges")
-    _require(isinstance(edges_raw, list) and edges_raw, "edges must be a non-empty list")
-    rates: dict[tuple[int, int], int] = {}
-    for idx, entry in enumerate(edges_raw):
-        _require(isinstance(entry, dict), f"edges[{idx}] must be an object")
-        _require(
-            set(entry) == {"u", "v", "rate_kbps"},
-            f"edges[{idx}] must have exactly the keys u, v, rate_kbps",
-        )
-        u = _int_field(entry["u"], f"edges[{idx}].u")
-        v = _int_field(entry["v"], f"edges[{idx}].v")
-        assert u is not None and v is not None
-        try:
+    with _format_errors():
+        _require(isinstance(raw, dict), "top level must be a JSON object")
+        unknown = set(raw) - _TOP_KEYS
+        _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+        node_count = _int_field(raw.get("nodes"), "nodes")
+        scale = UnitScale(raw.get("resolution_bps", 1))
+        edges_raw = raw.get("edges")
+        _require(isinstance(edges_raw, list) and edges_raw, "edges must be a non-empty list")
+        rates: dict[tuple[int, int], int] = {}
+        for idx, entry in enumerate(edges_raw):
+            _require(isinstance(entry, dict), f"edges[{idx}] must be an object")
+            _require(
+                set(entry) == {"u", "v", "rate_kbps"},
+                f"edges[{idx}] must have exactly the keys u, v, rate_kbps",
+            )
+            u = _int_field(entry["u"], f"edges[{idx}].u")
+            v = _int_field(entry["v"], f"edges[{idx}].v")
             units = scale.units_from_kbps(entry["rate_kbps"], f"edges[{idx}].rate_kbps")
-        except (TypeError, ValueError) as exc:
-            raise NetworkFormatError(str(exc)) from exc
-        # the model cannot see a duplicate once it is merged into this dict;
-        # self-loops and non-positive rates are left to the model's checks
-        key = (min(u, v), max(u, v))
-        _require(key not in rates, f"duplicate edge ({u}, {v})")
-        rates[key] = units
+            # the model cannot see a duplicate once it is merged into this dict;
+            # self-loops and non-positive rates are left to the model's checks
+            key = (min(u, v), max(u, v))
+            _require(key not in rates, f"duplicate edge ({u}, {v})")
+            rates[key] = units
     # a connected graph needs at least nodes - 1 edges; checked before the
     # graph allocates one adjacency entry per declared node
     if node_count > len(rates) + 1:
@@ -119,16 +121,13 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
             f"{path}: graph is disconnected: {node_count} nodes cannot be "
             f"connected by {len(rates)} edges"
         )
-
-    try:
+    with _format_errors():
         graph = NetworkGraph(node_count=node_count, rates=rates, scale=scale)
-    except ValidationError as exc:
-        raise NetworkFormatError(str(exc)) from exc
     if not graph.is_connected():
         raise ValidationError(f"{path}: graph is disconnected")
-
-    target = _parse_target(raw.get("target", 0), node_count, scale)
-    config = parse_router(raw.get("router", {}), scale)
+    with _format_errors():
+        target = _parse_target(raw.get("target", 0), node_count, scale)
+        config = parse_router(raw.get("router", {}), scale)
     return LoadedNetwork(graph, target, config)
 
 
@@ -142,38 +141,23 @@ def _parse_target(raw: object, node_count: int, scale: UnitScale) -> np.ndarray:
         for i, row in enumerate(raw):
             _require(len(row) == node_count, f"target row {i} has wrong length")
             for j, cell in enumerate(row):
-                try:
-                    mat[i, j] = scale.units_from_kbps(cell, f"target[{i}][{j}]")
-                except (TypeError, ValueError) as exc:
-                    raise NetworkFormatError(str(exc)) from exc
-        try:
-            check_target_matrix(mat, node_count)
-        except ValidationError as exc:
-            raise NetworkFormatError(str(exc)) from exc
+                mat[i, j] = scale.units_from_kbps(cell, f"target[{i}][{j}]")
+        check_target_matrix(mat, node_count)
         return mat
-    try:
-        units = scale.units_from_kbps(raw, "target")
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(str(exc)) from exc
-    _require(units >= 0, "target must be non-negative")
-    return uniform_target(node_count, units)
+    return uniform_target(node_count, scale.units_from_kbps(raw, "target"))
 
 
 def parse_router(raw: object, scale: UnitScale) -> RouterConfig:
     """Parse a ``router`` object; the one reader of router-config JSON."""
-    _require(isinstance(raw, dict), "router must be an object")
-    assert isinstance(raw, dict)
-    unknown = set(raw) - _ROUTER_KEYS
-    _require(not unknown, f"unknown router keys: {sorted(unknown)}")
-    delta_r = None
-    if raw.get("delta_r_kbps") is not None:
-        try:
+    with _format_errors():
+        _require(isinstance(raw, dict), "router must be an object")
+        unknown = set(raw) - _ROUTER_KEYS
+        _require(not unknown, f"unknown router keys: {sorted(unknown)}")
+        delta_r = None
+        if raw.get("delta_r_kbps") is not None:
             delta_r = scale.units_from_kbps(raw["delta_r_kbps"], "router.delta_r_kbps")
-        except (TypeError, ValueError) as exc:
-            raise NetworkFormatError(str(exc)) from exc
-    strict_guard = raw.get("strict_guard", True)
-    _require(isinstance(strict_guard, bool), "router.strict_guard must be a boolean")
-    try:
+        strict_guard = raw.get("strict_guard", True)
+        _require(isinstance(strict_guard, bool), "router.strict_guard must be a boolean")
         return RouterConfig(
             m=_int_field(raw.get("M", 2), "router.M") or 0,
             delta_r=delta_r,
@@ -182,8 +166,6 @@ def parse_router(raw: object, scale: UnitScale) -> RouterConfig:
             hop_limit=_int_field(raw.get("hop_limit"), "router.hop_limit", allow_none=True),
             strict_guard=strict_guard,
         )
-    except ValidationError as exc:
-        raise NetworkFormatError(str(exc)) from exc
 
 
 def _json_number(value: Decimal) -> Union[float, str]:

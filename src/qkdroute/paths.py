@@ -149,25 +149,20 @@ def enumerate_simple_paths(
     found: list[Path] = []
     visited = {start}
     trail = [start]
-
-    def extend(u: NodeId) -> None:
-        if u == goal:
-            found.append(Path(tuple(trail)))
-            return
-        if hop_limit is not None and len(trail) - 1 >= hop_limit:
-            return
-        for w in graph.neighbors(u):
-            if w not in visited:
-                visited.add(w)
-                trail.append(w)
-                extend(w)
-                trail.pop()
-                visited.remove(w)
-
-    extend(start)
-    # extend refers to itself through its closure; deleting it frees this
-    # call's state now rather than at the next cycle collection
-    del extend
+    # stack[t]: the neighbours of trail[t] not tried yet; a node gets one only
+    # while a path through it may still take another hop
+    stack = [iter(graph.neighbors(start))]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            visited.remove(trail.pop())
+        elif w == goal:
+            found.append(Path((*trail, w)))
+        elif w not in visited and (hop_limit is None or len(trail) < hop_limit):
+            visited.add(w)
+            trail.append(w)
+            stack.append(iter(graph.neighbors(w)))
     return tuple(found)
 
 
@@ -200,10 +195,12 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
         for interior in interiors
     ]
     sets: list[MPathSet] = []
-
-    def extend(prefix: Tuple[Path, ...], options: int) -> None:
-        # options: bitmask of the later paths disjoint from every member of
-        # prefix; taking them lowest index first keeps combinations order
+    # each entry: a prefix and the bitmask of the later paths disjoint from
+    # every member of it; taking them lowest index first, and a longer
+    # prefix before the rest of its parent's options, keeps combinations order
+    stack = [((), (1 << len(paths)) - 1)]
+    while stack:
+        prefix, options = stack.pop()
         while options:
             low = options & -options
             options ^= low
@@ -211,10 +208,9 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
             if len(prefix) == m - 1:
                 sets.append(MPathSet._disjoint(prefix + (paths[k],)))
             else:
-                extend(prefix + (paths[k],), options & ~conflicts[k])
-
-    extend((), (1 << len(paths)) - 1)
-    del extend  # see enumerate_simple_paths
+                stack.append((prefix, options))
+                stack.append((prefix + (paths[k],), options & ~conflicts[k]))
+                break
     return tuple(sets)
 
 

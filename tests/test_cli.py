@@ -565,6 +565,22 @@ def test_simulate_refuses_rate_kbps_other_than_rate_units(k23_file, tmp_path, ca
                                f"rate_kbps {kbps!r} is not '0.1'"), kbps
 
 
+def test_simulate_refuses_a_directly_linked_pair(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    # 100 units for the linked pair (0, 1) over {(0, 1), (0, 2, 4, 1)}: the
+    # edge (0, 1) pays the debit and takes the credit, and effective_units
+    # and iterations stay consistent with the records
+    doc = json.loads(json.dumps(good))
+    doc["records"].append({"pair": [0, 1], "paths": [[0, 1], [0, 2, 4, 1]],
+                           "rate_units": 100, "rate_kbps": "0.1"})
+    for u, v in ((0, 2), (2, 4), (1, 4)):
+        doc["effective_units"][u][v] -= 100
+        doc["effective_units"][v][u] -= 100
+    doc["iterations"] += 1
+    assert refuses_routing(k23_file, tmp_path, capsys, doc,
+                           "routes [0, 1], a directly linked pair")
+
+
 def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsys):
     route_dir = tmp_path / "route"
     main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
@@ -582,6 +598,29 @@ def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsy
                             "749 bytes of physical memory\n")
     assert captured.out == ""
     assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory(
+    k23_file, tmp_path, capsys
+):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+    simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
+                "--tau", "1"]
+    # at tau = 1 s: 750 bytes of packed pools, four pairs' 100-bit keys at a
+    # byte per bit, and the largest key once more
+    with mock.patch.object(keysim, "_physical_memory", return_value=1249), \
+            mock.patch.object(keysim, "accumulate_pools",
+                              wraps=keysim.accumulate_pools) as draw:
+        assert main(simulate) == EXIT_RUNTIME
+    assert not draw.called
+    captured = capsys.readouterr()
+    assert captured.err == ("error: key pools and pair keys of 1250 bytes at tau 1 s "
+                            "exceed the 1249 bytes of physical memory\n")
+    assert captured.out == ""
+    with mock.patch.object(keysim, "_physical_memory", return_value=1250):
+        assert main(simulate) == EXIT_OK
 
 
 def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Fuzzed inputs: a broken network file, route manifest or routing artifact
-makes the command exit 1 with one ``error:`` line, and raises nothing."""
+makes the command exit 1 with one ``error:`` line, and raises nothing.  A
+broken network file makes ``load_network`` itself raise a NetworkFormatError,
+or a ValidationError for a disconnected graph, never a bare ValueError or
+TypeError."""
 
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, main
+from qkdroute.model import ValidationError
+from qkdroute.netfile import NetworkFormatError, load_network
 
 from conftest import NETWORKS_DIR
 
@@ -140,3 +145,11 @@ def test_broken_inputs_exit_1_with_an_error_line(originals, data):
     assert code == EXIT_INVALID, (kind, site, edit, out.getvalue())
     assert len(lines) == 1 and lines[0].startswith("error:"), (kind, site, edit, lines)
     assert not (root / "again").exists()
+    if kind == "network":
+        # cli.main catches any ValueError, so only a direct call shows a leak
+        with pytest.raises((TypeError, ValueError)) as raised:
+            load_network(broken)
+        error = raised.value
+        assert type(error) is NetworkFormatError or (
+            type(error) is ValidationError and "disconnected" in str(error)
+        ), (site, edit, repr(error))

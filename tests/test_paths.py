@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -163,6 +164,17 @@ def test_random_graphs_match_oracle():
         for m in (1, 2, 3):
             expected = ordered_disjoint_subsets(oracle_paths, m)
             assert [s.sort_key() for s in enumerate_m_path_sets(ours, m)] == expected
+
+
+def test_paths_longer_than_the_recursion_limit():
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    ring = NetworkGraph(n, {(k, (k + 1) % n): 100 for k in range(n)})
+    paths = enumerate_simple_paths(ring, 0, 2)
+    assert [p.nodes for p in paths] == [(0, 1, 2), (0, *range(n - 1, 1, -1))]
+    assert [s.sort_key() for s in enumerate_m_path_sets(paths, 2)] == [
+        tuple(p.nodes for p in paths)
+    ]
 
 
 def test_set_deficiency_takes_worst_edge(dense5):

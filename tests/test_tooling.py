@@ -85,6 +85,35 @@ def test_keysim_draws_no_integers():
     assert calls == []
 
 
+def test_netfile_translates_value_errors_in_one_handler():
+    # one boundary turns every TypeError or ValueError (ValidationError
+    # included) inside the parsers into a NetworkFormatError
+    tree = ast.parse((SRC / "netfile.py").read_text())
+    translations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught = {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
+            if caught & {"TypeError", "ValueError", "ValidationError"} \
+                    and "NetworkFormatError" in ast.unparse(node):
+                translations.append(node.lineno)
+    assert len(translations) == 1
+
+
+def test_paths_defines_no_nested_function():
+    # the enumerators loop over explicit stacks, so a path may be longer than
+    # the recursion limit and no closure refers to itself
+    tree = ast.parse((SRC / "paths.py").read_text())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = [
+        inner.lineno
+        for outer in ast.walk(tree) if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, functions)
+    ]
+    assert nested == []
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
