@@ -30,8 +30,7 @@ def main() -> None:
     for record in outcome.routing_list.records():
         print(f"  {record.path_set}: {graph.scale.kbps_str(record.rate)}")
 
-    sim = simulate(graph, outcome.routing_list, outcome.effective, TAU,
-                   seed=config.seed)
+    sim = simulate(graph, outcome.routing_list, TAU, seed=config.seed)
     print(f"\nkeys after {TAU}s of harvesting:")
     for pair, key in sorted(sim.pair_keys.items()):
         verdict = "endpoints agree" if key.agreed else "MISMATCH"

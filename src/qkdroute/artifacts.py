@@ -75,7 +75,7 @@ def routing_to_dict(
 
 def read_routing_artifact(
     path: Union[str, FsPath], graph: NetworkGraph
-) -> Tuple[RoutingList, np.ndarray, dict]:
+) -> Tuple[RoutingList, dict]:
     """Load a routing JSON artifact and check it against ``graph``.
 
     Refuses another node count or resolution, a record for a directly linked
@@ -113,7 +113,6 @@ def read_routing_artifact(
         if not isinstance(doc["strict_guard"], bool):
             raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
         routing = RoutingList()
-        expected = graph.rate_matrix()
         routed = 0
         for entry in doc["records"]:
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
@@ -150,18 +149,13 @@ def read_routing_artifact(
             for u, v in path_set.edges:
                 if not graph.has_edge(u, v):
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
-                expected[u, v] -= rate
-                expected[v, u] -= rate
-            i, j = path_set.endpoints
-            expected[i, j] += rate
-            expected[j, i] += rate
             routing.add(path_set, rate)
         effective = np.asarray(doc["effective_units"])
     except (LookupError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"malformed routing artifact {path}: {exc!r}") from exc
     if effective.shape != (n, n) or effective.dtype.kind != "i":
         raise NetworkFormatError(f"{path}: effective_units is not {n} x {n} integers")
-    if not np.array_equal(effective, expected):
+    if not np.array_equal(effective, routing.effective(graph)):
         raise NetworkFormatError(f"{path}: effective_units disagrees with its records")
     if doc["strict_guard"]:
         for u, v in graph.edges:
@@ -174,7 +168,7 @@ def read_routing_artifact(
             f"{path}: records hold {routed} units, not {steps} iterations "
             f"of {step} units"
         )
-    return routing, effective, doc
+    return routing, doc
 
 
 def _is_int(value: object) -> bool:

@@ -234,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
-    routing, effective, _ = artifacts.read_routing_artifact(routing_path, graph)
+    routing, _ = artifacts.read_routing_artifact(routing_path, graph)
     tau = as_decimal(args.tau, "--tau")
     if not all(
         graph.scale.bits_exact(graph.rate(u, v), tau) for u, v in graph.edges
@@ -244,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "rounded down",
             file=sys.stderr,
         )
-    sim = keysim.simulate(graph, routing, effective, tau, seed=args.seed)
+    sim = keysim.simulate(graph, routing, tau, seed=args.seed)
     report = keysim.assess_compromise(sim, args.compromise, epsilon=args.epsilon)
     text = artifacts.render_simulation_text(sim, report, dump_keys=args.dump_keys)
     sys.stdout.write(text)

@@ -11,12 +11,13 @@ exact.  Randomness is confined to tie-breaking: one draw from a seeded PCG64
 generator per tie with two or more candidates, taken over the candidates in
 canonical order.  Runs are bit-reproducible for a given input and seed.
 
-The loop keeps the effective and deficiency matrices as flat Python ``int``
-lists indexed ``u * n + v`` and updates them in place, one list cell per
-edge and pair with u < v; the symmetric ndarray is built once, for the
-outcome.  A pair's candidates are scored from a table of the same flat
-indices, built the first time the pair is served.  ``apply_increment`` and
-``set_deficiency`` are the ndarray definitions the loop agrees with.
+The loop's one state is the deficiency target - effective, a flat ``int``
+list indexed ``u * n + v`` and updated in place on the cells u < v; the strict
+guard reads it too.  ``RoutingList.effective`` derives the effective matrix,
+once, for the outcome.  A pair's candidates are scored from a table of the
+same flat indices, built the first time the pair is served.
+``apply_increment`` and ``set_deficiency`` are the ndarray definitions the
+loop agrees with.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ class RoutingList:
         """
         ordered = sorted(self._rates.items(), key=lambda kv: kv[0].sort_key())
         return tuple(RoutingRecord(s, rate) for s, rate in ordered)
+
+    def effective(self, graph: NetworkGraph) -> np.ndarray:
+        """Symmetric effective rates: the edge rates plus each record's pair
+        credit minus its debit on every member edge."""
+        out = graph.rate_matrix()
+        for path_set, rate in self._rates.items():
+            i, j = path_set.endpoints
+            out[i, j] += rate
+            out[j, i] += rate
+            for u, v in path_set.edges:
+                out[u, v] -= rate
+                out[v, u] -= rate
+        return out
 
 
 @dataclass(frozen=True)
@@ -178,17 +192,17 @@ def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> List[Cand
 
 def admissible(
     candidates: Sequence[Candidate],
-    effective: Sequence[int],
-    delta_r: int,
-    edge_cells: Iterable[int],
+    deficiency: Sequence[int],
+    limits: Iterable[Tuple[int, int]],
 ) -> List[Candidate]:
     """Candidates whose every edge holds at least delta_r.
 
-    ``effective`` is a flat n*n list; only ``edge_cells``, the cells
-    ``u * n + v`` (u < v) of the graph's edges, are read, because every
-    candidate cell is one of them.
+    ``deficiency`` is a flat n*n list as for ``cost_delta``.  ``limits``
+    pairs each edge's cell ``u * n + v`` (u < v) with its target - delta_r,
+    which its deficiency exceeds exactly when the edge holds less than
+    delta_r; every candidate cell is one of them.
     """
-    short = {cell for cell in edge_cells if effective[cell] < delta_r}
+    short = {cell for cell, limit in limits if deficiency[cell] > limit}
     return [c for c in candidates if short.isdisjoint(c.cells)]
 
 
@@ -210,18 +224,12 @@ def optimal_sets(
 
 
 def _shift(
-    effective: List[int],
-    deficiency: List[int],
-    pair_cell: int,
-    cells: Sequence[int],
-    amount: int,
+    deficiency: List[int], pair_cell: int, cells: Sequence[int], amount: int
 ) -> None:
-    """``apply_increment`` in place on the flat lists' cells u < v; a
+    """``apply_increment`` in place on the flat deficiency's cells u < v; a
     negative amount undoes it."""
-    effective[pair_cell] += amount
     deficiency[pair_cell] -= amount
     for cell in cells:
-        effective[cell] -= amount
         deficiency[cell] += amount
 
 
@@ -235,7 +243,7 @@ def apply_increment(
     """Move delta_r of rate from the member edges onto the pair.
 
     Returns a new matrix and leaves the input untouched.  ``run`` applies
-    the same step in place, to flat lists.
+    the same step in place, to the flat deficiency list.
 
     Raises:
         GuardViolation: with ``strict_guard``, when any member edge holds
@@ -293,20 +301,17 @@ def run(
     rng = np.random.default_rng(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
     tables: Dict[Edge, List[Candidate]] = {}
-    edge_cells = tuple(u * n + v for u, v in graph.edges)
+    limits = tuple((u * n + v, int(target[u, v]) - step) for u, v in graph.edges)
     routing = RoutingList()
     trace: List[IterationTrace] = []
-    # flat lists indexed u * n + v, updated in place; only the cells u < v
-    # are kept current, and target - effective == deficiency on them
-    rates = graph.rate_matrix()
-    effective = rates.ravel().tolist()
-    deficiency = (target - rates).ravel().tolist()
+    # target - effective as a flat list indexed u * n + v, updated in place;
+    # only the cells u < v are kept current
+    deficiency = (target - graph.rate_matrix()).ravel().tolist()
     delta = cost_delta(deficiency, n)
     r = 0
 
     def outcome() -> RoutingOutcome:
-        upper = np.triu(np.array(effective, dtype=np.int64).reshape(n, n), k=1)
-        return RoutingOutcome(routing, upper + upper.T, tuple(trace), delta, r)
+        return RoutingOutcome(routing, routing.effective(graph), tuple(trace), delta, r)
 
     def stop(
         reason: StopReason,
@@ -342,7 +347,7 @@ def run(
         if candidates is None:
             candidates = tables[pair] = candidate_table(path_sets, n)
         if config.strict_guard:
-            candidates = admissible(candidates, effective, step, edge_cells)
+            candidates = admissible(candidates, deficiency, limits)
             if not candidates:
                 return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
         chosen, sets_tied = _choose(rng, optimal_sets(candidates, deficiency))
@@ -356,11 +361,11 @@ def run(
         )
         # under the strict guard, every candidate already passed the guard
         pair_cell = pair[0] * n + pair[1]
-        _shift(effective, deficiency, pair_cell, chosen.cells, step)
+        _shift(deficiency, pair_cell, chosen.cells, step)
         new_delta = cost_delta(deficiency, n)
         if new_delta > delta:
             # reject and roll back
-            _shift(effective, deficiency, pair_cell, chosen.cells, -step)
+            _shift(deficiency, pair_cell, chosen.cells, -step)
             return stop(
                 StopReason.COST_WORSENED, pair, pairs_tied, chosen.path_set, new_delta
             )

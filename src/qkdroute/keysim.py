@@ -1,9 +1,10 @@
 """Bit-level simulation of key delivery over routed path sets.
 
 Every edge accumulates a pool of secret bits for a harvest window of tau
-seconds.  The front of each pool is carved into segments: first the slice the
-edge keeps for its own endpoints, then one relay segment per routing record
-that traverses the edge, in canonical record order.  Both endpoints of an
+seconds.  The front of each pool is carved into segments: first the edge's
+own share, its effective rate as ``RoutingList.effective`` derives it from the
+routing list, then one relay segment per routing record that traverses the
+edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
 Pools are stored packed, eight bits per byte, and a segment is unpacked only
 when it is relayed, so a simulation's peak memory is about the packed pools
@@ -40,7 +41,7 @@ import numpy as np
 from .engine import RoutingList, RoutingRecord
 from .model import Edge, NetworkGraph, NodeId, canonical_edge
 from .paths import MPathSet, Path
-from .units import UnitScale, as_decimal
+from .units import as_decimal
 
 
 class CapacityError(RuntimeError):
@@ -70,7 +71,6 @@ def _top_bits(raw: np.ndarray) -> np.ndarray:
 class KeyPool:
     """The shared secret-bit pool of one edge over the harvest window."""
 
-    edge: Edge
     bits: np.ndarray  # np.packbits of the pool's bits, read-only
     length: int
 
@@ -96,14 +96,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class SegmentAllocation:
-    """Where every segment lives inside each edge pool.
+    """Where every relay segment lives inside each edge pool.
 
-    ``effective`` holds the slice each edge keeps for its own endpoints
-    (always at the pool front); ``relay`` maps (record set, edge) to the
-    relay segment carved for that record on that edge.
+    ``relay`` maps (record set, edge) to the relay segment carved for that
+    record on that edge.  Each edge keeps the front of its pool, as long as
+    its own share, for its own endpoints.
     """
 
-    effective: Mapping[Edge, Segment]
     relay: Mapping[Tuple[MPathSet, Edge], Segment]
 
     def relay_bits(
@@ -223,31 +222,33 @@ def accumulate_pools(
         if length % 8:
             packed[-1] &= (0xFF << (8 - length % 8)) & 0xFF
         packed.flags.writeable = False
-        pools[edge] = KeyPool(edge, packed, length)
+        pools[edge] = KeyPool(packed, length)
     return pools
 
 
 def allocate_segments(
     pools: Mapping[Edge, KeyPool],
     routing_list: RoutingList,
-    effective: np.ndarray,
-    scale: UnitScale,
+    graph: NetworkGraph,
     tau: Decimal,
 ) -> SegmentAllocation:
-    """Carve every pool into an effective segment plus relay segments.
+    """Carve every pool into its own share plus relay segments.
 
-    Segment lengths are floor(rate * tau) bits.  Records are laid out in
-    canonical order, so all parties compute the same offsets independently.
+    An edge's own share is its effective rate, ``routing_list.effective``,
+    and sits at the pool front.  Segment lengths are floor(rate * tau) bits.
+    Records are laid out in canonical order, so all parties compute the same
+    offsets independently.
 
     Raises:
-        CapacityError: when an edge pool cannot hold its effective segment
-            plus every relay segment routed across it, or when the edge's
+        CapacityError: when an edge pool cannot hold its own share plus
+            every relay segment routed across it, or when the edge's
             effective rate went negative (over-subscription with the guard
             disabled).
     """
     tau = as_decimal(tau, "tau")
+    scale = graph.scale
+    effective = routing_list.effective(graph)
     cursors: Dict[Edge, int] = {}
-    eff: Dict[Edge, Segment] = {}
     for edge, pool in pools.items():
         rate = int(effective[edge[0], edge[1]])
         if rate < 0:
@@ -259,9 +260,8 @@ def allocate_segments(
         if length > len(pool):
             raise CapacityError(
                 f"edge ({edge[0]}, {edge[1]}) pool of {len(pool)} bits cannot "
-                f"hold its {length}-bit effective segment"
+                f"hold its {length}-bit own share"
             )
-        eff[edge] = Segment(0, length)
         cursors[edge] = length
     relay: Dict[Tuple[MPathSet, Edge], Segment] = {}
     for record in routing_list.records():
@@ -282,7 +282,7 @@ def allocate_segments(
                     )
                 relay[(record.path_set, edge)] = Segment(start, length)
                 cursors[edge] = start + length
-    return SegmentAllocation(effective=eff, relay=relay)
+    return SegmentAllocation(relay=relay)
 
 
 def relay_path_key(
@@ -370,7 +370,6 @@ class KeySimulation:
 def simulate(
     graph: NetworkGraph,
     routing_list: RoutingList,
-    effective: np.ndarray,
     tau: object,
     seed: int = 0,
 ) -> KeySimulation:
@@ -385,9 +384,7 @@ def simulate(
         key_bits[record.pair] += graph.scale.bit_count(record.rate, tau_dec)
     _pool_lengths(graph, tau_dec, sum(key_bits.values()) + max(key_bits.values(), default=0))
     pools = accumulate_pools(graph, tau_dec, seed)
-    allocation = allocate_segments(
-        pools, routing_list, effective, graph.scale, tau_dec
-    )
+    allocation = allocate_segments(pools, routing_list, graph, tau_dec)
     pair_keys = assemble_pair_keys(routing_list, pools, allocation)
     return KeySimulation(
         graph=graph,

@@ -159,10 +159,10 @@ def parse_router(raw: object, scale: UnitScale) -> RouterConfig:
         strict_guard = raw.get("strict_guard", True)
         _require(isinstance(strict_guard, bool), "router.strict_guard must be a boolean")
         return RouterConfig(
-            m=_int_field(raw.get("M", 2), "router.M") or 0,
+            m=_int_field(raw.get("M", 2), "router.M"),
             delta_r=delta_r,
             r_max=_int_field(raw.get("r_max"), "router.r_max", allow_none=True),
-            seed=_int_field(raw.get("seed", 0), "router.seed") or 0,
+            seed=_int_field(raw.get("seed", 0), "router.seed"),
             hop_limit=_int_field(raw.get("hop_limit"), "router.hop_limit", allow_none=True),
             strict_guard=strict_guard,
         )

@@ -178,7 +178,7 @@ def test_acceptance_mesh10_properties(mesh10):
         by_pair.setdefault(record.pair, []).append(record)
     multi = {pair: recs for pair, recs in by_pair.items() if len(recs) >= 2}
     assert multi
-    sim = simulate(graph, out.routing_list, out.effective, tau="0.01", seed=0)
+    sim = simulate(graph, out.routing_list, tau="0.01", seed=0)
     for pair, recs in multi.items():
         key = sim.pair_keys[pair]
         assert key.agreed
@@ -266,22 +266,20 @@ def test_acceptance_key_delivery(ring6):
     rates = rates_by_pair(out.routing_list.records())
     started = time.perf_counter()
     for seed in range(100):
-        sim = simulate(graph, out.routing_list, out.effective, tau, seed=seed)
+        sim = simulate(graph, out.routing_list, tau, seed=seed)
         # both endpoints assembled the same bits, at the routed length
         for pair, key in sim.pair_keys.items():
             assert key.agreed
             assert len(key.bits) == rates[pair] * 100
-        # segment accounting: every pool is tiled exactly by its effective
-        # segment plus the relay segments of the records crossing the edge
+        # segment accounting: every pool is tiled exactly by its own share
+        # plus the relay segments of the records crossing the edge
         for edge, pool in sim.pools.items():
             assert len(pool) == graph.rate(*edge) * 100
-            eff = sim.allocation.effective[edge]
-            assert (eff.start, eff.length) == (0, int(out.effective[edge]) * 100)
             relay = sorted(
                 (seg for (s, e), seg in sim.allocation.relay.items() if e == edge),
                 key=lambda seg: seg.start,
             )
-            cursor = eff.stop
+            cursor = int(out.effective[edge]) * 100
             for seg in relay:
                 assert seg.start == cursor
                 cursor = seg.stop
@@ -293,7 +291,7 @@ def test_acceptance_key_delivery(ring6):
 def test_acceptance_compromise_security(k23):
     graph, target = k23
     out = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
-    sim = simulate(graph, out.routing_list, out.effective, tau=1, seed=0)
+    sim = simulate(graph, out.routing_list, tau=1, seed=0)
 
     # over every subset of nodes: a record with one honest-interior path
     # resists reconstruction; a fully covered record is rebuilt exactly
@@ -316,15 +314,9 @@ def test_acceptance_compromise_security(k23):
     set_a = MPathSet((Path((0, 1, 4)), Path((0, 2, 4))))
     routing = RoutingList()
     routing.add(set_a, 100)
-    effective = graph.rate_matrix()
-    for path in set_a.paths:
-        for u, v in path.edges:
-            effective[u, v] -= 100
-            effective[v, u] -= 100
-    effective[0, 4] = effective[4, 0] = 100
     tau = Decimal("0.08")
     base = accumulate_pools(graph, tau, seed=1)
-    allocation = allocate_segments(base, routing, effective, graph.scale, tau)
+    allocation = allocate_segments(base, routing, graph, tau)
     seg = allocation.relay[(set_a, (0, 1))]
     assert seg.length == 8
     seen = set()
@@ -334,7 +326,7 @@ def test_acceptance_compromise_security(k23):
         packed = np.packbits(bits)
         packed.flags.writeable = False
         pools = dict(base)
-        pools[(0, 1)] = KeyPool((0, 1), packed, len(bits))
+        pools[(0, 1)] = KeyPool(packed, len(bits))
         for path in set_a.paths:
             key_i, key_j, _ = relay_path_key(pools, allocation, set_a, path)
             assert np.array_equal(key_i, key_j)

@@ -49,12 +49,12 @@ def test_routing_text_render(dense5):
 def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
     files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
-    routing, effective, doc = read_routing_artifact(files["routing_json"], graph)
+    routing, doc = read_routing_artifact(files["routing_json"], graph)
     assert doc["format"] == ROUTING_FORMAT
     assert doc["seed"] == 4
     assert doc["m"] == 2
     assert doc["stop_reason"] == "converged"
-    assert np.array_equal(effective, outcome.effective)
+    assert np.array_equal(routing.effective(graph), outcome.effective)
     original = [(str(r.path_set), r.rate) for r in outcome.routing_list.records()]
     loaded = [(str(r.path_set), r.rate) for r in routing.records()]
     assert original == loaded
@@ -155,7 +155,7 @@ def test_routing_dict_effective_is_lossless(dense5):
 def test_simulation_report(k23):
     graph, target = k23
     outcome = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
-    sim = simulate(graph, outcome.routing_list, outcome.effective, tau=1, seed=0)
+    sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
     report = assess_compromise(sim, {1, 2}, epsilon="0.1")
     doc = simulation_report_dict(sim, report)
     assert doc["format"] == "qkdroute.simulation/1"
@@ -176,7 +176,7 @@ def test_simulation_report(k23):
 def test_simulation_text_key_dump(k23):
     graph, target = k23
     outcome = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
-    sim = simulate(graph, outcome.routing_list, outcome.effective, tau=1, seed=0)
+    sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
     text = render_simulation_text(sim, None, dump_keys=True)
     dumps = [line for line in text.splitlines() if "key hex:" in line]
     assert len(dumps) == len(sim.pair_keys)
@@ -192,7 +192,7 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     route_files = write_route_artifacts(
         tmp_path / "route", outcome, graph, config, k23_file
     )
-    sim = simulate(graph, outcome.routing_list, outcome.effective, tau=1, seed=0)
+    sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
     sim_files = write_simulation_artifacts(
         tmp_path / "sim", sim, None, k23_file, route_files["routing_json"]
     )
@@ -205,7 +205,7 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     report = json.loads(sim_files["report_json"].read_text())
     assert report["pools"]["0-1"] == len(sim.pools[(0, 1)])
     # repeated simulation writes byte-identical reports
-    sim2 = simulate(graph, outcome.routing_list, outcome.effective, tau=1, seed=0)
+    sim2 = simulate(graph, outcome.routing_list, tau=1, seed=0)
     again = write_simulation_artifacts(
         tmp_path / "sim2", sim2, None, k23_file, route_files["routing_json"]
     )

@@ -156,6 +156,28 @@ def test_route_from_manifest_reproduces(k23_file, tmp_path, capsys):
     assert json.loads((tmp_path / "short" / "routing_list.json").read_text())["iterations"] == 1
 
 
+def test_route_hop_limit_and_guard_flags_reach_artifacts_and_replay(
+    k23_file, tmp_path, capsys
+):
+    first = tmp_path / "first"
+    again = tmp_path / "again"
+    assert main([
+        "route", "--input", str(k23_file), "--out-dir", str(first),
+        "--hop-limit", "2", "--no-strict-guard",
+    ]) == EXIT_OK
+    routing = json.loads((first / "routing_list.json").read_text())
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    for doc in (routing, config):
+        assert doc["hop_limit"] == 2 and doc["strict_guard"] is False
+    assert routing["records"]
+    assert main([
+        "route", "--from-manifest", str(first / "manifest.json"),
+        "--out-dir", str(again),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    assert (again / "routing_list.json").read_bytes() == (first / "routing_list.json").read_bytes()
+
+
 def test_route_from_manifest_replays_from_another_directory(
     k23_file, tmp_path, monkeypatch, capsys
 ):
@@ -332,7 +354,7 @@ def test_simulate_end_to_end(k23_file, tmp_path, capsys):
     statuses = {tuple(e["pair"]): e["status"] for e in report["pairs"]}
     # recompute each pair's verdict from the routed records themselves
     graph = load_network(k23_file).graph
-    routing, _, _ = read_routing_artifact(route_dir / "routing_list.json", graph)
+    routing, _ = read_routing_artifact(route_dir / "routing_list.json", graph)
     for pair in {r.pair for r in routing.records()}:
         flags = [
             record_is_leaked(r.path_set, {1, 2})
@@ -515,7 +537,8 @@ def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, c
     # without the guard the artifact reads, and the key simulation refuses it
     graph = load_network(k23_file).graph
     unguarded = write_net(tmp_path, "unguarded.json", dict(doc, strict_guard=False))
-    assert read_routing_artifact(unguarded, graph)[1][0, 1] == -100
+    routing, _ = read_routing_artifact(unguarded, graph)
+    assert routing.effective(graph)[0, 1] == -100
     assert main(["simulate", "--input", str(k23_file), "--routing", str(unguarded),
                  "--tau", "1"]) == EXIT_RUNTIME
     assert "over-subscribed" in capsys.readouterr().err

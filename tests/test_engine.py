@@ -136,8 +136,8 @@ def test_table_scoring_matches_reference(case):
     kept = [s for s in sets if not strict_guard or guard_ok(s, effective, delta_r)]
     table = candidate_table(sets, n)
     if strict_guard:
-        edge_cells = [u * n + v for u, v in graph.edges]
-        table = admissible(table, flat(effective), delta_r, edge_cells)
+        limits = [(u * n + v, int(target[u, v]) - delta_r) for u, v in graph.edges]
+        table = admissible(table, flat(deficiency), limits)
     assert [c.path_set for c in table] == kept
     if not kept:
         return
@@ -307,6 +307,13 @@ def test_delta_r_required(ring6):
     graph, target = ring6
     with pytest.raises(ValidationError, match="delta_r"):
         run(graph, target, RouterConfig(m=2))
+
+
+def test_disconnected_graph_refused():
+    # a triangle and a separate edge, built directly rather than loaded
+    graph = NetworkGraph(5, {(0, 1): 10, (0, 2): 10, (1, 2): 10, (3, 4): 10})
+    with pytest.raises(ValidationError, match="graph must be connected"):
+        run(graph, uniform_target(5, 1), RouterConfig(m=1, delta_r=1))
 
 
 def test_direct_pair_worst_stop():

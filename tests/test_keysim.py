@@ -42,18 +42,12 @@ SET_A = MPathSet((Path((0, 1, 4)), Path((0, 2, 4))))
 SET_B = MPathSet((Path((0, 1, 4)), Path((0, 3, 4))))
 
 
-def single_record_setup(k23, rate=300, tau=1):
-    """One routed record on the bipartite graph, with consistent leftovers."""
+def single_record_setup(k23, rate=300):
+    """One routed record on the bipartite graph."""
     graph, _ = k23
     routing = RoutingList()
     routing.add(SET_A, rate)
-    effective = graph.rate_matrix()
-    for path in SET_A.paths:
-        for u, v in path.edges:
-            effective[u, v] -= rate
-            effective[v, u] -= rate
-    effective[0, 4] = effective[4, 0] = rate
-    return graph, routing, effective
+    return graph, routing
 
 
 def test_pool_lengths_and_determinism(k23):
@@ -101,8 +95,7 @@ def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
     for edge, pool in pools.items():
         assert len(pool) == len(reference[edge])
         assert np.array_equal(pool.bits, np.packbits(reference[edge]))
-    allocation = allocate_segments(pools, out.routing_list, out.effective,
-                                   graph.scale, tau)
+    allocation = allocate_segments(pools, out.routing_list, graph, tau)
     for (path_set, edge), seg in allocation.relay.items():
         assert np.array_equal(
             allocation.relay_bits(pools, path_set, edge),
@@ -175,18 +168,13 @@ def test_record_is_leaked_rule():
 
 
 def test_allocation_layout(k23):
-    graph, routing, effective = single_record_setup(k23, rate=300)
+    graph, routing = single_record_setup(k23, rate=300)
     pools = accumulate_pools(graph, Decimal(1), seed=0)
-    allocation = allocate_segments(pools, routing, effective, graph.scale,
-                                   Decimal(1))
-    # every edge keeps its leftover rate at the pool front
-    for edge in graph.edges:
-        expected = int(effective[edge[0], edge[1]])
-        assert allocation.effective[edge] == Segment(0, expected)
-    # relay segments start right after, one per traversed edge
+    allocation = allocate_segments(pools, routing, graph, Decimal(1))
+    # every traversed edge keeps its own share of 1000 - 300 bits at the
+    # pool front; one relay segment starts right after it
     for edge in ((0, 1), (1, 4), (0, 2), (2, 4)):
-        seg = allocation.relay[(SET_A, edge)]
-        assert seg == Segment(700, 300)
+        assert allocation.relay[(SET_A, edge)] == Segment(1000 - 300, 300)
     assert (SET_A, (0, 3)) not in allocation.relay
 
 
@@ -195,53 +183,57 @@ def test_allocation_stacks_records_in_canonical_order(k23):
     routing = RoutingList()
     routing.add(SET_B, 200)
     routing.add(SET_A, 300)
-    effective = graph.rate_matrix()
-    for path_set, rate in ((SET_A, 300), (SET_B, 200)):
-        for path in path_set.paths:
-            for u, v in path.edges:
-                effective[u, v] -= rate
-                effective[v, u] -= rate
     pools = accumulate_pools(graph, Decimal(1), seed=0)
-    allocation = allocate_segments(pools, routing, effective, graph.scale,
-                                   Decimal(1))
-    # edge (0, 1) serves both records; SET_A sorts first so it sits first
-    assert allocation.effective[(0, 1)] == Segment(0, 500)
-    assert allocation.relay[(SET_A, (0, 1))] == Segment(500, 300)
-    assert allocation.relay[(SET_B, (0, 1))] == Segment(800, 200)
-    assert allocation.relay[(SET_B, (0, 3))] == Segment(800, 200)
+    allocation = allocate_segments(pools, routing, graph, Decimal(1))
+    # edge (0, 1) serves both records and keeps 1000 - 300 - 200 bits of its
+    # own; SET_A sorts first so it sits first
+    cursor = 1000 - 300 - 200
+    assert allocation.relay[(SET_A, (0, 1))] == Segment(cursor, 300)
+    assert allocation.relay[(SET_B, (0, 1))] == Segment(cursor + 300, 200)
+    assert allocation.relay[(SET_B, (0, 3))] == Segment(1000 - 200, 200)
 
 
 def test_allocation_rejects_oversubscribed_edge(k23):
-    graph, routing, effective = single_record_setup(k23)
-    effective[0, 1] = effective[1, 0] = -100
+    # 1100 units over 1000-unit edges leave each member edge at -100
+    graph, routing = single_record_setup(k23, rate=1100)
     pools = accumulate_pools(graph, Decimal(1), seed=0)
     with pytest.raises(CapacityError, match="over-subscribed"):
-        allocate_segments(pools, routing, effective, graph.scale, Decimal(1))
+        allocate_segments(pools, routing, graph, Decimal(1))
+
+
+def test_allocation_rejects_short_own_share(k23):
+    graph, routing = single_record_setup(k23, rate=300)
+    pools = accumulate_pools(graph, Decimal(1), seed=0)
+    short = np.zeros(50, dtype=np.uint8)  # 400 bits, packed
+    short.flags.writeable = False
+    pools[(0, 1)] = KeyPool(short, 400)
+    with pytest.raises(CapacityError, match="700-bit own share"):
+        allocate_segments(pools, routing, graph, Decimal(1))
 
 
 def test_allocation_rejects_exhausted_pool(k23):
-    graph, routing, effective = single_record_setup(k23, rate=300)
-    # shrink one pool below effective + relay demand
+    graph, routing = single_record_setup(k23, rate=300)
+    # shrink one pool below own share + relay demand
     pools = accumulate_pools(graph, Decimal(1), seed=0)
     short = np.zeros(100, dtype=np.uint8)  # 800 bits, packed
     short.flags.writeable = False
-    pools[(0, 1)] = KeyPool((0, 1), short, 800)
+    pools[(0, 1)] = KeyPool(short, 800)
     with pytest.raises(CapacityError, match="exhausted"):
-        allocate_segments(pools, routing, effective, graph.scale, Decimal(1))
+        allocate_segments(pools, routing, graph, Decimal(1))
 
 
 def test_allocation_rejects_unknown_edge(k23):
-    graph, routing, effective = single_record_setup(k23)
+    graph, routing = single_record_setup(k23)
     pools = accumulate_pools(graph, Decimal(1), seed=0)
     del pools[(0, 2)]
     with pytest.raises(CapacityError, match="not an edge"):
-        allocate_segments(pools, routing, effective, graph.scale, Decimal(1))
+        allocate_segments(pools, routing, graph, Decimal(1))
 
 
 def test_relay_matches_forward_oracle(k23):
     graph, target = k23
     out = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
-    sim = simulate(graph, out.routing_list, out.effective, tau=1, seed=5)
+    sim = simulate(graph, out.routing_list, tau=1, seed=5)
     for record in out.routing_list.records():
         for path in record.path_set.paths:
             segments = [
@@ -264,7 +256,7 @@ def test_endpoint_agreement_across_seeds(k23):
     graph, target = k23
     out = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
     for seed in range(10):
-        sim = simulate(graph, out.routing_list, out.effective, tau=1, seed=seed)
+        sim = simulate(graph, out.routing_list, tau=1, seed=seed)
         for pair, key in sim.pair_keys.items():
             assert key.agreed
             expected = sum(
@@ -280,14 +272,7 @@ def test_multi_record_pair_key_layout(k23):
     routing = RoutingList()
     routing.add(SET_A, 300)
     routing.add(SET_B, 200)
-    effective = graph.rate_matrix()
-    for path_set, rate in ((SET_A, 300), (SET_B, 200)):
-        for path in path_set.paths:
-            for u, v in path.edges:
-                effective[u, v] -= rate
-                effective[v, u] -= rate
-    effective[0, 4] = effective[4, 0] = 500
-    sim = simulate(graph, routing, effective, tau=1, seed=3)
+    sim = simulate(graph, routing, tau=1, seed=3)
     key = sim.pair_keys[(0, 4)]
     assert key.agreed
     assert len(key.bits) == 500
@@ -303,15 +288,15 @@ def test_multi_record_pair_key_layout(k23):
 
 
 def test_simulate_propagates_capacity_error(k23):
-    graph, routing, effective = single_record_setup(k23)
-    effective[0, 1] = effective[1, 0] = -1
-    with pytest.raises(CapacityError):
-        simulate(graph, routing, effective, tau=1)
+    # 1001 units over 1000-unit edges leave each member edge at -1
+    graph, routing = single_record_setup(k23, rate=1001)
+    with pytest.raises(CapacityError, match="over-subscribed"):
+        simulate(graph, routing, tau=1)
 
 
 def test_compromise_statuses(k23):
-    graph, routing, effective = single_record_setup(k23)
-    sim = simulate(graph, routing, effective, tau=1)
+    graph, routing = single_record_setup(k23)
+    sim = simulate(graph, routing, tau=1)
     assert assess_compromise(sim, set()).pair_status[(0, 4)] == SECURE
     assert assess_compromise(sim, {1}).pair_status[(0, 4)] == SECURE
     assert assess_compromise(sim, {0, 4}).pair_status[(0, 4)] == SECURE
@@ -328,13 +313,7 @@ def test_partial_leak_status(k23):
     routing = RoutingList()
     routing.add(SET_A, 100)
     routing.add(SET_B, 100)
-    effective = graph.rate_matrix()
-    for path_set in (SET_A, SET_B):
-        for path in path_set.paths:
-            for u, v in path.edges:
-                effective[u, v] -= 100
-                effective[v, u] -= 100
-    sim = simulate(graph, routing, effective, tau=1)
+    sim = simulate(graph, routing, tau=1)
     # {1, 2} opens SET_A but SET_B still has the clean path through 3
     report = assess_compromise(sim, {1, 2})
     assert report.pair_status[(0, 4)] == PARTIALLY_LEAKED
@@ -343,8 +322,8 @@ def test_partial_leak_status(k23):
 
 
 def test_adversary_reconstruction_exact(k23):
-    graph, routing, effective = single_record_setup(k23)
-    sim = simulate(graph, routing, effective, tau=1, seed=11)
+    graph, routing = single_record_setup(k23)
+    sim = simulate(graph, routing, tau=1, seed=11)
     assert adversary_reconstruct(sim, SET_A, {1}) is None
     assert adversary_reconstruct(sim, SET_A, {3}) is None
     rebuilt = adversary_reconstruct(sim, SET_A, {1, 2})
@@ -361,7 +340,7 @@ def test_every_compromise_subset_cross_checks(request):
     for fixture, delta_r in (("k23", 100), ("ring6", 10)):
         graph, target = request.getfixturevalue(fixture)
         out = run(graph, target, RouterConfig(m=2, delta_r=delta_r, seed=0))
-        sim = simulate(graph, out.routing_list, out.effective, tau="0.5", seed=2)
+        sim = simulate(graph, out.routing_list, tau="0.5", seed=2)
         nodes = range(graph.node_count)
         for size in range(graph.node_count + 1):
             for subset in itertools.combinations(nodes, size):
@@ -373,7 +352,7 @@ def test_every_compromise_subset_cross_checks(request):
 def test_longer_paths_need_only_one_corrupt_interior(ring6):
     graph, target = ring6
     out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
-    sim = simulate(graph, out.routing_list, out.effective, tau=1, seed=0)
+    sim = simulate(graph, out.routing_list, tau=1, seed=0)
     # {(3, 0, 1, 4, 5), (3, 2, 5)}: corrupting 0 on one path and 2 on the
     # other opens the record even though 1 and 4 stay honest
     target_set = MPathSet((Path((3, 0, 1, 4, 5)), Path((3, 2, 5))))
@@ -388,10 +367,10 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     """Patch one path's segment through all 256 values: the pair key block
     must run through all 256 values too (the mask path acts as a one-time
     pad), and both endpoints must agree every time."""
-    graph, routing, effective = single_record_setup(k23, rate=100)
+    graph, routing = single_record_setup(k23, rate=100)
     tau = Decimal("0.08")  # 100 bit/s * 0.08 s = 8-bit relay segments
     base = accumulate_pools(graph, tau, seed=9)
-    allocation = allocate_segments(base, routing, effective, graph.scale, tau)
+    allocation = allocate_segments(base, routing, graph, tau)
     seg = allocation.relay[(SET_A, (0, 1))]
     assert seg.length == 8
     seen = set()
@@ -404,7 +383,7 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
         )
         packed = np.packbits(bits)
         packed.flags.writeable = False
-        patched[(0, 1)] = KeyPool((0, 1), packed, len(pool))
+        patched[(0, 1)] = KeyPool(packed, len(pool))
         for path in SET_A.paths:
             key_i, key_j, _ = relay_path_key(patched, allocation, SET_A, path)
             assert np.array_equal(key_i, key_j)

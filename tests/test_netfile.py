@@ -137,16 +137,20 @@ def test_resolution_field(tmp_path):
 
 
 def test_disconnected_rejected_at_load(tmp_path):
-    doc = {
-        "nodes": 4,
-        "edges": [
-            {"u": 0, "v": 1, "rate_kbps": 1},
-            {"u": 2, "v": 3, "rate_kbps": 1},
-        ],
-        "target": 0.1,
-    }
-    with pytest.raises(ValidationError, match="disconnected"):
-        load_network(write(tmp_path, doc))
+    # two edges cannot connect four nodes; a triangle plus a separate edge
+    # has enough edges and is refused by the connectivity search instead
+    cases = (
+        (4, [(0, 1), (2, 3)], "disconnected: 4 nodes cannot be connected"),
+        (5, [(0, 1), (0, 2), (1, 2), (3, 4)], "graph is disconnected$"),
+    )
+    for nodes, edges, message in cases:
+        doc = {
+            "nodes": nodes,
+            "edges": [{"u": u, "v": v, "rate_kbps": 1} for u, v in edges],
+            "target": 0.1,
+        }
+        with pytest.raises(ValidationError, match=message):
+            load_network(write(tmp_path, doc))
 
 
 def test_node_count_beyond_the_edges_refused_before_building(tmp_path):

@@ -114,6 +114,23 @@ def test_paths_defines_no_nested_function():
     assert nested == []
 
 
+def test_no_function_takes_a_routing_list_and_its_effective_rates():
+    # effective rates follow from the routing list (RoutingList.effective);
+    # a second argument carrying them could disagree with it
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                routed = any(
+                    p.annotation is not None and "RoutingList" in ast.unparse(p.annotation)
+                    for p in params
+                )
+                if routed and any(p.arg == "effective" for p in params):
+                    both.append(f"{path.name}:{node.name}")
+    assert both == []
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
