@@ -6,6 +6,7 @@ The package splits into:
 - :mod:`qkdroute.netfile`: the JSON network description format
 - :mod:`qkdroute.paths`: simple-path and disjoint path-set enumeration
 - :mod:`qkdroute.engine`: the greedy rate-routing loop
+- :mod:`qkdroute.tiebreak`: the seeded stream that breaks its ties
 - :mod:`qkdroute.keysim`: bit-level key delivery and compromise analysis
 - :mod:`qkdroute.artifacts`: reproducible file outputs
 - :mod:`qkdroute.cli`: the ``qkdroute`` command
@@ -23,15 +24,9 @@ from .engine import (
     cost_delta,
     run,
 )
-from .keysim import (
-    CompromiseReport,
-    KeySimulation,
-    assess_compromise,
-    compromise_probability_bound,
-    simulate,
-)
 from .model import (
     NetworkGraph,
+    RateMatrix,
     RouterConfig,
     ValidationError,
     ValidationReport,
@@ -49,6 +44,24 @@ from .paths import (
 )
 from .units import UnitScale
 
+# keysim needs numpy, which nothing else here does, so its names load on use
+_KEYSIM_NAMES = {
+    "CompromiseReport",
+    "KeySimulation",
+    "assess_compromise",
+    "compromise_probability_bound",
+    "simulate",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _KEYSIM_NAMES:
+        from . import keysim
+
+        return getattr(keysim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "__version__",
     "CompromiseReport",
@@ -59,6 +72,7 @@ __all__ = [
     "NetworkFormatError",
     "NetworkGraph",
     "Path",
+    "RateMatrix",
     "RouterConfig",
     "RoutingList",
     "RoutingOutcome",

@@ -14,17 +14,18 @@ import io
 import json
 import os
 from pathlib import Path as FsPath
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from . import __version__
 from .engine import RoutingList, RoutingOutcome
-from .keysim import CompromiseReport, KeySimulation
-from .model import NetworkGraph, RouterConfig
+from .model import NetworkGraph, RateMatrix, RouterConfig
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 from .paths import MPathSet, Path
 from .units import MAX_UNITS, UnitScale
+
+if TYPE_CHECKING:
+    # keysim loads numpy, which only the simulation writers need
+    from .keysim import CompromiseReport, KeySimulation
 
 ROUTING_FORMAT = "qkdroute.routing/1"
 MANIFEST_FORMAT = "qkdroute.manifest/1"
@@ -150,16 +151,21 @@ def read_routing_artifact(
                 if not graph.has_edge(u, v):
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
             routing.add(path_set, rate)
-        effective = np.asarray(doc["effective_units"])
+        effective = doc["effective_units"]
     except (LookupError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"malformed routing artifact {path}: {exc!r}") from exc
-    if effective.shape != (n, n) or effective.dtype.kind != "i":
+    if not (
+        isinstance(effective, list)
+        and len(effective) == n
+        and all(isinstance(row, list) and len(row) == n for row in effective)
+        and all(_is_int(value) for row in effective for value in row)
+    ):
         raise NetworkFormatError(f"{path}: effective_units is not {n} x {n} integers")
-    if not np.array_equal(effective, routing.effective(graph)):
+    if effective != routing.effective(graph).tolist():
         raise NetworkFormatError(f"{path}: effective_units disagrees with its records")
     if doc["strict_guard"]:
         for u, v in graph.edges:
-            if effective[u, v] < 0:
+            if effective[u][v] < 0:
                 raise NetworkFormatError(
                     f"{path}: edge ({u}, {v}) is negative under the strict guard"
                 )
@@ -175,14 +181,13 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def render_matrix_csv(matrix: np.ndarray, scale: UnitScale) -> str:
+def render_matrix_csv(matrix: RateMatrix, scale: UnitScale) -> str:
     """Symmetric matrix as CSV in kbit/s, full precision, node index headers."""
-    n = matrix.shape[0]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["node"] + [str(j) for j in range(n)])
-    for i in range(n):
-        writer.writerow([str(i)] + [scale.kbps_str(int(matrix[i, j])) for j in range(n)])
+    writer.writerow(["node"] + [str(j) for j in range(matrix.n)])
+    for i, row in enumerate(matrix.tolist()):
+        writer.writerow([str(i)] + [scale.kbps_str(value) for value in row])
     return out.getvalue()
 
 
@@ -396,8 +401,7 @@ def render_simulation_text(
                 line += f" ({report.leaked_bits[pair]} bits leaked)"
         lines.append(line)
         if dump_keys:
-            packed = np.packbits(key.bits)
-            lines.append(f"  key hex: {packed.tobytes().hex()}")
+            lines.append(f"  key hex: {key.hex()}")
     if report is not None:
         lines.append(f"compromised nodes: {sorted(report.compromised) or 'none'}")
         if report.bound is not None:

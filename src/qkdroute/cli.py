@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from operator import sub
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
-from . import __version__, artifacts, engine, keysim
-from .model import RouterConfig, ValidationError, validate
+from . import __version__, artifacts, engine
+from .model import CapacityError, RateMatrix, RouterConfig, ValidationError, validate
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
 from .paths import (
     enumerate_m_path_sets,
@@ -188,6 +188,8 @@ def cmd_route(args: argparse.Namespace) -> int:
             combo_dir = str(FsPath(args.out_dir) / f"delta_r_{value}")
             tasks.append((network, combo, combo_dir, input_path))
         # combos are independent; order of completion does not matter
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             results = list(pool.map(_sweep_worker, tasks))
         for out_dir, iterations, reason, final_delta in results:
@@ -217,7 +219,9 @@ def cmd_paths(args: argparse.Namespace) -> int:
     i, j = args.pair
     paths = enumerate_simple_paths(graph, i, j, config.hop_limit)
     sets = enumerate_m_path_sets(paths, config.m)
-    deficiency = target - graph.rate_matrix()
+    deficiency = RateMatrix(
+        graph.node_count, map(sub, target.cells, graph.rate_matrix().cells)
+    )
     print(f"pair ({min(i, j)}, {max(i, j)}), M={config.m}: "
           f"{len(paths)} simple paths, {len(sets)} disjoint sets")
     if not sets:
@@ -230,6 +234,9 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # the one command that needs keysim, and with it numpy
+    from . import keysim
+
     graph, _, _ = load_network(args.input)
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
@@ -276,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetworkFormatError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (keysim.CapacityError, OSError) as exc:
+    except (CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,17 +6,26 @@ it, and moves one rate step delta_r from the member edges to the pair.  The
 loop stops when no pair is short, when the iteration budget runs out, or when
 one of the structural dead ends below is hit.
 
-All rates are integer units, so cost comparisons and the step accounting are
-exact.  Randomness is confined to tie-breaking: one draw from a seeded PCG64
-generator per tie with two or more candidates, taken over the candidates in
-canonical order.  Runs are bit-reproducible for a given input and seed.
+All rates are Python ``int`` units, so cost comparisons and the step
+accounting are exact and never wrap around.  Randomness is confined to
+tie-breaking: one draw per tie with two or more candidates, taken over the
+candidates in canonical order.  Runs are bit-reproducible for a given input
+and seed.
+
+The tie-break stream is :class:`~qkdroute.tiebreak.TieBreakStream`: the seed
+goes through numpy's SeedSequence into PCG64, whose XSL-RR outputs are split
+into 32-bit halves, low half first, with the high half carried to the next
+draw; Lemire's bounded rejection turns a half into an index below k.  That is
+what ``numpy.random.default_rng(seed).integers(k)`` draws, but the stream is
+ours: NEP 19 keeps PCG64 and SeedSequence stable across numpy versions, not
+``Generator.integers``.  It needs no numpy, and neither does this module.
 
 The loop's one state is the deficiency target - effective, a flat ``int``
 list indexed ``u * n + v`` and updated in place on the cells u < v; the strict
 guard reads it too.  ``RoutingList.effective`` derives the effective matrix,
 once, for the outcome.  A pair's candidates are scored from a table of the
 same flat indices, built the first time the pair is served.
-``apply_increment`` and ``set_deficiency`` are the ndarray definitions the
+``apply_increment`` and ``set_deficiency`` are the matrix definitions the
 loop agrees with.
 """
 
@@ -26,19 +35,19 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .model import (
     Edge,
     NetworkGraph,
+    RateMatrix,
     RouterConfig,
     ValidationError,
     check_target_matrix,
 )
 from .paths import MPathSet, PairPathCache
+from .tiebreak import TieBreakStream
 
 
 class GuardViolation(RuntimeError):
@@ -84,18 +93,25 @@ class RoutingList:
         ordered = sorted(self._rates.items(), key=lambda kv: kv[0].sort_key())
         return tuple(RoutingRecord(s, rate) for s, rate in ordered)
 
-    def effective(self, graph: NetworkGraph) -> np.ndarray:
+    def effective(self, graph: NetworkGraph) -> RateMatrix:
         """Symmetric effective rates: the edge rates plus each record's pair
         credit minus its debit on every member edge."""
-        out = graph.rate_matrix()
+        n = graph.node_count
+        cells = list(graph.rate_matrix().cells)
         for path_set, rate in self._rates.items():
-            i, j = path_set.endpoints
-            out[i, j] += rate
-            out[j, i] += rate
-            for u, v in path_set.edges:
-                out[u, v] -= rate
-                out[v, u] -= rate
-        return out
+            _move(cells, n, path_set, rate)
+        return RateMatrix(n, cells)
+
+
+def _move(cells: List[int], n: int, path_set: MPathSet, amount: int) -> None:
+    """Credit ``amount`` to the set's pair and debit it from every member
+    edge, both ways round, in the flat n*n ``cells``."""
+    i, j = path_set.endpoints
+    cells[i * n + j] += amount
+    cells[j * n + i] += amount
+    for u, v in path_set.edges:
+        cells[u * n + v] -= amount
+        cells[v * n + u] -= amount
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,7 @@ class IterationTrace:
 @dataclass(frozen=True)
 class RoutingOutcome:
     routing_list: RoutingList
-    effective: np.ndarray
+    effective: RateMatrix
     trace: Tuple[IterationTrace, ...]
     final_delta: int
     iterations: int
@@ -155,12 +171,11 @@ def cost_delta(deficiency: Sequence[int], n: int) -> int:
     return max(values(deficiency))
 
 
-def _choose(rng: np.random.Generator, items: Sequence) -> Tuple[object, int]:
+def _choose(rng: TieBreakStream, items: Sequence) -> Tuple[object, int]:
     """Uniform pick; consumes one draw only when there is a real tie."""
     if len(items) == 1:
         return items[0], 1
-    index = int(rng.integers(len(items)))
-    return items[index], len(items)
+    return items[rng.integers(len(items))], len(items)
 
 
 def worst_pairs(deficiency: Sequence[int], n: int) -> List[Edge]:
@@ -234,16 +249,16 @@ def _shift(
 
 
 def apply_increment(
-    effective: np.ndarray,
+    effective: RateMatrix,
     pair: Edge,
     path_set: MPathSet,
     delta_r: int,
     strict_guard: bool = False,
-) -> np.ndarray:
+) -> RateMatrix:
     """Move delta_r of rate from the member edges onto the pair.
 
-    Returns a new matrix and leaves the input untouched.  ``run`` applies
-    the same step in place, to the flat deficiency list.
+    Returns the new matrix.  ``run`` applies the same step in place, to the
+    flat deficiency list.
 
     Raises:
         GuardViolation: with ``strict_guard``, when any member edge holds
@@ -259,21 +274,15 @@ def apply_increment(
     if strict_guard:
         for u, v in path_set.edges:
             if effective[u, v] < delta_r:
-                raise GuardViolation(
-                    f"edge ({u}, {v}) holds {int(effective[u, v])} < {delta_r}"
-                )
-    out = effective.copy()
-    out[i, j] += delta_r
-    out[j, i] += delta_r
-    for u, v in path_set.edges:
-        out[u, v] -= delta_r
-        out[v, u] -= delta_r
-    return out
+                raise GuardViolation(f"edge ({u}, {v}) holds {effective[u, v]} < {delta_r}")
+    cells = list(effective.cells)
+    _move(cells, effective.n, path_set, delta_r)
+    return RateMatrix(effective.n, cells)
 
 
 def run(
     graph: NetworkGraph,
-    target: np.ndarray,
+    target: RateMatrix,
     config: RouterConfig,
     trace_candidates: bool = False,
 ) -> RoutingOutcome:
@@ -298,15 +307,15 @@ def run(
 
     n = graph.node_count
     step = config.delta_r
-    rng = np.random.default_rng(config.seed)
+    rng = TieBreakStream(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
     tables: Dict[Edge, List[Candidate]] = {}
-    limits = tuple((u * n + v, int(target[u, v]) - step) for u, v in graph.edges)
+    limits = tuple((u * n + v, target[u, v] - step) for u, v in graph.edges)
     routing = RoutingList()
     trace: List[IterationTrace] = []
     # target - effective as a flat list indexed u * n + v, updated in place;
     # only the cells u < v are kept current
-    deficiency = (target - graph.rate_matrix()).ravel().tolist()
+    deficiency = list(map(sub, target.cells, graph.rate_matrix().cells))
     delta = cost_delta(deficiency, n)
     r = 0
 

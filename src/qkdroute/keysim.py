@@ -39,14 +39,9 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .engine import RoutingList, RoutingRecord
-from .model import Edge, NetworkGraph, NodeId, canonical_edge
+from .model import CapacityError, Edge, NetworkGraph, NodeId, canonical_edge
 from .paths import MPathSet, Path
 from .units import as_decimal
-
-
-class CapacityError(RuntimeError):
-    """An edge pool is too short for the segments routed across it, or the
-    pools are too large for the machine's memory."""
 
 
 # 32-bit generator words a pool draws per step: 4 MiB of raw words, packed to
@@ -118,6 +113,10 @@ class PairKey:
 
     bits: np.ndarray
     agreed: bool
+
+    def hex(self) -> str:
+        """The bits packed eight to a byte, first bit highest, in hex."""
+        return np.packbits(self.bits).tobytes().hex()
 
 
 SECURE = "secure"

@@ -3,15 +3,15 @@
 A network is an undirected graph whose edges carry secret-key generation
 rates, plus a symmetric matrix of target rates for every node pair.  Rates
 are integers in the units fixed by the graph's :class:`~qkdroute.units.UnitScale`.
+Matrices of rates are :class:`RateMatrix` values, square and immutable.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Any, List, Mapping, Optional, Tuple
 
 from .units import UnitScale
 
@@ -23,8 +23,51 @@ class ValidationError(ValueError):
     """A structurally invalid network or configuration."""
 
 
+class CapacityError(RuntimeError):
+    """An edge pool is too short for the segments routed across it, or the
+    pools are too large for the machine's memory."""
+
+
 def canonical_edge(u: NodeId, v: NodeId) -> Edge:
     return (u, v) if u <= v else (v, u)
+
+
+@dataclass(frozen=True)
+class RateMatrix:
+    """An immutable n x n matrix of Python ints, read as ``m[u, v]``.
+
+    ``cells`` holds the rows one after another, so (u, v) is cell
+    ``u * n + v``, the flat index the routing loop works on; any iterable
+    of n * n ints is stored as a tuple.  Sums of its cells never wrap
+    around.  ``numpy.asarray(m)`` gives a fresh int array, and imports
+    numpy only then.
+    """
+
+    n: int
+    cells: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        cells = tuple(self.cells)
+        if len(cells) != self.n * self.n:
+            raise ValueError(f"{len(cells)} cells do not make a {self.n} x {self.n} matrix")
+        object.__setattr__(self, "cells", cells)
+
+    def __getitem__(self, index: Tuple[int, int]) -> int:
+        u, v = index
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise IndexError(f"({u}, {v}) is outside a {self.n} x {self.n} matrix")
+        return self.cells[u * self.n + v]
+
+    def tolist(self) -> List[List[int]]:
+        n = self.n
+        return [list(self.cells[u * n : (u + 1) * n]) for u in range(n)]
+
+    def __array__(self, dtype: Any = None, copy: Optional[bool] = None) -> Any:
+        if copy is False:
+            raise ValueError("a RateMatrix is converted to an array only by copying")
+        import numpy as np
+
+        return np.array(self.tolist(), dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -52,7 +95,7 @@ class NetworkGraph:
             key = canonical_edge(u, v)
             if key in clean:
                 raise ValidationError(f"duplicate edge ({key[0]}, {key[1]})")
-            if not isinstance(rate, (int, np.integer)) or isinstance(rate, bool):
+            if not isinstance(rate, numbers.Integral) or isinstance(rate, bool):
                 raise ValidationError(f"rate for edge {key} must be an integer unit count")
             if rate <= 0:
                 raise ValidationError(f"rate for edge {key} must be positive, got {rate}")
@@ -81,13 +124,13 @@ class NetworkGraph:
     def degree(self, u: NodeId) -> int:
         return len(self.neighbors(u))
 
-    def rate_matrix(self) -> np.ndarray:
-        """Symmetric int64 matrix of edge rates, zero where no edge exists."""
-        mat = np.zeros((self.node_count, self.node_count), dtype=np.int64)
+    def rate_matrix(self) -> RateMatrix:
+        """Symmetric matrix of edge rates, zero where no edge exists."""
+        n = self.node_count
+        cells = [0] * (n * n)
         for (u, v), rate in self.rates.items():
-            mat[u, v] = rate
-            mat[v, u] = rate
-        return mat
+            cells[u * n + v] = cells[v * n + u] = rate
+        return RateMatrix(n, cells)
 
     def is_connected(self) -> bool:
         seen = {0}
@@ -110,25 +153,26 @@ class NetworkGraph:
         )
 
 
-def uniform_target(node_count: int, units: int) -> np.ndarray:
+def uniform_target(node_count: int, units: int) -> RateMatrix:
     """Target matrix demanding the same rate for every distinct pair."""
     if units < 0:
         raise ValidationError(f"target must be non-negative, got {units}")
-    mat = np.full((node_count, node_count), int(units), dtype=np.int64)
-    np.fill_diagonal(mat, 0)
-    return mat
+    cells = [int(units)] * (node_count * node_count)
+    cells[:: node_count + 1] = [0] * node_count
+    return RateMatrix(node_count, cells)
 
 
-def check_target_matrix(target: np.ndarray, node_count: int) -> None:
-    if target.shape != (node_count, node_count):
+def check_target_matrix(target: RateMatrix, node_count: int) -> None:
+    if target.n != node_count:
         raise ValidationError(
-            f"target matrix must be {node_count}x{node_count}, got {target.shape}"
+            f"target matrix must be {node_count}x{node_count}, got {target.n}x{target.n}"
         )
-    if not np.array_equal(target, target.T):
+    rows = target.tolist()
+    if rows != [list(column) for column in zip(*rows)]:
         raise ValidationError("target matrix must be symmetric")
-    if np.any(np.diagonal(target) != 0):
+    if any(rows[u][u] for u in range(node_count)):
         raise ValidationError("target matrix diagonal must be zero")
-    if np.any(target < 0):
+    if min(target.cells) < 0:
         raise ValidationError("target rates must be non-negative")
 
 

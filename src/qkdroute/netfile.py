@@ -23,10 +23,9 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
-import numpy as np
-
 from .model import (
     NetworkGraph,
+    RateMatrix,
     RouterConfig,
     ValidationError,
     check_target_matrix,
@@ -41,7 +40,7 @@ class NetworkFormatError(ValueError):
 
 class LoadedNetwork(NamedTuple):
     graph: NetworkGraph
-    target: np.ndarray
+    target: RateMatrix
     config: RouterConfig
 
 
@@ -131,17 +130,18 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
     return LoadedNetwork(graph, target, config)
 
 
-def _parse_target(raw: object, node_count: int, scale: UnitScale) -> np.ndarray:
+def _parse_target(raw: object, node_count: int, scale: UnitScale) -> RateMatrix:
     if isinstance(raw, list):
         _require(
             len(raw) == node_count and all(isinstance(row, list) for row in raw),
             f"target matrix must be {node_count}x{node_count}",
         )
-        mat = np.zeros((node_count, node_count), dtype=np.int64)
+        cells = []
         for i, row in enumerate(raw):
             _require(len(row) == node_count, f"target row {i} has wrong length")
             for j, cell in enumerate(row):
-                mat[i, j] = scale.units_from_kbps(cell, f"target[{i}][{j}]")
+                cells.append(scale.units_from_kbps(cell, f"target[{i}][{j}]"))
+        mat = RateMatrix(node_count, cells)
         check_target_matrix(mat, node_count)
         return mat
     return uniform_target(node_count, scale.units_from_kbps(raw, "target"))
@@ -176,7 +176,7 @@ def _json_number(value: Decimal) -> Union[float, str]:
 
 
 def network_to_dict(
-    graph: NetworkGraph, target: np.ndarray, config: RouterConfig
+    graph: NetworkGraph, target: RateMatrix, config: RouterConfig
 ) -> dict:
     """Inverse of :func:`load_network`; reloading the result is lossless."""
     scale = graph.scale
@@ -199,21 +199,22 @@ def network_to_dict(
     }
     if scale.resolution_bps != 1:
         doc["resolution_bps"] = _json_number(scale.resolution_bps)
-    off_diagonal = target[~np.eye(graph.node_count, dtype=bool)]
-    if off_diagonal.size and np.all(off_diagonal == off_diagonal[0]):
-        doc["target"] = _json_number(scale.kbps(int(off_diagonal[0])))
+    rows = target.tolist()
+    off_diagonal = {
+        value for i, row in enumerate(rows) for j, value in enumerate(row) if i != j
+    }
+    # one value off the diagonal is written as a scalar target
+    if len(off_diagonal) == 1:
+        doc["target"] = _json_number(scale.kbps(off_diagonal.pop()))
     else:
-        doc["target"] = [
-            [_json_number(scale.kbps(int(target[i, j]))) for j in range(graph.node_count)]
-            for i in range(graph.node_count)
-        ]
+        doc["target"] = [[_json_number(scale.kbps(value)) for value in row] for row in rows]
     return doc
 
 
 def save_network(
     path: Union[str, Path],
     graph: NetworkGraph,
-    target: np.ndarray,
+    target: RateMatrix,
     config: RouterConfig,
 ) -> None:
     doc = network_to_dict(graph, target, config)

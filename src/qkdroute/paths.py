@@ -15,9 +15,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .model import Edge, NetworkGraph, NodeId, canonical_edge
+from .model import Edge, NetworkGraph, NodeId, RateMatrix, canonical_edge
 
 @dataclass(frozen=True)
 class Path:
@@ -214,7 +212,7 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
     return tuple(sets)
 
 
-def set_deficiency(path_set: MPathSet, deficiency: np.ndarray) -> int:
+def set_deficiency(path_set: MPathSet, deficiency: RateMatrix) -> int:
     """Worst (largest) pair deficiency over every edge of every member path."""
     return max(int(deficiency[u, v]) for u, v in path_set.edges)
 

@@ -13,7 +13,7 @@ from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localconte
 from typing import Iterator
 
 _KBPS = Decimal(1000)
-# the largest rate in units; rate and target matrices are int64
+# the largest rate in units, so every rate a file or artifact carries fits int64
 MAX_UNITS = 2**63 - 1
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from qkdroute import NetworkGraph, uniform_target
+from qkdroute.model import RateMatrix
 
 NETWORKS_DIR = Path(__file__).resolve().parent.parent / "networks"
 
@@ -33,6 +34,11 @@ MESH10_RATES = {
     (4, 8): 2000, (5, 8): 1800, (6, 9): 1400, (7, 9): 2600,
     (8, 9): 3200,
 }
+
+
+def as_rate_matrix(rows) -> RateMatrix:
+    """The RateMatrix of square rows, given as lists or as an ndarray."""
+    return RateMatrix(len(rows), [int(value) for row in rows for value in row])
 
 
 @pytest.fixture

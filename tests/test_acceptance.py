@@ -100,7 +100,7 @@ def test_acceptance_dense5_golden_run(dense5):
         accepted = [t for t in alt.trace if t.stop_reason is None]
         assert len(accepted) == 4
         for entry in accepted:
-            deficiency = target - effective
+            deficiency = np.asarray(target) - effective
             assert entry.selected_pair in {(0, 4), (1, 3)}
             assert entry.selected_pair in worst_pairs(deficiency.ravel().tolist(), 5)
             sets = enumerate_m_path_sets(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import pytest
@@ -474,24 +475,64 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
     bad_fields = [dict(good, m="2"), dict(good, delta_r_units=100.0),
                   dict(good, delta_r_units=0), dict(good, hop_limit="2"),
                   dict(good, strict_guard="yes"), no_steps]
+    # effective_units cells that JSON reads as other than int
+    false_diagonal = json.loads(json.dumps(good))
+    false_diagonal["effective_units"][0][0] = False
+    float_cell = json.loads(json.dumps(good))
+    assert float_cell["effective_units"][0][1] == 700
+    float_cell["effective_units"][0][1] = 700.0
+    # two records of 2**63 - 1 units on (0, 4) add past int64 on one cell;
+    # effective_units holds the sums wrapped around as int64 sums would be
+    big = 2**63 - 1
+    records = [
+        {"pair": [0, 4], "paths": paths, "rate_units": big,
+         "rate_kbps": "9223372036854775.807"}
+        for paths in ([[0, 1, 4], [0, 2, 4]], [[0, 1, 4], [0, 3, 4]])
+    ]
+    sums = [[0] * 5 for _ in range(5)]
+    for u, v in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)):
+        sums[u][v] = sums[v][u] = 1000
+    for record in records:
+        sums[0][4] += big
+        sums[4][0] += big
+        for path in record["paths"]:
+            for u, v in zip(path, path[1:]):
+                sums[u][v] -= big
+                sums[v][u] -= big
+    wrapped = [[(value + 2**63) % 2**64 - 2**63 for value in row] for row in sums]
+    wide = dict(good, records=records, delta_r_units=big, iterations=2,
+                effective_units=wrapped)
     artifacts = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_rate.json", no_rate),
         write_net(tmp_path, "bad_shape.json", bad_shape),
         write_net(tmp_path, "off_edge.json", off_edge),
         write_net(tmp_path, "drifted.json", drifted),
+        write_net(tmp_path, "false_diagonal.json", false_diagonal),
+        write_net(tmp_path, "float_cell.json", float_cell),
+        write_net(tmp_path, "wide.json", wide),
     ] + [
         write_net(tmp_path, f"rate_{k}.json", doc) for k, doc in enumerate(bad_rates)
     ] + [
         write_net(tmp_path, f"field_{k}.json", doc) for k, doc in enumerate(bad_fields)
     ]
+    messages = {
+        "false_diagonal.json": "effective_units is not 5 x 5 integers",
+        "float_cell.json": "effective_units is not 5 x 5 integers",
+        "wide.json": "effective_units disagrees with its records",
+    }
     capsys.readouterr()
     for artifact in artifacts:
-        assert main([
-            "simulate", "--input", str(k23_file), "--routing", str(artifact),
-            "--tau", "1",
-        ]) == EXIT_INVALID, artifact.name
-        assert "error:" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([
+                "simulate", "--input", str(k23_file), "--routing", str(artifact),
+                "--tau", "1",
+            ]) == EXIT_INVALID, artifact.name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and messages.get(artifact.name, "") in err, err
+        assert "RuntimeWarning" not in err and "overflow" not in err
+        assert [str(w.message) for w in caught] == [], artifact.name
 
 
 def refuses_routing(k23_file, tmp_path, capsys, doc, message):

@@ -30,6 +30,7 @@ from qkdroute.paths import (
     set_deficiency,
 )
 
+from conftest import as_rate_matrix
 from golden import (
     DENSE5_EXPECTED_TABLES,
     DENSE5_REFERENCE_SEED,
@@ -58,8 +59,8 @@ def flat(matrix):
 
 def test_cost_delta(ring6):
     graph, target = ring6
-    assert cost_delta(flat(target - graph.rate_matrix()), 6) == 100
-    met = graph.rate_matrix()
+    assert cost_delta(flat(np.asarray(target) - graph.rate_matrix()), 6) == 100
+    met = np.asarray(graph.rate_matrix())
     for i, j in graph.remote_pairs():
         met[i, j] = met[j, i] = 100
     assert cost_delta(flat(target - met), 6) == 0
@@ -73,7 +74,7 @@ def test_cost_delta(ring6):
 
 def test_worst_pair_selection(dense5):
     graph, target = dense5
-    deficiency = target - graph.rate_matrix()
+    deficiency = np.asarray(target) - graph.rate_matrix()
     assert worst_pairs(flat(deficiency), 5) == [(0, 4), (1, 3)]
     picks = set()
     for seed in range(30):
@@ -93,7 +94,7 @@ def test_worst_pair_selection(dense5):
 
 def test_select_optimal_set_filters(dense5):
     graph, target = dense5
-    deficiency = target - graph.rate_matrix()
+    deficiency = np.asarray(target) - graph.rate_matrix()
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
     table = candidate_table(candidates, graph.node_count)
     finalists = optimal_sets(table, flat(deficiency))
@@ -170,8 +171,9 @@ def test_apply_increment_zero_is_noop(dense5):
 
 def test_apply_increment_guard(dense5):
     graph, _ = dense5
-    effective = graph.rate_matrix()
+    effective = np.asarray(graph.rate_matrix())
     effective[0, 1] = effective[1, 0] = 40
+    effective = as_rate_matrix(effective)
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
     with pytest.raises(GuardViolation):
         apply_increment(effective, (1, 3), s, 100, strict_guard=True)
@@ -230,7 +232,7 @@ def test_dense5_trajectory_envelope(dense5):
         out = run(graph, target, dense5_config(seed=seed), trace_candidates=True)
         effective = graph.rate_matrix()
         for entry in out.trace:
-            deficiency = target - effective
+            deficiency = np.asarray(target) - effective
             if entry.stop_reason is not None:
                 break
             assert entry.selected_pair in worst_pairs(flat(deficiency), 5)
@@ -439,7 +441,7 @@ def routing_cases(draw):
         seed=draw(st.integers(0, 2**32)),
         strict_guard=draw(st.booleans()),
     )
-    return graph, target + target.T, config
+    return graph, as_rate_matrix(target + target.T), config
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -449,6 +451,7 @@ def test_run_invariants_on_random_graphs(case):
     graph, target, config = case
     step, guard = config.delta_r, config.strict_guard
     out = run(graph, target, config, trace_candidates=True)
+    target = np.asarray(target)
     sets = {}
     effective = graph.rate_matrix()
     for entry in out.trace[:-1]:
@@ -466,11 +469,11 @@ def test_run_invariants_on_random_graphs(case):
         effective = apply_increment(effective, pair, entry.chosen_set, step, guard)
         assert entry.delta_after == reference_cost(target, effective) <= entry.delta_before
     assert np.array_equal(effective, out.effective)
-    assert out.effective.dtype == np.int64
-    assert np.array_equal(out.effective, out.effective.T)
+    assert all(type(value) is int for value in out.effective.cells)
+    assert np.array_equal(out.effective, np.asarray(out.effective).T)
     # conservation: edge rates + pair credits - edge debits
     records = out.routing_list.records()
-    expected = graph.rate_matrix()
+    expected = np.asarray(graph.rate_matrix())
     for record in records:
         (i, j), rate = record.pair, record.rate
         expected[i, j] += rate

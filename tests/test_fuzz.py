@@ -2,14 +2,17 @@
 makes the command exit 1 with one ``error:`` line, and raises nothing.  A
 broken network file makes ``load_network`` itself raise a NetworkFormatError,
 or a ValidationError for a disconnected graph, never a bare ValueError or
-TypeError."""
+TypeError.  And the pure-Python tie-break stream draws what numpy's
+``Generator.integers`` draws, on any seed."""
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, main
 from qkdroute.model import ValidationError
 from qkdroute.netfile import NetworkFormatError, load_network
+from qkdroute.tiebreak import TieBreakStream
 
 from conftest import NETWORKS_DIR
 
@@ -153,3 +157,28 @@ def test_broken_inputs_exit_1_with_an_error_line(originals, data):
         assert type(error) is NetworkFormatError or (
             type(error) is ValidationError and "disconnected" in str(error)
         ), (site, edit, repr(error))
+
+
+# bounds that draw nothing (1), reject often (2**31 + 1), or rarely (2, 3, 2**32 - 1)
+TIE_BOUNDS = (1, 2, 3, 2**31 + 1, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    drawn=st.lists(st.integers(1, 2**32 - 1), min_size=300, max_size=300),
+)
+def test_tie_break_stream_matches_numpy(seed, drawn):
+    # the bounds alternate between drawn ones and TIE_BOUNDS, so a carried
+    # high half-word is read under every kind of bound
+    bounds = [k for pair in zip(drawn, itertools.cycle(TIE_BOUNDS)) for k in pair]
+    oracle = np.random.default_rng(seed)
+    stream = TieBreakStream(seed)
+    assert [stream.integers(k) for k in bounds] == [int(oracle.integers(k)) for k in bounds]
+
+
+@pytest.mark.parametrize("seed, k", [(0, 0), (0, 2**32), (-1, 1), (2**64, 1)])
+def test_tie_break_stream_refuses_bounds_out_of_range(seed, k):
+    # numpy draws k >= 2**32 another way; RouterConfig takes 64-bit seeds
+    with pytest.raises(ValueError, match="must be from"):
+        TieBreakStream(seed).integers(k)

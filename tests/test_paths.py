@@ -6,6 +6,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qkdroute.model import NetworkGraph
@@ -179,7 +180,7 @@ def test_paths_longer_than_the_recursion_limit():
 
 def test_set_deficiency_takes_worst_edge(dense5):
     graph, target = dense5
-    deficiency = target - graph.rate_matrix()
+    deficiency = np.asarray(target) - graph.rate_matrix()
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
     assert set_deficiency(s, deficiency) == -300
     s2 = MPathSet((Path((1, 0, 3)), Path((1, 2, 4, 3))))

@@ -12,9 +12,17 @@ import pytest
 
 import qkdroute
 
+from conftest import NETWORKS_DIR
+
 SRC = Path(qkdroute.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this source tree."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath)
 
 
 def test_all_names_resolve():
@@ -131,12 +139,43 @@ def test_no_function_takes_a_routing_list_and_its_effective_rates():
     assert both == []
 
 
+# run in a fresh interpreter: numpy must not be loaded by the end of the
+# command, and the names served from keysim must still resolve afterwards
+_NUMPY_PROBE = """
+import sys
+import qkdroute
+if sys.argv[1:]:
+    from qkdroute import cli
+    assert cli.main(sys.argv[1:]) == 0
+assert "numpy" not in sys.modules, "numpy is loaded"
+from qkdroute import keysim
+assert qkdroute.simulate is keysim.simulate
+assert qkdroute.KeySimulation is keysim.KeySimulation
+assert issubclass(keysim.CapacityError, RuntimeError)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    [],
+    ["validate", "--input", "{k23}"],
+    ["route", "--input", "{k23}", "--out-dir", "{out}"],
+    ["paths", "--input", "{k23}", "--pair", "0,4"],
+], ids=["import", "validate", "route", "paths"])
+def test_routing_commands_load_no_numpy(command, tmp_path):
+    k23 = NETWORKS_DIR / "k23.json"
+    argv = [arg.format(k23=k23, out=tmp_path / "route") for arg in command]
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True,
+        env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
-    pythonpath = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(DEMOS / demo)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120,
+        env=_child_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
