@@ -7,7 +7,8 @@ Subcommands::
     qkdroute paths    --input net.json --pair 1,3 [--m 2] [--hop-limit H]
     qkdroute simulate --input net.json --routing DIR --tau 100 [--compromise 0,4]
 
-Exit codes: 0 success, 1 validation or input failure, 2 runtime error.
+Exit codes: 0 success, 1 validation or input failure (a malformed command
+line included), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 import sys
 from operator import sub
 from pathlib import Path as FsPath
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import __version__, artifacts, engine
 from .model import CapacityError, RateMatrix, RouterConfig, ValidationError, validate
@@ -55,18 +56,26 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected a comma-separated node list") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit as input failures."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdroute",
         description="Key routing over multiple node-disjoint paths",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--m", type=int, default=None,
                         help="disjoint paths per route set (overrides the file)")
-    with_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_input = _Parser(add_help=False, parents=[common])
     with_input.add_argument("--input", required=True, help="network description JSON")
 
     p_validate = sub.add_parser("validate", parents=[with_input],

@@ -1,15 +1,19 @@
-"""Simple-path enumeration and internally disjoint path-set construction.
+"""Simple-path enumeration, internally disjoint path-set construction, and
+the max-flow test of which pairs have such a set.
 
 Route candidates for a node pair are sets of M simple paths that share no
 interior node, so compromising the routed key requires at least one corrupt
 relay on every member path.  Everything here is deterministic: paths are
 oriented from the smaller endpoint and emitted in lexicographic order, which
-downstream tie-breaking relies on.
+downstream tie-breaking relies on.  Whether a pair has any such set at all is
+a max-flow question (Menger's theorem), which ``find_unroutable_pairs``
+answers without enumerating paths unless a hop limit asks it to confirm.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -242,10 +246,59 @@ def find_unroutable_pairs(
 ) -> Tuple[Edge, ...]:
     """Remote pairs for which no set of m internally disjoint paths exists.
 
-    Pairs are enumerated one at a time and only the unroutable ones are
-    kept, so the scan holds one pair's paths and sets at a time.
+    Each pair is decided by a unit-capacity max-flow (Menger's theorem): node
+    v splits into v_in -> v_out, capacity 1 on interior nodes and m on the
+    two endpoints, and every edge becomes two arcs of capacity 1.  Breadth-
+    first augmenting paths stop once m units pass.  A remote pair has no
+    direct link, so without a hop limit flow >= m is exactly "an m-set
+    exists".  With one, flow >= m is only necessary, so the pairs that pass
+    are confirmed by enumerating their hop-bounded sets.
     """
-    return tuple(
-        pair for pair in graph.remote_pairs()
-        if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
-    )
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    n = graph.node_count
+    # node v splits into vertices 2v (v_in) and 2v + 1 (v_out).  Arc 2k runs
+    # along ends[k] and arc 2k + 1 is its residual twin, so arc a's twin is
+    # a ^ 1 and arc 2v is node v's own v_in -> v_out.
+    ends = [(2 * v, 2 * v + 1) for v in range(n)]
+    for u, w in graph.edges:
+        ends += [(2 * u + 1, 2 * w), (2 * w + 1, 2 * u)]
+    head: list[int] = []
+    arcs_from: list[list[int]] = [[] for _ in range(2 * n)]
+    for k, (tail, tip) in enumerate(ends):
+        arcs_from[tail].append(2 * k)
+        arcs_from[tip].append(2 * k + 1)
+        head += [tip, tail]
+    unit_caps = [1, 0] * len(ends)
+    unroutable = []
+    for i, j in graph.remote_pairs():
+        cap = unit_caps[:]
+        cap[2 * i] = cap[2 * j] = m
+        source, sink = 2 * i, 2 * j + 1
+        flow = 0
+        while flow < m:
+            via = [-1] * (2 * n)  # the arc each vertex was first reached by
+            via[source] = 0  # marks the source reached; never followed back
+            queue = deque([source])
+            while queue and via[sink] < 0:
+                x = queue.popleft()
+                for a in arcs_from[x]:
+                    y = head[a]
+                    if cap[a] and via[y] < 0:
+                        via[y] = a
+                        queue.append(y)
+            if via[sink] < 0:
+                break
+            y = sink
+            while y != source:
+                a = via[y]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                y = head[a ^ 1]
+            flow += 1
+        if flow < m or (
+            hop_limit is not None
+            and not enumerate_m_path_sets(enumerate_simple_paths(graph, i, j, hop_limit), m)
+        ):
+            unroutable.append((i, j))
+    return tuple(unroutable)

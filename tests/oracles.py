@@ -5,7 +5,9 @@ oracle is a recursive depth-first search over adjacency sets, the relay
 oracle walks a path node by node handing a key forward, and the pool oracle
 draws each pool unpacked in a single call.  Shared bugs with the production
 code would defeat the point, so nothing here imports from qkdroute beyond
-plain data types.
+plain data types, with one exception: the unroutable-pair reference is the
+enumeration scan that the max-flow test replaced, built on the library's
+enumerators, which are themselves checked against the DFS oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
+
+from qkdroute.paths import enumerate_m_path_sets, enumerate_simple_paths
 
 
 def dfs_simple_paths(
@@ -63,6 +67,17 @@ def disjoint_subsets(
 ) -> Set[FrozenSet[Tuple[int, ...]]]:
     """All m-subsets of paths whose interiors are pairwise disjoint."""
     return {frozenset(combo) for combo in ordered_disjoint_subsets(paths, m)}
+
+
+def reference_unroutable_pairs(
+    graph, m: int, hop_limit: int | None
+) -> Tuple[Tuple[int, int], ...]:
+    """Remote pairs, in order, none of whose m-subsets of simple paths (at
+    most hop_limit hops each) is internally disjoint."""
+    return tuple(
+        pair for pair in graph.remote_pairs()
+        if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
+    )
 
 
 def relay_key_forward(

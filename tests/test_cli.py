@@ -98,6 +98,32 @@ def test_unparseable_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["paths", "--input", "{net}", "--pair", "a,b"],
+     "qkdroute paths: error: argument --pair: pair must contain two integers"),
+    (["simulate", "--input", "{net}", "--routing", "{net}", "--tau", "1",
+      "--compromise", ","],
+     "qkdroute simulate: error: argument --compromise: expected a comma-separated node list"),
+    (["validate"],
+     "qkdroute validate: error: the following arguments are required: --input"),
+], ids=["pair", "compromise", "missing-input"])
+def test_usage_errors_exit_1(k23_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(net=k23_file) for arg in argv])
+    assert exited.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qkdroute {argv[0]} ")
+    assert captured.err.endswith(f"\n{message}\n")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["validate", "--help"])
+    assert exited.value.code == EXIT_OK
+    assert "--input" in capsys.readouterr().out
+
+
 def test_route_writes_artifacts(ring6_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main([

@@ -6,9 +6,14 @@ import random
 import sys
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
+from qkdroute import paths as paths_module
 from qkdroute.model import NetworkGraph
 from qkdroute.paths import (
     MPathSet,
@@ -20,11 +25,27 @@ from qkdroute.paths import (
     set_deficiency,
 )
 
-from oracles import dfs_simple_paths, ordered_disjoint_subsets
+from oracles import dfs_simple_paths, ordered_disjoint_subsets, reference_unroutable_pairs
 
 
 def adjacency_of(graph):
     return {u: set(graph.neighbors(u)) for u in range(graph.node_count)}
+
+
+def grid_graph(side):
+    rates = {}
+    for node in range(side * side):
+        if node % side + 1 < side:
+            rates[(node, node + 1)] = 100
+        if node + side < side * side:
+            rates[(node, node + side)] = 100
+    return NetworkGraph(side * side, rates)
+
+
+# two triangles sharing node 2: every degree is >= 2, yet no pair across the
+# cut vertex has two internally disjoint paths
+BOWTIE = NetworkGraph(5, {(0, 1): 100, (0, 2): 100, (1, 2): 100, (2, 3): 100,
+                          (2, 4): 100, (3, 4): 100})
 
 
 def test_path_orientation_and_equality():
@@ -231,3 +252,68 @@ def test_unroutable_scan_holds_one_pair_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak - before < every_pair / 4
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 4-10 nodes plus up to n extra edges."""
+    n = draw(st.integers(4, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return NetworkGraph(n, dict.fromkeys(edges, 100))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(graph=connected_graphs(), m=st.integers(1, 3),
+       hop_limit=st.none() | st.integers(1, 4))
+def test_unroutable_pairs_match_enumeration(graph, m, hop_limit):
+    found = find_unroutable_pairs(graph, m, hop_limit)
+    assert found == reference_unroutable_pairs(graph, m, hop_limit)
+    if hop_limit is None:
+        # Menger: a non-adjacent pair has m disjoint paths iff no m - 1
+        # interior nodes separate it
+        nx_graph = nx.Graph(list(graph.rates))
+        assert found == tuple(
+            (i, j) for i, j in graph.remote_pairs()
+            if local_node_connectivity(nx_graph, i, j) < m
+        )
+
+
+def _refuse_enumeration(*args, **kwargs):
+    raise AssertionError("the scan enumerated paths")
+
+
+def test_unroutable_scan_without_hop_limit_enumerates_nothing(monkeypatch):
+    monkeypatch.setattr(paths_module, "enumerate_simple_paths", _refuse_enumeration)
+    monkeypatch.setattr(paths_module, "enumerate_m_path_sets", _refuse_enumeration)
+    assert find_unroutable_pairs(grid_graph(4), 2) == ()
+    assert find_unroutable_pairs(BOWTIE, 2) == ((0, 3), (0, 4), (1, 3), (1, 4))
+
+
+def test_hop_limited_scan_enumerates_only_pairs_that_pass_the_flow_test(monkeypatch):
+    enumerated = []
+    original = paths_module.enumerate_simple_paths
+
+    def spy(graph, i, j, hop_limit=None):
+        enumerated.append((i, j))
+        return original(graph, i, j, hop_limit)
+
+    monkeypatch.setattr(paths_module, "enumerate_simple_paths", spy)
+    # every remote pair of the bowtie lies across the cut vertex
+    assert find_unroutable_pairs(BOWTIE, 2, hop_limit=3) == ((0, 3), (0, 4), (1, 3), (1, 4))
+    assert enumerated == []
+    # a square 0-1-2-5 in place of the left triangle: (0, 2) and (1, 5) pass
+    # the flow test and are confirmed, the six pairs across node 2 are not tried
+    square = NetworkGraph(6, {(0, 1): 100, (1, 2): 100, (2, 5): 100, (0, 5): 100,
+                              (2, 3): 100, (2, 4): 100, (3, 4): 100})
+    assert find_unroutable_pairs(square, 2, hop_limit=2) == (
+        (0, 3), (0, 4), (1, 3), (1, 4), (3, 5), (4, 5))
+    assert enumerated == [(0, 2), (1, 5)]
+
+
+def test_six_by_six_grid_is_routable():
+    # 570 remote pairs: far beyond an enumeration scan in a test run
+    assert find_unroutable_pairs(grid_graph(6), 2) == ()

@@ -17,6 +17,7 @@ from conftest import NETWORKS_DIR
 SRC = Path(qkdroute.__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MUTANTS = Path(__file__).resolve().parent.parent / "mutants"
 
 
 def _child_env() -> dict:
@@ -191,4 +192,27 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         for owner, attr, _ in tracer._targets()
         if not callable(getattr(owner, attr, None))
     ]
+    assert missing == []
+
+
+def test_mutant_snippets_occur_once(monkeypatch):
+    # mutants/run.py replaces each snippet; code that moves must take its
+    # catalogue entry along, and every test named must still exist
+    monkeypatch.syspath_prepend(str(MUTANTS))
+    import catalogue
+
+    root = MUTANTS.parent
+    counts = {
+        mutant.name: (SRC.parent / mutant.file).read_text().count(mutant.snippet)
+        for mutant in catalogue.MUTANTS
+    }
+    assert counts == {mutant.name: 1 for mutant in catalogue.MUTANTS}
+    missing = []
+    for mutant in catalogue.MUTANTS:
+        for test_id in mutant.tests:
+            path, name = test_id.split("::")
+            tree = ast.parse((root / path).read_text())
+            if not any(isinstance(node, ast.FunctionDef) and node.name == name
+                       for node in tree.body):
+                missing.append(test_id)
     assert missing == []
