@@ -6,11 +6,6 @@ repository root) of which at least one must fail once the replacement is
 made.  ``tests/test_tooling.py`` checks that every snippet still occurs
 exactly once, so code that moves takes its catalogue entry with it.
 ``python mutants/run.py`` applies them one at a time.
-
-Not catalogued: dropping the rollback of the rejected step on
-``cost_worsened`` in ``engine.run``.  The run returns right after it, and the
-outcome is derived from the routing list, not from the rolled-back
-deficiency, so no test can tell the mutant from the original.
 """
 
 from __future__ import annotations
@@ -33,6 +28,11 @@ FLOW_TESTS = (
     "tests/test_cli.py::test_validate_degree_failure",
     "tests/test_cli.py::test_validate_fails_on_unroutable_pair",
     "tests/test_cli.py::test_validate_and_paths_honour_file_hop_limit",
+)
+
+POOL_TESTS = (
+    "tests/test_keysim.py::test_packed_pools_match_one_shot_draws",
+    "tests/test_keysim.py::test_pool_starts_on_the_carried_half_word",
 )
 
 MUTANTS = (
@@ -64,6 +64,13 @@ MUTANTS = (
         "hop_limit is not None\n            and not enumerate_m_path_sets(",
         "False\n            and not enumerate_m_path_sets(",
         FLOW_TESTS,
+    ),
+    Mutant(
+        "flow: a hop limit below 1 let through",
+        "qkdroute/paths.py",
+        "    _check_hop_limit(hop_limit)\n    n = graph.node_count",
+        "    n = graph.node_count",
+        ("tests/test_paths.py::test_find_unroutable_pairs_refuses_hop_limit_below_one",),
     ),
     # the path enumerators
     Mutant(
@@ -103,11 +110,13 @@ MUTANTS = (
             else None
         )
         # under the strict guard, every candidate already passed the guard
-        pair_cell = pair[0] * n + pair[1]
-        _shift(deficiency, pair_cell, chosen.cells, step)
+        deficiency[pair_position(*pair, n)] -= step
+        for cell in chosen.cells:
+            deficiency[cell] += step
 """,
-        """        pair_cell = pair[0] * n + pair[1]
-        _shift(deficiency, pair_cell, chosen.cells, step)
+        """        deficiency[pair_position(*pair, n)] -= step
+        for cell in chosen.cells:
+            deficiency[cell] += step
         audit = (
             tuple(
                 (c.path_set, max(map(deficiency.__getitem__, c.cells)))
@@ -118,5 +127,94 @@ MUTANTS = (
         )
 """,
         ("tests/test_acceptance.py::test_acceptance_dense5_golden_run",),
+    ),
+    # the key pools
+    Mutant(
+        "pools: odd-size draw steps",
+        "qkdroute/keysim.py",
+        "_STEP_WORDS = 1 << 20",
+        "_STEP_WORDS = (1 << 20) - 1",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: little-endian packing",
+        "qkdroute/keysim.py",
+        "return np.packbits(octets)",
+        'return np.packbits(octets, bitorder="little")',
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: no carry between pools",
+        "qkdroute/keysim.py",
+        "head = (int(out[-1]) << 4) & 0xFF if count % 2 else None",
+        "head = None",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: the low bit of each byte instead of the top bit",
+        "qkdroute/keysim.py",
+        "np.right_shift(octets, 7, out=octets)",
+        "np.bitwise_and(octets, 1, out=octets)",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a segment read without its bit offset",
+        "qkdroute/keysim.py",
+        "return covered[start - 8 * first : stop - 8 * first]",
+        "return covered[: stop - start]",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: memory check off by one byte",
+        "qkdroute/keysim.py",
+        "if needed + extra > memory:",
+        "if needed + extra >= memory:",
+        ("tests/test_keysim.py::test_pools_refused_beyond_physical_memory",),
+    ),
+    # the command line
+    Mutant(
+        "cli: simulate takes --m and ignores it",
+        "qkdroute/cli.py",
+        'sub.add_parser("simulate", parents=[input_only],',
+        'sub.add_parser("simulate", parents=[with_input],',
+        ("tests/test_tooling.py::test_every_accepted_flag_is_read",),
+    ),
+    # the network file's error boundary
+    Mutant(
+        "netfile: _format_errors translates nothing",
+        "qkdroute/netfile.py",
+        "except (TypeError, ValueError) as exc:",
+        "except () as exc:",
+        (
+            "tests/test_netfile.py::test_schema_errors",
+            "tests/test_netfile.py::test_unrepresentable_rate_is_schema_error",
+        ),
+    ),
+    # the routing artifact's refusals, each replaced by a test that never holds
+    *(
+        Mutant(f"artifact refusal removed: {what}", "qkdroute/artifacts.py",
+               snippet, "if False:", (f"tests/test_cli.py::{test}",))
+        for what, snippet, test in (
+            ("path count other than m", "if path_set.m != m:",
+             "test_simulate_refuses_path_count_other_than_m"),
+            ("pair other than the endpoints",
+             'if entry["pair"] != pair or not all(map(_is_int, entry["pair"])):',
+             "test_simulate_refuses_pair_other_than_the_endpoints"),
+            ("directly linked pair", "if graph.has_edge(*pair):",
+             "test_simulate_refuses_a_directly_linked_pair"),
+            ("path over the hop limit", "if hop_limit is not None and longest > hop_limit:",
+             "test_simulate_refuses_path_over_hop_limit"),
+            ("rate off the step", "if rate % step:",
+             "test_simulate_refuses_rate_off_the_step"),
+            ("rate_kbps other than rate_units", 'if entry["rate_kbps"] != kbps:',
+             "test_simulate_refuses_rate_kbps_other_than_rate_units"),
+            ("effective_units off its records",
+             "if effective != routing.effective(graph).tolist():",
+             "test_simulate_refuses_malformed_routing"),
+            ("negative edge under the strict guard", "if effective[u][v] < 0:",
+             "test_simulate_refuses_negative_edge_under_strict_guard"),
+            ("rates off the iteration count", "if routed != steps * step:",
+             "test_simulate_refuses_rates_off_the_iteration_count"),
+        )
     ),
 )

@@ -76,8 +76,9 @@ def routing_to_dict(
 
 def read_routing_artifact(
     path: Union[str, FsPath], graph: NetworkGraph
-) -> Tuple[RoutingList, dict]:
-    """Load a routing JSON artifact and check it against ``graph``.
+) -> RoutingList:
+    """Load a routing JSON artifact, check it against ``graph`` and return its
+    routing list.
 
     Refuses another node count or resolution, a record for a directly linked
     pair or on a non-edge, with a rate that is not a positive multiple of
@@ -174,7 +175,7 @@ def read_routing_artifact(
             f"{path}: records hold {routed} units, not {steps} iterations "
             f"of {step} units"
         )
-    return routing, doc
+    return routing
 
 
 def _is_int(value: object) -> bool:

@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--m", type=int, default=None,
                         help="disjoint paths per route set (overrides the file)")
-    with_input = _Parser(add_help=False, parents=[common])
-    with_input.add_argument("--input", required=True, help="network description JSON")
+    input_only = _Parser(add_help=False)
+    input_only.add_argument("--input", required=True, help="network description JSON")
+    with_input = _Parser(add_help=False, parents=[common, input_only])
 
     p_validate = sub.add_parser("validate", parents=[with_input],
                                 help="check degree and connectivity requirements")
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="node pair, e.g. 1,3")
     p_paths.add_argument("--hop-limit", type=int, default=None)
 
-    p_sim = sub.add_parser("simulate", parents=[with_input],
+    p_sim = sub.add_parser("simulate", parents=[input_only],
                            help="simulate key delivery over a routing artifact")
     p_sim.add_argument("--routing", required=True,
                        help="routing_list.json or the directory holding it")
@@ -250,7 +251,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
-    routing, _ = artifacts.read_routing_artifact(routing_path, graph)
+    routing = artifacts.read_routing_artifact(routing_path, graph)
     tau = as_decimal(args.tau, "--tau")
     if not all(
         graph.scale.bits_exact(graph.rate(u, v), tau) for u, v in graph.edges

@@ -20,11 +20,11 @@ what ``numpy.random.default_rng(seed).integers(k)`` draws, but the stream is
 ours: NEP 19 keeps PCG64 and SeedSequence stable across numpy versions, not
 ``Generator.integers``.  It needs no numpy, and neither does this module.
 
-The loop's one state is the deficiency target - effective, a flat ``int``
-list indexed ``u * n + v`` and updated in place on the cells u < v; the strict
-guard reads it too.  ``RoutingList.effective`` derives the effective matrix,
-once, for the outcome.  A pair's candidates are scored from a table of the
-same flat indices, built the first time the pair is served.
+The loop's one state is the deficiency target - effective, one ``int`` per
+node pair i < j in row order, at the pair's ``pair_position``, updated in
+place; the strict guard reads it too.  ``RoutingList.effective`` derives the
+effective matrix, once, for the outcome.  A pair's candidates are scored from
+a table of their edges' positions, built the first time the pair is served.
 ``apply_increment`` and ``set_deficiency`` are the matrix definitions the
 loop agrees with.
 """
@@ -35,8 +35,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter, sub
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
     Edge,
@@ -119,8 +118,8 @@ class IterationTrace:
     """One accepted increment, or the terminal event that ended the run.
 
     Exactly one trace entry per run carries a ``stop_reason``; it is always
-    the last one.  ``delta_after`` on a ``cost_worsened`` entry is the
-    rejected cost, recorded before rollback.
+    the last one.  ``delta_after`` on a ``cost_worsened`` entry is the cost
+    the rejected step would have left.
     """
 
     r: int
@@ -151,24 +150,22 @@ class RoutingOutcome:
 
 
 @functools.lru_cache(maxsize=4)
-def _upper_pairs(n: int) -> Tuple[Callable, Tuple[Edge, ...]]:
-    """A getter of the flat cells ``i * n + j`` of the pairs i < j, and the
-    pairs, both in row order."""
-    pairs = tuple(itertools.combinations(range(n), 2))
-    cells = tuple(i * n + j for i, j in pairs)
-    # itemgetter of a single key returns the bare item, not a 1-tuple
-    values = itemgetter(*cells) if len(cells) > 1 else lambda flat: (flat[cells[0]],)
-    return values, pairs
+def _pairs(n: int) -> Tuple[Edge, ...]:
+    """The node pairs i < j in row order."""
+    return tuple(itertools.combinations(range(n), 2))
 
 
-def cost_delta(deficiency: Sequence[int], n: int) -> int:
-    """Largest shortfall target - effective over unordered pairs i != j.
+def pair_position(i: int, j: int, n: int) -> int:
+    """Where the pair i < j sits among ``_pairs(n)``."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
-    ``deficiency`` is the flat n*n list of shortfalls, indexed ``i * n + j``;
-    only the cells i < j are read.
+
+def cost_delta(deficiency: Sequence[int]) -> int:
+    """Largest shortfall target - effective over the unordered pairs.
+
+    ``deficiency`` holds one shortfall per pair i < j, in row order.
     """
-    values, _ = _upper_pairs(n)
-    return max(values(deficiency))
+    return max(deficiency)
 
 
 def _choose(rng: TieBreakStream, items: Sequence) -> Tuple[object, int]:
@@ -181,16 +178,14 @@ def _choose(rng: TieBreakStream, items: Sequence) -> Tuple[object, int]:
 def worst_pairs(deficiency: Sequence[int], n: int) -> List[Edge]:
     """All unordered pairs attaining the maximum deficiency, in row order.
 
-    ``deficiency`` is a flat n*n list as for ``cost_delta``.
+    ``deficiency`` is the per-pair list of ``cost_delta``.
     """
-    values, pairs = _upper_pairs(n)
-    shortfalls = values(deficiency)
-    top = max(shortfalls)
-    return [pair for pair, value in zip(pairs, shortfalls) if value == top]
+    top = max(deficiency)
+    return [pair for pair, value in zip(_pairs(n), deficiency) if value == top]
 
 
 class Candidate(NamedTuple):
-    """A candidate set with its edges as flat matrix indices ``u * n + v``, u < v."""
+    """A candidate set with its edges as positions in the per-pair list."""
 
     path_set: MPathSet
     cells: Tuple[int, ...]
@@ -200,7 +195,9 @@ class Candidate(NamedTuple):
 def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> List[Candidate]:
     """One row per set, in the given order, for scoring without matrix lookups."""
     return [
-        Candidate(s, tuple(u * node_count + v for u, v in s.edges), s.total_hops)
+        Candidate(
+            s, tuple(pair_position(u, v, node_count) for u, v in s.edges), s.total_hops
+        )
         for s in path_sets
     ]
 
@@ -212,10 +209,10 @@ def admissible(
 ) -> List[Candidate]:
     """Candidates whose every edge holds at least delta_r.
 
-    ``deficiency`` is a flat n*n list as for ``cost_delta``.  ``limits``
-    pairs each edge's cell ``u * n + v`` (u < v) with its target - delta_r,
-    which its deficiency exceeds exactly when the edge holds less than
-    delta_r; every candidate cell is one of them.
+    ``deficiency`` is the per-pair list of ``cost_delta``.  ``limits`` pairs
+    each edge's position in it with the edge's target - delta_r, which its
+    deficiency exceeds exactly when the edge holds less than delta_r; every
+    candidate cell is one of them.
     """
     short = {cell for cell, limit in limits if deficiency[cell] > limit}
     return [c for c in candidates if short.isdisjoint(c.cells)]
@@ -226,8 +223,8 @@ def optimal_sets(
 ) -> List[Candidate]:
     """Least-deficient candidates, narrowed to minimal total hop count.
 
-    A candidate's score is the largest value of the flat ``deficiency`` list
-    over its cells, which is ``set_deficiency`` of its set.  Finalists keep
+    A candidate's score is the largest value of the per-pair ``deficiency``
+    list over its cells, which is ``set_deficiency`` of its set.  Finalists keep
     the candidates' order.
     """
     score = deficiency.__getitem__
@@ -236,16 +233,6 @@ def optimal_sets(
     pool = [c for c, value in zip(candidates, scores) if value == best]
     shortest = min(c.hops for c in pool)
     return [c for c in pool if c.hops == shortest]
-
-
-def _shift(
-    deficiency: List[int], pair_cell: int, cells: Sequence[int], amount: int
-) -> None:
-    """``apply_increment`` in place on the flat deficiency's cells u < v; a
-    negative amount undoes it."""
-    deficiency[pair_cell] -= amount
-    for cell in cells:
-        deficiency[cell] += amount
 
 
 def apply_increment(
@@ -257,8 +244,8 @@ def apply_increment(
 ) -> RateMatrix:
     """Move delta_r of rate from the member edges onto the pair.
 
-    Returns the new matrix.  ``run`` applies the same step in place, to the
-    flat deficiency list.
+    Returns the new matrix.  ``run`` applies the same step in place, to its
+    per-pair deficiency list.
 
     Raises:
         GuardViolation: with ``strict_guard``, when any member edge holds
@@ -310,13 +297,12 @@ def run(
     rng = TieBreakStream(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
     tables: Dict[Edge, List[Candidate]] = {}
-    limits = tuple((u * n + v, target[u, v] - step) for u, v in graph.edges)
+    limits = tuple((pair_position(u, v, n), target[u, v] - step) for u, v in graph.edges)
     routing = RoutingList()
     trace: List[IterationTrace] = []
-    # target - effective as a flat list indexed u * n + v, updated in place;
-    # only the cells u < v are kept current
-    deficiency = list(map(sub, target.cells, graph.rate_matrix().cells))
-    delta = cost_delta(deficiency, n)
+    # target - effective, one entry per pair i < j in row order
+    deficiency = [target[pair] - graph.rate(*pair) for pair in _pairs(n)]
+    delta = cost_delta(deficiency)
     r = 0
 
     def outcome() -> RoutingOutcome:
@@ -369,12 +355,12 @@ def run(
             else None
         )
         # under the strict guard, every candidate already passed the guard
-        pair_cell = pair[0] * n + pair[1]
-        _shift(deficiency, pair_cell, chosen.cells, step)
-        new_delta = cost_delta(deficiency, n)
+        deficiency[pair_position(*pair, n)] -= step
+        for cell in chosen.cells:
+            deficiency[cell] += step
+        new_delta = cost_delta(deficiency)
         if new_delta > delta:
-            # reject and roll back
-            _shift(deficiency, pair_cell, chosen.cells, -step)
+            # the rejected step is left in the list: nothing reads it again
             return stop(
                 StopReason.COST_WORSENED, pair, pairs_tied, chosen.path_set, new_delta
             )

@@ -37,10 +37,9 @@ class RateMatrix:
     """An immutable n x n matrix of Python ints, read as ``m[u, v]``.
 
     ``cells`` holds the rows one after another, so (u, v) is cell
-    ``u * n + v``, the flat index the routing loop works on; any iterable
-    of n * n ints is stored as a tuple.  Sums of its cells never wrap
-    around.  ``numpy.asarray(m)`` gives a fresh int array, and imports
-    numpy only then.
+    ``u * n + v``; any iterable of n * n ints is stored as a tuple.  Sums of
+    its cells never wrap around.  ``numpy.asarray(m)`` gives a fresh int
+    array, and imports numpy only then.
     """
 
     n: int

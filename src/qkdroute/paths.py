@@ -123,6 +123,11 @@ class MPathSet:
         return "{" + ", ".join(str(p) for p in self.paths) + "}"
 
 
+def _check_hop_limit(hop_limit: Optional[int]) -> None:
+    if hop_limit is not None and hop_limit < 1:
+        raise ValueError(f"hop_limit must be at least 1, got {hop_limit}")
+
+
 def enumerate_simple_paths(
     graph: NetworkGraph,
     i: NodeId,
@@ -145,8 +150,7 @@ def enumerate_simple_paths(
     for node in (i, j):
         if not (0 <= node < graph.node_count):
             raise ValueError(f"node {node} is not in the graph")
-    if hop_limit is not None and hop_limit < 1:
-        raise ValueError(f"hop_limit must be at least 1, got {hop_limit}")
+    _check_hop_limit(hop_limit)
     start, goal = (i, j) if i < j else (j, i)
     found: list[Path] = []
     visited = {start}
@@ -256,6 +260,7 @@ def find_unroutable_pairs(
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    _check_hop_limit(hop_limit)
     n = graph.node_count
     # node v splits into vertices 2v (v_in) and 2v + 1 (v_out).  Arc 2k runs
     # along ends[k] and arc 2k + 1 is its residual twin, so arc a's twin is

@@ -100,6 +100,13 @@ def relay_key_forward(
     return carried, messages
 
 
+def per_pair(matrix) -> List[int]:
+    """A symmetric matrix as the engine helpers take it: one ``int`` per pair
+    i < j, row by row."""
+    n = len(matrix)
+    return [int(matrix[i, j]) for i, j in itertools.combinations(range(n), 2)]
+
+
 def reference_worst_pairs(deficiency: np.ndarray) -> List[Tuple[int, int]]:
     """Pairs i < j whose deficiency is the largest, in row order."""
     n = deficiency.shape[0]

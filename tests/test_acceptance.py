@@ -23,7 +23,7 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
-from oracles import dfs_simple_paths, disjoint_subsets, rates_by_pair
+from oracles import dfs_simple_paths, disjoint_subsets, per_pair, rates_by_pair
 
 from qkdroute.artifacts import write_route_artifacts
 from qkdroute.engine import (
@@ -102,12 +102,12 @@ def test_acceptance_dense5_golden_run(dense5):
         for entry in accepted:
             deficiency = np.asarray(target) - effective
             assert entry.selected_pair in {(0, 4), (1, 3)}
-            assert entry.selected_pair in worst_pairs(deficiency.ravel().tolist(), 5)
+            assert entry.selected_pair in worst_pairs(per_pair(deficiency), 5)
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, deficiency.ravel().tolist())
+            finalists = optimal_sets(table, per_pair(deficiency))
             assert entry.chosen_set in [c.path_set for c in finalists]
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4

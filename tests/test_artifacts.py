@@ -49,7 +49,8 @@ def test_routing_text_render(dense5):
 def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
     files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
-    routing, doc = read_routing_artifact(files["routing_json"], graph)
+    routing = read_routing_artifact(files["routing_json"], graph)
+    doc = json.loads(files["routing_json"].read_text())
     assert doc["format"] == ROUTING_FORMAT
     assert doc["seed"] == 4
     assert doc["m"] == 2

@@ -381,7 +381,7 @@ def test_simulate_end_to_end(k23_file, tmp_path, capsys):
     statuses = {tuple(e["pair"]): e["status"] for e in report["pairs"]}
     # recompute each pair's verdict from the routed records themselves
     graph = load_network(k23_file).graph
-    routing, _ = read_routing_artifact(route_dir / "routing_list.json", graph)
+    routing = read_routing_artifact(route_dir / "routing_list.json", graph)
     for pair in {r.pair for r in routing.records()}:
         flags = [
             record_is_leaked(r.path_set, {1, 2})
@@ -604,7 +604,7 @@ def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, c
     # without the guard the artifact reads, and the key simulation refuses it
     graph = load_network(k23_file).graph
     unguarded = write_net(tmp_path, "unguarded.json", dict(doc, strict_guard=False))
-    routing, _ = read_routing_artifact(unguarded, graph)
+    routing = read_routing_artifact(unguarded, graph)
     assert routing.effective(graph)[0, 1] == -100
     assert main(["simulate", "--input", str(k23_file), "--routing", str(unguarded),
                  "--tau", "1"]) == EXIT_RUNTIME

@@ -18,6 +18,7 @@ from qkdroute.engine import (
     candidate_table,
     cost_delta,
     optimal_sets,
+    pair_position,
     run,
     worst_pairs,
 )
@@ -39,6 +40,7 @@ from golden import (
 )
 from oracles import (
     guard_ok,
+    per_pair,
     rates_by_pair,
     reference_cost,
     reference_finalists,
@@ -52,34 +54,35 @@ def dense5_config(**overrides):
     return RouterConfig(**base)
 
 
-def flat(matrix):
-    """The flat ``u * n + v`` list the engine helpers take."""
-    return matrix.ravel().tolist()
-
-
 def test_cost_delta(ring6):
     graph, target = ring6
-    assert cost_delta(flat(np.asarray(target) - graph.rate_matrix()), 6) == 100
+    assert cost_delta(per_pair(np.asarray(target) - graph.rate_matrix())) == 100
     met = np.asarray(graph.rate_matrix())
     for i, j in graph.remote_pairs():
         met[i, j] = met[j, i] = 100
-    assert cost_delta(flat(target - met), 6) == 0
+    assert cost_delta(per_pair(target - met)) == 0
     surplus = np.full((6, 6), 1000, dtype=np.int64)
     np.fill_diagonal(surplus, 0)
-    assert cost_delta(flat(target - surplus), 6) == -900
-    # two nodes have a single pair cell
-    assert cost_delta([0, 7, 7, 0], 2) == 7
-    assert worst_pairs([0, 7, 7, 0], 2) == [(0, 1)]
+    assert cost_delta(per_pair(target - surplus)) == -900
+    # two nodes have a single pair
+    assert cost_delta([7]) == 7
+    assert worst_pairs([7], 2) == [(0, 1)]
+
+
+def test_pair_position_is_row_order():
+    for n in range(2, 8):
+        pairs = itertools.combinations(range(n), 2)
+        assert [pair_position(i, j, n) for i, j in pairs] == list(range(n * (n - 1) // 2))
 
 
 def test_worst_pair_selection(dense5):
     graph, target = dense5
     deficiency = np.asarray(target) - graph.rate_matrix()
-    assert worst_pairs(flat(deficiency), 5) == [(0, 4), (1, 3)]
+    assert worst_pairs(per_pair(deficiency), 5) == [(0, 4), (1, 3)]
     picks = set()
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        pair, tied = _choose(rng, worst_pairs(flat(deficiency), 5))
+        pair, tied = _choose(rng, worst_pairs(per_pair(deficiency), 5))
         assert tied == 2
         picks.add(pair)
     assert picks == {(0, 4), (1, 3)}
@@ -88,7 +91,7 @@ def test_worst_pair_selection(dense5):
     deficiency[0, 4] = deficiency[4, 0] = 999
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _choose(rng, worst_pairs(flat(deficiency), 5)) == ((0, 4), 1)
+    assert _choose(rng, worst_pairs(per_pair(deficiency), 5)) == ((0, 4), 1)
     assert rng.bit_generator.state == before
 
 
@@ -97,7 +100,7 @@ def test_select_optimal_set_filters(dense5):
     deficiency = np.asarray(target) - graph.rate_matrix()
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
     table = candidate_table(candidates, graph.node_count)
-    finalists = optimal_sets(table, flat(deficiency))
+    finalists = optimal_sets(table, per_pair(deficiency))
     assert [str(c.path_set) for c in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
 
 
@@ -137,15 +140,15 @@ def test_table_scoring_matches_reference(case):
     kept = [s for s in sets if not strict_guard or guard_ok(s, effective, delta_r)]
     table = candidate_table(sets, n)
     if strict_guard:
-        limits = [(u * n + v, int(target[u, v]) - delta_r) for u, v in graph.edges]
-        table = admissible(table, flat(deficiency), limits)
+        limits = [(pair_position(u, v, n), int(target[u, v]) - delta_r) for u, v in graph.edges]
+        table = admissible(table, per_pair(deficiency), limits)
     assert [c.path_set for c in table] == kept
     if not kept:
         return
     expected = reference_finalists(sets, deficiency, effective, delta_r, strict_guard)
     best = min(set_deficiency(s, deficiency) for s in kept)
     assert all(set_deficiency(s, deficiency) == best for s in expected)
-    assert [c.path_set for c in optimal_sets(table, flat(deficiency))] == expected
+    assert [c.path_set for c in optimal_sets(table, per_pair(deficiency))] == expected
 
 
 def test_apply_increment_is_pure(dense5):
@@ -235,12 +238,12 @@ def test_dense5_trajectory_envelope(dense5):
             deficiency = np.asarray(target) - effective
             if entry.stop_reason is not None:
                 break
-            assert entry.selected_pair in worst_pairs(flat(deficiency), 5)
+            assert entry.selected_pair in worst_pairs(per_pair(deficiency), 5)
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, flat(deficiency))
+            finalists = optimal_sets(table, per_pair(deficiency))
             assert entry.chosen_set in [c.path_set for c in finalists]
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
@@ -355,7 +358,7 @@ def test_guard_off_stops_on_cost_instead():
         RouterConfig(m=2, delta_r=10, seed=0, strict_guard=False),
     )
     assert out.stop_reason is StopReason.COST_WORSENED
-    # the rejected increment was rolled back
+    # the rejected increment was not routed
     assert np.array_equal(out.effective, graph.rate_matrix())
     entry = out.trace[-1]
     assert entry.delta_after > entry.delta_before

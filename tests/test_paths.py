@@ -226,6 +226,17 @@ def test_find_unroutable_pairs():
     assert find_unroutable_pairs(chain, 2) == ((0, 2), (0, 3), (1, 3))
 
 
+def test_find_unroutable_pairs_refuses_hop_limit_below_one():
+    # refused whether or not some pair reaches the hop-limited confirmation:
+    # K4 has no remote pair, the 4-cycle two
+    k4 = NetworkGraph(4, {pair: 100 for pair in itertools.combinations(range(4), 2)})
+    cycle = NetworkGraph(4, {(0, 1): 100, (1, 2): 100, (2, 3): 100, (0, 3): 100})
+    for graph in (k4, cycle):
+        for hop_limit in (0, -1):
+            with pytest.raises(ValueError, match="hop_limit must be at least 1"):
+                find_unroutable_pairs(graph, 2, hop_limit)
+
+
 def test_unroutable_scan_holds_one_pair_at_a_time():
     # 4x4 grid: 96 remote pairs, up to hundreds of disjoint sets each
     side = 4

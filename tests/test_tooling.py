@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import subprocess
@@ -138,6 +139,44 @@ def test_no_function_takes_a_routing_list_and_its_effective_rates():
                 if routed and any(p.arg == "effective" for p in params):
                     both.append(f"{path.name}:{node.name}")
     assert both == []
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Parsed arguments that remember which of them a command read."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._read = set()
+
+    def __getattribute__(self, name: str):
+        value = super().__getattribute__(name)
+        if not name.startswith("_"):
+            self._read.add(name)
+        return value
+
+
+def test_every_accepted_flag_is_read(tmp_path, capsys):
+    # a flag that the parser accepts but its command ignores runs silently
+    # with some other value; route runs first, so simulate has an artifact
+    from qkdroute import cli
+
+    k23 = str(NETWORKS_DIR / "k23.json")
+    route_dir = str(tmp_path / "route")
+    commands = [
+        ["validate", "--input", k23],
+        ["route", "--input", k23, "--out-dir", route_dir],
+        ["paths", "--input", k23, "--pair", "0,4"],
+        ["simulate", "--input", k23, "--routing", route_dir, "--tau", "1"],
+    ]
+    unread = {}
+    for argv in commands:
+        parsed = vars(cli.build_parser().parse_args(argv))
+        args = _ReadRecorder(**parsed)
+        assert cli._COMMANDS[parsed["command"]](args) == cli.EXIT_OK
+        # main reads the command name to dispatch
+        unread[argv[0]] = set(parsed) - args._read - {"command"}
+    capsys.readouterr()
+    assert unread == {argv[0]: set() for argv in commands}
 
 
 # run in a fresh interpreter: numpy must not be loaded by the end of the
