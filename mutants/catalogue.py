@@ -171,6 +171,44 @@ MUTANTS = (
         "if needed + extra >= memory:",
         ("tests/test_keysim.py::test_pools_refused_beyond_physical_memory",),
     ),
+    # the relay segments and the compromise analysis
+    Mutant(
+        "allocation: the cursor is not advanced",
+        "qkdroute/keysim.py",
+        "cursors[edge] = stop",
+        "cursors[edge] = start",
+        (
+            "tests/test_keysim.py::test_allocation_stacks_records_in_canonical_order",
+            "tests/test_acceptance.py::test_acceptance_key_delivery",
+        ),
+    ),
+    Mutant(
+        "allocation: a relay segment one bit short",
+        "qkdroute/keysim.py",
+        "allocation[record.path_set, edge] = (start, stop)",
+        "allocation[record.path_set, edge] = (start, stop - 1)",
+        (
+            "tests/test_keysim.py::test_allocation_layout",
+            "tests/test_keysim.py::test_endpoint_agreement_across_seeds",
+        ),
+    ),
+    Mutant(
+        "adversary: one message fewer folded",
+        "qkdroute/keysim.py",
+        "for m_index in range(anchor - 1):",
+        "for m_index in range(anchor - 2):",
+        ("tests/test_keysim.py::test_every_compromise_subset_cross_checks",),
+    ),
+    Mutant(
+        "leak rule: any member path instead of all",
+        "qkdroute/keysim.py",
+        "return all(path.interior & corrupt for path in path_set.paths)",
+        "return any(path.interior & corrupt for path in path_set.paths)",
+        (
+            "tests/test_keysim.py::test_record_is_leaked_rule",
+            "tests/test_keysim.py::test_every_compromise_subset_cross_checks",
+        ),
+    ),
     # the command line
     Mutant(
         "cli: simulate takes --m and ignores it",

@@ -33,7 +33,7 @@ from .model import (
     uniform_target,
     validate,
 )
-from .netfile import LoadedNetwork, NetworkFormatError, load_network, save_network
+from .netfile import LoadedNetwork, NetworkFormatError, load_network
 from .paths import (
     MPathSet,
     Path,
@@ -90,7 +90,6 @@ __all__ = [
     "find_unroutable_pairs",
     "load_network",
     "run",
-    "save_network",
     "set_deficiency",
     "simulate",
     "uniform_target",

@@ -416,8 +416,9 @@ def write_simulation_artifacts(
     report: Optional[CompromiseReport],
     input_path: Union[str, FsPath],
     routing_path: Union[str, FsPath],
-    dump_keys: bool = False,
+    report_text: str,
 ) -> Dict[str, FsPath]:
+    """Write the JSON report, ``report_text`` as the text report, and a manifest."""
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -427,7 +428,7 @@ def write_simulation_artifacts(
     files["report_json"].write_text(
         json.dumps(simulation_report_dict(sim, report), indent=2, sort_keys=True) + "\n"
     )
-    files["report_txt"].write_text(render_simulation_text(sim, report, dump_keys))
+    files["report_txt"].write_text(report_text)
     _write_manifest(
         out, files, "simulate", input_path, routing_path,
         config={"tau_seconds": str(sim.tau), "seed": sim.seed},

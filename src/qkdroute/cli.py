@@ -267,8 +267,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if args.out_dir:
         artifacts.write_simulation_artifacts(
-            args.out_dir, sim, report, args.input, routing_path,
-            dump_keys=args.dump_keys,
+            args.out_dir, sim, report, args.input, routing_path, text
         )
         print(f"artifacts in {FsPath(args.out_dir)}")
     if not all(key.agreed for key in sim.pair_keys.values()):

@@ -175,12 +175,12 @@ def _choose(rng: TieBreakStream, items: Sequence) -> Tuple[object, int]:
     return items[rng.integers(len(items))], len(items)
 
 
-def worst_pairs(deficiency: Sequence[int], n: int) -> List[Edge]:
-    """All unordered pairs attaining the maximum deficiency, in row order.
+def worst_pairs(deficiency: Sequence[int], n: int, top: int) -> List[Edge]:
+    """All unordered pairs whose deficiency is ``top``, in row order.
 
-    ``deficiency`` is the per-pair list of ``cost_delta``.
+    ``deficiency`` is the per-pair list of ``cost_delta``, and ``top`` its
+    maximum, as ``cost_delta`` returned it.
     """
-    top = max(deficiency)
     return [pair for pair, value in zip(_pairs(n), deficiency) if value == top]
 
 
@@ -330,7 +330,7 @@ def run(
         return outcome()
 
     while delta > 0 and (config.r_max is None or r < config.r_max):
-        pair, pairs_tied = _choose(rng, worst_pairs(deficiency, n))
+        pair, pairs_tied = _choose(rng, worst_pairs(deficiency, n, delta))
         if graph.has_edge(*pair):
             # the bottleneck is a direct link; no amount of re-routing
             # helps it, so the run ends here

@@ -6,6 +6,8 @@ own share, its effective rate as ``RoutingList.effective`` derives it from the
 routing list, then one relay segment per routing record that traverses the
 edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
+``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
+bit offsets of that record's relay segment in the edge's pool.
 Pools are stored packed, eight bits per byte, and a segment is unpacked only
 when it is relayed, so a simulation's peak memory is about the packed pools
 plus the pair keys, which hold one byte per bit.
@@ -38,8 +40,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .engine import RoutingList, RoutingRecord
-from .model import CapacityError, Edge, NetworkGraph, NodeId, canonical_edge
+from .engine import RoutingList
+from .model import CapacityError, Edge, NetworkGraph, NodeId
 from .paths import MPathSet, Path
 from .units import as_decimal
 
@@ -79,32 +81,9 @@ class KeyPool:
         return covered[start - 8 * first : stop - 8 * first]
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: int
-    length: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
-class SegmentAllocation:
-    """Where every relay segment lives inside each edge pool.
-
-    ``relay`` maps (record set, edge) to the relay segment carved for that
-    record on that edge.  Each edge keeps the front of its pool, as long as
-    its own share, for its own endpoints.
-    """
-
-    relay: Mapping[Tuple[MPathSet, Edge], Segment]
-
-    def relay_bits(
-        self, pools: Mapping[Edge, KeyPool], path_set: MPathSet, edge: Edge
-    ) -> np.ndarray:
-        seg = self.relay[(path_set, canonical_edge(*edge))]
-        return pools[canonical_edge(*edge)].unpack(seg.start, seg.stop)
+# (record set, edge) -> the (start, stop) bit offsets of that record's relay
+# segment in the edge's pool
+SegmentAllocation = Dict[Tuple[MPathSet, Edge], Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -125,17 +104,10 @@ FULLY_LEAKED = "fully_leaked"
 
 
 @dataclass(frozen=True)
-class RecordCompromise:
-    record: RoutingRecord
-    leaked: bool
-
-
-@dataclass(frozen=True)
 class CompromiseReport:
     """Which routed keys a set of corrupt nodes can reconstruct."""
 
     compromised: FrozenSet[NodeId]
-    records: Tuple[RecordCompromise, ...]
     pair_status: Mapping[Edge, str]
     leaked_bits: Mapping[Edge, int]
     bound: Optional[float] = None
@@ -233,10 +205,12 @@ def allocate_segments(
 ) -> SegmentAllocation:
     """Carve every pool into its own share plus relay segments.
 
-    An edge's own share is its effective rate, ``routing_list.effective``,
-    and sits at the pool front.  Segment lengths are floor(rate * tau) bits.
-    Records are laid out in canonical order, so all parties compute the same
-    offsets independently.
+    Returns a map from (record set, edge) to the ``(start, stop)`` bit
+    offsets of that record's relay segment in the edge's pool.  An edge's
+    own share, its effective rate ``routing_list.effective``, sits at the
+    pool front.  Segment lengths are floor(rate * tau) bits.  Records are
+    laid out in canonical order, so all parties compute the same offsets
+    independently.
 
     Raises:
         CapacityError: when an edge pool cannot hold its own share plus
@@ -262,7 +236,7 @@ def allocate_segments(
                 f"hold its {length}-bit own share"
             )
         cursors[edge] = length
-    relay: Dict[Tuple[MPathSet, Edge], Segment] = {}
+    allocation: SegmentAllocation = {}
     for record in routing_list.records():
         length = scale.bit_count(record.rate, tau)
         for path in record.path_set.paths:
@@ -279,9 +253,10 @@ def allocate_segments(
                         f"{len(pools[edge])} bits exhausted while allocating "
                         f"relay segments"
                     )
-                relay[(record.path_set, edge)] = Segment(start, length)
-                cursors[edge] = start + length
-    return SegmentAllocation(relay=relay)
+                stop = start + length
+                allocation[record.path_set, edge] = (start, stop)
+                cursors[edge] = stop
+    return allocation
 
 
 def relay_path_key(
@@ -301,7 +276,7 @@ def relay_path_key(
         segment (none for a direct two-node path).
     """
     segments = [
-        allocation.relay_bits(pools, path_set, edge) for edge in path.edges
+        pools[edge].unpack(*allocation[path_set, edge]) for edge in path.edges
     ]
     messages = tuple(
         np.bitwise_xor(segments[t - 1], segments[t])
@@ -360,7 +335,8 @@ class KeySimulation:
         """True XOR block a record contributes to its pair key."""
         block: Optional[np.ndarray] = None
         for path in path_set.paths:
-            seg = self.allocation.relay_bits(self.pools, path_set, path.edges[0])
+            edge = path.edges[0]
+            seg = self.pools[edge].unpack(*self.allocation[path_set, edge])
             block = seg if block is None else np.bitwise_xor(block, seg)
         assert block is not None
         return block
@@ -421,8 +397,8 @@ def adversary_reconstruct(
             return None
         # segment on the link arriving at the anchor node, read from the
         # pool the adversary owns through that node
-        arriving_edge = path.edges[anchor - 1]
-        first = sim.allocation.relay_bits(sim.pools, path_set, arriving_edge)
+        arriving = path.edges[anchor - 1]
+        first = sim.pools[arriving].unpack(*sim.allocation[path_set, arriving])
         _, _, messages = relay_path_key(sim.pools, sim.allocation, path_set, path)
         for m_index in range(anchor - 1):
             first = np.bitwise_xor(first, messages[m_index])
@@ -446,7 +422,6 @@ def assess_compromise(
     outside = sorted(n for n in corrupt if not 0 <= n < sim.graph.node_count)
     if outside:
         raise ValueError(f"compromised nodes {outside} are not in the network")
-    records: List[RecordCompromise] = []
     leaked_by_pair: Dict[Edge, int] = {}
     status: Dict[Edge, str] = {}
     for record in sim.routing_list.records():
@@ -460,7 +435,6 @@ def assess_compromise(
             rebuilt, sim.record_block(record.path_set)
         ):
             raise AssertionError("adversary reconstructed an incorrect block")
-        records.append(RecordCompromise(record, leaked))
         pair = record.pair
         leaked_by_pair[pair] = leaked_by_pair.get(pair, 0) + (
             len(rebuilt) if leaked else 0
@@ -476,7 +450,6 @@ def assess_compromise(
             bound = compromise_probability_bound(min(m_values), epsilon)
     return CompromiseReport(
         compromised=corrupt,
-        records=tuple(records),
         pair_status=status,
         leaked_bits=leaked_by_pair,
         bound=bound,

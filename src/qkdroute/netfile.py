@@ -1,4 +1,4 @@
-"""Reading and writing network description files.
+"""Reading network description files.
 
 The wire format is JSON::
 
@@ -166,56 +166,3 @@ def parse_router(raw: object, scale: UnitScale) -> RouterConfig:
             hop_limit=_int_field(raw.get("hop_limit"), "router.hop_limit", allow_none=True),
             strict_guard=strict_guard,
         )
-
-
-def _json_number(value: Decimal) -> Union[float, str]:
-    # fall back to a string when the float repr would lose digits; the
-    # loader accepts both spellings
-    as_float = float(value)
-    return as_float if Decimal(str(as_float)) == value else str(value)
-
-
-def network_to_dict(
-    graph: NetworkGraph, target: RateMatrix, config: RouterConfig
-) -> dict:
-    """Inverse of :func:`load_network`; reloading the result is lossless."""
-    scale = graph.scale
-    doc: dict = {
-        "nodes": graph.node_count,
-        "edges": [
-            {"u": u, "v": v, "rate_kbps": _json_number(scale.kbps(graph.rate(u, v)))}
-            for u, v in graph.edges
-        ],
-        "router": {
-            "M": config.m,
-            "delta_r_kbps": None
-            if config.delta_r is None
-            else _json_number(scale.kbps(config.delta_r)),
-            "r_max": config.r_max,
-            "seed": config.seed,
-            "hop_limit": config.hop_limit,
-            "strict_guard": config.strict_guard,
-        },
-    }
-    if scale.resolution_bps != 1:
-        doc["resolution_bps"] = _json_number(scale.resolution_bps)
-    rows = target.tolist()
-    off_diagonal = {
-        value for i, row in enumerate(rows) for j, value in enumerate(row) if i != j
-    }
-    # one value off the diagonal is written as a scalar target
-    if len(off_diagonal) == 1:
-        doc["target"] = _json_number(scale.kbps(off_diagonal.pop()))
-    else:
-        doc["target"] = [[_json_number(scale.kbps(value)) for value in row] for row in rows]
-    return doc
-
-
-def save_network(
-    path: Union[str, Path],
-    graph: NetworkGraph,
-    target: RateMatrix,
-    config: RouterConfig,
-) -> None:
-    doc = network_to_dict(graph, target, config)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

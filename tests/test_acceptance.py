@@ -102,12 +102,13 @@ def test_acceptance_dense5_golden_run(dense5):
         for entry in accepted:
             deficiency = np.asarray(target) - effective
             assert entry.selected_pair in {(0, 4), (1, 3)}
-            assert entry.selected_pair in worst_pairs(per_pair(deficiency), 5)
+            shortfall = per_pair(deficiency)
+            assert entry.selected_pair in worst_pairs(shortfall, 5, max(shortfall))
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, per_pair(deficiency))
+            finalists = optimal_sets(table, shortfall)
             assert entry.chosen_set in [c.path_set for c in finalists]
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4
@@ -275,14 +276,11 @@ def test_acceptance_key_delivery(ring6):
         # plus the relay segments of the records crossing the edge
         for edge, pool in sim.pools.items():
             assert len(pool) == graph.rate(*edge) * 100
-            relay = sorted(
-                (seg for (s, e), seg in sim.allocation.relay.items() if e == edge),
-                key=lambda seg: seg.start,
-            )
+            relay = sorted(seg for (s, e), seg in sim.allocation.items() if e == edge)
             cursor = int(out.effective[edge]) * 100
-            for seg in relay:
-                assert seg.start == cursor
-                cursor = seg.stop
+            for start, stop in relay:
+                assert start == cursor
+                cursor = stop
             assert cursor == len(pool)
     assert time.perf_counter() - started < 5.0
 
@@ -317,12 +315,12 @@ def test_acceptance_compromise_security(k23):
     tau = Decimal("0.08")
     base = accumulate_pools(graph, tau, seed=1)
     allocation = allocate_segments(base, routing, graph, tau)
-    seg = allocation.relay[(set_a, (0, 1))]
-    assert seg.length == 8
+    start, stop = allocation[set_a, (0, 1)]
+    assert stop - start == 8
     seen = set()
     for value in range(256):
         bits = base[(0, 1)].unpack(0, len(base[(0, 1)]))
-        bits[seg.start : seg.stop] = np.unpackbits(np.array([value], np.uint8))
+        bits[start:stop] = np.unpackbits(np.array([value], np.uint8))
         packed = np.packbits(bits)
         packed.flags.writeable = False
         pools = dict(base)

@@ -194,8 +194,9 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
         tmp_path / "route", outcome, graph, config, k23_file
     )
     sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
+    text = render_simulation_text(sim, None, dump_keys=True)
     sim_files = write_simulation_artifacts(
-        tmp_path / "sim", sim, None, k23_file, route_files["routing_json"]
+        tmp_path / "sim", sim, None, k23_file, route_files["routing_json"], text
     )
     manifest = json.loads(sim_files["manifest"].read_text())
     assert manifest["command"] == "simulate"
@@ -205,10 +206,13 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     assert manifest["routing_sha256"] == routing_sha
     report = json.loads(sim_files["report_json"].read_text())
     assert report["pools"]["0-1"] == len(sim.pools[(0, 1)])
+    # the text report holds the rendered text as given, key dumps included
+    assert sim_files["report_txt"].read_text() == text
     # repeated simulation writes byte-identical reports
     sim2 = simulate(graph, outcome.routing_list, tau=1, seed=0)
     again = write_simulation_artifacts(
-        tmp_path / "sim2", sim2, None, k23_file, route_files["routing_json"]
+        tmp_path / "sim2", sim2, None, k23_file, route_files["routing_json"],
+        render_simulation_text(sim2, None, dump_keys=True),
     )
     assert (
         sim_files["report_json"].read_bytes() == again["report_json"].read_bytes()

@@ -66,7 +66,7 @@ def test_cost_delta(ring6):
     assert cost_delta(per_pair(target - surplus)) == -900
     # two nodes have a single pair
     assert cost_delta([7]) == 7
-    assert worst_pairs([7], 2) == [(0, 1)]
+    assert worst_pairs([7], 2, 7) == [(0, 1)]
 
 
 def test_pair_position_is_row_order():
@@ -78,20 +78,22 @@ def test_pair_position_is_row_order():
 def test_worst_pair_selection(dense5):
     graph, target = dense5
     deficiency = np.asarray(target) - graph.rate_matrix()
-    assert worst_pairs(per_pair(deficiency), 5) == [(0, 4), (1, 3)]
+    shortfall = per_pair(deficiency)
+    assert worst_pairs(shortfall, 5, max(shortfall)) == [(0, 4), (1, 3)]
     picks = set()
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        pair, tied = _choose(rng, worst_pairs(per_pair(deficiency), 5))
+        pair, tied = _choose(rng, worst_pairs(shortfall, 5, max(shortfall)))
         assert tied == 2
         picks.add(pair)
     assert picks == {(0, 4), (1, 3)}
 
     # unique maximizer needs no draw and is returned as-is
     deficiency[0, 4] = deficiency[4, 0] = 999
+    shortfall = per_pair(deficiency)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert _choose(rng, worst_pairs(per_pair(deficiency), 5)) == ((0, 4), 1)
+    assert _choose(rng, worst_pairs(shortfall, 5, max(shortfall))) == ((0, 4), 1)
     assert rng.bit_generator.state == before
 
 
@@ -238,12 +240,13 @@ def test_dense5_trajectory_envelope(dense5):
             deficiency = np.asarray(target) - effective
             if entry.stop_reason is not None:
                 break
-            assert entry.selected_pair in worst_pairs(per_pair(deficiency), 5)
+            shortfall = per_pair(deficiency)
+            assert entry.selected_pair in worst_pairs(shortfall, 5, max(shortfall))
             sets = enumerate_m_path_sets(
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, per_pair(deficiency))
+            finalists = optimal_sets(table, shortfall)
             assert entry.chosen_set in [c.path_set for c in finalists]
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100

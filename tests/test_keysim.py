@@ -19,7 +19,6 @@ from qkdroute.keysim import (
     SECURE,
     CapacityError,
     KeyPool,
-    Segment,
     accumulate_pools,
     adversary_reconstruct,
     allocate_segments,
@@ -96,11 +95,8 @@ def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
         assert len(pool) == len(reference[edge])
         assert np.array_equal(pool.bits, np.packbits(reference[edge]))
     allocation = allocate_segments(pools, out.routing_list, graph, tau)
-    for (path_set, edge), seg in allocation.relay.items():
-        assert np.array_equal(
-            allocation.relay_bits(pools, path_set, edge),
-            reference[edge][seg.start : seg.stop],
-        )
+    for (path_set, edge), (start, stop) in allocation.items():
+        assert np.array_equal(pools[edge].unpack(start, stop), reference[edge][start:stop])
 
 
 def test_pool_starts_on_the_carried_half_word():
@@ -174,8 +170,8 @@ def test_allocation_layout(k23):
     # every traversed edge keeps its own share of 1000 - 300 bits at the
     # pool front; one relay segment starts right after it
     for edge in ((0, 1), (1, 4), (0, 2), (2, 4)):
-        assert allocation.relay[(SET_A, edge)] == Segment(1000 - 300, 300)
-    assert (SET_A, (0, 3)) not in allocation.relay
+        assert allocation[SET_A, edge] == (1000 - 300, 1000)
+    assert (SET_A, (0, 3)) not in allocation
 
 
 def test_allocation_stacks_records_in_canonical_order(k23):
@@ -188,9 +184,9 @@ def test_allocation_stacks_records_in_canonical_order(k23):
     # edge (0, 1) serves both records and keeps 1000 - 300 - 200 bits of its
     # own; SET_A sorts first so it sits first
     cursor = 1000 - 300 - 200
-    assert allocation.relay[(SET_A, (0, 1))] == Segment(cursor, 300)
-    assert allocation.relay[(SET_B, (0, 1))] == Segment(cursor + 300, 200)
-    assert allocation.relay[(SET_B, (0, 3))] == Segment(1000 - 200, 200)
+    assert allocation[SET_A, (0, 1)] == (cursor, cursor + 300)
+    assert allocation[SET_B, (0, 1)] == (cursor + 300, cursor + 500)
+    assert allocation[SET_B, (0, 3)] == (1000 - 200, 1000)
 
 
 def test_allocation_rejects_oversubscribed_edge(k23):
@@ -237,7 +233,7 @@ def test_relay_matches_forward_oracle(k23):
     for record in out.routing_list.records():
         for path in record.path_set.paths:
             segments = [
-                sim.allocation.relay_bits(sim.pools, record.path_set, edge)
+                sim.pools[edge].unpack(*sim.allocation[record.path_set, edge])
                 for edge in path.edges
             ]
             key_i, key_j, messages = relay_path_key(
@@ -281,8 +277,8 @@ def test_multi_record_pair_key_layout(k23):
     assert np.array_equal(key.bits, expected)
     # and each block really is the XOR of its member-path first-link segments
     manual = np.bitwise_xor(
-        sim.allocation.relay_bits(sim.pools, SET_A, (0, 1)),
-        sim.allocation.relay_bits(sim.pools, SET_A, (0, 2)),
+        sim.pools[(0, 1)].unpack(*sim.allocation[SET_A, (0, 1)]),
+        sim.pools[(0, 2)].unpack(*sim.allocation[SET_A, (0, 2)]),
     )
     assert np.array_equal(sim.record_block(SET_A), manual)
 
@@ -318,7 +314,9 @@ def test_partial_leak_status(k23):
     report = assess_compromise(sim, {1, 2})
     assert report.pair_status[(0, 4)] == PARTIALLY_LEAKED
     assert report.leaked_bits[(0, 4)] == 100
-    assert [rc.leaked for rc in report.records] == [True, False]
+    opened = [adversary_reconstruct(sim, r.path_set, {1, 2}) is not None
+              for r in routing.records()]
+    assert opened == [True, False]
 
 
 def test_adversary_reconstruction_exact(k23):
@@ -334,19 +332,37 @@ def test_adversary_reconstruction_exact(k23):
 
 def test_every_compromise_subset_cross_checks(request):
     """assess_compromise raises if the structural rule and the constructive
-    adversary ever disagree, so sweeping all subsets is a full cross-check.
-    On ring6 some paths have three interior nodes, so the adversary also
-    telescopes from a first corrupt relay past the first hop."""
+    adversary ever disagree, so sweeping all subsets is a full cross-check;
+    each pair's status and leaked bits must then follow from the records
+    the rule opens.  On ring6 some paths have three interior nodes, so the
+    adversary also telescopes from a first corrupt relay past the first hop."""
+    tau = Decimal("0.5")
     for fixture, delta_r in (("k23", 100), ("ring6", 10)):
         graph, target = request.getfixturevalue(fixture)
         out = run(graph, target, RouterConfig(m=2, delta_r=delta_r, seed=0))
-        sim = simulate(graph, out.routing_list, tau="0.5", seed=2)
+        sim = simulate(graph, out.routing_list, tau=tau, seed=2)
         nodes = range(graph.node_count)
         for size in range(graph.node_count + 1):
             for subset in itertools.combinations(nodes, size):
                 report = assess_compromise(sim, subset)
-                for rc in report.records:
-                    assert rc.leaked == record_is_leaked(rc.record.path_set, subset)
+                opened = {}
+                for record in out.routing_list.records():
+                    opened.setdefault(record.pair, []).append(
+                        (record_is_leaked(record.path_set, subset),
+                         graph.scale.bit_count(record.rate, tau))
+                    )
+                status = {
+                    pair: FULLY_LEAKED if all(leaked for leaked, _ in records)
+                    else PARTIALLY_LEAKED if any(leaked for leaked, _ in records)
+                    else SECURE
+                    for pair, records in opened.items()
+                }
+                leaked_bits = {
+                    pair: sum(bits for leaked, bits in records if leaked)
+                    for pair, records in opened.items()
+                }
+                assert report.pair_status == status
+                assert report.leaked_bits == leaked_bits
 
 
 def test_longer_paths_need_only_one_corrupt_interior(ring6):
@@ -371,14 +387,14 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     tau = Decimal("0.08")  # 100 bit/s * 0.08 s = 8-bit relay segments
     base = accumulate_pools(graph, tau, seed=9)
     allocation = allocate_segments(base, routing, graph, tau)
-    seg = allocation.relay[(SET_A, (0, 1))]
-    assert seg.length == 8
+    start, stop = allocation[SET_A, (0, 1)]
+    assert stop - start == 8
     seen = set()
     for value in range(256):
         patched = dict(base)
         pool = base[(0, 1)]
         bits = pool.unpack(0, len(pool))
-        bits[seg.start : seg.stop] = np.unpackbits(
+        bits[start:stop] = np.unpackbits(
             np.array([value], dtype=np.uint8)
         )
         packed = np.packbits(bits)

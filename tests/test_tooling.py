@@ -32,6 +32,30 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def _names_read(path: Path) -> set:
+    """Names a file loads, imports, reads as an attribute or spells as a string."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public helper that only tests call is a candidate for deletion; its
+    # own definition and the re-export in __init__.py do not count as uses
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += [*DEMOS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    read = set().union(*map(_names_read, files))
+    assert [name for name in qkdroute.__all__ if name not in read] == []
+
+
 def _unused_imports(tree: ast.Module) -> list:
     imported = {}
     for node in tree.body:
