@@ -87,15 +87,54 @@ MUTANTS = (
     Mutant(
         "guard: an edge holding exactly delta_r counts as short (<=)",
         "qkdroute/engine.py",
-        "if deficiency[cell] > limit}",
-        "if deficiency[cell] >= limit}",
-        ("tests/test_engine.py::test_table_scoring_matches_reference",),
+        "if deficiency[cell] > limits[cell])",
+        "if deficiency[cell] >= limits[cell])",
+        ("tests/test_engine.py::test_run_invariants_on_random_graphs",),
+    ),
+    Mutant(
+        "guard: a newly short edge is not added to short after a step",
+        "qkdroute/engine.py",
+        "        if guard:\n            short.update(",
+        "        if False:\n            short.update(",
+        ("tests/test_engine.py::test_run_invariants_on_random_graphs",),
+    ),
+    Mutant(
+        "guard: edges short from the start are not marked",
+        "qkdroute/engine.py",
+        "if deficiency[cell] > limit} if guard else set()",
+        "if False} if guard else set()",
+        ("tests/test_engine.py::test_guard_exhausted_stop",),
     ),
     Mutant(
         "finalists: hop narrowing dropped",
         "qkdroute/engine.py",
-        "return [c for c in pool if c.hops == shortest]",
-        "return pool",
+        """    for rows in table.hops:
+        if live & rows:
+            live &= rows
+            break
+""",
+        "",
+        ("tests/test_engine.py::test_table_scoring_matches_reference",),
+    ),
+    Mutant(
+        "finalists: narrowed to the last hop mask the rows meet, not the first",
+        "qkdroute/engine.py",
+        "for rows in table.hops:",
+        "for rows in reversed(table.hops):",
+        ("tests/test_engine.py::test_table_scoring_matches_reference",),
+    ),
+    Mutant(
+        "finalists: one edge stripped at a time instead of one deficiency level",
+        "qkdroute/engine.py",
+        "levels[value] = levels.get(value, 0) | rows",
+        "levels[value, cell] = rows",
+        ("tests/test_engine.py::test_table_scoring_matches_reference",),
+    ),
+    Mutant(
+        "finalists: bits read highest first",
+        "qkdroute/engine.py",
+        "low = live & -live",
+        "low = 1 << (live.bit_length() - 1)",
         ("tests/test_engine.py::test_table_scoring_matches_reference",),
     ),
     Mutant(
@@ -104,12 +143,12 @@ MUTANTS = (
         """        audit = (
             tuple(
                 (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in candidates
+                for c in table.rows
+                if short.isdisjoint(c.cells)
             )
             if trace_candidates
             else None
         )
-        # under the strict guard, every candidate already passed the guard
         deficiency[pair_position(*pair, n)] -= step
         for cell in chosen.cells:
             deficiency[cell] += step
@@ -120,7 +159,8 @@ MUTANTS = (
         audit = (
             tuple(
                 (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in candidates
+                for c in table.rows
+                if short.isdisjoint(c.cells)
             )
             if trace_candidates
             else None

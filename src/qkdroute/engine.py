@@ -22,9 +22,12 @@ ours: NEP 19 keeps PCG64 and SeedSequence stable across numpy versions, not
 
 The loop's one state is the deficiency target - effective, one ``int`` per
 node pair i < j in row order, at the pair's ``pair_position``, updated in
-place; the strict guard reads it too.  ``RoutingList.effective`` derives the
-effective matrix, once, for the outcome.  A pair's candidates are scored from
-a table of their edges' positions, built the first time the pair is served.
+place.  ``RoutingList.effective`` derives the effective matrix, once, for the
+outcome.  A pair's candidates live in a table built the first time the pair
+is served, with one bitmask of rows per edge and per hop count.  The least
+loaded rows are found by walking the pair's edges in deficiency levels, from
+the highest down, dropping the rows of each level while any row is left; no
+row is scored.  The strict guard is a set of short edges that only grows.
 ``apply_increment`` and ``set_deficiency`` are the matrix definitions the
 loop agrees with.
 """
@@ -35,7 +38,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
     Edge,
@@ -113,8 +116,7 @@ def _move(cells: List[int], n: int, path_set: MPathSet, amount: int) -> None:
         cells[v * n + u] -= amount
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """One accepted increment, or the terminal event that ended the run.
 
     Exactly one trace entry per run carries a ``stop_reason``; it is always
@@ -192,47 +194,86 @@ class Candidate(NamedTuple):
     hops: int
 
 
-def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> List[Candidate]:
-    """One row per set, in the given order, for scoring without matrix lookups."""
-    return [
-        Candidate(
-            s, tuple(pair_position(u, v, node_count) for u, v in s.edges), s.total_hops
-        )
-        for s in path_sets
-    ]
+class CandidateTable:
+    """A pair's candidate rows, and bitmasks over the rows for ranking them.
 
-
-def admissible(
-    candidates: Sequence[Candidate],
-    deficiency: Sequence[int],
-    limits: Iterable[Tuple[int, int]],
-) -> List[Candidate]:
-    """Candidates whose every edge holds at least delta_r.
-
-    ``deficiency`` is the per-pair list of ``cost_delta``.  ``limits`` pairs
-    each edge's position in it with the edge's target - delta_r, which its
-    deficiency exceeds exactly when the edge holds less than delta_r; every
-    candidate cell is one of them.
+    Bit k of a mask stands for ``rows[k]``.  ``edges`` pairs each edge
+    position that some row uses with the mask of the rows using it;
+    ``hops`` holds the mask of the rows of each total hop count, fewest
+    hops first.
     """
-    short = {cell for cell, limit in limits if deficiency[cell] > limit}
-    return [c for c in candidates if short.isdisjoint(c.cells)]
+
+    __slots__ = ("rows", "edges", "hops")
+
+    def __init__(self, rows: Sequence[Candidate]) -> None:
+        edges: Dict[int, int] = {}
+        hops: Dict[int, int] = {}
+        for index, row in enumerate(rows):
+            bit = 1 << index
+            for cell in row.cells:
+                edges[cell] = edges.get(cell, 0) | bit
+            hops[row.hops] = hops.get(row.hops, 0) | bit
+        self.rows = tuple(rows)
+        self.edges = tuple(edges.items())
+        self.hops = tuple(hops[count] for count in sorted(hops))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> CandidateTable:
+    """One row per set, in the given order, with the masks ``optimal_sets``
+    walks; built once per pair, as the masks depend on no rate."""
+    return CandidateTable(
+        [
+            Candidate(
+                s, tuple(pair_position(u, v, node_count) for u, v in s.edges), s.total_hops
+            )
+            for s in path_sets
+        ]
+    )
 
 
 def optimal_sets(
-    candidates: Sequence[Candidate], deficiency: Sequence[int]
+    table: CandidateTable, deficiency: Sequence[int], short: Container[int]
 ) -> List[Candidate]:
-    """Least-deficient candidates, narrowed to minimal total hop count.
+    """Least-deficient rows clear of ``short`` edges, narrowed to minimal
+    total hop count, in table order; empty when every row touches a short edge.
 
-    A candidate's score is the largest value of the per-pair ``deficiency``
-    list over its cells, which is ``set_deficiency`` of its set.  Finalists keep
-    the candidates' order.
+    A row's score is the largest value of the per-pair ``deficiency`` list
+    over its cells, which is ``set_deficiency`` of its set.  No row is
+    scored: the table's edges are grouped by deficiency, and the groups are
+    walked from the highest down, dropping the rows that use each group's
+    edges for as long as some row is left.  The group that would drop every
+    remaining row holds the least score, and the rows left are exactly
+    those that score it.  Their mask is then narrowed to the first hop
+    count it meets.
     """
-    score = deficiency.__getitem__
-    scores = [max(map(score, c.cells)) for c in candidates]
-    best = min(scores)
-    pool = [c for c, value in zip(candidates, scores) if value == best]
-    shortest = min(c.hops for c in pool)
-    return [c for c in pool if c.hops == shortest]
+    live = (1 << len(table.rows)) - 1
+    levels: Dict[int, int] = {}
+    for cell, rows in table.edges:
+        if cell in short:
+            live &= ~rows
+        else:
+            value = deficiency[cell]
+            levels[value] = levels.get(value, 0) | rows
+    if not live:
+        return []
+    for value in sorted(levels, reverse=True):
+        rest = live & ~levels[value]
+        if not rest:
+            break
+        live = rest
+    for rows in table.hops:
+        if live & rows:
+            live &= rows
+            break
+    finalists = []
+    while live:
+        low = live & -live
+        finalists.append(table.rows[low.bit_length() - 1])
+        live ^= low
+    return finalists
 
 
 def apply_increment(
@@ -294,14 +335,22 @@ def run(
 
     n = graph.node_count
     step = config.delta_r
+    guard = config.strict_guard
     rng = TieBreakStream(config.seed)
     cache = PairPathCache(graph, config.m, config.hop_limit)
-    tables: Dict[Edge, List[Candidate]] = {}
-    limits = tuple((pair_position(u, v, n), target[u, v] - step) for u, v in graph.edges)
+    tables: Dict[Edge, CandidateTable] = {}
     routing = RoutingList()
     trace: List[IterationTrace] = []
     # target - effective, one entry per pair i < j in row order
     deficiency = [target[pair] - graph.rate(*pair) for pair in _pairs(n)]
+    # under the strict guard, the edges holding less than delta_r, whose
+    # deficiency exceeds target - delta_r.  A step debits member edges and
+    # credits only the remote pair it serves, so no edge's deficiency falls
+    # and a short edge stays short: the loop only adds the newly short ones.
+    limits = {pair_position(u, v, n): target[u, v] - step for u, v in graph.edges}
+    short = (
+        {cell for cell, limit in limits.items() if deficiency[cell] > limit} if guard else set()
+    )
     delta = cost_delta(deficiency)
     r = 0
 
@@ -338,26 +387,27 @@ def run(
         path_sets = cache.m_path_sets(pair)
         if not path_sets:
             return stop(StopReason.NO_M_SET, pair, pairs_tied)
-        candidates = tables.get(pair)
-        if candidates is None:
-            candidates = tables[pair] = candidate_table(path_sets, n)
-        if config.strict_guard:
-            candidates = admissible(candidates, deficiency, limits)
-            if not candidates:
-                return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
-        chosen, sets_tied = _choose(rng, optimal_sets(candidates, deficiency))
+        table = tables.get(pair)
+        if table is None:
+            table = tables[pair] = candidate_table(path_sets, n)
+        finalists = optimal_sets(table, deficiency, short)
+        if not finalists:
+            return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
+        chosen, sets_tied = _choose(rng, finalists)
         audit = (
             tuple(
                 (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in candidates
+                for c in table.rows
+                if short.isdisjoint(c.cells)
             )
             if trace_candidates
             else None
         )
-        # under the strict guard, every candidate already passed the guard
         deficiency[pair_position(*pair, n)] -= step
         for cell in chosen.cells:
             deficiency[cell] += step
+        if guard:
+            short.update(cell for cell in chosen.cells if deficiency[cell] > limits[cell])
         new_delta = cost_delta(deficiency)
         if new_delta > delta:
             # the rejected step is left in the list: nothing reads it again

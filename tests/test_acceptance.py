@@ -108,7 +108,7 @@ def test_acceptance_dense5_golden_run(dense5):
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, shortfall)
+            finalists = optimal_sets(table, shortfall, set())
             assert entry.chosen_set in [c.path_set for c in finalists]
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4

@@ -13,7 +13,6 @@ from qkdroute.engine import (
     RoutingRecord,
     StopReason,
     _choose,
-    admissible,
     apply_increment,
     candidate_table,
     cost_delta,
@@ -102,7 +101,7 @@ def test_select_optimal_set_filters(dense5):
     deficiency = np.asarray(target) - graph.rate_matrix()
     candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
     table = candidate_table(candidates, graph.node_count)
-    finalists = optimal_sets(table, per_pair(deficiency))
+    finalists = optimal_sets(table, per_pair(deficiency), set())
     assert [str(c.path_set) for c in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
 
 
@@ -135,22 +134,29 @@ def scoring_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scoring_cases())
 def test_table_scoring_matches_reference(case):
-    """Table-based guard and scoring pick the reference finalists, in order."""
+    """The level walk over the table's masks picks the reference finalists,
+    in order, with the strict guard's short edges and without them."""
     graph, sets, effective, target, delta_r, strict_guard = case
     deficiency = target - effective
     n = graph.node_count
-    kept = [s for s in sets if not strict_guard or guard_ok(s, effective, delta_r)]
+    # the edges holding less than delta_r, as run keeps them
+    short = {
+        pair_position(u, v, n)
+        for u, v in graph.edges
+        if deficiency[u, v] > int(target[u, v]) - delta_r
+    }
     table = candidate_table(sets, n)
-    if strict_guard:
-        limits = [(pair_position(u, v, n), int(target[u, v]) - delta_r) for u, v in graph.edges]
-        table = admissible(table, per_pair(deficiency), limits)
-    assert [c.path_set for c in table] == kept
-    if not kept:
-        return
-    expected = reference_finalists(sets, deficiency, effective, delta_r, strict_guard)
-    best = min(set_deficiency(s, deficiency) for s in kept)
-    assert all(set_deficiency(s, deficiency) == best for s in expected)
-    assert [c.path_set for c in optimal_sets(table, per_pair(deficiency))] == expected
+    assert len(table) == len(sets)
+    for guard in (strict_guard, not strict_guard):
+        finalists = optimal_sets(table, per_pair(deficiency), short if guard else set())
+        kept = [s for s in sets if not guard or guard_ok(s, effective, delta_r)]
+        if not kept:
+            assert finalists == []
+            continue
+        expected = reference_finalists(sets, deficiency, effective, delta_r, guard)
+        best = min(set_deficiency(s, deficiency) for s in kept)
+        assert all(set_deficiency(s, deficiency) == best for s in expected)
+        assert [c.path_set for c in finalists] == expected
 
 
 def test_apply_increment_is_pure(dense5):
@@ -246,7 +252,7 @@ def test_dense5_trajectory_envelope(dense5):
                 enumerate_simple_paths(graph, *entry.selected_pair), 2
             )
             table = candidate_table(sets, graph.node_count)
-            finalists = optimal_sets(table, shortfall)
+            finalists = optimal_sets(table, shortfall, set())
             assert entry.chosen_set in [c.path_set for c in finalists]
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
@@ -459,6 +465,12 @@ def test_run_invariants_on_random_graphs(case):
     out = run(graph, target, config, trace_candidates=True)
     target = np.asarray(target)
     sets = {}
+
+    def pair_sets(pair):
+        if pair not in sets:
+            sets[pair] = enumerate_m_path_sets(enumerate_simple_paths(graph, *pair), config.m)
+        return sets[pair]
+
     effective = graph.rate_matrix()
     for entry in out.trace[:-1]:
         deficiency = target - effective
@@ -466,14 +478,14 @@ def test_run_invariants_on_random_graphs(case):
         worst = reference_worst_pairs(deficiency)
         assert entry.selected_pair in worst and entry.pairs_tied == len(worst)
         pair = entry.selected_pair
-        if pair not in sets:
-            paths = enumerate_simple_paths(graph, *pair)
-            sets[pair] = enumerate_m_path_sets(paths, config.m)
-        finalists = reference_finalists(sets[pair], deficiency, effective, step, guard)
+        finalists = reference_finalists(pair_sets(pair), deficiency, effective, step, guard)
         assert entry.chosen_set in finalists and entry.sets_tied == len(finalists)
         assert all(score == set_deficiency(s, deficiency) for s, score in entry.candidates)
         effective = apply_increment(effective, pair, entry.chosen_set, step, guard)
         assert entry.delta_after == reference_cost(target, effective) <= entry.delta_before
+        # no edge's deficiency falls, so an edge short under the guard stays short
+        after = target - effective
+        assert all(after[edge] >= deficiency[edge] for edge in graph.edges)
     assert np.array_equal(effective, out.effective)
     assert all(type(value) is int for value in out.effective.cells)
     assert np.array_equal(out.effective, np.asarray(out.effective).T)
@@ -494,3 +506,6 @@ def test_run_invariants_on_random_graphs(case):
     last = out.trace[-1]
     if last.stop_reason is StopReason.COST_WORSENED:
         assert last.delta_after > last.delta_before
+    if last.stop_reason is StopReason.GUARD_EXHAUSTED:
+        # every set of the pair crosses an edge holding less than delta_r
+        assert not any(guard_ok(s, effective, step) for s in pair_sets(last.selected_pair))
