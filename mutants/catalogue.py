@@ -149,11 +149,11 @@ MUTANTS = (
             if trace_candidates
             else None
         )
-        deficiency[pair_position(*pair, n)] -= step
+        deficiency[positions[pair]] -= step
         for cell in chosen.cells:
             deficiency[cell] += step
 """,
-        """        deficiency[pair_position(*pair, n)] -= step
+        """        deficiency[positions[pair]] -= step
         for cell in chosen.cells:
             deficiency[cell] += step
         audit = (
@@ -170,24 +170,10 @@ MUTANTS = (
     ),
     # the key pools
     Mutant(
-        "pools: odd-size draw steps",
-        "qkdroute/keysim.py",
-        "_STEP_WORDS = 1 << 20",
-        "_STEP_WORDS = (1 << 20) - 1",
-        POOL_TESTS,
-    ),
-    Mutant(
         "pools: little-endian packing",
         "qkdroute/keysim.py",
         "return np.packbits(octets)",
         'return np.packbits(octets, bitorder="little")',
-        POOL_TESTS,
-    ),
-    Mutant(
-        "pools: no carry between pools",
-        "qkdroute/keysim.py",
-        "head = (int(out[-1]) << 4) & 0xFF if count % 2 else None",
-        "head = None",
         POOL_TESTS,
     ),
     Mutant(
@@ -203,6 +189,41 @@ MUTANTS = (
         "return covered[start - 8 * first : stop - 8 * first]",
         "return covered[: stop - start]",
         POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a read ignores where the pool starts in its bytes",
+        "qkdroute/keysim.py",
+        "        start, stop = start + self.shift, stop + self.shift\n",
+        "",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: the next pool starts right after the last bit, not its half-word",
+        "qkdroute/keysim.py",
+        "offset += 4 * ((length + 3) // 4)",
+        "offset += length",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: the stream one 64-bit word short on an odd half-word count",
+        "qkdroute/keysim.py",
+        "for length in lengths) + 1) // 2",
+        "for length in lengths)) // 2",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a read of the whole pool refused (< instead of <=)",
+        "qkdroute/keysim.py",
+        "if not 0 <= start <= stop <= self.length:",
+        "if not 0 <= start <= stop < self.length:",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a read past the pool's end let through",
+        "qkdroute/keysim.py",
+        "if not 0 <= start <= stop <= self.length:",
+        "if not 0 <= start <= stop:",
+        ("tests/test_keysim.py::test_unpack_refuses_bits_outside_the_pool",),
     ),
     Mutant(
         "pools: memory check off by one byte",
@@ -250,6 +271,13 @@ MUTANTS = (
         ),
     ),
     # the command line
+    Mutant(
+        "cli: a repeated --sweep value runs twice into one directory",
+        "qkdroute/cli.py",
+        "if repeated:",
+        "if False:",
+        ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
+    ),
     Mutant(
         "cli: simulate takes --m and ignores it",
         "qkdroute/cli.py",

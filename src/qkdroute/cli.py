@@ -189,9 +189,15 @@ def cmd_route(args: argparse.Namespace) -> int:
     scale = network.graph.scale
     config = _merged_config(network.config, args, scale)
 
-    if args.sweep:
+    if args.sweep is not None:
+        values = [v.strip() for v in args.sweep.split(",") if v.strip()]
+        if not values:
+            raise ValidationError("--sweep lists no delta-r value")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValidationError(f"--sweep lists {', '.join(repeated)} more than once")
         tasks = []
-        for value in (v.strip() for v in args.sweep.split(",") if v.strip()):
+        for value in values:
             combo = dataclasses.replace(
                 config, delta_r=scale.units_from_kbps(value, "--sweep")
             )

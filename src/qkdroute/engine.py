@@ -162,6 +162,12 @@ def pair_position(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
+@functools.lru_cache(maxsize=4)
+def _positions(n: int) -> Dict[Edge, int]:
+    """Every pair i < j mapped to its ``pair_position``; shared, so read only."""
+    return {pair: pair_position(*pair, n) for pair in _pairs(n)}
+
+
 def cost_delta(deficiency: Sequence[int]) -> int:
     """Largest shortfall target - effective over the unordered pairs.
 
@@ -224,13 +230,9 @@ class CandidateTable:
 def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> CandidateTable:
     """One row per set, in the given order, with the masks ``optimal_sets``
     walks; built once per pair, as the masks depend on no rate."""
+    position = _positions(node_count).__getitem__
     return CandidateTable(
-        [
-            Candidate(
-                s, tuple(pair_position(u, v, node_count) for u, v in s.edges), s.total_hops
-            )
-            for s in path_sets
-        ]
+        [Candidate(s, tuple(map(position, s.edges)), s.total_hops) for s in path_sets]
     )
 
 
@@ -347,7 +349,8 @@ def run(
     # deficiency exceeds target - delta_r.  A step debits member edges and
     # credits only the remote pair it serves, so no edge's deficiency falls
     # and a short edge stays short: the loop only adds the newly short ones.
-    limits = {pair_position(u, v, n): target[u, v] - step for u, v in graph.edges}
+    positions = _positions(n)
+    limits = {positions[edge]: target[edge] - step for edge in graph.edges}
     short = (
         {cell for cell, limit in limits.items() if deficiency[cell] > limit} if guard else set()
     )
@@ -403,7 +406,7 @@ def run(
             if trace_candidates
             else None
         )
-        deficiency[pair_position(*pair, n)] -= step
+        deficiency[positions[pair]] -= step
         for cell in chosen.cells:
             deficiency[cell] += step
         if guard:

@@ -9,17 +9,17 @@ edge hold the same pool, so they carve identical segments without talking.
 ``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
 bit offsets of that record's relay segment in the edge's pool.
 Pools are stored packed, eight bits per byte, and a segment is unpacked only
-when it is relayed, so a simulation's peak memory is about the packed pools
+when it is relayed, so a simulation's peak memory is about the packed stream
 plus the pair keys, which hold one byte per bit.
 
-The pools' bits come from one ``numpy.random.default_rng(seed)`` stream, in
-canonical edge order, and are exactly those that
-``integers(0, 2, dtype=uint8)`` would return if called once per pool.  The
-generator's 64-bit words are read as 32-bit words, low half first.  A pool of
-L bits takes ceil(L / 4) of them and uses the top bit of each of their four
-bytes, lowest byte first; the unused bits of its last 32-bit word are
-dropped.  A high half-word that no pool has read yet is carried to the next
-pool, which starts with it.
+The pools are consecutive runs of one bit stream, drawn from one
+``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of
+every byte of the generator's raw 64-bit words, lowest byte first, so four
+bits per 32-bit half-word, low half first.  A pool of L bits takes the next
+ceil(L / 4) half-words and skips the bits of its last one past L: pool p
+starts at bit 4 * H_p of the stream, where H_p = sum over q < p of
+ceil(L_q / 4).  Its bits are exactly those that ``integers(0, 2,
+dtype=uint8)`` would return if called once per pool.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -46,9 +46,9 @@ from .paths import MPathSet, Path
 from .units import as_decimal
 
 
-# 32-bit generator words a pool draws per step: 4 MiB of raw words, packed to
-# 512 KiB.  Even, so every step but a pool's last fills whole bytes.
-_STEP_WORDS = 1 << 20
+# 64-bit generator words drawn per step: 4 MiB of raw words, packed to
+# 512 KiB.
+_STEP_WORDS = 1 << 19
 
 
 def _physical_memory() -> int:
@@ -68,14 +68,19 @@ def _top_bits(raw: np.ndarray) -> np.ndarray:
 class KeyPool:
     """The shared secret-bit pool of one edge over the harvest window."""
 
-    bits: np.ndarray  # np.packbits of the pool's bits, read-only
+    bits: np.ndarray  # read-only packed bytes holding the pool, first bit highest
     length: int
+    shift: int = 0  # the bit of ``bits[0]`` where the pool starts
 
     def __len__(self) -> int:
         return self.length
 
     def unpack(self, start: int, stop: int) -> np.ndarray:
-        """Bits ``start:stop`` of the pool, one byte per bit."""
+        """Bits ``start:stop`` of the pool, one byte per bit; ValueError unless
+        0 <= start <= stop <= len(self), as ``bits`` can hold the next pool's."""
+        if not 0 <= start <= stop <= self.length:
+            raise ValueError(f"bits {start}:{stop} lie outside a pool of {self.length} bits")
+        start, stop = start + self.shift, stop + self.shift
         first = start // 8
         covered = np.unpackbits(self.bits[first : (stop + 7) // 8])
         return covered[start - 8 * first : stop - 8 * first]
@@ -133,11 +138,12 @@ def compromise_probability_bound(m: int, epsilon: object) -> float:
     return float(eps**m)
 
 
-def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> List[int]:
-    """Bits in each edge's pool, in canonical edge order; refuses (CapacityError)
-    packed pools, and then packed pools plus ``key_bytes``, beyond physical memory."""
+def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> Tuple[List[int], int]:
+    """Bits in each edge's pool, in canonical edge order, and the bytes of the
+    packed stream that holds them all, one per 64-bit word; refuses
+    (CapacityError) the stream, then it plus ``key_bytes``, beyond physical memory."""
     lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    needed = sum((length + 7) // 8 for length in lengths)
+    needed = (sum((length + 3) // 4 for length in lengths) + 1) // 2
     memory = _physical_memory()
     for what, extra in (("key pools", 0), ("key pools and pair keys", key_bytes)):
         if needed + extra > memory:
@@ -145,7 +151,7 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> List
                 f"{what} of {needed + extra} bytes at tau {tau} s exceed the "
                 f"{memory} bytes of physical memory"
             )
-    return lengths
+    return lengths, needed
 
 
 def accumulate_pools(
@@ -153,47 +159,32 @@ def accumulate_pools(
 ) -> Dict[Edge, KeyPool]:
     """Draw each edge's pool of R_ij * tau bits from a seeded generator.
 
-    Pools are drawn in canonical edge order so a (graph, tau, seed) triple
-    always produces identical key material.  Each pool's bits are the top
-    bits of the bytes of ceil(R_ij * tau / 4) 32-bit generator words, lowest
-    byte first, as the module docstring sets out.  The words are read raw,
-    64 bits at a time, in steps of ``_STEP_WORDS``; ``head`` holds the bits
-    of a high half-word left over by one pool, which the next pool starts
-    with.  Every pool is packed as it is drawn.
+    The packed stream the module docstring sets out is drawn once, from raw
+    64-bit words in steps of ``_STEP_WORDS``, and made read-only.  Each pool
+    is a view onto it: pool p, in canonical edge order, starts at bit
+    4 * H_p, so its view begins at byte 4 * H_p // 8 with a ``shift`` of 0
+    or 4.  A (graph, tau, seed) triple always produces identical key
+    material.
 
     Raises:
         ValueError: when tau is not positive.
-        CapacityError: when the packed pools would not fit in physical
+        CapacityError: when the packed stream would not fit in physical
             memory; this is checked before anything is drawn.
     """
     tau = as_decimal(tau, "tau")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    lengths = _pool_lengths(graph, tau)
+    lengths, words = _pool_lengths(graph, tau)
     draw = np.random.default_rng(seed).bit_generator.random_raw
-    # the four bits of a carried high half-word, as a byte's top nibble
-    head: Optional[int] = None
+    stream = np.empty(words, dtype=np.uint8)
+    for start in range(0, words, _STEP_WORDS):
+        stream[start : start + _STEP_WORDS] = _top_bits(draw(min(_STEP_WORDS, words - start)))
+    stream.flags.writeable = False
     pools: Dict[Edge, KeyPool] = {}
+    offset = 0  # the next pool's first bit in the stream
     for edge, length in zip(graph.edges, lengths):
-        words = (length + 3) // 4
-        packed = np.empty((length + 7) // 8, dtype=np.uint8)
-        for start in range(0, words, _STEP_WORDS):
-            count = min(_STEP_WORDS, words - start)
-            out = packed[start // 2 : (start + count + 1) // 2]
-            if head is None:
-                out[:] = _top_bits(draw((count + 1) // 2))
-                head = (int(out[-1]) << 4) & 0xFF if count % 2 else None
-            else:
-                # every packed byte straddles two raw words
-                fresh = _top_bits(draw(count // 2))
-                out[0] = head
-                out[1:] = fresh[: len(out) - 1] << 4
-                out[: len(fresh)] |= fresh >> 4
-                head = None if count % 2 else (int(fresh[-1]) << 4) & 0xFF
-        if length % 8:
-            packed[-1] &= (0xFF << (8 - length % 8)) & 0xFF
-        packed.flags.writeable = False
-        pools[edge] = KeyPool(packed, length)
+        pools[edge] = KeyPool(stream[offset // 8 : (offset + length + 7) // 8], length, offset % 8)
+        offset += 4 * ((length + 3) // 4)
     return pools
 
 
@@ -350,7 +341,7 @@ def simulate(
 ) -> KeySimulation:
     """Run pool accumulation, allocation, relay and assembly end to end.
 
-    Refuses (CapacityError), before drawing, packed pools plus pair keys (a
+    Refuses (CapacityError), before drawing, the packed pools plus pair keys (a
     byte per bit, the largest twice) that would not fit in physical memory.
     """
     tau_dec = as_decimal(tau, "tau")

@@ -293,6 +293,21 @@ def test_route_sweep(k23_file, tmp_path, capsys):
     assert slow["iterations"] == 2 * fast["iterations"]
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [(",", "lists no delta-r value"), ("", "lists no delta-r value"),
+     ("0.1,0.05,0.1", "lists 0.1 more than once")],
+)
+def test_route_sweep_refuses_empty_and_repeated_values(k23_file, tmp_path, capsys, sweep, message):
+    # a repeated value would run two processes into one delta_r directory
+    out_dir = tmp_path / "sweep"
+    assert main([
+        "route", "--input", str(k23_file), "--out-dir", str(out_dir), "--sweep", sweep,
+    ]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def grid_doc(side, rate_kbps):
     """side x side grid with one rate on every edge, so pairs and sets tie often."""
     edges = []

@@ -74,14 +74,33 @@ def mesh10_routed():
     return graph, run(graph, target, config)
 
 
+def assert_pools_are_views_of_one_stream(pools, references):
+    """Every pool unpacks to its reference draw and is a read-only window
+    onto one base buffer, starting at bit 4 * H_p, where H_p is the number
+    of 32-bit words the pools before it take."""
+    base = next(iter(pools.values())).bits.base
+    origin = base.__array_interface__["data"][0]
+    half_words = 0
+    for pool, reference in zip(pools.values(), references, strict=True):
+        length = len(reference)
+        assert len(pool) == length
+        assert np.array_equal(pool.unpack(0, len(pool)), reference)
+        assert pool.bits.base is base
+        assert not pool.bits.flags.writeable
+        if length:  # numpy points an empty slice at its base's first byte
+            assert pool.bits.__array_interface__["data"][0] - origin == 4 * half_words // 8
+        assert pool.shift == 4 * half_words % 8
+        half_words += (length + 3) // 4
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     tau=st.integers(1, 8000).map(lambda k: Decimal(k) / 10000),
-    step_words=st.integers(1, 6).map(lambda k: 2 * k) | st.just(keysim._STEP_WORDS),
+    step_words=st.integers(1, 6) | st.just(keysim._STEP_WORDS),
 )
 def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
-    """Pools drawn from raw words in steps and packed hold the bits of one
+    """Pools drawn from raw words in steps of any size hold the bits of one
     draw per pool, and every relay segment unpacks to the matching slice of
     those bits.  mesh10's rates give pools of 0 to 4000 bits, mostly not a
     multiple of 4 long, so most pools leave a half-word to the next."""
@@ -89,11 +108,10 @@ def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
     with mock.patch.object(keysim, "_STEP_WORDS", step_words):
         pools = accumulate_pools(graph, tau, seed)
     lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    reference = dict(zip(graph.edges, one_shot_pools(lengths, seed)))
     assert tuple(pools) == graph.edges
-    for edge, pool in pools.items():
-        assert len(pool) == len(reference[edge])
-        assert np.array_equal(pool.bits, np.packbits(reference[edge]))
+    references = one_shot_pools(lengths, seed)
+    assert_pools_are_views_of_one_stream(pools, references)
+    reference = dict(zip(graph.edges, references))
     allocation = allocate_segments(pools, out.routing_list, graph, tau)
     for (path_set, edge), (start, stop) in allocation.items():
         assert np.array_equal(pools[edge].unpack(start, stop), reference[edge][start:stop])
@@ -101,24 +119,38 @@ def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
 
 def test_pool_starts_on_the_carried_half_word():
     """At the real step size: a pool of three 32-bit words leaves the high
-    half of the second 64-bit word unread, a 0-bit pool draws nothing, and a
-    pool longer than one step starts with that half-word.  It ends on a
-    whole 64-bit word, so the pool after it starts on a fresh one."""
-    step_bits = 4 * keysim._STEP_WORDS
+    half of the second 64-bit word unread, a 0-bit pool draws nothing, and
+    the pool after them, longer than one step, starts with that half-word,
+    four bits into a packed byte.  It ends on a whole 64-bit word, so the
+    pool after it starts on a fresh one."""
+    step_bits = 8 * keysim._STEP_WORDS
     # one rate unit is 1 bit/s, so at tau = 0.5 s these are 9, 0,
-    # step_bits + 18 and 5 bits: 3, 0, _STEP_WORDS + 5 and 2 words
+    # step_bits + 18 and 5 bits: 3, 0, 2 * _STEP_WORDS + 5 and 2 words
     graph = NetworkGraph(4, {(0, 1): 18, (0, 2): 1, (0, 3): 2 * step_bits + 36,
                              (1, 2): 10})
     lengths = [9, 0, step_bits + 18, 5]
     tau = Decimal("0.5")
     assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == lengths
     pools = accumulate_pools(graph, tau, seed=4)
-    for edge, reference in zip(graph.edges, one_shot_pools(lengths, seed=4)):
-        assert len(pools[edge]) == len(reference)
-        assert np.array_equal(pools[edge].bits, np.packbits(reference))
+    assert_pools_are_views_of_one_stream(pools, one_shot_pools(lengths, seed=4))
+    assert [pool.shift for pool in pools.values()] == [0, 4, 4, 0]
     raw = np.random.default_rng(4).bit_generator.random_raw(2)
     carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
     assert pools[(0, 3)].unpack(0, 4).tolist() == carried
+
+
+def test_unpack_refuses_bits_outside_the_pool():
+    """A pool's bytes can hold the next pool's first bits, so a read past
+    its end, or with its ends swapped, is refused rather than cut short."""
+    graph = NetworkGraph(3, {(0, 1): 6, (0, 2): 8, (1, 2): 8})
+    pools = accumulate_pools(graph, Decimal(1), seed=0)
+    pool = pools[(0, 1)]
+    assert len(pool) == 6
+    assert len(pool.unpack(0, 6)) == 6
+    assert len(pool.unpack(6, 6)) == 0
+    for start, stop in ((0, 7), (5, 9), (4, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="outside a pool of 6 bits"):
+            pool.unpack(start, stop)
 
 
 def test_pools_refused_beyond_physical_memory(k23):
