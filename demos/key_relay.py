@@ -34,7 +34,7 @@ def main() -> None:
     print(f"\nkeys after {TAU}s of harvesting:")
     for pair, key in sorted(sim.pair_keys.items()):
         verdict = "endpoints agree" if key.agreed else "MISMATCH"
-        print(f"  pair {pair}: {len(key.bits)} bits, {verdict}")
+        print(f"  pair {pair}: {key.length} bits, {verdict}")
 
     for corrupt in (set(), {1}, {1, 2}, {1, 2, 3}):
         report = assess_compromise(sim, corrupt, epsilon="0.1")

@@ -35,6 +35,11 @@ POOL_TESTS = (
     "tests/test_keysim.py::test_pool_starts_on_the_carried_half_word",
 )
 
+PACKED_TESTS = (
+    "tests/test_keysim.py::test_packed_relay_and_assembly_match_an_unpacked_oracle",
+    *POOL_TESTS,
+)
+
 MUTANTS = (
     # the max-flow routability test
     Mutant(
@@ -186,16 +191,30 @@ MUTANTS = (
     Mutant(
         "pools: a segment read without its bit offset",
         "qkdroute/keysim.py",
-        "return covered[start - 8 * first : stop - 8 * first]",
-        "return covered[: stop - start]",
-        POOL_TESTS,
+        "np.packbits(covered[lead : lead + stop - start])",
+        "np.packbits(covered[: stop - start])",
+        PACKED_TESTS,
     ),
     Mutant(
-        "pools: a read ignores where the pool starts in its bytes",
+        "pools: a segment shift off by one",
         "qkdroute/keysim.py",
-        "        start, stop = start + self.shift, stop + self.shift\n",
-        "",
-        POOL_TESTS,
+        "np.packbits(covered[lead : lead + stop - start])",
+        "np.packbits(covered[lead + 1 : lead + 1 + stop - start])",
+        PACKED_TESTS,
+    ),
+    Mutant(
+        "pools: a segment's pad bits not cleared (they keep the next stream bits)",
+        "qkdroute/keysim.py",
+        "np.packbits(covered[lead : lead + stop - start])",
+        "np.packbits(covered[lead : lead + 8 * ((stop - start + 7) // 8)])",
+        PACKED_TESTS,
+    ),
+    Mutant(
+        "pools: a read ignores where the run starts in its bytes",
+        "qkdroute/keysim.py",
+        "divmod(start - self.start + self.shift, 8)",
+        "divmod(start - self.start, 8)",
+        PACKED_TESTS,
     ),
     Mutant(
         "pools: the next pool starts right after the last bit, not its half-word",
@@ -205,24 +224,52 @@ MUTANTS = (
         POOL_TESTS,
     ),
     Mutant(
-        "pools: the stream one 64-bit word short on an odd half-word count",
+        "pools: a run starts one bit late",
         "qkdroute/keysim.py",
-        "for length in lengths) + 1) // 2",
-        "for length in lengths)) // 2",
+        "bit = offset + start\n",
+        "bit = offset + start + 1\n",
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a read of the whole pool refused (< instead of <=)",
+        "pools: a run one 64-bit word short when it ends mid-word",
         "qkdroute/keysim.py",
-        "if not 0 <= start <= stop <= self.length:",
-        "if not 0 <= start <= stop < self.length:",
+        "words = (bit + stop - start + 7) // 8 - bit // 8",
+        "words = (bit + stop - start) // 8 - bit // 8",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: the generator not rewound before each run",
+        "qkdroute/keysim.py",
+        "        generator.state = origin\n",
+        "",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: whole pools stored despite an allocation",
+        "qkdroute/keysim.py",
+        "(0, length) if allocation is None else allocation.runs[edge]",
+        "(0, length)",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a read of the whole stored run refused (< instead of <=)",
+        "qkdroute/keysim.py",
+        "if not self.start <= start <= stop <= self.stop:",
+        "if not self.start <= start <= stop < self.stop:",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: a read of an own-share bit let through",
+        "qkdroute/keysim.py",
+        "if not self.start <= start <= stop <= self.stop:",
+        "if not 0 <= start <= stop <= self.stop:",
         POOL_TESTS,
     ),
     Mutant(
         "pools: a read past the pool's end let through",
         "qkdroute/keysim.py",
-        "if not 0 <= start <= stop <= self.length:",
-        "if not 0 <= start <= stop:",
+        "if not self.start <= start <= stop <= self.stop:",
+        "if not self.start <= start <= stop:",
         ("tests/test_keysim.py::test_unpack_refuses_bits_outside_the_pool",),
     ),
     Mutant(
@@ -231,6 +278,28 @@ MUTANTS = (
         "if needed + extra > memory:",
         "if needed + extra >= memory:",
         ("tests/test_keysim.py::test_pools_refused_beyond_physical_memory",),
+    ),
+    Mutant(
+        "pools: pair keys counted at a byte per bit in the memory refusal",
+        "qkdroute/keysim.py",
+        "sum((bits + 7) // 8 for bits in key_bits.values())",
+        "sum(key_bits.values())",
+        ("tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",),
+    ),
+    # the packed pair keys
+    Mutant(
+        "keys: a block written at the pair's byte offset, not its bit offset",
+        "qkdroute/keysim.py",
+        "first, shift = divmod(offset, 8)",
+        "first, shift = offset // 8, 0",
+        ("tests/test_keysim.py::test_packed_relay_and_assembly_match_an_unpacked_oracle",),
+    ),
+    Mutant(
+        "keys: the simulation report unpacks each pair key",
+        "qkdroute/artifacts.py",
+        '"key_bits": key.length,',
+        '"key_bits": len(key.bits),',
+        ("tests/test_cli.py::test_simulate_never_unpacks_pair_keys",),
     ),
     # the relay segments and the compromise analysis
     Mutant(

@@ -364,7 +364,7 @@ def simulation_report_dict(
     for pair, key in sorted(sim.pair_keys.items()):
         entry: dict = {
             "pair": list(pair),
-            "key_bits": int(len(key.bits)),
+            "key_bits": key.length,
             "endpoints_agree": key.agreed,
         }
         if report is not None:
@@ -395,7 +395,7 @@ def render_simulation_text(
     lines = [f"key simulation: tau={sim.tau}s seed={sim.seed}"]
     for pair, key in sorted(sim.pair_keys.items()):
         verdict = "agree" if key.agreed else "MISMATCH"
-        line = f"pair ({pair[0]}, {pair[1]}): {len(key.bits)} bits, endpoints {verdict}"
+        line = f"pair ({pair[0]}, {pair[1]}): {key.length} bits, endpoints {verdict}"
         if report is not None:
             line += f", {report.pair_status[pair]}"
             if report.leaked_bits[pair]:

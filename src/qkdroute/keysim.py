@@ -7,10 +7,9 @@ routing list, then one relay segment per routing record that traverses the
 edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
 ``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
-bit offsets of that record's relay segment in the edge's pool.
-Pools are stored packed, eight bits per byte, and a segment is unpacked only
-when it is relayed, so a simulation's peak memory is about the packed stream
-plus the pair keys, which hold one byte per bit.
+bit offsets of that record's relay segment in the edge's pool.  It needs only
+the pool lengths, so ``simulate`` lays the segments out before anything is
+drawn.
 
 The pools are consecutive runs of one bit stream, drawn from one
 ``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of
@@ -20,6 +19,15 @@ ceil(L / 4) half-words and skips the bits of its last one past L: pool p
 starts at bit 4 * H_p of the stream, where H_p = sum over q < p of
 ceil(L_q / 4).  Its bits are exactly those that ``integers(0, 2,
 dtype=uint8)`` would return if called once per pool.
+
+No command reads an edge's own share, so ``simulate`` stores only the run of
+each pool that its relay segments cover, from the end of the own share to
+the last relay stop.  The generator jumps to the run's first 64-bit word
+(``bit_generator.advance``) and draws only the run, packed eight bits to a
+byte.  A segment is read as packed bytes aligned to bit 0, the relay and the
+key blocks XOR those bytes, and each record's block is written at its bit
+offset into its pair's packed key.  A simulation's peak memory is thus about
+(relayed bits + key bits) / 8 bytes.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -36,11 +44,11 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .engine import RoutingList
+from .engine import RoutingList, RoutingRecord
 from .model import CapacityError, Edge, NetworkGraph, NodeId
 from .paths import MPathSet, Path
 from .units import as_decimal
@@ -64,43 +72,78 @@ def _top_bits(raw: np.ndarray) -> np.ndarray:
     return np.packbits(octets)
 
 
-@dataclass(frozen=True)
 class KeyPool:
-    """The shared secret-bit pool of one edge over the harvest window."""
+    """The shared secret-bit pool of one edge over the harvest window.
 
-    bits: np.ndarray  # read-only packed bytes holding the pool, first bit highest
-    length: int
-    shift: int = 0  # the bit of ``bits[0]`` where the pool starts
+    Only pool bits ``start:stop`` are stored, in the read-only packed bytes
+    ``bits`` from bit ``shift`` of ``bits[0]`` on, first bit highest; a whole
+    pool has ``start`` 0 and ``stop`` its length.  The bytes can hold bits
+    of the stream either side of the stored run.
+    """
+
+    __slots__ = ("bits", "length", "shift", "start", "stop")
+
+    def __init__(
+        self,
+        bits: np.ndarray,
+        length: int,
+        shift: int = 0,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> None:
+        self.bits = bits
+        self.length = length
+        self.shift = shift
+        self.start = start
+        self.stop = length if stop is None else stop
 
     def __len__(self) -> int:
         return self.length
 
+    def segment(self, start: int, stop: int) -> np.ndarray:
+        """Bits ``start:stop`` of the pool in new packed bytes, from the top
+        bit of the first byte on, with the last byte's pad bits zero;
+        ValueError unless they lie within the stored bits, as ``bits`` can
+        hold other bits of the stream."""
+        if not self.start <= start <= stop <= self.stop:
+            raise ValueError(
+                f"bits {start}:{stop} lie outside a pool of {self.length} bits "
+                f"stored at {self.start}:{self.stop}"
+            )
+        first, lead = divmod(start - self.start + self.shift, 8)
+        covered = np.unpackbits(self.bits[first : first + (lead + stop - start + 7) // 8])
+        return np.packbits(covered[lead : lead + stop - start])
+
     def unpack(self, start: int, stop: int) -> np.ndarray:
-        """Bits ``start:stop`` of the pool, one byte per bit; ValueError unless
-        0 <= start <= stop <= len(self), as ``bits`` can hold the next pool's."""
-        if not 0 <= start <= stop <= self.length:
-            raise ValueError(f"bits {start}:{stop} lie outside a pool of {self.length} bits")
-        start, stop = start + self.shift, stop + self.shift
-        first = start // 8
-        covered = np.unpackbits(self.bits[first : (stop + 7) // 8])
-        return covered[start - 8 * first : stop - 8 * first]
+        """Bits ``start:stop`` of the pool, one byte per bit."""
+        return np.unpackbits(self.segment(start, stop), count=stop - start)
 
 
-# (record set, edge) -> the (start, stop) bit offsets of that record's relay
-# segment in the edge's pool
-SegmentAllocation = Dict[Tuple[MPathSet, Edge], Tuple[int, int]]
+class SegmentAllocation(Dict[Tuple[MPathSet, Edge], Tuple[int, int]]):
+    """(record set, edge) -> the (start, stop) bit offsets of that record's
+    relay segment in the edge's pool.  ``runs`` maps every edge to the bits
+    its segments cover, from the end of its own share to its last relay
+    stop."""
+
+    runs: Dict[Edge, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class PairKey:
     """Final key of one node pair and whether both endpoints computed it."""
 
-    bits: np.ndarray
+    packed: np.ndarray  # the key bits eight to a byte, first bit highest, pad bits zero
+    length: int  # in bits
     agreed: bool
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The key, one byte per bit."""
+        return np.unpackbits(self.packed, count=self.length)
 
     def hex(self) -> str:
         """The bits packed eight to a byte, first bit highest, in hex."""
-        return np.packbits(self.bits).tobytes().hex()
+        return self.packed.tobytes().hex()
 
 
 SECURE = "secure"
@@ -138,12 +181,38 @@ def compromise_probability_bound(m: int, epsilon: object) -> float:
     return float(eps**m)
 
 
-def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> Tuple[List[int], int]:
-    """Bits in each edge's pool, in canonical edge order, and the bytes of the
-    packed stream that holds them all, one per 64-bit word; refuses
-    (CapacityError) the stream, then it plus ``key_bytes``, beyond physical memory."""
-    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    needed = (sum((length + 3) // 4 for length in lengths) + 1) // 2
+def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
+    """Bits in each edge's pool, in canonical edge order; ValueError unless
+    tau is positive."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
+
+
+def _stored_runs(
+    lengths: Mapping[Edge, int], allocation: Optional[SegmentAllocation]
+) -> Dict[Edge, Tuple[int, int, int, int]]:
+    """Each edge's stored run as (bit, words, start, stop): pool bits
+    ``start:stop`` start at ``bit`` of the stream and take ``words`` raw
+    64-bit words.  The run is the whole pool without an allocation, or else
+    the bits its relay segments cover."""
+    runs = {}
+    offset = 0  # the pool's first bit in the stream
+    for edge, length in lengths.items():
+        start, stop = (0, length) if allocation is None else allocation.runs[edge]
+        bit = offset + start
+        words = (bit + stop - start + 7) // 8 - bit // 8 if stop > start else 0
+        runs[edge] = (bit, words, start, stop)
+        offset += 4 * ((length + 3) // 4)
+    return runs
+
+
+def _refuse_beyond_memory(
+    runs: Mapping[Edge, Tuple[int, int, int, int]], tau: Decimal, key_bytes: int = 0
+) -> None:
+    """CapacityError when the packed runs, a byte per word, or they plus
+    ``key_bytes``, would not fit in physical memory."""
+    needed = sum(words for _, words, _, _ in runs.values())
     memory = _physical_memory()
     for what, extra in (("key pools", 0), ("key pools and pair keys", key_bytes)):
         if needed + extra > memory:
@@ -151,57 +220,66 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal, key_bytes: int = 0) -> Tupl
                 f"{what} of {needed + extra} bytes at tau {tau} s exceed the "
                 f"{memory} bytes of physical memory"
             )
-    return lengths, needed
 
 
 def accumulate_pools(
-    graph: NetworkGraph, tau: Decimal, seed: int
+    graph: NetworkGraph,
+    tau: Decimal,
+    seed: int,
+    allocation: Optional[SegmentAllocation] = None,
 ) -> Dict[Edge, KeyPool]:
     """Draw each edge's pool of R_ij * tau bits from a seeded generator.
 
-    The packed stream the module docstring sets out is drawn once, from raw
-    64-bit words in steps of ``_STEP_WORDS``, and made read-only.  Each pool
-    is a view onto it: pool p, in canonical edge order, starts at bit
-    4 * H_p, so its view begins at byte 4 * H_p // 8 with a ``shift`` of 0
-    or 4.  A (graph, tau, seed) triple always produces identical key
+    Pool p, in canonical edge order, holds bits 4 * H_p on of the packed
+    stream the module docstring sets out.  Without an allocation every pool
+    is stored whole; with one, each pool stores only the run its relay
+    segments cover (``allocation.runs``), and an edge that relays nothing
+    stores no byte.  Each run is drawn on its own: the generator jumps to
+    the run's first 64-bit word, draws the run's words in steps of
+    ``_STEP_WORDS`` and keeps the top bit of every byte, packed and
+    read-only.  A (graph, tau, seed) triple always produces identical key
     material.
 
     Raises:
         ValueError: when tau is not positive.
-        CapacityError: when the packed stream would not fit in physical
+        CapacityError: when the stored runs would not fit in physical
             memory; this is checked before anything is drawn.
     """
     tau = as_decimal(tau, "tau")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    lengths, words = _pool_lengths(graph, tau)
-    draw = np.random.default_rng(seed).bit_generator.random_raw
-    stream = np.empty(words, dtype=np.uint8)
-    for start in range(0, words, _STEP_WORDS):
-        stream[start : start + _STEP_WORDS] = _top_bits(draw(min(_STEP_WORDS, words - start)))
-    stream.flags.writeable = False
+    lengths = _pool_lengths(graph, tau)
+    runs = _stored_runs(lengths, allocation)
+    _refuse_beyond_memory(runs, tau)
+    generator = np.random.default_rng(seed).bit_generator
+    origin = generator.state
     pools: Dict[Edge, KeyPool] = {}
-    offset = 0  # the next pool's first bit in the stream
-    for edge, length in zip(graph.edges, lengths):
-        pools[edge] = KeyPool(stream[offset // 8 : (offset + length + 7) // 8], length, offset % 8)
-        offset += 4 * ((length + 3) // 4)
+    for edge, (bit, words, start, stop) in runs.items():
+        generator.state = origin
+        generator.advance(bit // 8)
+        run = np.empty(words, dtype=np.uint8)
+        for step in range(0, words, _STEP_WORDS):
+            run[step : step + _STEP_WORDS] = _top_bits(
+                generator.random_raw(min(_STEP_WORDS, words - step))
+            )
+        run.flags.writeable = False
+        pools[edge] = KeyPool(run, lengths[edge], bit % 8, start, stop)
     return pools
 
 
 def allocate_segments(
-    pools: Mapping[Edge, KeyPool],
+    pools: Mapping[Edge, object],
     routing_list: RoutingList,
     graph: NetworkGraph,
     tau: Decimal,
 ) -> SegmentAllocation:
     """Carve every pool into its own share plus relay segments.
 
+    ``pools`` maps each edge to its pool or to the pool's length in bits.
     Returns a map from (record set, edge) to the ``(start, stop)`` bit
-    offsets of that record's relay segment in the edge's pool.  An edge's
-    own share, its effective rate ``routing_list.effective``, sits at the
-    pool front.  Segment lengths are floor(rate * tau) bits.  Records are
-    laid out in canonical order, so all parties compute the same offsets
-    independently.
+    offsets of that record's relay segment in the edge's pool, with each
+    edge's run in ``runs``.  An edge's own share, its effective rate
+    ``routing_list.effective``, sits at the pool front.  Segment lengths are
+    floor(rate * tau) bits.  Records are laid out in canonical order, so all
+    parties compute the same offsets independently.
 
     Raises:
         CapacityError: when an edge pool cannot hold its own share plus
@@ -212,8 +290,9 @@ def allocate_segments(
     tau = as_decimal(tau, "tau")
     scale = graph.scale
     effective = routing_list.effective(graph)
-    cursors: Dict[Edge, int] = {}
-    for edge, pool in pools.items():
+    sizes = {edge: pool if isinstance(pool, int) else len(pool) for edge, pool in pools.items()}
+    shares: Dict[Edge, int] = {}
+    for edge, size in sizes.items():
         rate = int(effective[edge[0], edge[1]])
         if rate < 0:
             raise CapacityError(
@@ -221,32 +300,34 @@ def allocate_segments(
                 f"effective rate {rate} is negative"
             )
         length = scale.bit_count(rate, tau)
-        if length > len(pool):
+        if length > size:
             raise CapacityError(
-                f"edge ({edge[0]}, {edge[1]}) pool of {len(pool)} bits cannot "
+                f"edge ({edge[0]}, {edge[1]}) pool of {size} bits cannot "
                 f"hold its {length}-bit own share"
             )
-        cursors[edge] = length
-    allocation: SegmentAllocation = {}
+        shares[edge] = length
+    cursors = dict(shares)
+    allocation = SegmentAllocation()
     for record in routing_list.records():
         length = scale.bit_count(record.rate, tau)
         for path in record.path_set.paths:
             for edge in path.edges:
-                if edge not in pools:
+                if edge not in sizes:
                     raise CapacityError(
                         f"routing record traverses ({edge[0]}, {edge[1]}), "
                         "which is not an edge of the network"
                     )
                 start = cursors[edge]
-                if start + length > len(pools[edge]):
+                if start + length > sizes[edge]:
                     raise CapacityError(
                         f"edge ({edge[0]}, {edge[1]}) pool of "
-                        f"{len(pools[edge])} bits exhausted while allocating "
+                        f"{sizes[edge]} bits exhausted while allocating "
                         f"relay segments"
                     )
                 stop = start + length
                 allocation[record.path_set, edge] = (start, stop)
                 cursors[edge] = stop
+    allocation.runs = {edge: (shares[edge], stop) for edge, stop in cursors.items()}
     return allocation
 
 
@@ -256,7 +337,7 @@ def relay_path_key(
     path_set: MPathSet,
     path: Path,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """Deliver one member-path key to both endpoints.
+    """Deliver one member-path key to both endpoints, in packed bytes.
 
     Returns:
         The path key as known at the smaller endpoint (its first-link
@@ -267,12 +348,9 @@ def relay_path_key(
         segment (none for a direct two-node path).
     """
     segments = [
-        pools[edge].unpack(*allocation[path_set, edge]) for edge in path.edges
+        pools[edge].segment(*allocation[path_set, edge]) for edge in path.edges
     ]
-    messages = tuple(
-        np.bitwise_xor(segments[t - 1], segments[t])
-        for t in range(1, len(segments))
-    )
+    messages = tuple(map(np.bitwise_xor, segments[:-1], segments[1:]))
     key_at_i = segments[0]
     key_at_j = segments[-1]
     for message in reversed(messages):
@@ -290,11 +368,15 @@ def assemble_pair_keys(
     Each record's block is folded independently at both endpoints, one from
     first-link segments and one from message-recovered keys, and the two
     views are compared; ``agreed`` holds when they match for every record of
-    the pair.  Only the first endpoint's blocks are kept.
+    the pair.  Only the first endpoint's block is kept: it is written at its
+    bit offset into the pair's packed key, allocated up front.
     """
-    blocks: Dict[Edge, List[np.ndarray]] = {}
+    records = routing_list.records()
+    lengths = _key_lengths(records, allocation)
+    keys = {pair: np.zeros((length + 7) // 8, dtype=np.uint8) for pair, length in lengths.items()}
+    written: Counter[Edge] = Counter()
     agreed: Dict[Edge, bool] = {}
-    for record in routing_list.records():
+    for record in records:
         block_i: Optional[np.ndarray] = None
         block_j: Optional[np.ndarray] = None
         for path in record.path_set.paths:
@@ -302,12 +384,30 @@ def assemble_pair_keys(
             block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
             block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
         pair = record.pair
-        blocks.setdefault(pair, []).append(block_i)
-        agreed[pair] = agreed.get(pair, True) and bool(np.array_equal(block_i, block_j))
-    return {
-        pair: PairKey(np.concatenate(blocks.pop(pair)), agreed[pair])
-        for pair in sorted(blocks)
-    }
+        start, stop = allocation[record.path_set, record.path_set.paths[0].edges[0]]
+        _write_block(keys[pair], written[pair], block_i)
+        written[pair] += stop - start
+        agreed[pair] = agreed.get(pair, True) and block_i.tobytes() == block_j.tobytes()
+    return {pair: PairKey(keys[pair], lengths[pair], agreed[pair]) for pair in sorted(keys)}
+
+
+def _key_lengths(records: Iterable[RoutingRecord], allocation: SegmentAllocation) -> Counter[Edge]:
+    """Bits in each pair's key: the sum of its records' block lengths, which
+    are those of their relay segments."""
+    lengths: Counter[Edge] = Counter()
+    for record in records:
+        start, stop = allocation[record.path_set, record.path_set.paths[0].edges[0]]
+        lengths[record.pair] += stop - start
+    return lengths
+
+
+def _write_block(key: np.ndarray, offset: int, block: np.ndarray) -> None:
+    """OR the packed ``block`` into the packed ``key`` from bit ``offset``
+    on, where the key's bits are still zero."""
+    first, shift = divmod(offset, 8)
+    key[first : first + len(block)] |= block >> shift
+    spill = key[first + 1 : first + 1 + len(block)]
+    spill |= (block << (8 - shift))[: len(spill)]
 
 
 @dataclass(frozen=True)
@@ -323,14 +423,15 @@ class KeySimulation:
     pair_keys: Mapping[Edge, PairKey]
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
-        """True XOR block a record contributes to its pair key."""
+        """True XOR block a record contributes to its pair key, one byte per
+        bit."""
         block: Optional[np.ndarray] = None
         for path in path_set.paths:
-            edge = path.edges[0]
-            seg = self.pools[edge].unpack(*self.allocation[path_set, edge])
+            start, stop = self.allocation[path_set, path.edges[0]]
+            seg = self.pools[path.edges[0]].segment(start, stop)
             block = seg if block is None else np.bitwise_xor(block, seg)
         assert block is not None
-        return block
+        return np.unpackbits(block, count=stop - start)
 
 
 def simulate(
@@ -339,18 +440,22 @@ def simulate(
     tau: object,
     seed: int = 0,
 ) -> KeySimulation:
-    """Run pool accumulation, allocation, relay and assembly end to end.
+    """Lay out the segments, then draw the relayed runs of the pools, relay
+    and assemble, end to end.
 
-    Refuses (CapacityError), before drawing, the packed pools plus pair keys (a
-    byte per bit, the largest twice) that would not fit in physical memory.
+    Refuses (CapacityError), before drawing, the stored runs plus the packed
+    pair keys that would not fit in physical memory.
     """
     tau_dec = as_decimal(tau, "tau")
-    key_bits: Counter[Edge] = Counter()
-    for record in routing_list.records():
-        key_bits[record.pair] += graph.scale.bit_count(record.rate, tau_dec)
-    _pool_lengths(graph, tau_dec, sum(key_bits.values()) + max(key_bits.values(), default=0))
-    pools = accumulate_pools(graph, tau_dec, seed)
-    allocation = allocate_segments(pools, routing_list, graph, tau_dec)
+    lengths = _pool_lengths(graph, tau_dec)
+    allocation = allocate_segments(lengths, routing_list, graph, tau_dec)
+    key_bits = _key_lengths(routing_list.records(), allocation)
+    _refuse_beyond_memory(
+        _stored_runs(lengths, allocation),
+        tau_dec,
+        sum((bits + 7) // 8 for bits in key_bits.values()),
+    )
+    pools = accumulate_pools(graph, tau_dec, seed, allocation)
     pair_keys = assemble_pair_keys(routing_list, pools, allocation)
     return KeySimulation(
         graph=graph,
@@ -377,7 +482,8 @@ def adversary_reconstruct(
     there is nothing to anchor on and reconstruction fails.
 
     Returns:
-        The key block, or None when reconstruction is impossible.
+        The key block, one byte per bit, or None when reconstruction is
+        impossible.
     """
     corrupt = frozenset(compromised)
     block: Optional[np.ndarray] = None
@@ -389,12 +495,14 @@ def adversary_reconstruct(
         # segment on the link arriving at the anchor node, read from the
         # pool the adversary owns through that node
         arriving = path.edges[anchor - 1]
-        first = sim.pools[arriving].unpack(*sim.allocation[path_set, arriving])
+        start, stop = sim.allocation[path_set, arriving]
+        first = sim.pools[arriving].segment(start, stop)
         _, _, messages = relay_path_key(sim.pools, sim.allocation, path_set, path)
         for m_index in range(anchor - 1):
             first = np.bitwise_xor(first, messages[m_index])
         block = first if block is None else np.bitwise_xor(block, first)
-    return block
+    assert block is not None
+    return np.unpackbits(block, count=stop - start)
 
 
 def assess_compromise(

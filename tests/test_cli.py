@@ -692,15 +692,17 @@ def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsy
     capsys.readouterr()
     simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
                 "--out-dir", str(tmp_path / "sim")]
-    # six 1 kbit/s pools of 1e18 bits each: refused before any is allocated
+    # four records of 100 units, each over two 2-hop paths, relay 1.6e18
+    # of the six 1e18-bit pools' bits: refused before any is drawn
     assert main(simulate + ["--tau", "1e15"]) == EXIT_RUNTIME
-    assert "key pools of 750000000000000000 bytes" in capsys.readouterr().err
-    # at tau = 1 s they pack to 6 x 125 bytes
-    with mock.patch.object(keysim, "_physical_memory", return_value=749):
+    assert "key pools of 200000000000000000 bytes" in capsys.readouterr().err
+    # at tau = 1 s four edges relay 300 bits from the middle of a byte (38
+    # bytes each) and two relay 200 bits from a byte's start (25 bytes each)
+    with mock.patch.object(keysim, "_physical_memory", return_value=201):
         assert main(simulate + ["--tau", "1"]) == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert captured.err == ("error: key pools of 750 bytes at tau 1 s exceed the "
-                            "749 bytes of physical memory\n")
+    assert captured.err == ("error: key pools of 202 bytes at tau 1 s exceed the "
+                            "201 bytes of physical memory\n")
     assert captured.out == ""
     assert not (tmp_path / "sim").exists()
 
@@ -713,18 +715,18 @@ def test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory(
     capsys.readouterr()
     simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
                 "--tau", "1"]
-    # at tau = 1 s: 750 bytes of packed pools, four pairs' 100-bit keys at a
-    # byte per bit, and the largest key once more
-    with mock.patch.object(keysim, "_physical_memory", return_value=1249), \
+    # at tau = 1 s: 202 bytes of relayed runs and four pairs' 100-bit keys
+    # at 13 bytes each
+    with mock.patch.object(keysim, "_physical_memory", return_value=253), \
             mock.patch.object(keysim, "accumulate_pools",
                               wraps=keysim.accumulate_pools) as draw:
         assert main(simulate) == EXIT_RUNTIME
     assert not draw.called
     captured = capsys.readouterr()
-    assert captured.err == ("error: key pools and pair keys of 1250 bytes at tau 1 s "
-                            "exceed the 1249 bytes of physical memory\n")
+    assert captured.err == ("error: key pools and pair keys of 254 bytes at tau 1 s "
+                            "exceed the 253 bytes of physical memory\n")
     assert captured.out == ""
-    with mock.patch.object(keysim, "_physical_memory", return_value=1250):
+    with mock.patch.object(keysim, "_physical_memory", return_value=254):
         assert main(simulate) == EXIT_OK
 
 
@@ -762,6 +764,28 @@ def test_simulate_key_dump(k23_file, tmp_path, capsys):
         "--tau", "1", "--dump-keys",
     ]) == EXIT_OK
     assert "key hex:" in capsys.readouterr().out
+
+
+def test_simulate_never_unpacks_pair_keys(k23_file, tmp_path, capsys):
+    """The report, the text and the key dump read each pair key's packed
+    bytes and bit length; unpacking it would hold a byte per key bit."""
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+
+    def unpacked(key):
+        raise AssertionError("a pair key was unpacked")
+
+    with mock.patch.object(keysim.PairKey, "bits", property(unpacked)):
+        assert main([
+            "simulate", "--input", str(k23_file), "--routing", str(route_dir),
+            "--tau", "1", "--dump-keys", "--out-dir", str(tmp_path / "sim"),
+        ]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("key hex:") == 4
+    assert "pair (0, 4): 100 bits, endpoints agree" in out
+    report = json.loads((tmp_path / "sim" / "simulation_report.json").read_text())
+    assert [pair["key_bits"] for pair in report["pairs"]] == [100] * 4
 
 
 @pytest.mark.parametrize("network, tau, key_lines, keys_sha256", [

@@ -74,23 +74,26 @@ def mesh10_routed():
     return graph, run(graph, target, config)
 
 
-def assert_pools_are_views_of_one_stream(pools, references):
-    """Every pool unpacks to its reference draw and is a read-only window
-    onto one base buffer, starting at bit 4 * H_p, where H_p is the number
-    of 32-bit words the pools before it take."""
-    base = next(iter(pools.values())).bits.base
-    origin = base.__array_interface__["data"][0]
+def stored_bits(pool):
+    """The pool bits a KeyPool stores, one byte per bit, read straight from
+    its bytes."""
+    return np.unpackbits(pool.bits)[pool.shift : pool.shift + pool.stop - pool.start]
+
+
+def assert_stored_runs(pools, references, runs):
+    """Each pool stores exactly bits ``runs[edge]`` of its reference draw, in
+    read-only bytes that start at bit (4 * H_p + start) mod 8, where H_p is
+    the number of 32-bit words the pools before it take, and no byte at all
+    for an empty run."""
     half_words = 0
-    for pool, reference in zip(pools.values(), references, strict=True):
-        length = len(reference)
-        assert len(pool) == length
-        assert np.array_equal(pool.unpack(0, len(pool)), reference)
-        assert pool.bits.base is base
+    for (edge, pool), reference in zip(pools.items(), references, strict=True):
+        start, stop = runs[edge]
+        assert (len(pool), pool.start, pool.stop) == (len(reference), start, stop)
+        assert np.array_equal(stored_bits(pool), reference[start:stop])
+        assert pool.shift == (4 * half_words + start) % 8
+        assert pool.bits.nbytes == ((pool.shift + stop - start + 7) // 8 if stop > start else 0)
         assert not pool.bits.flags.writeable
-        if length:  # numpy points an empty slice at its base's first byte
-            assert pool.bits.__array_interface__["data"][0] - origin == 4 * half_words // 8
-        assert pool.shift == 4 * half_words % 8
-        half_words += (length + 3) // 4
+        half_words += (len(reference) + 3) // 4
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -100,21 +103,34 @@ def assert_pools_are_views_of_one_stream(pools, references):
     step_words=st.integers(1, 6) | st.just(keysim._STEP_WORDS),
 )
 def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
-    """Pools drawn from raw words in steps of any size hold the bits of one
-    draw per pool, and every relay segment unpacks to the matching slice of
-    those bits.  mesh10's rates give pools of 0 to 4000 bits, mostly not a
-    multiple of 4 long, so most pools leave a half-word to the next."""
+    """Whole pools, and the runs an allocation keeps of them, drawn from raw
+    words in steps of any size, hold the bits of one draw per pool.  Every
+    relay segment reads the matching slice of those bits, and a read of an
+    own-share bit is refused.  mesh10's rates give pools of 0 to 4000 bits,
+    mostly not a multiple of 4 long, so most pools leave a half-word to the
+    next."""
     graph, out = mesh10_routed()
-    with mock.patch.object(keysim, "_STEP_WORDS", step_words):
-        pools = accumulate_pools(graph, tau, seed)
     lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    assert tuple(pools) == graph.edges
     references = one_shot_pools(lengths, seed)
-    assert_pools_are_views_of_one_stream(pools, references)
     reference = dict(zip(graph.edges, references))
-    allocation = allocate_segments(pools, out.routing_list, graph, tau)
+    with mock.patch.object(keysim, "_STEP_WORDS", step_words):
+        whole = accumulate_pools(graph, tau, seed)
+        allocation = allocate_segments(whole, out.routing_list, graph, tau)
+        stored = accumulate_pools(graph, tau, seed, allocation)
+    assert tuple(whole) == tuple(stored) == graph.edges
+    assert_stored_runs(whole, references, {edge: (0, len(reference[edge])) for edge in whole})
+    assert_stored_runs(stored, references, allocation.runs)
+    by_length = allocate_segments(dict(zip(graph.edges, lengths)), out.routing_list, graph, tau)
+    assert (by_length, by_length.runs) == (allocation, allocation.runs)
     for (path_set, edge), (start, stop) in allocation.items():
-        assert np.array_equal(pools[edge].unpack(start, stop), reference[edge][start:stop])
+        assert allocation.runs[edge][0] <= start <= stop <= allocation.runs[edge][1]
+        bits = reference[edge][start:stop]
+        assert np.array_equal(stored[edge].unpack(start, stop), bits)
+        assert np.array_equal(stored[edge].segment(start, stop), np.packbits(bits))
+    for pool in stored.values():
+        if pool.start:
+            with pytest.raises(ValueError, match="outside a pool"):
+                pool.segment(pool.start - 1, pool.stop)
 
 
 def test_pool_starts_on_the_carried_half_word():
@@ -122,7 +138,10 @@ def test_pool_starts_on_the_carried_half_word():
     half of the second 64-bit word unread, a 0-bit pool draws nothing, and
     the pool after them, longer than one step, starts with that half-word,
     four bits into a packed byte.  It ends on a whole 64-bit word, so the
-    pool after it starts on a fresh one."""
+    pool after it starts on a fresh one.  With one record routed over
+    1 - 0 - 3, each pool stores only its relay segment's run: the run on
+    (0, 3) lies past the first step, and edges that relay nothing store no
+    byte."""
     step_bits = 8 * keysim._STEP_WORDS
     # one rate unit is 1 bit/s, so at tau = 0.5 s these are 9, 0,
     # step_bits + 18 and 5 bits: 3, 0, 2 * _STEP_WORDS + 5 and 2 words
@@ -131,12 +150,112 @@ def test_pool_starts_on_the_carried_half_word():
     lengths = [9, 0, step_bits + 18, 5]
     tau = Decimal("0.5")
     assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == lengths
+    references = one_shot_pools(lengths, seed=4)
     pools = accumulate_pools(graph, tau, seed=4)
-    assert_pools_are_views_of_one_stream(pools, one_shot_pools(lengths, seed=4))
+    assert_stored_runs(pools, references, dict(zip(graph.edges, ((0, n) for n in lengths))))
     assert [pool.shift for pool in pools.values()] == [0, 4, 4, 0]
     raw = np.random.default_rng(4).bit_generator.random_raw(2)
     carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
     assert pools[(0, 3)].unpack(0, 4).tolist() == carried
+
+    routing = RoutingList()
+    routing.add(MPathSet((Path((1, 0, 3)),)), 8)  # 4 bits a link
+    allocation = allocate_segments(pools, routing, graph, tau)
+    assert allocation.runs == {(0, 1): (5, 9), (0, 2): (0, 0),
+                               (0, 3): (step_bits + 14, step_bits + 18), (1, 2): (5, 5)}
+    stored = accumulate_pools(graph, tau, seed=4, allocation=allocation)
+    assert_stored_runs(stored, references, allocation.runs)
+    assert [pool.bits.nbytes for pool in stored.values()] == [2, 0, 1, 0]
+    with pytest.raises(ValueError, match="stored at 5:9"):
+        stored[(0, 1)].segment(4, 9)
+
+
+def stored_pool(rng, bits, pool_shift, start, stop):
+    """A KeyPool storing pool ``bits[start:stop]`` as ``accumulate_pools``
+    does: packed from the run's first byte of a stream in which the pool
+    starts ``pool_shift`` bits into a byte, random stream bits either side."""
+    stream = np.concatenate([
+        rng.integers(0, 2, pool_shift, dtype=np.uint8),
+        bits,
+        rng.integers(0, 2, 16, dtype=np.uint8),
+    ])
+    bit = pool_shift + start
+    packed = np.packbits(stream)[bit // 8 : (pool_shift + stop + 7) // 8 if stop > start else 0]
+    packed.flags.writeable = False
+    return KeyPool(packed, len(bits), bit % 8, start, stop)
+
+
+def packed(bits):
+    """Bits given one to a byte or item, packed eight to a byte, as a list."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tolist()
+
+
+SEGMENT_BITS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 70)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
+    """Packed segment reads, the relay's XORs and the pair key's assembly
+    equal the same steps done one byte per bit.  The records of pair (0, 1)
+    take blocks of 0, 1, 7, 8, 9 or other bit counts, so blocks land at many
+    bit offsets of the key; each edge's pool starts 0 or 4 bits into a byte
+    of the stream, and its stored run starts after an own share of random
+    length."""
+    rng = np.random.default_rng(seed)
+    routing = RoutingList()
+    block_bits = {}
+    node = 2
+    for bits in data.draw(st.lists(SEGMENT_BITS, min_size=1, max_size=5)):
+        paths = []
+        for k in range(data.draw(st.integers(1, 2))):
+            # only a second path may be the direct link, so no two sets are equal
+            hops = data.draw(st.integers(2 if k == 0 else 1, 4))
+            paths.append(Path((0, *range(node, node + hops - 1), 1)))
+            node += hops - 1
+        path_set = MPathSet(tuple(paths))
+        routing.add(path_set, 1)
+        block_bits[path_set] = bits
+    segments = {}  # edge -> the (record set, bits) of its relay segments, in order
+    for record in routing.records():
+        for edge in record.path_set.edges:
+            segments.setdefault(edge, []).append((record.path_set, block_bits[record.path_set]))
+    pool_bits, pools, allocation = {}, {}, {}
+    for edge, carried in segments.items():
+        own = data.draw(st.integers(0, 20))
+        cursor = own
+        for path_set, bits in carried:
+            allocation[path_set, edge] = (cursor, cursor + bits)
+            cursor += bits
+        pool_bits[edge] = rng.integers(0, 2, cursor + data.draw(st.integers(0, 12)), dtype=np.uint8)
+        pools[edge] = stored_pool(rng, pool_bits[edge], data.draw(st.sampled_from([0, 4])), own, cursor)
+
+    expected_key = []
+    for record in routing.records():
+        path_keys = []
+        for path in record.path_set.paths:
+            unpacked = [pool_bits[edge][slice(*allocation[record.path_set, edge])]
+                        for edge in path.edges]
+            for edge, bits in zip(path.edges, unpacked):
+                segment = pools[edge].segment(*allocation[record.path_set, edge])
+                assert segment.tolist() == packed(bits)
+            oracle_key, oracle_messages = relay_key_forward([s.tolist() for s in unpacked])
+            key_i, key_j, messages = relay_path_key(pools, allocation, record.path_set, path)
+            assert key_i.tolist() == packed(unpacked[0])
+            assert key_j.tolist() == packed(oracle_key)
+            assert [m.tolist() for m in messages] == [packed(m) for m in oracle_messages]
+            path_keys.append(unpacked[0])
+        expected_key.extend(functools.reduce(np.bitwise_xor, path_keys).tolist())
+
+    keys = assemble_pair_keys(routing, pools, allocation)
+    assert list(keys) == [(0, 1)]
+    key = keys[(0, 1)]
+    assert key.agreed
+    assert key.length == len(expected_key) == sum(block_bits.values())
+    assert key.bits.tolist() == expected_key
+    # the pad bits of the key's last byte are zero
+    assert key.hex() == np.packbits(key.bits).tobytes().hex()
+    assert key.hex() == bytes(packed(expected_key)).hex()
 
 
 def test_unpack_refuses_bits_outside_the_pool():
@@ -274,9 +393,12 @@ def test_relay_matches_forward_oracle(k23):
             oracle_key, oracle_messages = relay_key_forward(
                 [s.tolist() for s in segments]
             )
-            assert key_i.tolist() == segments[0].tolist()
-            assert key_j.tolist() == oracle_key
-            assert [m.tolist() for m in messages] == oracle_messages
+            # relay_path_key returns packed bytes, pad bits zero
+            assert key_i.tolist() == np.packbits(segments[0]).tolist()
+            assert key_j.tolist() == np.packbits(oracle_key).tolist()
+            assert [m.tolist() for m in messages] == [
+                np.packbits(m).tolist() for m in oracle_messages
+            ]
             assert np.array_equal(key_i, key_j)
 
 
