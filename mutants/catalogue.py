@@ -81,12 +81,44 @@ MUTANTS = (
     Mutant(
         "enumeration: disjoint sets in reversed order",
         "qkdroute/paths.py",
-        "return tuple(sets)",
-        "return tuple(reversed(sets))",
+        "    return rows\n",
+        "    return rows[::-1]\n",
         (
             "tests/test_paths.py::test_disjoint_sets_match_oracle",
             "tests/test_paths.py::test_random_graphs_match_oracle",
         ),
+    ),
+    Mutant(
+        "enumeration: a path of hop_limit hops cut, not kept",
+        "qkdroute/paths.py",
+        "elif not visited[w] and len(trail) < limit:",
+        "elif not visited[w] and len(trail) < limit - 1:",
+        (
+            "tests/test_paths.py::test_hop_limit",
+            "tests/test_paths.py::test_random_graphs_match_oracle",
+        ),
+    ),
+    # the candidate table built from path indices
+    Mutant(
+        "table: rows in reversed order",
+        "qkdroute/engine.py",
+        "self.rows = _disjoint_rows([p[1:-1] for p in paths], m)",
+        "self.rows = _disjoint_rows([p[1:-1] for p in paths], m)[::-1]",
+        ("tests/test_engine.py::test_candidate_table_matches_reference",),
+    ),
+    Mutant(
+        "table: hop masks in the order first met, not fewest hops first",
+        "qkdroute/engine.py",
+        "self.hops = tuple(hops[count] for count in sorted(hops))",
+        "self.hops = tuple(hops.values())",
+        ("tests/test_engine.py::test_candidate_table_matches_reference",),
+    ),
+    Mutant(
+        "table: a path's mask holds only the last row using it",
+        "qkdroute/engine.py",
+        "holding[k] |= bit",
+        "holding[k] = bit",
+        ("tests/test_engine.py::test_candidate_table_matches_reference",),
     ),
     # the routing loop
     Mutant(
@@ -147,31 +179,38 @@ MUTANTS = (
         "qkdroute/engine.py",
         """        audit = (
             tuple(
-                (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in table.rows
-                if short.isdisjoint(c.cells)
+                (path_set, max(map(deficiency.__getitem__, row_cells)))
+                for path_set, row_cells in map(table.candidate, range(len(table)))
+                if short.isdisjoint(row_cells)
             )
             if trace_candidates
             else None
         )
         deficiency[positions[pair]] -= step
-        for cell in chosen.cells:
+        for cell in cells:
             deficiency[cell] += step
 """,
         """        deficiency[positions[pair]] -= step
-        for cell in chosen.cells:
+        for cell in cells:
             deficiency[cell] += step
         audit = (
             tuple(
-                (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in table.rows
-                if short.isdisjoint(c.cells)
+                (path_set, max(map(deficiency.__getitem__, row_cells)))
+                for path_set, row_cells in map(table.candidate, range(len(table)))
+                if short.isdisjoint(row_cells)
             )
             if trace_candidates
             else None
         )
 """,
         ("tests/test_acceptance.py::test_acceptance_dense5_golden_run",),
+    ),
+    Mutant(
+        "records: the sorted records kept after a change",
+        "qkdroute/engine.py",
+        "        self._rates[path_set] = self._rates.get(path_set, 0) + delta_r\n        self._records = None\n",
+        "        self._rates[path_set] = self._rates.get(path_set, 0) + delta_r\n",
+        ("tests/test_engine.py::test_routing_list_merges_records",),
     ),
     # the key pools
     Mutant(

@@ -20,7 +20,7 @@ from operator import sub
 from pathlib import Path as FsPath
 from typing import NoReturn, Optional, Sequence
 
-from . import __version__, artifacts, engine
+from . import __version__, engine
 from .model import CapacityError, RateMatrix, RouterConfig, ValidationError, validate
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
 from .paths import (
@@ -170,6 +170,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _run_route(
     network: LoadedNetwork, config: RouterConfig, out_dir: str, input_path: str
 ) -> engine.RoutingOutcome:
+    from . import artifacts
+
     outcome = engine.run(network.graph, network.target, config)
     artifacts.write_route_artifacts(out_dir, outcome, network.graph, config, input_path)
     return outcome
@@ -181,6 +183,10 @@ def _sweep_worker(task: tuple) -> tuple[str, int, str, int]:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    # artifacts, and with it hashlib and csv, loads only for the commands
+    # that read or write artifact files
+    from . import artifacts
+
     if args.from_manifest:
         input_path, network = artifacts.read_route_manifest(args.from_manifest)
     else:
@@ -251,7 +257,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # the one command that needs keysim, and with it numpy
-    from . import keysim
+    from . import artifacts, keysim
 
     graph, _, _ = load_network(args.input)
     routing_path = FsPath(args.routing)

@@ -24,12 +24,15 @@ The loop's one state is the deficiency target - effective, one ``int`` per
 node pair i < j in row order, at the pair's ``pair_position``, updated in
 place.  ``RoutingList.effective`` derives the effective matrix, once, for the
 outcome.  A pair's candidates live in a table built the first time the pair
-is served, with one bitmask of rows per edge and per hop count.  The least
-loaded rows are found by walking the pair's edges in deficiency levels, from
-the highest down, dropping the rows of each level while any row is left; no
-row is scored.  The strict guard is a set of short edges that only grows.
-``apply_increment`` and ``set_deficiency`` are the matrix definitions the
-loop agrees with.
+is served, from indices alone: its simple paths as node tuples with their
+edge positions, and its sets of M disjoint paths as tuples of path indices,
+with one bitmask of rows per edge and per hop count.  A row becomes an
+``MPathSet`` only when it is chosen, or listed for ``trace_candidates``.  The
+least loaded rows are found by walking the pair's edges in deficiency
+levels, from the highest down, dropping the rows of each level while any row
+is left; no row is scored.  The strict guard is a set of short edges that
+only grows.  ``apply_increment`` and ``set_deficiency`` are the matrix
+definitions the loop agrees with.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .model import (
     ValidationError,
     check_target_matrix,
 )
-from .paths import MPathSet, PairPathCache
+from .paths import MPathSet, Path, _disjoint_rows, _node_paths
 from .tiebreak import TieBreakStream
 
 
@@ -82,18 +85,22 @@ class RoutingList:
 
     def __init__(self) -> None:
         self._rates: Dict[MPathSet, int] = {}
+        self._records: Optional[Tuple[RoutingRecord, ...]] = None
 
     def add(self, path_set: MPathSet, delta_r: int) -> None:
         self._rates[path_set] = self._rates.get(path_set, 0) + delta_r
+        self._records = None
 
     def records(self) -> Tuple[RoutingRecord, ...]:
-        """Records sorted by member node sequences.
+        """Records sorted by member node sequences, sorted once per change.
 
         One pair's records need not be adjacent: {(0, 1, 5), ...} sorts
         between {(0, 1, 4), ...} and {(0, 2, 4), ...}.
         """
-        ordered = sorted(self._rates.items(), key=lambda kv: kv[0].sort_key())
-        return tuple(RoutingRecord(s, rate) for s, rate in ordered)
+        if self._records is None:
+            ordered = sorted(self._rates.items(), key=lambda kv: kv[0].sort_key())
+            self._records = tuple(RoutingRecord(s, rate) for s, rate in ordered)
+        return self._records
 
     def effective(self, graph: NetworkGraph) -> RateMatrix:
         """Symmetric effective rates: the edge rates plus each record's pair
@@ -164,8 +171,12 @@ def pair_position(i: int, j: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _positions(n: int) -> Dict[Edge, int]:
-    """Every pair i < j mapped to its ``pair_position``; shared, so read only."""
-    return {pair: pair_position(*pair, n) for pair in _pairs(n)}
+    """Every pair of distinct nodes, either way round, mapped to the
+    ``pair_position`` of i < j; shared, so read only."""
+    positions = {}
+    for i, j in _pairs(n):
+        positions[i, j] = positions[j, i] = pair_position(i, j, n)
+    return positions
 
 
 def cost_delta(deficiency: Sequence[int]) -> int:
@@ -192,55 +203,64 @@ def worst_pairs(deficiency: Sequence[int], n: int, top: int) -> List[Edge]:
     return [pair for pair, value in zip(_pairs(n), deficiency) if value == top]
 
 
-class Candidate(NamedTuple):
-    """A candidate set with its edges as positions in the per-pair list."""
-
-    path_set: MPathSet
-    cells: Tuple[int, ...]
-    hops: int
-
-
 class CandidateTable:
     """A pair's candidate rows, and bitmasks over the rows for ranking them.
 
-    Bit k of a mask stands for ``rows[k]``.  ``edges`` pairs each edge
-    position that some row uses with the mask of the rows using it;
-    ``hops`` holds the mask of the rows of each total hop count, fewest
-    hops first.
+    ``paths`` holds the pair's simple paths as node tuples, lexicographic.
+    Row k, ``rows[k]``, is a set of M internally disjoint paths as
+    increasing indices into ``paths``; the rows come in canonical order.
+    Bit k of a mask stands for row k.  ``edges`` pairs each edge position
+    that some row uses with the mask of the rows using it; ``hops`` holds
+    the mask of the rows of each total hop count, fewest hops first.  Built
+    once per pair, as the masks depend on no rate.
     """
 
-    __slots__ = ("rows", "edges", "hops")
+    __slots__ = ("paths", "rows", "edges", "hops", "_position", "_built")
 
-    def __init__(self, rows: Sequence[Candidate]) -> None:
-        edges: Dict[int, int] = {}
+    def __init__(
+        self, graph: NetworkGraph, pair: Edge, m: int, hop_limit: Optional[int] = None
+    ) -> None:
+        position = self._position = _positions(graph.node_count).__getitem__
+        paths = self.paths = _node_paths(graph, *pair, hop_limit)
+        self.rows = _disjoint_rows([p[1:-1] for p in paths], m)
+        # each path's mask of the rows holding it, ORed into its edges below;
+        # a path in no row has no edge in the table
+        holding = [0] * len(paths)
         hops: Dict[int, int] = {}
-        for index, row in enumerate(rows):
+        for index, row in enumerate(self.rows):
             bit = 1 << index
-            for cell in row.cells:
-                edges[cell] = edges.get(cell, 0) | bit
-            hops[row.hops] = hops.get(row.hops, 0) | bit
-        self.rows = tuple(rows)
+            count = -len(row)  # a path of k nodes takes k - 1 hops
+            for k in row:
+                holding[k] |= bit
+                count += len(paths[k])
+            hops[count] = hops.get(count, 0) | bit
+        edges: Dict[int, int] = {}
+        for rows, nodes in zip(holding, paths):
+            if rows:
+                for cell in map(position, zip(nodes, nodes[1:])):
+                    edges[cell] = edges.get(cell, 0) | rows
         self.edges = tuple(edges.items())
         self.hops = tuple(hops[count] for count in sorted(hops))
+        self._built: Dict[int, Tuple[MPathSet, Tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
-
-def candidate_table(path_sets: Sequence[MPathSet], node_count: int) -> CandidateTable:
-    """One row per set, in the given order, with the masks ``optimal_sets``
-    walks; built once per pair, as the masks depend on no rate."""
-    position = _positions(node_count).__getitem__
-    return CandidateTable(
-        [Candidate(s, tuple(map(position, s.edges)), s.total_hops) for s in path_sets]
-    )
+    def candidate(self, k: int) -> Tuple[MPathSet, Tuple[int, ...]]:
+        """Row k's path set and the positions of its edges, built on first use."""
+        built = self._built.get(k)
+        if built is None:
+            path_set = MPathSet._disjoint(tuple(Path(self.paths[p]) for p in self.rows[k]))
+            built = self._built[k] = (path_set, tuple(map(self._position, path_set.edges)))
+        return built
 
 
 def optimal_sets(
     table: CandidateTable, deficiency: Sequence[int], short: Container[int]
-) -> List[Candidate]:
-    """Least-deficient rows clear of ``short`` edges, narrowed to minimal
-    total hop count, in table order; empty when every row touches a short edge.
+) -> List[int]:
+    """Indices of the least-deficient rows clear of ``short`` edges, narrowed
+    to minimal total hop count, in table order; empty when every row touches
+    a short edge.
 
     A row's score is the largest value of the per-pair ``deficiency`` list
     over its cells, which is ``set_deficiency`` of its set.  No row is
@@ -251,7 +271,7 @@ def optimal_sets(
     those that score it.  Their mask is then narrowed to the first hop
     count it meets.
     """
-    live = (1 << len(table.rows)) - 1
+    live = (1 << len(table)) - 1
     levels: Dict[int, int] = {}
     for cell, rows in table.edges:
         if cell in short:
@@ -273,7 +293,7 @@ def optimal_sets(
     finalists = []
     while live:
         low = live & -live
-        finalists.append(table.rows[low.bit_length() - 1])
+        finalists.append(low.bit_length() - 1)
         live ^= low
     return finalists
 
@@ -339,7 +359,6 @@ def run(
     step = config.delta_r
     guard = config.strict_guard
     rng = TieBreakStream(config.seed)
-    cache = PairPathCache(graph, config.m, config.hop_limit)
     tables: Dict[Edge, CandidateTable] = {}
     routing = RoutingList()
     trace: List[IterationTrace] = []
@@ -387,44 +406,42 @@ def run(
             # the bottleneck is a direct link; no amount of re-routing
             # helps it, so the run ends here
             return stop(StopReason.DIRECT_PAIR_WORST, pair, pairs_tied)
-        path_sets = cache.m_path_sets(pair)
-        if not path_sets:
-            return stop(StopReason.NO_M_SET, pair, pairs_tied)
         table = tables.get(pair)
         if table is None:
-            table = tables[pair] = candidate_table(path_sets, n)
+            table = tables[pair] = CandidateTable(graph, pair, config.m, config.hop_limit)
+        if not table:
+            return stop(StopReason.NO_M_SET, pair, pairs_tied)
         finalists = optimal_sets(table, deficiency, short)
         if not finalists:
             return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
-        chosen, sets_tied = _choose(rng, finalists)
+        row, sets_tied = _choose(rng, finalists)
+        chosen, cells = table.candidate(row)
         audit = (
             tuple(
-                (c.path_set, max(map(deficiency.__getitem__, c.cells)))
-                for c in table.rows
-                if short.isdisjoint(c.cells)
+                (path_set, max(map(deficiency.__getitem__, row_cells)))
+                for path_set, row_cells in map(table.candidate, range(len(table)))
+                if short.isdisjoint(row_cells)
             )
             if trace_candidates
             else None
         )
         deficiency[positions[pair]] -= step
-        for cell in chosen.cells:
+        for cell in cells:
             deficiency[cell] += step
         if guard:
-            short.update(cell for cell in chosen.cells if deficiency[cell] > limits[cell])
+            short.update(cell for cell in cells if deficiency[cell] > limits[cell])
         new_delta = cost_delta(deficiency)
         if new_delta > delta:
             # the rejected step is left in the list: nothing reads it again
-            return stop(
-                StopReason.COST_WORSENED, pair, pairs_tied, chosen.path_set, new_delta
-            )
-        routing.add(chosen.path_set, step)
+            return stop(StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta)
+        routing.add(chosen, step)
         r += 1
         trace.append(
             IterationTrace(
                 r=r,
                 selected_pair=pair,
                 pairs_tied=pairs_tied,
-                chosen_set=chosen.path_set,
+                chosen_set=chosen,
                 sets_tied=sets_tied,
                 delta_before=delta,
                 delta_after=new_delta,

@@ -8,6 +8,13 @@ oriented from the smaller endpoint and emitted in lexicographic order, which
 downstream tie-breaking relies on.  Whether a pair has any such set at all is
 a max-flow question (Menger's theorem), which ``find_unroutable_pairs``
 answers without enumerating paths unless a hop limit asks it to confirm.
+
+Two private kernels do the enumerating, on plain tuples: ``_node_paths``
+lists the simple paths as node tuples, and ``_disjoint_rows`` lists the
+disjoint sets as tuples of path indices.  ``enumerate_simple_paths`` and
+``enumerate_m_path_sets`` wrap them in ``Path`` and ``MPathSet`` objects;
+the engine's candidate table uses them directly and builds a set's objects
+only when it routes over that set.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .model import Edge, NetworkGraph, NodeId, RateMatrix, canonical_edge
 
@@ -128,6 +135,43 @@ def _check_hop_limit(hop_limit: Optional[int]) -> None:
         raise ValueError(f"hop_limit must be at least 1, got {hop_limit}")
 
 
+def _node_paths(
+    graph: NetworkGraph, i: NodeId, j: NodeId, hop_limit: Optional[int]
+) -> List[Tuple[NodeId, ...]]:
+    """Every simple path between i and j as a node tuple from min(i, j),
+    lexicographic, each of at most ``hop_limit`` hops when one is given."""
+    if i == j:
+        raise ValueError("path endpoints must differ")
+    for node in (i, j):
+        if not (0 <= node < graph.node_count):
+            raise ValueError(f"node {node} is not in the graph")
+    _check_hop_limit(hop_limit)
+    start, goal = (i, j) if i < j else (j, i)
+    # a trail never holds the goal, so it is shorter than node_count
+    limit = graph.node_count if hop_limit is None else hop_limit
+    neighbors = graph.neighbors
+    found: List[Tuple[NodeId, ...]] = []
+    visited = [False] * graph.node_count
+    visited[start] = True
+    trail = [start]
+    # stack[t]: the neighbours of trail[t] not tried yet; a node gets one only
+    # while a path through it may still take another hop
+    stack = [iter(neighbors(start))]
+    while stack:
+        for w in stack[-1]:
+            if w == goal:
+                found.append((*trail, w))
+            elif not visited[w] and len(trail) < limit:
+                visited[w] = True
+                trail.append(w)
+                stack.append(iter(neighbors(w)))
+                break
+        else:
+            stack.pop()
+            visited[trail.pop()] = False
+    return found
+
+
 def enumerate_simple_paths(
     graph: NetworkGraph,
     i: NodeId,
@@ -145,31 +189,46 @@ def enumerate_simple_paths(
     Returns:
         Paths in deterministic lexicographic order.
     """
-    if i == j:
-        raise ValueError("path endpoints must differ")
-    for node in (i, j):
-        if not (0 <= node < graph.node_count):
-            raise ValueError(f"node {node} is not in the graph")
-    _check_hop_limit(hop_limit)
-    start, goal = (i, j) if i < j else (j, i)
-    found: list[Path] = []
-    visited = {start}
-    trail = [start]
-    # stack[t]: the neighbours of trail[t] not tried yet; a node gets one only
-    # while a path through it may still take another hop
-    stack = [iter(graph.neighbors(start))]
+    return tuple(map(Path, _node_paths(graph, i, j, hop_limit)))
+
+
+def _disjoint_rows(
+    interiors: Sequence[Sequence[NodeId]], m: int
+) -> List[Tuple[int, ...]]:
+    """Every size-m set of pairwise disjoint ``interiors``, as a tuple of
+    increasing indices, in ``itertools.combinations`` order.
+
+    Only disjoint prefixes are extended, so the work follows the sets found
+    rather than every m-combination.
+    """
+    # conflicts[k]: bitmask over the indices of the interiors that share a
+    # node with interior k
+    holders: Dict[NodeId, int] = {}
+    for k, interior in enumerate(interiors):
+        for v in interior:
+            holders[v] = holders.get(v, 0) | (1 << k)
+    conflicts = [
+        reduce(or_, map(holders.__getitem__, interior), 0)
+        for interior in interiors
+    ]
+    rows: List[Tuple[int, ...]] = []
+    # each entry: a prefix and the bitmask of the later interiors disjoint
+    # from every member of it; taking them lowest index first, and a longer
+    # prefix before the rest of its parent's options, keeps combinations order
+    stack: List[Tuple[Tuple[int, ...], int]] = [((), (1 << len(interiors)) - 1)]
     while stack:
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            visited.remove(trail.pop())
-        elif w == goal:
-            found.append(Path((*trail, w)))
-        elif w not in visited and (hop_limit is None or len(trail) < hop_limit):
-            visited.add(w)
-            trail.append(w)
-            stack.append(iter(graph.neighbors(w)))
-    return tuple(found)
+        prefix, options = stack.pop()
+        while options:
+            low = options & -options
+            options ^= low
+            k = low.bit_length() - 1
+            if len(prefix) == m - 1:
+                rows.append(prefix + (k,))
+            else:
+                stack.append((prefix, options))
+                stack.append((prefix + (k,), options & ~conflicts[k]))
+                break
+    return rows
 
 
 def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]:
@@ -177,8 +236,7 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
 
     Input paths must share endpoints.  Output order is lexicographic in the
     member node sequences, which is the canonical candidate order used for
-    seeded tie-breaking.  Only disjoint prefixes are extended, so the work
-    follows the sets found rather than every m-combination of ``paths``.
+    seeded tie-breaking.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -189,35 +247,10 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
             raise ValueError("all paths must share the same endpoints")
         if len(set(paths)) != len(paths):
             raise ValueError("duplicate path")
-    # conflicts[k]: bitmask over path indices of the paths that share an
-    # interior node with path k
-    interiors = [p.nodes[1:-1] for p in paths]
-    holders: Dict[NodeId, int] = {}
-    for k, interior in enumerate(interiors):
-        for v in interior:
-            holders[v] = holders.get(v, 0) | (1 << k)
-    conflicts = [
-        reduce(or_, map(holders.__getitem__, interior), 0)
-        for interior in interiors
-    ]
-    sets: list[MPathSet] = []
-    # each entry: a prefix and the bitmask of the later paths disjoint from
-    # every member of it; taking them lowest index first, and a longer
-    # prefix before the rest of its parent's options, keeps combinations order
-    stack = [((), (1 << len(paths)) - 1)]
-    while stack:
-        prefix, options = stack.pop()
-        while options:
-            low = options & -options
-            options ^= low
-            k = low.bit_length() - 1
-            if len(prefix) == m - 1:
-                sets.append(MPathSet._disjoint(prefix + (paths[k],)))
-            else:
-                stack.append((prefix, options))
-                stack.append((prefix + (paths[k],), options & ~conflicts[k]))
-                break
-    return tuple(sets)
+    return tuple(
+        MPathSet._disjoint(tuple(map(paths.__getitem__, row)))
+        for row in _disjoint_rows([p.nodes[1:-1] for p in paths], m)
+    )
 
 
 def set_deficiency(path_set: MPathSet, deficiency: RateMatrix) -> int:
@@ -226,9 +259,10 @@ def set_deficiency(path_set: MPathSet, deficiency: RateMatrix) -> int:
 
 
 class PairPathCache:
-    """Per-run memo of path-set enumerations, keyed by node pair.
+    """A memo of path-set enumerations, keyed by node pair.
 
-    Not thread-safe; each routing run owns its own instance.
+    ``engine.run`` builds its own index-level tables instead.  Not
+    thread-safe; each caller owns its own instance.
     """
 
     def __init__(self, graph: NetworkGraph, m: int, hop_limit: Optional[int] = None):

@@ -7,13 +7,15 @@ draws each pool unpacked in a single call.  Shared bugs with the production
 code would defeat the point, so nothing here imports from qkdroute beyond
 plain data types, with one exception: the unroutable-pair reference is the
 enumeration scan that the max-flow test replaced, built on the library's
-enumerators, which are themselves checked against the DFS oracle.
+enumerators, which are themselves checked against the DFS oracle.  The
+candidate-table reference is the engine's former builder: one row per
+path-set object, its masks ORed in row by row.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -77,6 +79,49 @@ def reference_unroutable_pairs(
     return tuple(
         pair for pair in graph.remote_pairs()
         if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
+    )
+
+
+class Candidate(NamedTuple):
+    """A candidate set with its edges as positions in the per-pair list."""
+
+    path_set: object
+    cells: Tuple[int, ...]
+    hops: int
+
+
+class ReferenceTable:
+    """A pair's candidate rows, with the bitmasks the engine's table holds:
+    ``edges`` pairs each edge position with the mask of the rows using it,
+    and ``hops`` holds the mask of each total hop count, fewest hops first."""
+
+    def __init__(self, rows: Sequence[Candidate]) -> None:
+        edges: Dict[int, int] = {}
+        hops: Dict[int, int] = {}
+        for index, row in enumerate(rows):
+            bit = 1 << index
+            for cell in row.cells:
+                edges[cell] = edges.get(cell, 0) | bit
+            hops[row.hops] = hops.get(row.hops, 0) | bit
+        self.rows = tuple(rows)
+        self.edges = tuple(edges.items())
+        self.hops = tuple(hops[count] for count in sorted(hops))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def candidate_table(path_sets: Sequence, node_count: int) -> ReferenceTable:
+    """One row per set, in the given order; a cell is the index of an edge's
+    pair among the pairs i < j in row order."""
+    position = {
+        pair: k for k, pair in enumerate(itertools.combinations(range(node_count), 2))
+    }
+    return ReferenceTable(
+        [
+            Candidate(s, tuple(position[edge] for edge in s.edges), s.total_hops)
+            for s in path_sets
+        ]
     )
 
 

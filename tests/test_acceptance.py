@@ -23,14 +23,13 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
-from oracles import dfs_simple_paths, disjoint_subsets, per_pair, rates_by_pair
+from oracles import candidate_table, dfs_simple_paths, disjoint_subsets, per_pair, rates_by_pair
 
 from qkdroute.artifacts import write_route_artifacts
 from qkdroute.engine import (
     RoutingList,
     StopReason,
     apply_increment,
-    candidate_table,
     optimal_sets,
     run,
     worst_pairs,
@@ -109,7 +108,7 @@ def test_acceptance_dense5_golden_run(dense5):
             )
             table = candidate_table(sets, graph.node_count)
             finalists = optimal_sets(table, shortfall, set())
-            assert entry.chosen_set in [c.path_set for c in finalists]
+            assert entry.chosen_set in [table.rows[k].path_set for k in finalists]
             if entry.r == 3:
                 assert entry.chosen_set.total_hops == 4
             effective = apply_increment(

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdroute.engine import (
+    CandidateTable,
     GuardViolation,
     RoutingList,
     RoutingRecord,
     StopReason,
     _choose,
     apply_increment,
-    candidate_table,
     cost_delta,
     optimal_sets,
     pair_position,
@@ -38,6 +38,7 @@ from golden import (
     RING6_REFERENCE_RECORDS,
 )
 from oracles import (
+    candidate_table,
     guard_ok,
     per_pair,
     rates_by_pair,
@@ -99,25 +100,58 @@ def test_worst_pair_selection(dense5):
 def test_select_optimal_set_filters(dense5):
     graph, target = dense5
     deficiency = np.asarray(target) - graph.rate_matrix()
-    candidates = enumerate_m_path_sets(enumerate_simple_paths(graph, 1, 3), 2)
-    table = candidate_table(candidates, graph.node_count)
+    table = CandidateTable(graph, (1, 3), 2)
     finalists = optimal_sets(table, per_pair(deficiency), set())
-    assert [str(c.path_set) for c in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
+    assert [str(table.candidate(k)[0]) for k in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
+
+
+def random_connected_graph(draw, n):
+    """A random spanning tree, which keeps the graph connected, plus chords."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    chords = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges |= {pair for pair, keep in zip(pairs, chords) if keep}
+    return NetworkGraph(n, {edge: 1 for edge in edges})
+
+
+@st.composite
+def table_cases(draw):
+    """A connected graph, a pair, M and a hop limit or none."""
+    n = draw(st.integers(3, 7))
+    graph = random_connected_graph(draw, n)
+    pair = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    hop_limit = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return graph, pair, draw(st.integers(1, 3)), hop_limit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table_cases())
+def test_candidate_table_matches_reference(case):
+    """The table built from path indices has the rows, in order, and the edge
+    and hop masks of the reference built from one path-set object per row;
+    a row's set and cells are built once, on first use."""
+    graph, pair, m, hop_limit = case
+    table = CandidateTable(graph, pair, m, hop_limit)
+    sets = enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
+    reference = candidate_table(sets, graph.node_count)
+    assert [tuple(table.paths[k] for k in row) for row in table.rows] == [
+        s.sort_key() for s in sets
+    ]
+    assert dict(table.edges) == dict(reference.edges)
+    assert table.hops == reference.hops
+    for k, row in enumerate(reference.rows):
+        path_set, cells = table.candidate(k)
+        assert path_set == row.path_set and sorted(cells) == sorted(row.cells)
+        assert table.candidate(k)[0] is path_set
 
 
 @st.composite
 def scoring_cases(draw):
-    """A connected graph, a pair with its sets, a rate state, delta_r and guard."""
+    """A connected graph, a pair and M, a rate state, delta_r and guard."""
     n = draw(st.integers(4, 7))
-    pairs = list(itertools.combinations(range(n), 2))
-    # a random spanning tree keeps the graph connected; chords add routes
-    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-    chords = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges |= {pair for pair, keep in zip(pairs, chords) if keep}
-    graph = NetworkGraph(n, {edge: 1 for edge in edges})
-    i, j = draw(st.sampled_from(pairs))
+    graph = random_connected_graph(draw, n)
+    pair = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
     m = draw(st.integers(1, 3))
-    sets = enumerate_m_path_sets(enumerate_simple_paths(graph, i, j), m)
 
     def symmetric(low, high):
         # a narrow value range makes score and hop ties common
@@ -128,7 +162,7 @@ def scoring_cases(draw):
     effective = symmetric(-1, 8)
     target = symmetric(0, 4)
     delta_r = draw(st.integers(0, 3))
-    return graph, sets, effective, target, delta_r, draw(st.booleans())
+    return graph, pair, m, effective, target, delta_r, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -136,7 +170,8 @@ def scoring_cases(draw):
 def test_table_scoring_matches_reference(case):
     """The level walk over the table's masks picks the reference finalists,
     in order, with the strict guard's short edges and without them."""
-    graph, sets, effective, target, delta_r, strict_guard = case
+    graph, pair, m, effective, target, delta_r, strict_guard = case
+    sets = enumerate_m_path_sets(enumerate_simple_paths(graph, *pair), m)
     deficiency = target - effective
     n = graph.node_count
     # the edges holding less than delta_r, as run keeps them
@@ -145,7 +180,7 @@ def test_table_scoring_matches_reference(case):
         for u, v in graph.edges
         if deficiency[u, v] > int(target[u, v]) - delta_r
     }
-    table = candidate_table(sets, n)
+    table = CandidateTable(graph, pair, m)
     assert len(table) == len(sets)
     for guard in (strict_guard, not strict_guard):
         finalists = optimal_sets(table, per_pair(deficiency), short if guard else set())
@@ -156,7 +191,7 @@ def test_table_scoring_matches_reference(case):
         expected = reference_finalists(sets, deficiency, effective, delta_r, guard)
         best = min(set_deficiency(s, deficiency) for s in kept)
         assert all(set_deficiency(s, deficiency) == best for s in expected)
-        assert [c.path_set for c in finalists] == expected
+        assert [table.candidate(k)[0] for k in finalists] == expected
 
 
 def test_apply_increment_is_pure(dense5):
@@ -253,7 +288,7 @@ def test_dense5_trajectory_envelope(dense5):
             )
             table = candidate_table(sets, graph.node_count)
             finalists = optimal_sets(table, shortfall, set())
-            assert entry.chosen_set in [c.path_set for c in finalists]
+            assert entry.chosen_set in [table.rows[k].path_set for k in finalists]
             effective = apply_increment(
                 effective, entry.selected_pair, entry.chosen_set, 100
             )
@@ -284,8 +319,11 @@ def test_routing_list_merges_records():
     s1 = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
     s2 = MPathSet((Path((3, 2, 1)), Path((3, 0, 1))))  # same set, reversed
     routing.add(s1, 10)
+    assert routing.records() == (RoutingRecord(s1, 10),)
     routing.add(s2, 10)
     assert routing.records() == (RoutingRecord(s1, 20),)
+    # sorted once per change, then served as the same tuple
+    assert routing.records() is routing.records()
     assert rates_by_pair(routing.records()) == {(1, 3): 20}
 
 
@@ -435,7 +473,8 @@ def test_mesh10_plateau(mesh10):
 
 @st.composite
 def routing_cases(draw):
-    """A connected graph with random rates and targets, and a router config."""
+    """A connected graph with random rates and targets, and a router config
+    with M up to 3 and a hop limit or none."""
     n = draw(st.integers(4, 8))
     pairs = list(itertools.combinations(range(n), 2))
     # a random spanning tree keeps the graph connected; chords add routes
@@ -447,11 +486,12 @@ def routing_cases(draw):
     upper = draw(st.lists(st.integers(0, 40), min_size=n * n, max_size=n * n))
     target = np.triu(np.array(upper, dtype=np.int64).reshape(n, n), k=1)
     config = RouterConfig(
-        m=draw(st.integers(1, 2)),
+        m=draw(st.integers(1, 3)),
         delta_r=draw(st.integers(1, 4)),
         r_max=200,
         seed=draw(st.integers(0, 2**32)),
         strict_guard=draw(st.booleans()),
+        hop_limit=draw(st.one_of(st.none(), st.integers(1, 4))),
     )
     return graph, as_rate_matrix(target + target.T), config
 
@@ -468,7 +508,8 @@ def test_run_invariants_on_random_graphs(case):
 
     def pair_sets(pair):
         if pair not in sets:
-            sets[pair] = enumerate_m_path_sets(enumerate_simple_paths(graph, *pair), config.m)
+            paths = enumerate_simple_paths(graph, *pair, config.hop_limit)
+            sets[pair] = enumerate_m_path_sets(paths, config.m)
         return sets[pair]
 
     effective = graph.rate_matrix()

@@ -235,6 +235,30 @@ def test_routing_commands_load_no_numpy(command, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+# validate and paths read and write no artifact file, so they load neither
+# the artifact module nor the hashing and CSV modules only it uses
+_ARTIFACTS_PROBE = """
+import sys
+from qkdroute import cli
+assert cli.main(sys.argv[1:]) == 0
+loaded = sorted({"qkdroute.artifacts", "hashlib", "csv"} & set(sys.modules))
+assert not loaded, f"loaded: {loaded}"
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--input", "{k23}"],
+    ["paths", "--input", "{k23}", "--pair", "0,4"],
+], ids=["validate", "paths"])
+def test_validate_and_paths_load_no_artifacts(command):
+    argv = [arg.format(k23=NETWORKS_DIR / "k23.json") for arg in command]
+    done = subprocess.run(
+        [sys.executable, "-c", _ARTIFACTS_PROBE, *argv], capture_output=True, text=True,
+        env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     done = subprocess.run(
