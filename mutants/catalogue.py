@@ -284,13 +284,6 @@ MUTANTS = (
         POOL_TESTS,
     ),
     Mutant(
-        "pools: whole pools stored despite an allocation",
-        "qkdroute/keysim.py",
-        "(0, length) if allocation is None else allocation.runs[edge]",
-        "(0, length)",
-        POOL_TESTS,
-    ),
-    Mutant(
         "pools: a read of the whole stored run refused (< instead of <=)",
         "qkdroute/keysim.py",
         "if not self.start <= start <= stop <= self.stop:",
@@ -309,7 +302,7 @@ MUTANTS = (
         "qkdroute/keysim.py",
         "if not self.start <= start <= stop <= self.stop:",
         "if not self.start <= start <= stop:",
-        ("tests/test_keysim.py::test_unpack_refuses_bits_outside_the_pool",),
+        ("tests/test_keysim.py::test_segment_refuses_bits_outside_the_stored_run",),
     ),
     Mutant(
         "pools: memory check off by one byte",
@@ -321,11 +314,21 @@ MUTANTS = (
     Mutant(
         "pools: pair keys counted at a byte per bit in the memory refusal",
         "qkdroute/keysim.py",
-        "sum((bits + 7) // 8 for bits in key_bits.values())",
-        "sum(key_bits.values())",
-        ("tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",),
+        "sum((bits + 7) // 8 for bits in allocation.key_bits.values())",
+        "sum(allocation.key_bits.values())",
+        (
+            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
+            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
+        ),
     ),
     # the packed pair keys
+    Mutant(
+        "keys: a pair's key sized by its last record alone",
+        "qkdroute/keysim.py",
+        "allocation.key_bits[record.pair] += length",
+        "allocation.key_bits[record.pair] = length",
+        ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
+    ),
     Mutant(
         "keys: a block written at the pair's byte offset, not its bit offset",
         "qkdroute/keysim.py",
@@ -369,6 +372,13 @@ MUTANTS = (
         ("tests/test_keysim.py::test_every_compromise_subset_cross_checks",),
     ),
     Mutant(
+        "compromise: epsilon checked only when there are records",
+        "qkdroute/keysim.py",
+        "eps = None if epsilon is None else _epsilon(epsilon)",
+        "eps = epsilon",
+        ("tests/test_cli.py::test_simulate_checks_epsilon_without_records",),
+    ),
+    Mutant(
         "leak rule: any member path instead of all",
         "qkdroute/keysim.py",
         "return all(path.interior & corrupt for path in path_set.paths)",
@@ -385,6 +395,13 @@ MUTANTS = (
         "if repeated:",
         "if False:",
         ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
+    ),
+    Mutant(
+        "cli: the fractional-bits warning ignores record rates",
+        "qkdroute/cli.py",
+        "    rates += [record.rate for record in routing.records()]\n",
+        "",
+        ("tests/test_cli.py::test_simulate_warns_on_fractional_bits",),
     ),
     Mutant(
         "cli: simulate takes --m and ignores it",

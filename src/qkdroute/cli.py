@@ -265,12 +265,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         routing_path = routing_path / "routing_list.json"
     routing = artifacts.read_routing_artifact(routing_path, graph)
     tau = as_decimal(args.tau, "--tau")
-    if not all(
-        graph.scale.bits_exact(graph.rate(u, v), tau) for u, v in graph.edges
-    ):
+    # every own share is an edge rate minus record rates, so it is exact
+    # when these are
+    rates = [graph.rate(u, v) for u, v in graph.edges]
+    rates += [record.rate for record in routing.records()]
+    if not all(graph.scale.bits_exact(rate, tau) for rate in rates):
         print(
-            "warning: tau leaves fractional bits on some edges; lengths are "
-            "rounded down",
+            "warning: tau leaves fractional bits in some pools or relay "
+            "segments; lengths are rounded down",
             file=sys.stderr,
         )
     sim = keysim.simulate(graph, routing, tau, seed=args.seed)

@@ -8,8 +8,9 @@ edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
 ``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
 bit offsets of that record's relay segment in the edge's pool.  It needs only
-the pool lengths, so ``simulate`` lays the segments out before anything is
-drawn.
+the pool lengths, so ``simulate`` lays everything out once, before anything is
+drawn: the segments, the run of each pool to store, and the length of each
+pair's key.
 
 The pools are consecutive runs of one bit stream, drawn from one
 ``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of
@@ -20,14 +21,15 @@ starts at bit 4 * H_p of the stream, where H_p = sum over q < p of
 ceil(L_q / 4).  Its bits are exactly those that ``integers(0, 2,
 dtype=uint8)`` would return if called once per pool.
 
-No command reads an edge's own share, so ``simulate`` stores only the run of
-each pool that its relay segments cover, from the end of the own share to
-the last relay stop.  The generator jumps to the run's first 64-bit word
-(``bit_generator.advance``) and draws only the run, packed eight bits to a
-byte.  A segment is read as packed bytes aligned to bit 0, the relay and the
-key blocks XOR those bytes, and each record's block is written at its bit
-offset into its pair's packed key.  A simulation's peak memory is thus about
-(relayed bits + key bits) / 8 bytes.
+No command reads an edge's own share, so each pool stores only the run that
+its relay segments cover, from the end of the own share to the last relay
+stop.  ``accumulate_pools`` draws exactly the runs it is given: the
+generator jumps to each run's first 64-bit word (``bit_generator.advance``)
+and draws only the run, packed eight bits to a byte.  A segment is read as
+packed bytes aligned to bit 0, the relay and the key blocks XOR those bytes,
+and each record's block is written at its bit offset into its pair's packed
+key.  A simulation's peak memory is thus about (relayed bits + key bits) / 8
+bytes.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -48,7 +50,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .engine import RoutingList, RoutingRecord
+from .engine import RoutingList
 from .model import CapacityError, Edge, NetworkGraph, NodeId
 from .paths import MPathSet, Path
 from .units import as_decimal
@@ -72,30 +74,21 @@ def _top_bits(raw: np.ndarray) -> np.ndarray:
     return np.packbits(octets)
 
 
+@dataclass(frozen=True, eq=False)
 class KeyPool:
     """The shared secret-bit pool of one edge over the harvest window.
 
-    Only pool bits ``start:stop`` are stored, in the read-only packed bytes
-    ``bits`` from bit ``shift`` of ``bits[0]`` on, first bit highest; a whole
-    pool has ``start`` 0 and ``stop`` its length.  The bytes can hold bits
-    of the stream either side of the stored run.
+    Of the pool's ``length`` bits only the run ``start:stop`` is stored, in
+    the read-only packed bytes ``bits`` from bit ``shift`` of ``bits[0]``
+    on, first bit highest.  The bytes can hold bits of the stream either
+    side of the stored run.
     """
 
-    __slots__ = ("bits", "length", "shift", "start", "stop")
-
-    def __init__(
-        self,
-        bits: np.ndarray,
-        length: int,
-        shift: int = 0,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> None:
-        self.bits = bits
-        self.length = length
-        self.shift = shift
-        self.start = start
-        self.stop = length if stop is None else stop
+    bits: np.ndarray
+    length: int
+    shift: int
+    start: int
+    stop: int
 
     def __len__(self) -> int:
         return self.length
@@ -114,18 +107,20 @@ class KeyPool:
         covered = np.unpackbits(self.bits[first : first + (lead + stop - start + 7) // 8])
         return np.packbits(covered[lead : lead + stop - start])
 
-    def unpack(self, start: int, stop: int) -> np.ndarray:
-        """Bits ``start:stop`` of the pool, one byte per bit."""
-        return np.unpackbits(self.segment(start, stop), count=stop - start)
-
 
 class SegmentAllocation(Dict[Tuple[MPathSet, Edge], Tuple[int, int]]):
     """(record set, edge) -> the (start, stop) bit offsets of that record's
-    relay segment in the edge's pool.  ``runs`` maps every edge to the bits
-    its segments cover, from the end of its own share to its last relay
-    stop."""
+    relay segment in the edge's pool.
 
-    runs: Dict[Edge, Tuple[int, int]]
+    ``runs`` maps every edge to the run of its pool to store, as (bit,
+    words, start, stop): pool bits ``start:stop``, from the end of its own
+    share to its last relay stop, begin at bit ``bit`` of the stream and
+    take ``words`` raw 64-bit words.  ``key_bits`` maps every routed pair
+    to the length of its key in bits.
+    """
+
+    runs: Dict[Edge, Tuple[int, int, int, int]]
+    key_bits: Counter[Edge]
 
 
 @dataclass(frozen=True)
@@ -175,10 +170,15 @@ def compromise_probability_bound(m: int, epsilon: object) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    return float(_epsilon(epsilon) ** m)
+
+
+def _epsilon(epsilon: object) -> Decimal:
+    """``epsilon`` as a Decimal; ValueError unless it lies in [0, 1]."""
     eps = as_decimal(epsilon, "epsilon")
     if not (0 <= eps <= 1):
         raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
-    return float(eps**m)
+    return eps
 
 
 def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
@@ -189,30 +189,11 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
     return {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
 
 
-def _stored_runs(
-    lengths: Mapping[Edge, int], allocation: Optional[SegmentAllocation]
-) -> Dict[Edge, Tuple[int, int, int, int]]:
-    """Each edge's stored run as (bit, words, start, stop): pool bits
-    ``start:stop`` start at ``bit`` of the stream and take ``words`` raw
-    64-bit words.  The run is the whole pool without an allocation, or else
-    the bits its relay segments cover."""
-    runs = {}
-    offset = 0  # the pool's first bit in the stream
-    for edge, length in lengths.items():
-        start, stop = (0, length) if allocation is None else allocation.runs[edge]
-        bit = offset + start
-        words = (bit + stop - start + 7) // 8 - bit // 8 if stop > start else 0
-        runs[edge] = (bit, words, start, stop)
-        offset += 4 * ((length + 3) // 4)
-    return runs
-
-
-def _refuse_beyond_memory(
-    runs: Mapping[Edge, Tuple[int, int, int, int]], tau: Decimal, key_bytes: int = 0
-) -> None:
-    """CapacityError when the packed runs, a byte per word, or they plus
-    ``key_bytes``, would not fit in physical memory."""
-    needed = sum(words for _, words, _, _ in runs.values())
+def _refuse_beyond_memory(allocation: SegmentAllocation, tau: Decimal) -> None:
+    """CapacityError when the stored runs, a byte per word, or they plus the
+    packed pair keys would not fit in physical memory."""
+    needed = sum(words for _, words, _, _ in allocation.runs.values())
+    key_bytes = sum((bits + 7) // 8 for bits in allocation.key_bits.values())
     memory = _physical_memory()
     for what, extra in (("key pools", 0), ("key pools and pair keys", key_bytes)):
         if needed + extra > memory:
@@ -223,32 +204,21 @@ def _refuse_beyond_memory(
 
 
 def accumulate_pools(
-    graph: NetworkGraph,
-    tau: Decimal,
+    runs: Mapping[Edge, Tuple[int, int, int, int]],
+    lengths: Mapping[Edge, int],
     seed: int,
-    allocation: Optional[SegmentAllocation] = None,
 ) -> Dict[Edge, KeyPool]:
-    """Draw each edge's pool of R_ij * tau bits from a seeded generator.
+    """Draw the stored run of each edge's pool of ``lengths[edge]`` bits
+    from a seeded generator.
 
-    Pool p, in canonical edge order, holds bits 4 * H_p on of the packed
-    stream the module docstring sets out.  Without an allocation every pool
-    is stored whole; with one, each pool stores only the run its relay
-    segments cover (``allocation.runs``), and an edge that relays nothing
-    stores no byte.  Each run is drawn on its own: the generator jumps to
-    the run's first 64-bit word, draws the run's words in steps of
-    ``_STEP_WORDS`` and keeps the top bit of every byte, packed and
-    read-only.  A (graph, tau, seed) triple always produces identical key
-    material.
-
-    Raises:
-        ValueError: when tau is not positive.
-        CapacityError: when the stored runs would not fit in physical
-            memory; this is checked before anything is drawn.
+    ``runs`` gives each run as ``SegmentAllocation.runs`` does: pool bits
+    ``start:stop`` from bit ``bit`` of the stream the module docstring sets
+    out, in ``words`` raw words.  Each run is drawn on its own: the
+    generator jumps to the run's first 64-bit word, draws its words in
+    steps of ``_STEP_WORDS`` and keeps the top bit of every byte, packed and
+    read-only.  A run of no words stores no byte.  The same runs and seed
+    always give identical key material.
     """
-    tau = as_decimal(tau, "tau")
-    lengths = _pool_lengths(graph, tau)
-    runs = _stored_runs(lengths, allocation)
-    _refuse_beyond_memory(runs, tau)
     generator = np.random.default_rng(seed).bit_generator
     origin = generator.state
     pools: Dict[Edge, KeyPool] = {}
@@ -266,20 +236,22 @@ def accumulate_pools(
 
 
 def allocate_segments(
-    pools: Mapping[Edge, object],
+    lengths: Mapping[Edge, int],
     routing_list: RoutingList,
     graph: NetworkGraph,
     tau: Decimal,
 ) -> SegmentAllocation:
-    """Carve every pool into its own share plus relay segments.
+    """Carve every pool, ``lengths[edge]`` bits long, into its own share
+    plus relay segments.
 
-    ``pools`` maps each edge to its pool or to the pool's length in bits.
     Returns a map from (record set, edge) to the ``(start, stop)`` bit
     offsets of that record's relay segment in the edge's pool, with each
-    edge's run in ``runs``.  An edge's own share, its effective rate
+    edge's stored run in ``runs`` and each pair's key length in
+    ``key_bits``.  An edge's own share, its effective rate
     ``routing_list.effective``, sits at the pool front.  Segment lengths are
     floor(rate * tau) bits.  Records are laid out in canonical order, so all
-    parties compute the same offsets independently.
+    parties compute the same offsets independently.  The pools lie in the
+    stream in the order of ``lengths``.
 
     Raises:
         CapacityError: when an edge pool cannot hold its own share plus
@@ -287,12 +259,10 @@ def allocate_segments(
             effective rate went negative (over-subscription with the guard
             disabled).
     """
-    tau = as_decimal(tau, "tau")
     scale = graph.scale
     effective = routing_list.effective(graph)
-    sizes = {edge: pool if isinstance(pool, int) else len(pool) for edge, pool in pools.items()}
     shares: Dict[Edge, int] = {}
-    for edge, size in sizes.items():
+    for edge, size in lengths.items():
         rate = int(effective[edge[0], edge[1]])
         if rate < 0:
             raise CapacityError(
@@ -308,26 +278,35 @@ def allocate_segments(
         shares[edge] = length
     cursors = dict(shares)
     allocation = SegmentAllocation()
+    allocation.key_bits = Counter()
     for record in routing_list.records():
         length = scale.bit_count(record.rate, tau)
+        allocation.key_bits[record.pair] += length
         for path in record.path_set.paths:
             for edge in path.edges:
-                if edge not in sizes:
+                if edge not in lengths:
                     raise CapacityError(
                         f"routing record traverses ({edge[0]}, {edge[1]}), "
                         "which is not an edge of the network"
                     )
                 start = cursors[edge]
-                if start + length > sizes[edge]:
+                if start + length > lengths[edge]:
                     raise CapacityError(
                         f"edge ({edge[0]}, {edge[1]}) pool of "
-                        f"{sizes[edge]} bits exhausted while allocating "
+                        f"{lengths[edge]} bits exhausted while allocating "
                         f"relay segments"
                     )
                 stop = start + length
                 allocation[record.path_set, edge] = (start, stop)
                 cursors[edge] = stop
-    allocation.runs = {edge: (shares[edge], stop) for edge, stop in cursors.items()}
+    allocation.runs = {}
+    offset = 0  # the pool's first bit in the stream
+    for edge, length in lengths.items():
+        start, stop = shares[edge], cursors[edge]
+        bit = offset + start
+        words = (bit + stop - start + 7) // 8 - bit // 8 if stop > start else 0
+        allocation.runs[edge] = (bit, words, start, stop)
+        offset += 4 * ((length + 3) // 4)
     return allocation
 
 
@@ -371,12 +350,11 @@ def assemble_pair_keys(
     the pair.  Only the first endpoint's block is kept: it is written at its
     bit offset into the pair's packed key, allocated up front.
     """
-    records = routing_list.records()
-    lengths = _key_lengths(records, allocation)
+    lengths = allocation.key_bits
     keys = {pair: np.zeros((length + 7) // 8, dtype=np.uint8) for pair, length in lengths.items()}
     written: Counter[Edge] = Counter()
     agreed: Dict[Edge, bool] = {}
-    for record in records:
+    for record in routing_list.records():
         block_i: Optional[np.ndarray] = None
         block_j: Optional[np.ndarray] = None
         for path in record.path_set.paths:
@@ -389,16 +367,6 @@ def assemble_pair_keys(
         written[pair] += stop - start
         agreed[pair] = agreed.get(pair, True) and block_i.tobytes() == block_j.tobytes()
     return {pair: PairKey(keys[pair], lengths[pair], agreed[pair]) for pair in sorted(keys)}
-
-
-def _key_lengths(records: Iterable[RoutingRecord], allocation: SegmentAllocation) -> Counter[Edge]:
-    """Bits in each pair's key: the sum of its records' block lengths, which
-    are those of their relay segments."""
-    lengths: Counter[Edge] = Counter()
-    for record in records:
-        start, stop = allocation[record.path_set, record.path_set.paths[0].edges[0]]
-        lengths[record.pair] += stop - start
-    return lengths
 
 
 def _write_block(key: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -440,27 +408,26 @@ def simulate(
     tau: object,
     seed: int = 0,
 ) -> KeySimulation:
-    """Lay out the segments, then draw the relayed runs of the pools, relay
-    and assemble, end to end.
+    """Lay the segments out once, then draw the relayed runs of the pools,
+    relay and assemble, end to end.
 
-    Refuses (CapacityError), before drawing, the stored runs plus the packed
-    pair keys that would not fit in physical memory.
+    Raises:
+        ValueError: when tau is not positive.
+        CapacityError: when the segments do not fit in the pools, or when
+            the stored runs, or they plus the packed pair keys, would not
+            fit in physical memory; this is checked before anything is
+            drawn.
     """
-    tau_dec = as_decimal(tau, "tau")
-    lengths = _pool_lengths(graph, tau_dec)
-    allocation = allocate_segments(lengths, routing_list, graph, tau_dec)
-    key_bits = _key_lengths(routing_list.records(), allocation)
-    _refuse_beyond_memory(
-        _stored_runs(lengths, allocation),
-        tau_dec,
-        sum((bits + 7) // 8 for bits in key_bits.values()),
-    )
-    pools = accumulate_pools(graph, tau_dec, seed, allocation)
+    tau = as_decimal(tau, "tau")
+    lengths = _pool_lengths(graph, tau)
+    allocation = allocate_segments(lengths, routing_list, graph, tau)
+    _refuse_beyond_memory(allocation, tau)
+    pools = accumulate_pools(allocation.runs, lengths, seed)
     pair_keys = assemble_pair_keys(routing_list, pools, allocation)
     return KeySimulation(
         graph=graph,
         routing_list=routing_list,
-        tau=tau_dec,
+        tau=tau,
         seed=seed,
         pools=pools,
         allocation=allocation,
@@ -521,6 +488,8 @@ def assess_compromise(
     outside = sorted(n for n in corrupt if not 0 <= n < sim.graph.node_count)
     if outside:
         raise ValueError(f"compromised nodes {outside} are not in the network")
+    # checked whatever the records, though without records there is no bound
+    eps = None if epsilon is None else _epsilon(epsilon)
     leaked_by_pair: Dict[Edge, int] = {}
     status: Dict[Edge, str] = {}
     for record in sim.routing_list.records():
@@ -542,11 +511,10 @@ def assess_compromise(
         status[pair] = (
             verdict if status.get(pair, verdict) == verdict else PARTIALLY_LEAKED
         )
+    m_values = {record.path_set.m for record in sim.routing_list.records()}
     bound = None
-    if epsilon is not None:
-        m_values = {record.path_set.m for record in sim.routing_list.records()}
-        if m_values:
-            bound = compromise_probability_bound(min(m_values), epsilon)
+    if eps is not None and m_values:
+        bound = compromise_probability_bound(min(m_values), eps)
     return CompromiseReport(
         compromised=corrupt,
         pair_status=status,

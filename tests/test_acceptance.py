@@ -36,9 +36,7 @@ from qkdroute.engine import (
 )
 from qkdroute.keysim import (
     KeyPool,
-    accumulate_pools,
     adversary_reconstruct,
-    allocate_segments,
     assemble_pair_keys,
     compromise_probability_bound,
     record_is_leaked,
@@ -312,18 +310,17 @@ def test_acceptance_compromise_security(k23):
     routing = RoutingList()
     routing.add(set_a, 100)
     tau = Decimal("0.08")
-    base = accumulate_pools(graph, tau, seed=1)
-    allocation = allocate_segments(base, routing, graph, tau)
+    base = simulate(graph, routing, tau, seed=1)
+    allocation = base.allocation
     start, stop = allocation[set_a, (0, 1)]
     assert stop - start == 8
     seen = set()
     for value in range(256):
-        bits = base[(0, 1)].unpack(0, len(base[(0, 1)]))
-        bits[start:stop] = np.unpackbits(np.array([value], np.uint8))
-        packed = np.packbits(bits)
+        # the stored run of (0, 1) is exactly this segment
+        packed = np.array([value], np.uint8)
         packed.flags.writeable = False
-        pools = dict(base)
-        pools[(0, 1)] = KeyPool(packed, len(bits))
+        pools = dict(base.pools)
+        pools[(0, 1)] = KeyPool(packed, len(base.pools[(0, 1)]), 0, start, stop)
         for path in set_a.paths:
             key_i, key_j, _ = relay_path_key(pools, allocation, set_a, path)
             assert np.array_equal(key_i, key_j)

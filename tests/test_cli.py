@@ -748,11 +748,37 @@ def test_simulate_warns_on_fractional_bits(k23_file, tmp_path, capsys):
     route_dir = tmp_path / "route"
     main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
     capsys.readouterr()
-    assert main([
-        "simulate", "--input", str(k23_file), "--routing", str(route_dir),
-        "--tau", "0.0005",
-    ]) == EXIT_OK
+    simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir)]
+    assert main(simulate + ["--tau", "0.0005"]) == EXIT_OK
     assert "fractional bits" in capsys.readouterr().err
+    assert main(simulate + ["--tau", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    # every pool holds exactly 5 bits, but each record's 0.1 kbit/s gives
+    # 0.5 bit, which floors to none
+    assert main(simulate + ["--tau", "0.005"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: tau leaves fractional bits in some pools or "
+                            "relay segments; lengths are rounded down\n")
+    assert "warning" not in captured.out
+    assert "(0, 4): 0 bits" in captured.out
+
+
+def test_simulate_checks_epsilon_without_records(k23_file, tmp_path, capsys):
+    # a zero target routes no record, so there is no bound to report, yet a
+    # bad --epsilon is refused as it is with records
+    net = write_net(tmp_path, "k23.json", {**json.loads(k23_file.read_text()), "target": 0})
+    route_dir = tmp_path / "route"
+    assert main(["route", "--input", str(net), "--out-dir", str(route_dir)]) == EXIT_OK
+    assert json.loads((route_dir / "routing_list.json").read_text())["records"] == []
+    capsys.readouterr()
+    simulate = ["simulate", "--input", str(net), "--routing", str(route_dir), "--tau", "1"]
+    for epsilon, refusal in (("7", "must lie in [0, 1]"), ("nan", "must be finite"),
+                             ("abc", "is not a number")):
+        assert main(simulate + ["--epsilon", epsilon]) == EXIT_INVALID, epsilon
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: epsilon {refusal}"), captured.err
+        assert captured.out == ""
+    assert main(simulate + ["--epsilon", "0.1"]) == EXIT_OK
 
 
 def test_simulate_key_dump(k23_file, tmp_path, capsys):

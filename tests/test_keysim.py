@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path as FsPath
 from unittest import mock
@@ -19,6 +20,7 @@ from qkdroute.keysim import (
     SECURE,
     CapacityError,
     KeyPool,
+    SegmentAllocation,
     accumulate_pools,
     adversary_reconstruct,
     allocate_segments,
@@ -49,23 +51,36 @@ def single_record_setup(k23, rate=300):
     return graph, routing
 
 
+def edge_lengths(graph):
+    """A 1000-bit pool on every edge, as k23's 1 kbit/s give over 1 s."""
+    return dict.fromkeys(graph.edges, 1000)
+
+
+def unpacked(pool, start, stop):
+    """Pool bits ``start:stop``, one byte per bit."""
+    return np.unpackbits(pool.segment(start, stop), count=stop - start)
+
+
 def test_pool_lengths_and_determinism(k23):
-    graph, _ = k23
-    pools = accumulate_pools(graph, Decimal(2), seed=7)
-    assert tuple(pools) == graph.edges
-    for edge, pool in pools.items():
+    graph, routing = single_record_setup(k23, rate=300)
+    sim = simulate(graph, routing, Decimal(2), seed=7)
+    assert tuple(sim.pools) == graph.edges
+    for edge, pool in sim.pools.items():
         assert len(pool) == 2000
         assert pool.bits.dtype == np.uint8
-        assert pool.bits.nbytes == 250  # packed, 8 bits per byte
-        assert set(np.unique(pool.unpack(0, len(pool)))) <= {0, 1}
+        # the four relaying edges store their last 600 bits, packed 8 bits
+        # per byte; the other two store none
+        assert pool.bits.nbytes == (75 if edge in SET_A.edges else 0)
         assert not pool.bits.flags.writeable
-    again = accumulate_pools(graph, Decimal(2), seed=7)
-    other = accumulate_pools(graph, Decimal(2), seed=8)
+    again = simulate(graph, routing, Decimal(2), seed=7)
+    other = simulate(graph, routing, Decimal(2), seed=8)
     for edge in graph.edges:
-        assert np.array_equal(pools[edge].bits, again[edge].bits)
+        assert np.array_equal(sim.pools[edge].bits, again.pools[edge].bits)
+    assert sim.pair_keys[(0, 4)].hex() == again.pair_keys[(0, 4)].hex()
     assert any(
-        not np.array_equal(pools[e].bits, other[e].bits) for e in graph.edges
+        not np.array_equal(sim.pools[e].bits, other.pools[e].bits) for e in SET_A.edges
     )
+    assert sim.pair_keys[(0, 4)].hex() != other.pair_keys[(0, 4)].hex()
 
 
 @functools.lru_cache(maxsize=1)
@@ -81,17 +96,20 @@ def stored_bits(pool):
 
 
 def assert_stored_runs(pools, references, runs):
-    """Each pool stores exactly bits ``runs[edge]`` of its reference draw, in
-    read-only bytes that start at bit (4 * H_p + start) mod 8, where H_p is
-    the number of 32-bit words the pools before it take, and no byte at all
-    for an empty run."""
+    """Each run starts at bit 4 * H_p + start of the stream, where H_p is the
+    number of 32-bit words the pools before it take, and takes a 64-bit
+    word per byte it spans.  Each pool stores exactly bits ``start:stop`` of
+    its reference draw, in read-only bytes that start at that bit mod 8, and
+    no byte at all for an empty run."""
     half_words = 0
     for (edge, pool), reference in zip(pools.items(), references, strict=True):
-        start, stop = runs[edge]
+        bit, words, start, stop = runs[edge]
+        assert bit == 4 * half_words + start
+        assert words == ((bit % 8 + stop - start + 7) // 8 if stop > start else 0)
         assert (len(pool), pool.start, pool.stop) == (len(reference), start, stop)
         assert np.array_equal(stored_bits(pool), reference[start:stop])
-        assert pool.shift == (4 * half_words + start) % 8
-        assert pool.bits.nbytes == ((pool.shift + stop - start + 7) // 8 if stop > start else 0)
+        assert pool.shift == bit % 8
+        assert pool.bits.nbytes == words
         assert not pool.bits.flags.writeable
         half_words += (len(reference) + 3) // 4
 
@@ -103,29 +121,25 @@ def assert_stored_runs(pools, references, runs):
     step_words=st.integers(1, 6) | st.just(keysim._STEP_WORDS),
 )
 def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
-    """Whole pools, and the runs an allocation keeps of them, drawn from raw
-    words in steps of any size, hold the bits of one draw per pool.  Every
-    relay segment reads the matching slice of those bits, and a read of an
+    """The runs an allocation keeps of the pools, drawn from raw words in
+    steps of any size, hold the bits of one draw per pool.  Every relay
+    segment reads the matching slice of those bits, and a read of an
     own-share bit is refused.  mesh10's rates give pools of 0 to 4000 bits,
     mostly not a multiple of 4 long, so most pools leave a half-word to the
     next."""
     graph, out = mesh10_routed()
-    lengths = [graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges]
-    references = one_shot_pools(lengths, seed)
+    lengths = {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
+    references = one_shot_pools(list(lengths.values()), seed)
     reference = dict(zip(graph.edges, references))
+    allocation = allocate_segments(lengths, out.routing_list, graph, tau)
     with mock.patch.object(keysim, "_STEP_WORDS", step_words):
-        whole = accumulate_pools(graph, tau, seed)
-        allocation = allocate_segments(whole, out.routing_list, graph, tau)
-        stored = accumulate_pools(graph, tau, seed, allocation)
-    assert tuple(whole) == tuple(stored) == graph.edges
-    assert_stored_runs(whole, references, {edge: (0, len(reference[edge])) for edge in whole})
+        stored = accumulate_pools(allocation.runs, lengths, seed)
+    assert tuple(stored) == graph.edges
     assert_stored_runs(stored, references, allocation.runs)
-    by_length = allocate_segments(dict(zip(graph.edges, lengths)), out.routing_list, graph, tau)
-    assert (by_length, by_length.runs) == (allocation, allocation.runs)
     for (path_set, edge), (start, stop) in allocation.items():
-        assert allocation.runs[edge][0] <= start <= stop <= allocation.runs[edge][1]
+        assert allocation.runs[edge][2] <= start <= stop <= allocation.runs[edge][3]
         bits = reference[edge][start:stop]
-        assert np.array_equal(stored[edge].unpack(start, stop), bits)
+        assert np.array_equal(unpacked(stored[edge], start, stop), bits)
         assert np.array_equal(stored[edge].segment(start, stop), np.packbits(bits))
     for pool in stored.values():
         if pool.start:
@@ -138,36 +152,40 @@ def test_pool_starts_on_the_carried_half_word():
     half of the second 64-bit word unread, a 0-bit pool draws nothing, and
     the pool after them, longer than one step, starts with that half-word,
     four bits into a packed byte.  It ends on a whole 64-bit word, so the
-    pool after it starts on a fresh one.  With one record routed over
-    1 - 0 - 3, each pool stores only its relay segment's run: the run on
-    (0, 3) lies past the first step, and edges that relay nothing store no
-    byte."""
+    pool after it starts on a fresh one.  With records routed over 1 - 0 - 3
+    and 2 - 1 - 0 - 3, each pool stores only its relay segments' run: the
+    run on (0, 3) lies past the first step, and an edge that relays nothing
+    stores no byte."""
     step_bits = 8 * keysim._STEP_WORDS
     # one rate unit is 1 bit/s, so at tau = 0.5 s these are 9, 0,
     # step_bits + 18 and 5 bits: 3, 0, 2 * _STEP_WORDS + 5 and 2 words
     graph = NetworkGraph(4, {(0, 1): 18, (0, 2): 1, (0, 3): 2 * step_bits + 36,
                              (1, 2): 10})
-    lengths = [9, 0, step_bits + 18, 5]
+    lengths = dict(zip(graph.edges, [9, 0, step_bits + 18, 5]))
     tau = Decimal("0.5")
-    assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == lengths
-    references = one_shot_pools(lengths, seed=4)
-    pools = accumulate_pools(graph, tau, seed=4)
-    assert_stored_runs(pools, references, dict(zip(graph.edges, ((0, n) for n in lengths))))
-    assert [pool.shift for pool in pools.values()] == [0, 4, 4, 0]
-    raw = np.random.default_rng(4).bit_generator.random_raw(2)
-    carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
-    assert pools[(0, 3)].unpack(0, 4).tolist() == carried
+    assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == [*lengths.values()]
+    references = one_shot_pools(list(lengths.values()), seed=4)
 
     routing = RoutingList()
-    routing.add(MPathSet((Path((1, 0, 3)),)), 8)  # 4 bits a link
-    allocation = allocate_segments(pools, routing, graph, tau)
-    assert allocation.runs == {(0, 1): (5, 9), (0, 2): (0, 0),
-                               (0, 3): (step_bits + 14, step_bits + 18), (1, 2): (5, 5)}
-    stored = accumulate_pools(graph, tau, seed=4, allocation=allocation)
+    routing.add(MPathSet((Path((1, 0, 3)),)), 4)  # 2 bits a link
+    routing.add(MPathSet((Path((2, 1, 0, 3)),)), 4)
+    allocation = allocate_segments(lengths, routing, graph, tau)
+    # pool (0, 3) starts at bit 12, so its run at 14 + step_bits more;
+    # pool (1, 2) starts on a fresh word at step_bits + 32
+    assert allocation.runs == {(0, 1): (5, 2, 5, 9), (0, 2): (12, 0, 0, 0),
+                               (0, 3): (step_bits + 26, 1, step_bits + 14, step_bits + 18),
+                               (1, 2): (step_bits + 35, 1, 3, 5)}
+    stored = accumulate_pools(allocation.runs, lengths, seed=4)
     assert_stored_runs(stored, references, allocation.runs)
-    assert [pool.bits.nbytes for pool in stored.values()] == [2, 0, 1, 0]
+    assert [pool.bits.nbytes for pool in stored.values()] == [2, 0, 1, 1]
     with pytest.raises(ValueError, match="stored at 5:9"):
         stored[(0, 1)].segment(4, 9)
+
+    # a run of the first four bits of (0, 3) is the second word's high half
+    raw = np.random.default_rng(4).bit_generator.random_raw(2)
+    carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
+    first = accumulate_pools({(0, 3): (12, 1, 0, 4)}, lengths, seed=4)[(0, 3)]
+    assert unpacked(first, 0, 4).tolist() == carried
 
 
 def stored_pool(rng, bits, pool_shift, start, stop):
@@ -220,7 +238,8 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
     for record in routing.records():
         for edge in record.path_set.edges:
             segments.setdefault(edge, []).append((record.path_set, block_bits[record.path_set]))
-    pool_bits, pools, allocation = {}, {}, {}
+    pool_bits, pools, allocation = {}, {}, SegmentAllocation()
+    allocation.key_bits = Counter({(0, 1): sum(block_bits.values())})
     for edge, carried in segments.items():
         own = data.draw(st.integers(0, 20))
         cursor = own
@@ -258,41 +277,51 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
     assert key.hex() == bytes(packed(expected_key)).hex()
 
 
-def test_unpack_refuses_bits_outside_the_pool():
-    """A pool's bytes can hold the next pool's first bits, so a read past
+def test_segment_refuses_bits_outside_the_stored_run():
+    """A run's bytes can hold the next pool's first bits, so a read past
     its end, or with its ends swapped, is refused rather than cut short."""
-    graph = NetworkGraph(3, {(0, 1): 6, (0, 2): 8, (1, 2): 8})
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    pool = pools[(0, 1)]
+    rng = np.random.default_rng(0)
+    pool = stored_pool(rng, rng.integers(0, 2, 6, dtype=np.uint8), 0, 0, 6)
     assert len(pool) == 6
-    assert len(pool.unpack(0, 6)) == 6
-    assert len(pool.unpack(6, 6)) == 0
+    assert pool.bits.nbytes == 1  # with two bits of the stream past the pool
+    assert len(unpacked(pool, 0, 6)) == 6
+    assert len(unpacked(pool, 6, 6)) == 0
     for start, stop in ((0, 7), (5, 9), (4, 3), (-1, 2)):
         with pytest.raises(ValueError, match="outside a pool of 6 bits"):
-            pool.unpack(start, stop)
+            pool.segment(start, stop)
 
 
 def test_pools_refused_beyond_physical_memory(k23):
-    graph, _ = k23
-    # six 1 kbit/s edges over 2 s pack to 6 x 250 bytes
-    with mock.patch.object(keysim, "_physical_memory", return_value=1499):
-        with pytest.raises(CapacityError, match="pools of 1500 bytes"):
-            accumulate_pools(graph, Decimal(2), seed=0)
-    with mock.patch.object(keysim, "_physical_memory", return_value=1500):
-        assert len(accumulate_pools(graph, Decimal(2), seed=0)) == 6
+    graph, routing = single_record_setup(k23, rate=300)
+    # over 2 s the four relaying edges store 600 bits each, 4 x 75 bytes,
+    # and the pair key takes 75 more: refused before anything is drawn
+    for memory, refused in ((299, "key pools of 300 bytes"),
+                            (374, "key pools and pair keys of 375 bytes")):
+        with mock.patch.object(keysim, "_physical_memory", return_value=memory), \
+                mock.patch.object(keysim, "accumulate_pools",
+                                  wraps=keysim.accumulate_pools) as draw:
+            with pytest.raises(CapacityError, match=refused):
+                simulate(graph, routing, Decimal(2), seed=0)
+        assert not draw.called
+    with mock.patch.object(keysim, "_physical_memory", return_value=375):
+        assert len(simulate(graph, routing, Decimal(2), seed=0).pools) == 6
 
 
 def test_pool_rejects_bad_tau(k23):
-    graph, _ = k23
-    with pytest.raises(ValueError, match="tau"):
-        accumulate_pools(graph, Decimal(0), seed=0)
+    graph, routing = single_record_setup(k23)
+    for tau in (0, "-1"):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            simulate(graph, routing, tau)
 
 
 def test_fractional_tau_floors_pool(k23):
-    graph, _ = k23
-    pools = accumulate_pools(graph, Decimal("0.0015"), seed=0)
-    # 1000 bit/s for 1.5 ms would be 1.5 bits; pools hold whole bits
-    assert all(len(pool) == 1 for pool in pools.values())
+    graph, routing = single_record_setup(k23)
+    sim = simulate(graph, routing, "0.0015")
+    # 1000 bit/s for 1.5 ms would be 1.5 bits, and 300 bit/s 0.45 bits;
+    # pools and segments hold whole bits
+    assert all(len(pool) == 1 for pool in sim.pools.values())
+    assert sim.allocation[SET_A, (0, 1)] == (1, 1)
+    assert sim.pair_keys[(0, 4)].length == 0
 
 
 def test_bound_is_exact_decimal():
@@ -316,8 +345,7 @@ def test_record_is_leaked_rule():
 
 def test_allocation_layout(k23):
     graph, routing = single_record_setup(k23, rate=300)
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    allocation = allocate_segments(pools, routing, graph, Decimal(1))
+    allocation = allocate_segments(edge_lengths(graph), routing, graph, Decimal(1))
     # every traversed edge keeps its own share of 1000 - 300 bits at the
     # pool front; one relay segment starts right after it
     for edge in ((0, 1), (1, 4), (0, 2), (2, 4)):
@@ -330,8 +358,7 @@ def test_allocation_stacks_records_in_canonical_order(k23):
     routing = RoutingList()
     routing.add(SET_B, 200)
     routing.add(SET_A, 300)
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    allocation = allocate_segments(pools, routing, graph, Decimal(1))
+    allocation = allocate_segments(edge_lengths(graph), routing, graph, Decimal(1))
     # edge (0, 1) serves both records and keeps 1000 - 300 - 200 bits of its
     # own; SET_A sorts first so it sits first
     cursor = 1000 - 300 - 200
@@ -343,38 +370,33 @@ def test_allocation_stacks_records_in_canonical_order(k23):
 def test_allocation_rejects_oversubscribed_edge(k23):
     # 1100 units over 1000-unit edges leave each member edge at -100
     graph, routing = single_record_setup(k23, rate=1100)
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
     with pytest.raises(CapacityError, match="over-subscribed"):
-        allocate_segments(pools, routing, graph, Decimal(1))
+        allocate_segments(edge_lengths(graph), routing, graph, Decimal(1))
 
 
 def test_allocation_rejects_short_own_share(k23):
     graph, routing = single_record_setup(k23, rate=300)
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    short = np.zeros(50, dtype=np.uint8)  # 400 bits, packed
-    short.flags.writeable = False
-    pools[(0, 1)] = KeyPool(short, 400)
+    lengths = edge_lengths(graph)
+    lengths[(0, 1)] = 400
     with pytest.raises(CapacityError, match="700-bit own share"):
-        allocate_segments(pools, routing, graph, Decimal(1))
+        allocate_segments(lengths, routing, graph, Decimal(1))
 
 
 def test_allocation_rejects_exhausted_pool(k23):
     graph, routing = single_record_setup(k23, rate=300)
     # shrink one pool below own share + relay demand
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    short = np.zeros(100, dtype=np.uint8)  # 800 bits, packed
-    short.flags.writeable = False
-    pools[(0, 1)] = KeyPool(short, 800)
+    lengths = edge_lengths(graph)
+    lengths[(0, 1)] = 800
     with pytest.raises(CapacityError, match="exhausted"):
-        allocate_segments(pools, routing, graph, Decimal(1))
+        allocate_segments(lengths, routing, graph, Decimal(1))
 
 
 def test_allocation_rejects_unknown_edge(k23):
     graph, routing = single_record_setup(k23)
-    pools = accumulate_pools(graph, Decimal(1), seed=0)
-    del pools[(0, 2)]
+    lengths = edge_lengths(graph)
+    del lengths[(0, 2)]
     with pytest.raises(CapacityError, match="not an edge"):
-        allocate_segments(pools, routing, graph, Decimal(1))
+        allocate_segments(lengths, routing, graph, Decimal(1))
 
 
 def test_relay_matches_forward_oracle(k23):
@@ -384,7 +406,7 @@ def test_relay_matches_forward_oracle(k23):
     for record in out.routing_list.records():
         for path in record.path_set.paths:
             segments = [
-                sim.pools[edge].unpack(*sim.allocation[record.path_set, edge])
+                unpacked(sim.pools[edge], *sim.allocation[record.path_set, edge])
                 for edge in path.edges
             ]
             key_i, key_j, messages = relay_path_key(
@@ -431,8 +453,8 @@ def test_multi_record_pair_key_layout(k23):
     assert np.array_equal(key.bits, expected)
     # and each block really is the XOR of its member-path first-link segments
     manual = np.bitwise_xor(
-        sim.pools[(0, 1)].unpack(*sim.allocation[SET_A, (0, 1)]),
-        sim.pools[(0, 2)].unpack(*sim.allocation[SET_A, (0, 2)]),
+        unpacked(sim.pools[(0, 1)], *sim.allocation[SET_A, (0, 1)]),
+        unpacked(sim.pools[(0, 2)], *sim.allocation[SET_A, (0, 2)]),
     )
     assert np.array_equal(sim.record_block(SET_A), manual)
 
@@ -539,21 +561,17 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     pad), and both endpoints must agree every time."""
     graph, routing = single_record_setup(k23, rate=100)
     tau = Decimal("0.08")  # 100 bit/s * 0.08 s = 8-bit relay segments
-    base = accumulate_pools(graph, tau, seed=9)
-    allocation = allocate_segments(base, routing, graph, tau)
+    sim = simulate(graph, routing, tau, seed=9)
+    allocation = sim.allocation
     start, stop = allocation[SET_A, (0, 1)]
     assert stop - start == 8
+    rng = np.random.default_rng(9)
     seen = set()
     for value in range(256):
-        patched = dict(base)
-        pool = base[(0, 1)]
-        bits = pool.unpack(0, len(pool))
-        bits[start:stop] = np.unpackbits(
-            np.array([value], dtype=np.uint8)
-        )
-        packed = np.packbits(bits)
-        packed.flags.writeable = False
-        patched[(0, 1)] = KeyPool(packed, len(pool))
+        bits = np.zeros(len(sim.pools[(0, 1)]), dtype=np.uint8)
+        bits[start:stop] = np.unpackbits(np.array([value], dtype=np.uint8))
+        patched = dict(sim.pools)
+        patched[(0, 1)] = stored_pool(rng, bits, value % 8, start, stop)
         for path in SET_A.paths:
             key_i, key_j, _ = relay_path_key(patched, allocation, SET_A, path)
             assert np.array_equal(key_i, key_j)
