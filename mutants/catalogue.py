@@ -216,8 +216,8 @@ MUTANTS = (
     Mutant(
         "pools: little-endian packing",
         "qkdroute/keysim.py",
-        "return np.packbits(octets)",
-        'return np.packbits(octets, bitorder="little")',
+        "np.packbits(octets[lead : lead + count])",
+        'np.packbits(octets[lead : lead + count], bitorder="little")',
         POOL_TESTS,
     ),
     Mutant(
@@ -228,94 +228,114 @@ MUTANTS = (
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a segment read without its bit offset",
+        "pools: a segment's octets not sliced at its first bit",
         "qkdroute/keysim.py",
-        "np.packbits(covered[lead : lead + stop - start])",
-        "np.packbits(covered[: stop - start])",
+        "np.packbits(octets[lead : lead + count])",
+        "np.packbits(octets[:count])",
         PACKED_TESTS,
     ),
     Mutant(
-        "pools: a segment shift off by one",
+        "pools: a segment's octets sliced one bit late",
         "qkdroute/keysim.py",
-        "np.packbits(covered[lead : lead + stop - start])",
-        "np.packbits(covered[lead + 1 : lead + 1 + stop - start])",
+        "np.packbits(octets[lead : lead + count])",
+        "np.packbits(octets[lead + 1 : lead + 1 + count])",
         PACKED_TESTS,
     ),
     Mutant(
         "pools: a segment's pad bits not cleared (they keep the next stream bits)",
         "qkdroute/keysim.py",
-        "np.packbits(covered[lead : lead + stop - start])",
-        "np.packbits(covered[lead : lead + 8 * ((stop - start + 7) // 8)])",
+        "np.packbits(octets[lead : lead + count])",
+        "np.packbits(octets[lead : lead + 8 * ((count + 7) // 8)])",
         PACKED_TESTS,
     ),
     Mutant(
-        "pools: a read ignores where the run starts in its bytes",
+        "pools: a segment drawn from one bit late",
         "qkdroute/keysim.py",
-        "divmod(start - self.start + self.shift, 8)",
-        "divmod(start - self.start, 8)",
+        "range(origins[edge] + start, end, 8 * _STEP_WORDS)",
+        "range(origins[edge] + start + 1, end + 1, 8 * _STEP_WORDS)",
         PACKED_TESTS,
     ),
     Mutant(
         "pools: the next pool starts right after the last bit, not its half-word",
         "qkdroute/keysim.py",
-        "offset += 4 * ((length + 3) // 4)",
-        "offset += length",
+        "origin += 4 * ((length + 3) // 4)",
+        "origin += length",
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a run starts one bit late",
+        "pools: a step one 64-bit word short when it ends mid-word",
         "qkdroute/keysim.py",
-        "bit = offset + start\n",
-        "bit = offset + start + 1\n",
+        "generator.random_raw((lead + count + 7) // 8)",
+        "generator.random_raw((lead + count) // 8)",
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a run one 64-bit word short when it ends mid-word",
+        "pools: a jump made from the stream's start, not from the generator's word",
         "qkdroute/keysim.py",
-        "words = (bit + stop - start + 7) // 8 - bit // 8",
-        "words = (bit + stop - start) // 8 - bit // 8",
+        "generator.advance((word - at) % _PERIOD)",
+        "generator.advance(word % _PERIOD)",
         POOL_TESTS,
     ),
     Mutant(
-        "pools: the generator not rewound before each run",
+        "pools: the generator's word not moved past the words drawn",
         "qkdroute/keysim.py",
-        "        generator.state = origin\n",
+        "at = word + len(raw)",
+        "at = word",
+        POOL_TESTS,
+    ),
+    Mutant(
+        "pools: the generator not rewound to the stream's start after a draw",
+        "qkdroute/keysim.py",
+        "    generator.advance(-at % _PERIOD)\n",
         "",
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a read of the whole stored run refused (< instead of <=)",
+        "pools: a read of fewer bits than were drawn let through",
         "qkdroute/keysim.py",
-        "if not self.start <= start <= stop <= self.stop:",
-        "if not self.start <= start <= stop < self.stop:",
-        POOL_TESTS,
-    ),
-    Mutant(
-        "pools: a read of an own-share bit let through",
-        "qkdroute/keysim.py",
-        "if not self.start <= start <= stop <= self.stop:",
-        "if not 0 <= start <= stop <= self.stop:",
-        POOL_TESTS,
-    ),
-    Mutant(
-        "pools: a read past the pool's end let through",
-        "qkdroute/keysim.py",
-        "if not self.start <= start <= stop <= self.stop:",
-        "if not self.start <= start <= stop:",
+        "if (start, stop) != (self.start, self.stop):",
+        "if start < self.start or stop > self.stop:",
         ("tests/test_keysim.py::test_segment_refuses_bits_outside_the_stored_run",),
     ),
     Mutant(
-        "pools: memory check off by one byte",
+        "pools: a read checked at its start alone",
         "qkdroute/keysim.py",
-        "if needed + extra > memory:",
-        "if needed + extra >= memory:",
+        "if (start, stop) != (self.start, self.stop):",
+        "if start != self.start:",
+        ("tests/test_keysim.py::test_segment_refuses_bits_outside_the_stored_run",),
+    ),
+    Mutant(
+        "memory: check off by one byte",
+        "qkdroute/keysim.py",
+        "if key_bytes + segment_bytes > memory:",
+        "if key_bytes + segment_bytes >= memory:",
         ("tests/test_keysim.py::test_pools_refused_beyond_physical_memory",),
     ),
     Mutant(
-        "pools: pair keys counted at a byte per bit in the memory refusal",
+        "memory: pair keys counted at a byte per bit",
         "qkdroute/keysim.py",
         "sum((bits + 7) // 8 for bits in allocation.key_bits.values())",
         "sum(allocation.key_bits.values())",
+        (
+            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
+            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
+        ),
+    ),
+    Mutant(
+        "memory: the segments of every record counted, not of the largest",
+        "qkdroute/keysim.py",
+        "segment_bytes = max(",
+        "segment_bytes = sum(",
+        (
+            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
+            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
+        ),
+    ),
+    Mutant(
+        "memory: one segment counted per record, not one per hop",
+        "qkdroute/keysim.py",
+        "(path_set.total_hops * ((stop - start + 7) // 8)",
+        "(((stop - start + 7) // 8)",
         (
             "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
             "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
@@ -330,11 +350,25 @@ MUTANTS = (
         ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
     ),
     Mutant(
+        "keys: every record's block placed at the start of its pair's key",
+        "qkdroute/keysim.py",
+        "allocation.blocks[record.path_set] = (offset, offset + length)",
+        "allocation.blocks[record.path_set] = (0, length)",
+        ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
+    ),
+    Mutant(
         "keys: a block written at the pair's byte offset, not its bit offset",
         "qkdroute/keysim.py",
         "first, shift = divmod(offset, 8)",
         "first, shift = offset // 8, 0",
         ("tests/test_keysim.py::test_packed_relay_and_assembly_match_an_unpacked_oracle",),
+    ),
+    Mutant(
+        "keys: a record's block sliced from the pair key at its byte, not its bit",
+        "qkdroute/keysim.py",
+        "first, lead = divmod(start, 8)",
+        "first, lead = start // 8, 0",
+        ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
     ),
     Mutant(
         "keys: the simulation report unpacks each pair key",
@@ -367,15 +401,23 @@ MUTANTS = (
     Mutant(
         "adversary: one message fewer folded",
         "qkdroute/keysim.py",
-        "for m_index in range(anchor - 1):",
-        "for m_index in range(anchor - 2):",
+        "for message in map(np.bitwise_xor, segments[:-1], segments[1:]):",
+        "for message in map(np.bitwise_xor, segments[1:-1], segments[2:]):",
         ("tests/test_keysim.py::test_every_compromise_subset_cross_checks",),
+    ),
+    Mutant(
+        "adversary: a path's segments drawn one link past its anchor",
+        "qkdroute/keysim.py",
+        "reach.append(path.edges[:anchor])",
+        "reach.append(path.edges[: anchor + 1])",
+        ("tests/test_keysim.py::"
+         "test_simulate_draws_each_segment_once_and_the_adversary_to_its_anchors",),
     ),
     Mutant(
         "compromise: epsilon checked only when there are records",
         "qkdroute/keysim.py",
-        "eps = None if epsilon is None else _epsilon(epsilon)",
-        "eps = epsilon",
+        "return corrupt, None if epsilon is None else _epsilon(epsilon)",
+        "return corrupt, epsilon",
         ("tests/test_cli.py::test_simulate_checks_epsilon_without_records",),
     ),
     Mutant(
@@ -397,9 +439,16 @@ MUTANTS = (
         ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
     ),
     Mutant(
+        "cli: the compromise arguments checked only after the draws",
+        "qkdroute/cli.py",
+        "    keysim.check_compromise(graph, args.compromise, args.epsilon)\n",
+        "",
+        ("tests/test_cli.py::test_simulate_refuses_compromise_arguments_before_drawing",),
+    ),
+    Mutant(
         "cli: the fractional-bits warning ignores record rates",
         "qkdroute/cli.py",
-        "    rates += [record.rate for record in routing.records()]\n",
+        "    rates.update(record.rate for record in routing.records())\n",
         "",
         ("tests/test_cli.py::test_simulate_warns_on_fractional_bits",),
     ),

@@ -375,9 +375,7 @@ def simulation_report_dict(
         "format": "qkdroute.simulation/1",
         "tau_seconds": str(sim.tau),
         "seed": sim.seed,
-        "pools": {
-            f"{u}-{v}": int(len(pool)) for (u, v), pool in sorted(sim.pools.items())
-        },
+        "pools": {f"{u}-{v}": bits for (u, v), bits in sorted(sim.pool_lengths.items())},
         "pairs": pairs,
     }
     if report is not None:

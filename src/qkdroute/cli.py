@@ -265,10 +265,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         routing_path = routing_path / "routing_list.json"
     routing = artifacts.read_routing_artifact(routing_path, graph)
     tau = as_decimal(args.tau, "--tau")
+    # refused before anything is drawn
+    keysim.check_compromise(graph, args.compromise, args.epsilon)
     # every own share is an edge rate minus record rates, so it is exact
     # when these are
-    rates = [graph.rate(u, v) for u, v in graph.edges]
-    rates += [record.rate for record in routing.records()]
+    rates = {graph.rate(u, v) for u, v in graph.edges}
+    rates.update(record.rate for record in routing.records())
     if not all(graph.scale.bits_exact(rate, tau) for rate in rates):
         print(
             "warning: tau leaves fractional bits in some pools or relay "

@@ -9,8 +9,8 @@ edge hold the same pool, so they carve identical segments without talking.
 ``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
 bit offsets of that record's relay segment in the edge's pool.  It needs only
 the pool lengths, so ``simulate`` lays everything out once, before anything is
-drawn: the segments, the run of each pool to store, and the length of each
-pair's key.
+drawn: the segments, where each pool starts in the stream, and where each
+record's block lies in its pair's key.
 
 The pools are consecutive runs of one bit stream, drawn from one
 ``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of
@@ -21,15 +21,15 @@ starts at bit 4 * H_p of the stream, where H_p = sum over q < p of
 ceil(L_q / 4).  Its bits are exactly those that ``integers(0, 2,
 dtype=uint8)`` would return if called once per pool.
 
-No command reads an edge's own share, so each pool stores only the run that
-its relay segments cover, from the end of the own share to the last relay
-stop.  ``accumulate_pools`` draws exactly the runs it is given: the
-generator jumps to each run's first 64-bit word (``bit_generator.advance``)
-and draws only the run, packed eight bits to a byte.  A segment is read as
-packed bytes aligned to bit 0, the relay and the key blocks XOR those bytes,
-and each record's block is written at its bit offset into its pair's packed
-key.  A simulation's peak memory is thus about (relayed bits + key bits) / 8
-bytes.
+No command reads an edge's own share, and no pool is kept.
+``assemble_pair_keys`` takes the records in canonical order and has
+``accumulate_pools`` draw one record's relay segments alone: the generator
+jumps to each segment's first 64-bit word (``bit_generator.advance``) and the
+segment is packed eight bits to a byte from its first bit on.  The relay XORs
+those bytes, the record's block is written at its bit offset into its pair's
+packed key, and the segments are dropped.  A segment read again is drawn
+again; the compromise analysis draws only the segments that an adversary's
+anchors reach.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -56,9 +56,11 @@ from .paths import MPathSet, Path
 from .units import as_decimal
 
 
-# 64-bit generator words drawn per step: 4 MiB of raw words, packed to
-# 512 KiB.
+# A step draws 8 * _STEP_WORDS bits: at most _STEP_WORDS + 1 raw 64-bit
+# words, about 4 MiB, packed to 512 KiB.
 _STEP_WORDS = 1 << 19
+# PCG64 runs through 2**128 words, so advancing by this less k goes back k
+_PERIOD = 1 << 128
 
 
 def _physical_memory() -> int:
@@ -66,60 +68,42 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _top_bits(raw: np.ndarray) -> np.ndarray:
-    """The top bit of every byte of ``raw``'s 64-bit words, lowest byte
-    first, packed eight to a byte; ``raw`` serves as scratch."""
-    octets = raw.astype("<u8", copy=False).view(np.uint8)
-    np.right_shift(octets, 7, out=octets)
-    return np.packbits(octets)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class KeyPool:
-    """The shared secret-bit pool of one edge over the harvest window.
-
-    Of the pool's ``length`` bits only the run ``start:stop`` is stored, in
-    the read-only packed bytes ``bits`` from bit ``shift`` of ``bits[0]``
-    on, first bit highest.  The bytes can hold bits of the stream either
-    side of the stored run.
-    """
+    """Bits ``start:stop`` of one edge's shared secret-bit pool, drawn for
+    one relay: the packed bytes ``bits``, first bit highest in
+    ``bits[0]``, pad bits zero.  ``len`` gives the bits drawn."""
 
     bits: np.ndarray
-    length: int
-    shift: int
     start: int
     stop: int
 
     def __len__(self) -> int:
-        return self.length
+        return self.stop - self.start
 
     def segment(self, start: int, stop: int) -> np.ndarray:
-        """Bits ``start:stop`` of the pool in new packed bytes, from the top
-        bit of the first byte on, with the last byte's pad bits zero;
-        ValueError unless they lie within the stored bits, as ``bits`` can
-        hold other bits of the stream."""
-        if not self.start <= start <= stop <= self.stop:
+        """The drawn bytes, which are pool bits ``start:stop``; ValueError for
+        any other bits, which were not drawn."""
+        if (start, stop) != (self.start, self.stop):
             raise ValueError(
-                f"bits {start}:{stop} lie outside a pool of {self.length} bits "
-                f"stored at {self.start}:{self.stop}"
+                f"bits {start}:{stop} of the pool were not drawn; "
+                f"{self.start}:{self.stop} were"
             )
-        first, lead = divmod(start - self.start + self.shift, 8)
-        covered = np.unpackbits(self.bits[first : first + (lead + stop - start + 7) // 8])
-        return np.packbits(covered[lead : lead + stop - start])
+        return self.bits
 
 
 class SegmentAllocation(Dict[Tuple[MPathSet, Edge], Tuple[int, int]]):
     """(record set, edge) -> the (start, stop) bit offsets of that record's
     relay segment in the edge's pool.
 
-    ``runs`` maps every edge to the run of its pool to store, as (bit,
-    words, start, stop): pool bits ``start:stop``, from the end of its own
-    share to its last relay stop, begin at bit ``bit`` of the stream and
-    take ``words`` raw 64-bit words.  ``key_bits`` maps every routed pair
-    to the length of its key in bits.
+    ``origins`` maps every edge to the first bit of its pool in the stream.
+    ``blocks`` maps every record set to the (start, stop) bits of its block
+    in its pair's key, and ``key_bits`` every routed pair to the length of
+    its key in bits.
     """
 
-    runs: Dict[Edge, Tuple[int, int, int, int]]
+    origins: Dict[Edge, int]
+    blocks: Dict[MPathSet, Tuple[int, int]]
     key_bits: Counter[Edge]
 
 
@@ -190,48 +174,60 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
 
 
 def _refuse_beyond_memory(allocation: SegmentAllocation, tau: Decimal) -> None:
-    """CapacityError when the stored runs, a byte per word, or they plus the
-    packed pair keys would not fit in physical memory."""
-    needed = sum(words for _, words, _, _ in allocation.runs.values())
+    """CapacityError when what a simulation holds at once, the packed pair
+    keys plus the largest record's packed relay segments, would not fit in
+    physical memory."""
     key_bytes = sum((bits + 7) // 8 for bits in allocation.key_bits.values())
+    segment_bytes = max(
+        (path_set.total_hops * ((stop - start + 7) // 8)
+         for path_set, (start, stop) in allocation.blocks.items()),
+        default=0,
+    )
     memory = _physical_memory()
-    for what, extra in (("key pools", 0), ("key pools and pair keys", key_bytes)):
-        if needed + extra > memory:
-            raise CapacityError(
-                f"{what} of {needed + extra} bytes at tau {tau} s exceed the "
-                f"{memory} bytes of physical memory"
-            )
+    if key_bytes + segment_bytes > memory:
+        raise CapacityError(
+            f"pair keys and relay segments of {key_bytes + segment_bytes} bytes "
+            f"at tau {tau} s exceed the {memory} bytes of physical memory"
+        )
 
 
 def accumulate_pools(
-    runs: Mapping[Edge, Tuple[int, int, int, int]],
-    lengths: Mapping[Edge, int],
-    seed: int,
+    segments: Mapping[Edge, Tuple[int, int]],
+    origins: Mapping[Edge, int],
+    generator: np.random.BitGenerator,
 ) -> Dict[Edge, KeyPool]:
-    """Draw the stored run of each edge's pool of ``lengths[edge]`` bits
-    from a seeded generator.
+    """Draw bits ``start:stop`` of each edge's pool, as ``segments`` gives
+    them, from the stream's bit generator.
 
-    ``runs`` gives each run as ``SegmentAllocation.runs`` does: pool bits
-    ``start:stop`` from bit ``bit`` of the stream the module docstring sets
-    out, in ``words`` raw words.  Each run is drawn on its own: the
-    generator jumps to the run's first 64-bit word, draws its words in
-    steps of ``_STEP_WORDS`` and keeps the top bit of every byte, packed and
-    read-only.  A run of no words stores no byte.  The same runs and seed
-    always give identical key material.
+    ``generator`` is at the first word of the stream the module docstring
+    sets out, as ``numpy.random.default_rng(seed).bit_generator`` starts,
+    and is left there.  Bit 0 of an edge's pool is stream bit
+    ``origins[edge]``.  Each segment is drawn on its own, in steps of
+    ``8 * _STEP_WORDS`` bits: the generator jumps to the 64-bit word that
+    holds a step's first bit and draws the words the step spans, and their
+    top-bit octets are sliced at that bit before they are packed.  So every
+    step fills whole bytes, and a segment's bytes start with its first bit.
+    A segment of no bits draws no word.  The same segments from the same
+    seed always give identical key material.
     """
-    generator = np.random.default_rng(seed).bit_generator
-    origin = generator.state
     pools: Dict[Edge, KeyPool] = {}
-    for edge, (bit, words, start, stop) in runs.items():
-        generator.state = origin
-        generator.advance(bit // 8)
-        run = np.empty(words, dtype=np.uint8)
-        for step in range(0, words, _STEP_WORDS):
-            run[step : step + _STEP_WORDS] = _top_bits(
-                generator.random_raw(min(_STEP_WORDS, words - step))
-            )
-        run.flags.writeable = False
-        pools[edge] = KeyPool(run, lengths[edge], bit % 8, start, stop)
+    at = 0  # the generator's word
+    for edge, (start, stop) in segments.items():
+        end = origins[edge] + stop
+        steps = []
+        for first in range(origins[edge] + start, end, 8 * _STEP_WORDS):
+            word, lead = divmod(first, 8)
+            count = min(8 * _STEP_WORDS, end - first)
+            generator.advance((word - at) % _PERIOD)
+            raw = generator.random_raw((lead + count + 7) // 8)
+            at = word + len(raw)
+            octets = raw.astype("<u8", copy=False).view(np.uint8)
+            np.right_shift(octets, 7, out=octets)
+            steps.append(np.packbits(octets[lead : lead + count]))
+        # a segment of no bits takes no step
+        bits = steps[0] if len(steps) == 1 else np.concatenate([np.empty(0, np.uint8), *steps])
+        pools[edge] = KeyPool(bits, start, stop)
+    generator.advance(-at % _PERIOD)
     return pools
 
 
@@ -246,12 +242,13 @@ def allocate_segments(
 
     Returns a map from (record set, edge) to the ``(start, stop)`` bit
     offsets of that record's relay segment in the edge's pool, with each
-    edge's stored run in ``runs`` and each pair's key length in
-    ``key_bits``.  An edge's own share, its effective rate
-    ``routing_list.effective``, sits at the pool front.  Segment lengths are
-    floor(rate * tau) bits.  Records are laid out in canonical order, so all
-    parties compute the same offsets independently.  The pools lie in the
-    stream in the order of ``lengths``.
+    pool's first stream bit in ``origins``, each record's bits in its pair's
+    key in ``blocks`` and each pair's key length in ``key_bits``.  An edge's
+    own share, its effective rate ``routing_list.effective``, sits at the
+    pool front.  Segment lengths are floor(rate * tau) bits.  Records are
+    laid out in canonical order, so all parties compute the same offsets
+    independently.  The pools lie in the stream in the order of
+    ``lengths``.
 
     Raises:
         CapacityError: when an edge pool cannot hold its own share plus
@@ -261,7 +258,7 @@ def allocate_segments(
     """
     scale = graph.scale
     effective = routing_list.effective(graph)
-    shares: Dict[Edge, int] = {}
+    cursors: Dict[Edge, int] = {}  # each pool's next free bit
     for edge, size in lengths.items():
         rate = int(effective[edge[0], edge[1]])
         if rate < 0:
@@ -275,12 +272,17 @@ def allocate_segments(
                 f"edge ({edge[0]}, {edge[1]}) pool of {size} bits cannot "
                 f"hold its {length}-bit own share"
             )
-        shares[edge] = length
-    cursors = dict(shares)
+        cursors[edge] = length
     allocation = SegmentAllocation()
+    allocation.blocks = {}
     allocation.key_bits = Counter()
+    record_bits: Dict[int, int] = {}  # by rate, which many records share
     for record in routing_list.records():
-        length = scale.bit_count(record.rate, tau)
+        if record.rate not in record_bits:
+            record_bits[record.rate] = scale.bit_count(record.rate, tau)
+        length = record_bits[record.rate]
+        offset = allocation.key_bits[record.pair]
+        allocation.blocks[record.path_set] = (offset, offset + length)
         allocation.key_bits[record.pair] += length
         for path in record.path_set.paths:
             for edge in path.edges:
@@ -299,14 +301,11 @@ def allocate_segments(
                 stop = start + length
                 allocation[record.path_set, edge] = (start, stop)
                 cursors[edge] = stop
-    allocation.runs = {}
-    offset = 0  # the pool's first bit in the stream
+    allocation.origins = {}
+    origin = 0
     for edge, length in lengths.items():
-        start, stop = shares[edge], cursors[edge]
-        bit = offset + start
-        words = (bit + stop - start + 7) // 8 - bit // 8 if stop > start else 0
-        allocation.runs[edge] = (bit, words, start, stop)
-        offset += 4 * ((length + 3) // 4)
+        allocation.origins[edge] = origin
+        origin += 4 * ((length + 3) // 4)
     return allocation
 
 
@@ -339,32 +338,38 @@ def relay_path_key(
 
 def assemble_pair_keys(
     routing_list: RoutingList,
-    pools: Mapping[Edge, KeyPool],
     allocation: SegmentAllocation,
+    seed: int,
 ) -> Dict[Edge, PairKey]:
-    """Relay every record and concatenate its XOR blocks into each pair's key.
+    """Relay every record and write its XOR block into its pair's key.
 
-    Each record's block is folded independently at both endpoints, one from
-    first-link segments and one from message-recovered keys, and the two
-    views are compared; ``agreed`` holds when they match for every record of
-    the pair.  Only the first endpoint's block is kept: it is written at its
-    bit offset into the pair's packed key, allocated up front.
+    Record by record, in canonical order, the record's relay segments are
+    drawn, relayed and dropped.  Each record's block is folded independently
+    at both endpoints, one from first-link segments and one from
+    message-recovered keys, and the two views are compared; ``agreed`` holds
+    when they match for every record of the pair.  Only the first endpoint's
+    block is kept: it is written at its bit offset ``allocation.blocks``
+    into the pair's packed key, allocated up front.
     """
     lengths = allocation.key_bits
     keys = {pair: np.zeros((length + 7) // 8, dtype=np.uint8) for pair, length in lengths.items()}
-    written: Counter[Edge] = Counter()
     agreed: Dict[Edge, bool] = {}
+    generator = np.random.default_rng(seed).bit_generator
     for record in routing_list.records():
+        path_set = record.path_set
+        pools = accumulate_pools(
+            {edge: allocation[path_set, edge] for edge in path_set.edges},
+            allocation.origins,
+            generator,
+        )
         block_i: Optional[np.ndarray] = None
         block_j: Optional[np.ndarray] = None
-        for path in record.path_set.paths:
-            key_i, key_j, _ = relay_path_key(pools, allocation, record.path_set, path)
+        for path in path_set.paths:
+            key_i, key_j, _ = relay_path_key(pools, allocation, path_set, path)
             block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
             block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
         pair = record.pair
-        start, stop = allocation[record.path_set, record.path_set.paths[0].edges[0]]
-        _write_block(keys[pair], written[pair], block_i)
-        written[pair] += stop - start
+        _write_block(keys[pair], allocation.blocks[path_set][0], block_i)
         agreed[pair] = agreed.get(pair, True) and block_i.tobytes() == block_j.tobytes()
     return {pair: PairKey(keys[pair], lengths[pair], agreed[pair]) for pair in sorted(keys)}
 
@@ -380,26 +385,25 @@ def _write_block(key: np.ndarray, offset: int, block: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class KeySimulation:
-    """Everything produced by one end-to-end key delivery simulation."""
+    """Everything one end-to-end key delivery simulation keeps: the layout
+    and the pair keys, but no pool bits."""
 
     graph: NetworkGraph
     routing_list: RoutingList
     tau: Decimal
     seed: int
-    pools: Mapping[Edge, KeyPool]
+    pool_lengths: Mapping[Edge, int]  # bits in each edge's pool
     allocation: SegmentAllocation
     pair_keys: Mapping[Edge, PairKey]
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
         """True XOR block a record contributes to its pair key, one byte per
-        bit."""
-        block: Optional[np.ndarray] = None
-        for path in path_set.paths:
-            start, stop = self.allocation[path_set, path.edges[0]]
-            seg = self.pools[path.edges[0]].segment(start, stop)
-            block = seg if block is None else np.bitwise_xor(block, seg)
-        assert block is not None
-        return np.unpackbits(block, count=stop - start)
+        bit, sliced out of the pair key at the bits the allocation gives
+        it."""
+        start, stop = self.allocation.blocks[path_set]
+        first, lead = divmod(start, 8)
+        packed = self.pair_keys[path_set.endpoints].packed[first : (stop + 7) // 8]
+        return np.unpackbits(packed)[lead : lead + stop - start]
 
 
 def simulate(
@@ -408,28 +412,27 @@ def simulate(
     tau: object,
     seed: int = 0,
 ) -> KeySimulation:
-    """Lay the segments out once, then draw the relayed runs of the pools,
-    relay and assemble, end to end.
+    """Lay the segments out once, then draw, relay and assemble record by
+    record, end to end.
 
     Raises:
         ValueError: when tau is not positive.
         CapacityError: when the segments do not fit in the pools, or when
-            the stored runs, or they plus the packed pair keys, would not
-            fit in physical memory; this is checked before anything is
-            drawn.
+            the packed pair keys plus the largest record's relay segments
+            would not fit in physical memory; this is checked before
+            anything is drawn.
     """
     tau = as_decimal(tau, "tau")
     lengths = _pool_lengths(graph, tau)
     allocation = allocate_segments(lengths, routing_list, graph, tau)
     _refuse_beyond_memory(allocation, tau)
-    pools = accumulate_pools(allocation.runs, lengths, seed)
-    pair_keys = assemble_pair_keys(routing_list, pools, allocation)
+    pair_keys = assemble_pair_keys(routing_list, allocation, seed)
     return KeySimulation(
         graph=graph,
         routing_list=routing_list,
         tau=tau,
         seed=seed,
-        pools=pools,
+        pool_lengths=lengths,
         allocation=allocation,
         pair_keys=pair_keys,
     )
@@ -444,32 +447,61 @@ def adversary_reconstruct(
 
     The adversary holds the full pools of every edge incident to a
     compromised node, plus all public relay messages.  For each member path
-    it recovers the first-link segment by telescoping messages up to any
-    compromised interior node; if some path has no compromised interior,
-    there is nothing to anchor on and reconstruction fails.
+    it anchors on the first compromised interior node and recovers the
+    first-link segment by folding the messages before the anchor into the
+    segment on the link arriving at it.  If some path has no compromised
+    interior, there is nothing to anchor on and reconstruction fails before
+    anything is drawn; otherwise only each path's segments up to its anchor
+    are drawn.
 
     Returns:
         The key block, one byte per bit, or None when reconstruction is
         impossible.
     """
     corrupt = frozenset(compromised)
-    block: Optional[np.ndarray] = None
+    reach = []  # each path's edges up to its anchor
     for path in path_set.paths:
         interior = path.nodes[1:-1]
         anchor = next((t for t, node in enumerate(interior, 1) if node in corrupt), None)
         if anchor is None:
             return None
-        # segment on the link arriving at the anchor node, read from the
-        # pool the adversary owns through that node
-        arriving = path.edges[anchor - 1]
-        start, stop = sim.allocation[path_set, arriving]
-        first = sim.pools[arriving].segment(start, stop)
-        _, _, messages = relay_path_key(sim.pools, sim.allocation, path_set, path)
-        for m_index in range(anchor - 1):
-            first = np.bitwise_xor(first, messages[m_index])
+        reach.append(path.edges[:anchor])
+    allocation = sim.allocation
+    pools = accumulate_pools(
+        {edge: allocation[path_set, edge] for edges in reach for edge in edges},
+        allocation.origins,
+        np.random.default_rng(sim.seed).bit_generator,
+    )
+    block: Optional[np.ndarray] = None
+    for edges in reach:
+        segments = [pools[edge].segment(*allocation[path_set, edge]) for edge in edges]
+        # the segment arriving at the anchor, read from the pool the
+        # adversary owns through it, and the messages of the nodes before it
+        first = segments[-1]
+        for message in map(np.bitwise_xor, segments[:-1], segments[1:]):
+            first = np.bitwise_xor(first, message)
         block = first if block is None else np.bitwise_xor(block, first)
     assert block is not None
+    start, stop = allocation.blocks[path_set]
     return np.unpackbits(block, count=stop - start)
+
+
+def check_compromise(
+    graph: NetworkGraph,
+    compromised: Iterable[NodeId],
+    epsilon: Optional[object],
+) -> Tuple[FrozenSet[NodeId], Optional[Decimal]]:
+    """The compromised nodes as a set and epsilon as a Decimal, or None.
+
+    Raises:
+        ValueError: when a node is not in ``graph``, or epsilon is not a
+            number in [0, 1].
+    """
+    corrupt = frozenset(compromised)
+    outside = sorted(n for n in corrupt if not 0 <= n < graph.node_count)
+    if outside:
+        raise ValueError(f"compromised nodes {outside} are not in the network")
+    return corrupt, None if epsilon is None else _epsilon(epsilon)
 
 
 def assess_compromise(
@@ -482,14 +514,12 @@ def assess_compromise(
     The structural rule (a record leaks iff every member path has a corrupt
     interior node) is cross-checked against the constructive adversary
     reconstruction; divergence would mean the relay scheme leaks more or
-    less than designed, so it raises rather than reporting.
+    less than designed, so it raises rather than reporting.  The arguments
+    are checked by ``check_compromise``.
     """
-    corrupt = frozenset(compromised)
-    outside = sorted(n for n in corrupt if not 0 <= n < sim.graph.node_count)
-    if outside:
-        raise ValueError(f"compromised nodes {outside} are not in the network")
-    # checked whatever the records, though without records there is no bound
-    eps = None if epsilon is None else _epsilon(epsilon)
+    # epsilon is checked whatever the records, though without records
+    # there is no bound
+    corrupt, eps = check_compromise(sim.graph, compromised, epsilon)
     leaked_by_pair: Dict[Edge, int] = {}
     status: Dict[Edge, str] = {}
     for record in sim.routing_list.records():

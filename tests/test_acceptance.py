@@ -14,6 +14,7 @@ import itertools
 import random
 import time
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from golden import (
 )
 from oracles import candidate_table, dfs_simple_paths, disjoint_subsets, per_pair, rates_by_pair
 
+from qkdroute import keysim
 from qkdroute.artifacts import write_route_artifacts
 from qkdroute.engine import (
     RoutingList,
@@ -36,6 +38,7 @@ from qkdroute.engine import (
 )
 from qkdroute.keysim import (
     KeyPool,
+    accumulate_pools,
     adversary_reconstruct,
     assemble_pair_keys,
     compromise_probability_bound,
@@ -271,14 +274,14 @@ def test_acceptance_key_delivery(ring6):
             assert len(key.bits) == rates[pair] * 100
         # segment accounting: every pool is tiled exactly by its own share
         # plus the relay segments of the records crossing the edge
-        for edge, pool in sim.pools.items():
-            assert len(pool) == graph.rate(*edge) * 100
+        for edge, length in sim.pool_lengths.items():
+            assert length == graph.rate(*edge) * 100
             relay = sorted(seg for (s, e), seg in sim.allocation.items() if e == edge)
             cursor = int(out.effective[edge]) * 100
             for start, stop in relay:
                 assert start == cursor
                 cursor = stop
-            assert cursor == len(pool)
+            assert cursor == length
     assert time.perf_counter() - started < 5.0
 
 
@@ -316,15 +319,19 @@ def test_acceptance_compromise_security(k23):
     assert stop - start == 8
     seen = set()
     for value in range(256):
-        # the stored run of (0, 1) is exactly this segment
-        packed = np.array([value], np.uint8)
-        packed.flags.writeable = False
-        pools = dict(base.pools)
-        pools[(0, 1)] = KeyPool(packed, len(base.pools[(0, 1)]), 0, start, stop)
+        # the segment drawn on (0, 1) is replaced by this value
+        def patched(segments, origins, generator):
+            pools = accumulate_pools(segments, origins, generator)
+            pools[(0, 1)] = KeyPool(np.array([value], np.uint8), start, stop)
+            return pools
+
+        pools = patched({edge: allocation[set_a, edge] for edge in set_a.edges},
+                        allocation.origins, np.random.default_rng(1).bit_generator)
         for path in set_a.paths:
             key_i, key_j, _ = relay_path_key(pools, allocation, set_a, path)
             assert np.array_equal(key_i, key_j)
-        seen.add(int(np.packbits(assemble_pair_keys(routing, pools, allocation)[(0, 4)].bits)[0]))
+        with mock.patch.object(keysim, "accumulate_pools", patched):
+            seen.add(int(assemble_pair_keys(routing, allocation, base.seed)[(0, 4)].packed[0]))
     assert seen == set(range(256))
 
     assert compromise_probability_bound(2, "0.1") == 0.01

@@ -205,7 +205,7 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     ).hexdigest()
     assert manifest["routing_sha256"] == routing_sha
     report = json.loads(sim_files["report_json"].read_text())
-    assert report["pools"]["0-1"] == len(sim.pools[(0, 1)])
+    assert report["pools"]["0-1"] == sim.pool_lengths[(0, 1)]
     # the text report holds the rendered text as given, key dumps included
     assert sim_files["report_txt"].read_text() == text
     # repeated simulation writes byte-identical reports

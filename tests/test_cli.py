@@ -690,19 +690,13 @@ def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsy
     route_dir = tmp_path / "route"
     main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
     capsys.readouterr()
-    simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
-                "--out-dir", str(tmp_path / "sim")]
-    # four records of 100 units, each over two 2-hop paths, relay 1.6e18
-    # of the six 1e18-bit pools' bits: refused before any is drawn
-    assert main(simulate + ["--tau", "1e15"]) == EXIT_RUNTIME
-    assert "key pools of 200000000000000000 bytes" in capsys.readouterr().err
-    # at tau = 1 s four edges relay 300 bits from the middle of a byte (38
-    # bytes each) and two relay 200 bits from a byte's start (25 bytes each)
-    with mock.patch.object(keysim, "_physical_memory", return_value=201):
-        assert main(simulate + ["--tau", "1"]) == EXIT_RUNTIME
+    # four records of 100 units, each over two 2-hop paths: at tau = 1e15 s
+    # the four pair keys take 1.25e16 bytes each, and so do the four relay
+    # segments of one record, held while it is relayed
+    assert main(["simulate", "--input", str(k23_file), "--routing", str(route_dir),
+                 "--out-dir", str(tmp_path / "sim"), "--tau", "1e15"]) == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert captured.err == ("error: key pools of 202 bytes at tau 1 s exceed the "
-                            "201 bytes of physical memory\n")
+    assert "pair keys and relay segments of 100000000000000000 bytes" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "sim").exists()
 
@@ -715,19 +709,37 @@ def test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory(
     capsys.readouterr()
     simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
                 "--tau", "1"]
-    # at tau = 1 s: 202 bytes of relayed runs and four pairs' 100-bit keys
-    # at 13 bytes each
-    with mock.patch.object(keysim, "_physical_memory", return_value=253), \
+    # at tau = 1 s: four pairs' 100-bit keys, and the four 100-bit segments
+    # of the largest record, not of all four, at 13 bytes each
+    with mock.patch.object(keysim, "_physical_memory", return_value=103), \
             mock.patch.object(keysim, "accumulate_pools",
                               wraps=keysim.accumulate_pools) as draw:
         assert main(simulate) == EXIT_RUNTIME
     assert not draw.called
     captured = capsys.readouterr()
-    assert captured.err == ("error: key pools and pair keys of 254 bytes at tau 1 s "
-                            "exceed the 253 bytes of physical memory\n")
+    assert captured.err == ("error: pair keys and relay segments of 104 bytes at tau 1 s "
+                            "exceed the 103 bytes of physical memory\n")
     assert captured.out == ""
-    with mock.patch.object(keysim, "_physical_memory", return_value=254):
+    with mock.patch.object(keysim, "_physical_memory", return_value=104):
         assert main(simulate) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags, refusal", [
+    (["--epsilon", "7"], "error: epsilon must lie in [0, 1], got 7\n"),
+    (["--compromise", "99"], "error: compromised nodes [99] are not in the network\n"),
+])
+def test_simulate_refuses_compromise_arguments_before_drawing(k23_file, tmp_path, capsys,
+                                                              flags, refusal):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+    with mock.patch.object(keysim, "accumulate_pools",
+                           side_effect=AssertionError("drawn before the refusal")):
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(route_dir),
+                     "--tau", "1", *flags]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == refusal
+    assert captured.out == ""
 
 
 def test_simulate_refuses_unknown_compromised_node(k23_file, tmp_path, capsys):

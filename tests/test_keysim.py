@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path as FsPath
@@ -56,29 +57,44 @@ def edge_lengths(graph):
     return dict.fromkeys(graph.edges, 1000)
 
 
-def unpacked(pool, start, stop):
-    """Pool bits ``start:stop``, one byte per bit."""
-    return np.unpackbits(pool.segment(start, stop), count=stop - start)
+def stream(seed):
+    """The bit generator of the seed's stream, at its first word."""
+    return np.random.default_rng(seed).bit_generator
+
+
+def draw_record(sim, path_set):
+    """The relay segments of one record, drawn as ``simulate`` draws them."""
+    return accumulate_pools(
+        {edge: sim.allocation[path_set, edge] for edge in path_set.edges},
+        sim.allocation.origins,
+        stream(sim.seed),
+    )
+
+
+def unpacked(pool):
+    """The bits a KeyPool holds, one byte per bit."""
+    return np.unpackbits(pool.bits, count=len(pool))
 
 
 def test_pool_lengths_and_determinism(k23):
     graph, routing = single_record_setup(k23, rate=300)
     sim = simulate(graph, routing, Decimal(2), seed=7)
-    assert tuple(sim.pools) == graph.edges
-    for edge, pool in sim.pools.items():
-        assert len(pool) == 2000
+    assert sim.pool_lengths == dict.fromkeys(graph.edges, 2000)
+    pools = draw_record(sim, SET_A)
+    assert set(pools) == set(SET_A.edges)
+    for pool in pools.values():
+        # each relaying edge draws its last 600 bits, packed 8 bits per byte
+        assert (pool.start, pool.stop, len(pool)) == (1400, 2000, 600)
         assert pool.bits.dtype == np.uint8
-        # the four relaying edges store their last 600 bits, packed 8 bits
-        # per byte; the other two store none
-        assert pool.bits.nbytes == (75 if edge in SET_A.edges else 0)
-        assert not pool.bits.flags.writeable
+        assert pool.bits.nbytes == 75
     again = simulate(graph, routing, Decimal(2), seed=7)
     other = simulate(graph, routing, Decimal(2), seed=8)
-    for edge in graph.edges:
-        assert np.array_equal(sim.pools[edge].bits, again.pools[edge].bits)
+    for edge, pool in draw_record(again, SET_A).items():
+        assert np.array_equal(pool.bits, pools[edge].bits)
     assert sim.pair_keys[(0, 4)].hex() == again.pair_keys[(0, 4)].hex()
     assert any(
-        not np.array_equal(sim.pools[e].bits, other.pools[e].bits) for e in SET_A.edges
+        not np.array_equal(pool.bits, pools[edge].bits)
+        for edge, pool in draw_record(other, SET_A).items()
     )
     assert sim.pair_keys[(0, 4)].hex() != other.pair_keys[(0, 4)].hex()
 
@@ -89,29 +105,29 @@ def mesh10_routed():
     return graph, run(graph, target, config)
 
 
-def stored_bits(pool):
-    """The pool bits a KeyPool stores, one byte per bit, read straight from
-    its bytes."""
-    return np.unpackbits(pool.bits)[pool.shift : pool.shift + pool.stop - pool.start]
-
-
-def assert_stored_runs(pools, references, runs):
-    """Each run starts at bit 4 * H_p + start of the stream, where H_p is the
-    number of 32-bit words the pools before it take, and takes a 64-bit
-    word per byte it spans.  Each pool stores exactly bits ``start:stop`` of
-    its reference draw, in read-only bytes that start at that bit mod 8, and
-    no byte at all for an empty run."""
+def assert_origins(origins, lengths):
+    """Pool p starts at bit 4 * H_p of the stream, where H_p is the number
+    of 32-bit half-words the pools before it take."""
     half_words = 0
-    for (edge, pool), reference in zip(pools.items(), references, strict=True):
-        bit, words, start, stop = runs[edge]
-        assert bit == 4 * half_words + start
-        assert words == ((bit % 8 + stop - start + 7) // 8 if stop > start else 0)
-        assert (len(pool), pool.start, pool.stop) == (len(reference), start, stop)
-        assert np.array_equal(stored_bits(pool), reference[start:stop])
-        assert pool.shift == bit % 8
-        assert pool.bits.nbytes == words
-        assert not pool.bits.flags.writeable
-        half_words += (len(reference) + 3) // 4
+    assert list(origins) == list(lengths)
+    for edge, length in lengths.items():
+        assert origins[edge] == 4 * half_words
+        half_words += (length + 3) // 4
+
+
+def assert_drawn(pools, segments, reference):
+    """Each pool holds exactly its segment's bits of the reference draw,
+    packed from the top bit of its first byte on with zero pad bits, and
+    refuses a read of other bits."""
+    assert list(pools) == list(segments)
+    for edge, (start, stop) in segments.items():
+        pool = pools[edge]
+        assert (pool.start, pool.stop, len(pool)) == (start, stop, stop - start)
+        assert pool.bits.tolist() == packed(reference[edge][start:stop])
+        assert pool.segment(start, stop) is pool.bits
+        if start:
+            with pytest.raises(ValueError, match="were not drawn"):
+                pool.segment(start - 1, stop)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -121,41 +137,35 @@ def assert_stored_runs(pools, references, runs):
     step_words=st.integers(1, 6) | st.just(keysim._STEP_WORDS),
 )
 def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
-    """The runs an allocation keeps of the pools, drawn from raw words in
-    steps of any size, hold the bits of one draw per pool.  Every relay
-    segment reads the matching slice of those bits, and a read of an
-    own-share bit is refused.  mesh10's rates give pools of 0 to 4000 bits,
-    mostly not a multiple of 4 long, so most pools leave a half-word to the
-    next."""
+    """The segments drawn for each record, and every pool drawn whole, in
+    steps of any size, hold the bits of one draw per pool.  One generator
+    serves every draw, as it does in ``simulate``, so each draw leaves it at
+    the stream's start.  mesh10's rates give pools of 0 to 4000 bits, mostly
+    not a multiple of 4 long, so most pools leave a half-word to the next
+    and most segments start inside a 64-bit word."""
     graph, out = mesh10_routed()
     lengths = {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
-    references = one_shot_pools(list(lengths.values()), seed)
-    reference = dict(zip(graph.edges, references))
+    reference = dict(zip(graph.edges, one_shot_pools(list(lengths.values()), seed)))
     allocation = allocate_segments(lengths, out.routing_list, graph, tau)
+    assert_origins(allocation.origins, lengths)
+    generator = stream(seed)
     with mock.patch.object(keysim, "_STEP_WORDS", step_words):
-        stored = accumulate_pools(allocation.runs, lengths, seed)
-    assert tuple(stored) == graph.edges
-    assert_stored_runs(stored, references, allocation.runs)
-    for (path_set, edge), (start, stop) in allocation.items():
-        assert allocation.runs[edge][2] <= start <= stop <= allocation.runs[edge][3]
-        bits = reference[edge][start:stop]
-        assert np.array_equal(unpacked(stored[edge], start, stop), bits)
-        assert np.array_equal(stored[edge].segment(start, stop), np.packbits(bits))
-    for pool in stored.values():
-        if pool.start:
-            with pytest.raises(ValueError, match="outside a pool"):
-                pool.segment(pool.start - 1, pool.stop)
+        for record in out.routing_list.records():
+            segments = {edge: allocation[record.path_set, edge] for edge in record.path_set.edges}
+            assert_drawn(accumulate_pools(segments, allocation.origins, generator),
+                         segments, reference)
+        whole = {edge: (0, length) for edge, length in lengths.items()}
+        assert_drawn(accumulate_pools(whole, allocation.origins, generator), whole, reference)
 
 
 def test_pool_starts_on_the_carried_half_word():
     """At the real step size: a pool of three 32-bit words leaves the high
     half of the second 64-bit word unread, a 0-bit pool draws nothing, and
     the pool after them, longer than one step, starts with that half-word,
-    four bits into a packed byte.  It ends on a whole 64-bit word, so the
+    four bits into a 64-bit word.  It ends on a whole 64-bit word, so the
     pool after it starts on a fresh one.  With records routed over 1 - 0 - 3
-    and 2 - 1 - 0 - 3, each pool stores only its relay segments' run: the
-    run on (0, 3) lies past the first step, and an edge that relays nothing
-    stores no byte."""
+    and 2 - 1 - 0 - 3, the segments on (0, 3) lie past the first step, and
+    that pool drawn whole takes two steps that share a word."""
     step_bits = 8 * keysim._STEP_WORDS
     # one rate unit is 1 bit/s, so at tau = 0.5 s these are 9, 0,
     # step_bits + 18 and 5 bits: 3, 0, 2 * _STEP_WORDS + 5 and 2 words
@@ -164,43 +174,36 @@ def test_pool_starts_on_the_carried_half_word():
     lengths = dict(zip(graph.edges, [9, 0, step_bits + 18, 5]))
     tau = Decimal("0.5")
     assert [graph.scale.bit_count(graph.rate(*e), tau) for e in graph.edges] == [*lengths.values()]
-    references = one_shot_pools(list(lengths.values()), seed=4)
+    reference = dict(zip(graph.edges, one_shot_pools(list(lengths.values()), seed=4)))
 
     routing = RoutingList()
     routing.add(MPathSet((Path((1, 0, 3)),)), 4)  # 2 bits a link
     routing.add(MPathSet((Path((2, 1, 0, 3)),)), 4)
     allocation = allocate_segments(lengths, routing, graph, tau)
-    # pool (0, 3) starts at bit 12, so its run at 14 + step_bits more;
-    # pool (1, 2) starts on a fresh word at step_bits + 32
-    assert allocation.runs == {(0, 1): (5, 2, 5, 9), (0, 2): (12, 0, 0, 0),
-                               (0, 3): (step_bits + 26, 1, step_bits + 14, step_bits + 18),
-                               (1, 2): (step_bits + 35, 1, 3, 5)}
-    stored = accumulate_pools(allocation.runs, lengths, seed=4)
-    assert_stored_runs(stored, references, allocation.runs)
-    assert [pool.bits.nbytes for pool in stored.values()] == [2, 0, 1, 1]
-    with pytest.raises(ValueError, match="stored at 5:9"):
-        stored[(0, 1)].segment(4, 9)
+    # pool (0, 3) starts at bit 12; pool (1, 2) on a fresh word at
+    # step_bits + 32
+    assert allocation.origins == {(0, 1): 0, (0, 2): 12, (0, 3): 12,
+                                  (1, 2): step_bits + 32}
+    first, second = (record.path_set for record in routing.records())
+    assert {edge: allocation[first, edge] for edge in first.edges} == {
+        (0, 1): (5, 7), (0, 3): (step_bits + 14, step_bits + 16)}
+    assert {edge: allocation[second, edge] for edge in second.edges} == {
+        (1, 2): (3, 5), (0, 1): (7, 9), (0, 3): (step_bits + 16, step_bits + 18)}
+    generator = stream(4)
+    for path_set in (first, second):
+        segments = {edge: allocation[path_set, edge] for edge in path_set.edges}
+        assert_drawn(accumulate_pools(segments, allocation.origins, generator),
+                     segments, reference)
+    whole = {edge: (0, length) for edge, length in lengths.items()}
+    pools = accumulate_pools(whole, allocation.origins, generator)
+    assert_drawn(pools, whole, reference)
+    assert [pool.bits.nbytes for pool in pools.values()] == [2, 0, step_bits // 8 + 3, 1]
 
-    # a run of the first four bits of (0, 3) is the second word's high half
-    raw = np.random.default_rng(4).bit_generator.random_raw(2)
+    # the first four bits of (0, 3) are the second word's high half
+    raw = stream(4).random_raw(2)
     carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
-    first = accumulate_pools({(0, 3): (12, 1, 0, 4)}, lengths, seed=4)[(0, 3)]
-    assert unpacked(first, 0, 4).tolist() == carried
-
-
-def stored_pool(rng, bits, pool_shift, start, stop):
-    """A KeyPool storing pool ``bits[start:stop]`` as ``accumulate_pools``
-    does: packed from the run's first byte of a stream in which the pool
-    starts ``pool_shift`` bits into a byte, random stream bits either side."""
-    stream = np.concatenate([
-        rng.integers(0, 2, pool_shift, dtype=np.uint8),
-        bits,
-        rng.integers(0, 2, 16, dtype=np.uint8),
-    ])
-    bit = pool_shift + start
-    packed = np.packbits(stream)[bit // 8 : (pool_shift + stop + 7) // 8 if stop > start else 0]
-    packed.flags.writeable = False
-    return KeyPool(packed, len(bits), bit % 8, start, stop)
+    first_bits = accumulate_pools({(0, 3): (0, 4)}, allocation.origins, stream(4))[(0, 3)]
+    assert unpacked(first_bits).tolist() == carried
 
 
 def packed(bits):
@@ -214,13 +217,12 @@ SEGMENT_BITS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 70)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
-    """Packed segment reads, the relay's XORs and the pair key's assembly
-    equal the same steps done one byte per bit.  The records of pair (0, 1)
-    take blocks of 0, 1, 7, 8, 9 or other bit counts, so blocks land at many
-    bit offsets of the key; each edge's pool starts 0 or 4 bits into a byte
-    of the stream, and its stored run starts after an own share of random
-    length."""
-    rng = np.random.default_rng(seed)
+    """Drawn segments, the relay's XORs and the pair key's assembly equal
+    the same steps done one byte per bit on one draw per pool.  The records
+    of pair (0, 1) take blocks of 0, 1, 7, 8, 9 or other bit counts, so
+    blocks land at many bit offsets of the key; each edge's pool takes an
+    own share and a tail of random length, so pools and segments start at
+    many bit offsets of the stream."""
     routing = RoutingList()
     block_bits = {}
     node = 2
@@ -234,39 +236,49 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
         path_set = MPathSet(tuple(paths))
         routing.add(path_set, 1)
         block_bits[path_set] = bits
-    segments = {}  # edge -> the (record set, bits) of its relay segments, in order
+    allocation = SegmentAllocation()
+    allocation.blocks, allocation.key_bits = {}, Counter()
+    lengths = {}  # each edge's pool, in the order the pools lie in the stream
     for record in routing.records():
+        bits = block_bits[record.path_set]
+        offset = allocation.key_bits[(0, 1)]
+        allocation.blocks[record.path_set] = (offset, offset + bits)
+        allocation.key_bits[(0, 1)] += bits
         for edge in record.path_set.edges:
-            segments.setdefault(edge, []).append((record.path_set, block_bits[record.path_set]))
-    pool_bits, pools, allocation = {}, {}, SegmentAllocation()
-    allocation.key_bits = Counter({(0, 1): sum(block_bits.values())})
-    for edge, carried in segments.items():
-        own = data.draw(st.integers(0, 20))
-        cursor = own
-        for path_set, bits in carried:
-            allocation[path_set, edge] = (cursor, cursor + bits)
-            cursor += bits
-        pool_bits[edge] = rng.integers(0, 2, cursor + data.draw(st.integers(0, 12)), dtype=np.uint8)
-        pools[edge] = stored_pool(rng, pool_bits[edge], data.draw(st.sampled_from([0, 4])), own, cursor)
+            if edge not in lengths:
+                lengths[edge] = data.draw(st.integers(0, 20))  # the own share
+            allocation[record.path_set, edge] = (lengths[edge], lengths[edge] + bits)
+            lengths[edge] += bits
+    for edge in lengths:
+        lengths[edge] += data.draw(st.integers(0, 12))
+    allocation.origins = {}
+    origin = 0
+    for edge, length in lengths.items():
+        allocation.origins[edge] = origin
+        origin += 4 * ((length + 3) // 4)
+    pool_bits = dict(zip(lengths, one_shot_pools(list(lengths.values()), seed)))
 
     expected_key = []
     for record in routing.records():
+        pools = accumulate_pools(
+            {edge: allocation[record.path_set, edge] for edge in record.path_set.edges},
+            allocation.origins, stream(seed),
+        )
         path_keys = []
         for path in record.path_set.paths:
-            unpacked = [pool_bits[edge][slice(*allocation[record.path_set, edge])]
+            segments = [pool_bits[edge][slice(*allocation[record.path_set, edge])]
                         for edge in path.edges]
-            for edge, bits in zip(path.edges, unpacked):
-                segment = pools[edge].segment(*allocation[record.path_set, edge])
-                assert segment.tolist() == packed(bits)
-            oracle_key, oracle_messages = relay_key_forward([s.tolist() for s in unpacked])
+            for edge, bits in zip(path.edges, segments):
+                assert pools[edge].bits.tolist() == packed(bits)
+            oracle_key, oracle_messages = relay_key_forward([s.tolist() for s in segments])
             key_i, key_j, messages = relay_path_key(pools, allocation, record.path_set, path)
-            assert key_i.tolist() == packed(unpacked[0])
+            assert key_i.tolist() == packed(segments[0])
             assert key_j.tolist() == packed(oracle_key)
             assert [m.tolist() for m in messages] == [packed(m) for m in oracle_messages]
-            path_keys.append(unpacked[0])
+            path_keys.append(segments[0])
         expected_key.extend(functools.reduce(np.bitwise_xor, path_keys).tolist())
 
-    keys = assemble_pair_keys(routing, pools, allocation)
+    keys = assemble_pair_keys(routing, allocation, seed)
     assert list(keys) == [(0, 1)]
     key = keys[(0, 1)]
     assert key.agreed
@@ -278,33 +290,90 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
 
 
 def test_segment_refuses_bits_outside_the_stored_run():
-    """A run's bytes can hold the next pool's first bits, so a read past
-    its end, or with its ends swapped, is refused rather than cut short."""
-    rng = np.random.default_rng(0)
-    pool = stored_pool(rng, rng.integers(0, 2, 6, dtype=np.uint8), 0, 0, 6)
+    """A drawn KeyPool holds one segment's bits alone, so a read of any
+    other bits of the pool, past its end, before its start, shorter or with
+    its ends swapped, is refused rather than answered with other bits."""
+    pool = accumulate_pools({(0, 1): (3, 9)}, {(0, 1): 4}, stream(0))[(0, 1)]
     assert len(pool) == 6
-    assert pool.bits.nbytes == 1  # with two bits of the stream past the pool
-    assert len(unpacked(pool, 0, 6)) == 6
-    assert len(unpacked(pool, 6, 6)) == 0
-    for start, stop in ((0, 7), (5, 9), (4, 3), (-1, 2)):
-        with pytest.raises(ValueError, match="outside a pool of 6 bits"):
+    assert pool.bits.nbytes == 1
+    assert len(unpacked(pool)) == 6
+    assert pool.segment(3, 9) is pool.bits
+    for start, stop in ((3, 10), (2, 9), (4, 9), (3, 8), (9, 3)):
+        with pytest.raises(ValueError, match=f"bits {start}:{stop} of the pool "
+                                             "were not drawn; 3:9 were"):
             pool.segment(start, stop)
+    empty = accumulate_pools({(0, 1): (5, 5)}, {(0, 1): 4}, stream(0))[(0, 1)]
+    assert len(empty) == 0
+    assert empty.segment(5, 5).nbytes == 0
 
 
 def test_pools_refused_beyond_physical_memory(k23):
-    graph, routing = single_record_setup(k23, rate=300)
-    # over 2 s the four relaying edges store 600 bits each, 4 x 75 bytes,
-    # and the pair key takes 75 more: refused before anything is drawn
-    for memory, refused in ((299, "key pools of 300 bytes"),
-                            (374, "key pools and pair keys of 375 bytes")):
-        with mock.patch.object(keysim, "_physical_memory", return_value=memory), \
-                mock.patch.object(keysim, "accumulate_pools",
-                                  wraps=keysim.accumulate_pools) as draw:
-            with pytest.raises(CapacityError, match=refused):
-                simulate(graph, routing, Decimal(2), seed=0)
-        assert not draw.called
-    with mock.patch.object(keysim, "_physical_memory", return_value=375):
-        assert len(simulate(graph, routing, Decimal(2), seed=0).pools) == 6
+    graph, _ = k23
+    routing = RoutingList()
+    routing.add(SET_A, 300)
+    routing.add(SET_B, 200)
+    # over 2 s the pair key takes 1000 bits, 125 bytes.  At once only one
+    # record's four segments are held: SET_A's 600-bit ones take 4 x 75
+    # bytes, SET_B's 400-bit ones 4 x 50.  Refused before anything is drawn
+    with mock.patch.object(keysim, "_physical_memory", return_value=424), \
+            mock.patch.object(keysim, "accumulate_pools",
+                              wraps=keysim.accumulate_pools) as draw:
+        with pytest.raises(CapacityError, match="pair keys and relay segments of "
+                                                "425 bytes at tau 2 s exceed the 424 bytes"):
+            simulate(graph, routing, Decimal(2), seed=0)
+    assert not draw.called
+    with mock.patch.object(keysim, "_physical_memory", return_value=425):
+        assert simulate(graph, routing, Decimal(2), seed=0).pair_keys[(0, 4)].agreed
+
+
+def test_simulate_holds_the_pair_keys_and_one_record_at_a_time():
+    """On mesh10 over 10^4 s the relay segments take 19.9 MB and the pair
+    keys 3.1 MB.  ``simulate`` holds the keys, one record's segments and
+    one step of raw words at a time: a few MiB over the keys."""
+    graph, out = mesh10_routed()
+    tracemalloc.start()
+    try:
+        sim = simulate(graph, out.routing_list, 10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    key_bytes = sum(key.packed.nbytes for key in sim.pair_keys.values())
+    assert key_bytes > 3_000_000
+    assert peak < key_bytes + 6 * 2**20
+
+
+def test_simulate_draws_each_segment_once_and_the_adversary_to_its_anchors(ring6):
+    """``simulate`` draws every allocated segment once, record by record.
+    ``assess_compromise`` then draws only for the records the corrupt nodes
+    open, and only each member path's segments up to its first corrupt
+    interior node; the block it checks against is sliced from the pair
+    key."""
+    graph, target = ring6
+    out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
+    records = list(out.routing_list.records())
+    reaches = {}
+    for corrupt in ({1, 2}, {0, 2}, {4, 2}, {3}, {0, 1, 2, 3, 4, 5}):
+        drawn = []
+
+        def counted(segments, origins, generator):
+            drawn.append(len(segments))
+            return accumulate_pools(segments, origins, generator)
+
+        with mock.patch.object(keysim, "accumulate_pools", counted):
+            sim = simulate(graph, out.routing_list, tau=1, seed=0)
+            assert sum(drawn) == len(sim.allocation)
+            assess_compromise(sim, corrupt)
+        anchored = [
+            sum(next(t for t, node in enumerate(path.nodes[1:-1], 1) if node in corrupt)
+                for path in record.path_set.paths)
+            for record in records if record_is_leaked(record.path_set, corrupt)
+        ]
+        assert drawn == [record.path_set.total_hops for record in records] + anchored
+        reaches[frozenset(corrupt)] = anchored
+    # {3} opens no record; under {2, 4} the path (3, 0, 1, 4, 5) anchors on
+    # its third relay, and its set's reads stop short of its six segments
+    assert reaches[frozenset({3})] == []
+    assert reaches[frozenset({2, 4})] == [4, 2, 4]
 
 
 def test_pool_rejects_bad_tau(k23):
@@ -319,7 +388,7 @@ def test_fractional_tau_floors_pool(k23):
     sim = simulate(graph, routing, "0.0015")
     # 1000 bit/s for 1.5 ms would be 1.5 bits, and 300 bit/s 0.45 bits;
     # pools and segments hold whole bits
-    assert all(len(pool) == 1 for pool in sim.pools.values())
+    assert set(sim.pool_lengths.values()) == {1}
     assert sim.allocation[SET_A, (0, 1)] == (1, 1)
     assert sim.pair_keys[(0, 4)].length == 0
 
@@ -404,13 +473,11 @@ def test_relay_matches_forward_oracle(k23):
     out = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
     sim = simulate(graph, out.routing_list, tau=1, seed=5)
     for record in out.routing_list.records():
+        pools = draw_record(sim, record.path_set)
         for path in record.path_set.paths:
-            segments = [
-                unpacked(sim.pools[edge], *sim.allocation[record.path_set, edge])
-                for edge in path.edges
-            ]
+            segments = [unpacked(pools[edge]) for edge in path.edges]
             key_i, key_j, messages = relay_path_key(
-                sim.pools, sim.allocation, record.path_set, path
+                pools, sim.allocation, record.path_set, path
             )
             oracle_key, oracle_messages = relay_key_forward(
                 [s.tolist() for s in segments]
@@ -449,14 +516,14 @@ def test_multi_record_pair_key_layout(k23):
     assert key.agreed
     assert len(key.bits) == 500
     # the key is the records' XOR blocks concatenated in canonical order
+    assert sim.allocation.blocks == {SET_A: (0, 300), SET_B: (300, 500)}
     expected = np.concatenate([sim.record_block(SET_A), sim.record_block(SET_B)])
     assert np.array_equal(key.bits, expected)
     # and each block really is the XOR of its member-path first-link segments
-    manual = np.bitwise_xor(
-        unpacked(sim.pools[(0, 1)], *sim.allocation[SET_A, (0, 1)]),
-        unpacked(sim.pools[(0, 2)], *sim.allocation[SET_A, (0, 2)]),
-    )
-    assert np.array_equal(sim.record_block(SET_A), manual)
+    for path_set, (first, second) in ((SET_A, ((0, 1), (0, 2))), (SET_B, ((0, 1), (0, 3)))):
+        pools = draw_record(sim, path_set)
+        manual = np.bitwise_xor(unpacked(pools[first]), unpacked(pools[second]))
+        assert np.array_equal(sim.record_block(path_set), manual)
 
 
 def test_simulate_propagates_capacity_error(k23):
@@ -565,17 +632,21 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     allocation = sim.allocation
     start, stop = allocation[SET_A, (0, 1)]
     assert stop - start == 8
-    rng = np.random.default_rng(9)
     seen = set()
     for value in range(256):
-        bits = np.zeros(len(sim.pools[(0, 1)]), dtype=np.uint8)
-        bits[start:stop] = np.unpackbits(np.array([value], dtype=np.uint8))
-        patched = dict(sim.pools)
-        patched[(0, 1)] = stored_pool(rng, bits, value % 8, start, stop)
+        def patched(segments, origins, generator):
+            pools = accumulate_pools(segments, origins, generator)
+            pools[(0, 1)] = KeyPool(np.array([value], dtype=np.uint8), start, stop)
+            return pools
+
+        pools = patched(
+            {edge: allocation[SET_A, edge] for edge in SET_A.edges}, allocation.origins, stream(9)
+        )
         for path in SET_A.paths:
-            key_i, key_j, _ = relay_path_key(patched, allocation, SET_A, path)
+            key_i, key_j, _ = relay_path_key(pools, allocation, SET_A, path)
             assert np.array_equal(key_i, key_j)
-        key = assemble_pair_keys(routing, patched, allocation)[(0, 4)]
+        with mock.patch.object(keysim, "accumulate_pools", patched):
+            key = assemble_pair_keys(routing, allocation, sim.seed)[(0, 4)]
         assert key.agreed
-        seen.add(int(np.packbits(key.bits)[0]))
+        seen.add(int(key.packed[0]))
     assert seen == set(range(256))
