@@ -35,6 +35,11 @@ POOL_TESTS = (
     "tests/test_keysim.py::test_pool_starts_on_the_carried_half_word",
 )
 
+MEMORY_TESTS = (
+    "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
+    "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
+)
+
 PACKED_TESTS = (
     "tests/test_keysim.py::test_packed_relay_and_assembly_match_an_unpacked_oracle",
     *POOL_TESTS,
@@ -291,24 +296,10 @@ MUTANTS = (
         POOL_TESTS,
     ),
     Mutant(
-        "pools: a read of fewer bits than were drawn let through",
-        "qkdroute/keysim.py",
-        "if (start, stop) != (self.start, self.stop):",
-        "if start < self.start or stop > self.stop:",
-        ("tests/test_keysim.py::test_segment_refuses_bits_outside_the_stored_run",),
-    ),
-    Mutant(
-        "pools: a read checked at its start alone",
-        "qkdroute/keysim.py",
-        "if (start, stop) != (self.start, self.stop):",
-        "if start != self.start:",
-        ("tests/test_keysim.py::test_segment_refuses_bits_outside_the_stored_run",),
-    ),
-    Mutant(
         "memory: check off by one byte",
         "qkdroute/keysim.py",
-        "if key_bytes + segment_bytes > memory:",
-        "if key_bytes + segment_bytes >= memory:",
+        "if key_bytes + relay_bytes > memory:",
+        "if key_bytes + relay_bytes >= memory:",
         ("tests/test_keysim.py::test_pools_refused_beyond_physical_memory",),
     ),
     Mutant(
@@ -316,30 +307,85 @@ MUTANTS = (
         "qkdroute/keysim.py",
         "sum((bits + 7) // 8 for bits in allocation.key_bits.values())",
         "sum(allocation.key_bits.values())",
-        (
-            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
-            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
-        ),
+        MEMORY_TESTS,
     ),
     Mutant(
-        "memory: the segments of every record counted, not of the largest",
+        "memory: the relay of every record counted, not of the largest",
         "qkdroute/keysim.py",
-        "segment_bytes = max(",
-        "segment_bytes = sum(",
-        (
-            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
-            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
-        ),
+        "relay_bytes = max(",
+        "relay_bytes = sum(",
+        MEMORY_TESTS,
     ),
     Mutant(
         "memory: one segment counted per record, not one per hop",
         "qkdroute/keysim.py",
-        "(path_set.total_hops * ((stop - start + 7) // 8)",
-        "(((stop - start + 7) // 8)",
-        (
-            "tests/test_keysim.py::test_pools_refused_beyond_physical_memory",
-            "tests/test_cli.py::test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory",
-        ),
+        "(path_set.total_hops + max(",
+        "(1 + max(",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: the messages of the shortest member path counted, not the longest",
+        "qkdroute/keysim.py",
+        "max(path.hops for path in path_set.paths)",
+        "min(path.hops for path in path_set.paths)",
+        ("tests/test_keysim.py::test_memory_count_takes_the_longest_member_path",),
+    ),
+    Mutant(
+        "memory: the joined segment, fold keys and blocks not counted",
+        "qkdroute/keysim.py",
+        "max(path.hops for path in path_set.paths) + 4)",
+        "max(path.hops for path in path_set.paths) - 1)",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: one of the joined segment, fold keys and blocks not counted",
+        "qkdroute/keysim.py",
+        "max(path.hops for path in path_set.paths) + 4)",
+        "max(path.hops for path in path_set.paths) + 3)",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: the raw words of a step not counted",
+        "qkdroute/keysim.py",
+        "            + 8 * min(_STEP_WORDS + 1, (stop - start + 14) // 8)\n",
+        "",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: a step's raw words counted at a byte per word",
+        "qkdroute/keysim.py",
+        "8 * min(_STEP_WORDS + 1, (stop - start + 14) // 8)",
+        "min(_STEP_WORDS + 1, (stop - start + 14) // 8)",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: a step's raw words not capped at one step",
+        "qkdroute/keysim.py",
+        "min(_STEP_WORDS + 1, (stop - start + 14) // 8)",
+        "(stop - start + 14) // 8",
+        ("tests/test_cli.py::test_simulate_refuses_pools_beyond_physical_memory",),
+    ),
+    Mutant(
+        "memory: a step's raw words counted without its lead bits",
+        "qkdroute/keysim.py",
+        "(stop - start + 14) // 8)",
+        "(stop - start + 7) // 8)",
+        MEMORY_TESTS,
+    ),
+    Mutant(
+        "memory: the last step's raw words kept while the next is drawn",
+        "qkdroute/keysim.py",
+        "            del raw, octets  # before the next step's words are drawn\n",
+        "",
+        ("tests/test_keysim.py::test_memory_count_bounds_what_assembly_holds",),
+    ),
+    Mutant(
+        "memory: a record's segments and blocks kept while the next is drawn",
+        "qkdroute/keysim.py",
+        "    return block_i.tobytes() == block_j.tobytes()\n",
+        "    _relay_record.held = pools, block_i, block_j\n"
+        "    return block_i.tobytes() == block_j.tobytes()\n",
+        ("tests/test_keysim.py::test_memory_count_bounds_what_assembly_holds",),
     ),
     # the packed pair keys
     Mutant(
@@ -398,12 +444,15 @@ MUTANTS = (
             "tests/test_keysim.py::test_endpoint_agreement_across_seeds",
         ),
     ),
-    Mutant(
-        "adversary: one message fewer folded",
-        "qkdroute/keysim.py",
-        "for message in map(np.bitwise_xor, segments[:-1], segments[1:]):",
-        "for message in map(np.bitwise_xor, segments[1:-1], segments[2:]):",
-        ("tests/test_keysim.py::test_every_compromise_subset_cross_checks",),
+    # the one relay fold, which the far endpoint and the adversary share
+    *(
+        Mutant(f"relay: one message fewer folded, seen by {who}", "qkdroute/keysim.py",
+               "for message in reversed(messages):", "for message in messages[1:]:",
+               (test,))
+        for who, test in (
+            ("assembly", "tests/test_keysim.py::test_endpoint_agreement_across_seeds"),
+            ("the adversary", "tests/test_keysim.py::test_every_compromise_subset_cross_checks"),
+        )
     ),
     Mutant(
         "adversary: a path's segments drawn one link past its anchor",
@@ -475,6 +524,8 @@ MUTANTS = (
         Mutant(f"artifact refusal removed: {what}", "qkdroute/artifacts.py",
                snippet, "if False:", (f"tests/test_cli.py::{test}",))
         for what, snippet, test in (
+            ("path set listed twice", "if path_set in listed:",
+             "test_simulate_refuses_a_repeated_path_set"),
             ("path count other than m", "if path_set.m != m:",
              "test_simulate_refuses_path_count_other_than_m"),
             ("pair other than the endpoints",

@@ -80,15 +80,16 @@ def read_routing_artifact(
     """Load a routing JSON artifact, check it against ``graph`` and return its
     routing list.
 
-    Refuses another node count or resolution, a record for a directly linked
-    pair or on a non-edge, with a rate that is not a positive multiple of
-    ``delta_r_units`` or is over ``MAX_UNITS``, with other than ``m`` paths or
-    with a path longer than a set ``hop_limit``, with a ``pair`` other than its
-    paths' endpoints or a ``rate_kbps`` other than its ``rate_units`` in
-    kbit/s, ``effective_units`` that is not the edge rates plus the records'
-    pair credits minus their edge debits, a negative edge under
-    ``strict_guard``, and rates that do not add up to ``iterations`` steps of
-    ``delta_r_units``.
+    Refuses another node count or resolution, a path set listed twice, a
+    record for a directly linked pair or on a non-edge, with a rate that is
+    not a positive multiple of ``delta_r_units`` or is over ``MAX_UNITS``,
+    with other than ``m`` paths or with a path longer than a set
+    ``hop_limit``, with a ``pair`` other than its paths' endpoints or a
+    ``rate_kbps`` other than its ``rate_units`` in kbit/s,
+    ``effective_units`` that is not the edge rates plus the records' pair
+    credits minus their edge debits, a negative edge under
+    ``strict_guard``, and rates that do not add up to ``iterations`` steps
+    of ``delta_r_units``.
     """
     try:
         doc = json.loads(FsPath(path).read_text())
@@ -116,8 +117,12 @@ def read_routing_artifact(
             raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
         routing = RoutingList()
         routed = 0
+        listed = set()
         for entry in doc["records"]:
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
+            if path_set in listed:
+                raise ValueError(f"record {path_set} is listed twice")
+            listed.add(path_set)
             if path_set.m != m:
                 raise ValueError(f"record {path_set} has {path_set.m} paths, not m = {m}")
             pair = list(path_set.endpoints)

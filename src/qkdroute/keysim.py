@@ -33,8 +33,9 @@ anchors reach.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
-links; the far endpoint recovers the first-link segment by folding those
-messages into the last-link segment it holds.  The key block a record
+links; ``relay_path_key`` folds the messages before a node into the segment
+arriving there, which gives the first-link segment at the far endpoint and
+at a corrupt interior node alike.  The key block a record
 contributes to its pair is the XOR of all M member-path keys, so an
 eavesdropper needs a corrupt interior node on every member path to learn
 anything.
@@ -42,17 +43,18 @@ anything.
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .engine import RoutingList
 from .model import CapacityError, Edge, NetworkGraph, NodeId
-from .paths import MPathSet, Path
+from .paths import MPathSet
 from .units import as_decimal
 
 
@@ -80,16 +82,6 @@ class KeyPool:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def segment(self, start: int, stop: int) -> np.ndarray:
-        """The drawn bytes, which are pool bits ``start:stop``; ValueError for
-        any other bits, which were not drawn."""
-        if (start, stop) != (self.start, self.stop):
-            raise ValueError(
-                f"bits {start}:{stop} of the pool were not drawn; "
-                f"{self.start}:{self.stop} were"
-            )
-        return self.bits
 
 
 class SegmentAllocation(Dict[Tuple[MPathSet, Edge], Tuple[int, int]]):
@@ -174,19 +166,26 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
 
 
 def _refuse_beyond_memory(allocation: SegmentAllocation, tau: Decimal) -> None:
-    """CapacityError when what a simulation holds at once, the packed pair
-    keys plus the largest record's packed relay segments, would not fit in
-    physical memory."""
+    """CapacityError when the packed pair keys plus what relaying the largest
+    record holds would not fit in physical memory.  A record whose T
+    segments take S bytes each, over paths of at most h hops, holds its T
+    segments, a segment joined from its steps, one step of raw words (a byte
+    per bit drawn, at most ``_STEP_WORDS + 1`` words) and, while one path is
+    relayed, its h - 1 messages, the two keys of its fold and two blocks."""
     key_bytes = sum((bits + 7) // 8 for bits in allocation.key_bits.values())
-    segment_bytes = max(
-        (path_set.total_hops * ((stop - start + 7) // 8)
-         for path_set, (start, stop) in allocation.blocks.items()),
+    relay_bytes = max(
+        (
+            (path_set.total_hops + max(path.hops for path in path_set.paths) + 4)
+            * ((stop - start + 7) // 8)
+            + 8 * min(_STEP_WORDS + 1, (stop - start + 14) // 8)
+            for path_set, (start, stop) in allocation.blocks.items()
+        ),
         default=0,
     )
     memory = _physical_memory()
-    if key_bytes + segment_bytes > memory:
+    if key_bytes + relay_bytes > memory:
         raise CapacityError(
-            f"pair keys and relay segments of {key_bytes + segment_bytes} bytes "
+            f"pair keys and relay segments of {key_bytes + relay_bytes} bytes "
             f"at tau {tau} s exceed the {memory} bytes of physical memory"
         )
 
@@ -224,6 +223,7 @@ def accumulate_pools(
             octets = raw.astype("<u8", copy=False).view(np.uint8)
             np.right_shift(octets, 7, out=octets)
             steps.append(np.packbits(octets[lead : lead + count]))
+            del raw, octets  # before the next step's words are drawn
         # a segment of no bits takes no step
         bits = steps[0] if len(steps) == 1 else np.concatenate([np.empty(0, np.uint8), *steps])
         pools[edge] = KeyPool(bits, start, stop)
@@ -310,30 +310,25 @@ def allocate_segments(
 
 
 def relay_path_key(
-    pools: Mapping[Edge, KeyPool],
-    allocation: SegmentAllocation,
-    path_set: MPathSet,
-    path: Path,
+    pools: Mapping[Edge, KeyPool], edges: Sequence[Edge]
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """Deliver one member-path key to both endpoints, in packed bytes.
+    """Relay one member-path key over ``edges``, in packed bytes: the path's
+    edges from its first node up to the node that recovers the key, all of
+    them for the far endpoint and those up to its anchor for the adversary.
 
     Returns:
-        The path key as known at the smaller endpoint (its first-link
-        segment), the key as recovered at the larger endpoint from its
-        last-link segment plus the public messages, and the messages
-        themselves: ``messages[t]`` is the XOR published by the path's
-        (t+1)-th node, its incoming-link segment XOR its outgoing-link
-        segment (none for a direct two-node path).
+        The key at the first node, its first-link segment; the key that the
+        last node recovers by folding the public messages into the segment
+        arriving there; and the messages: ``messages[t]`` is the XOR of the
+        segments on ``edges[t]`` and ``edges[t + 1]``, which the node between
+        them publishes.
     """
-    segments = [
-        pools[edge].segment(*allocation[path_set, edge]) for edge in path.edges
-    ]
+    segments = [pools[edge].bits for edge in edges]
     messages = tuple(map(np.bitwise_xor, segments[:-1], segments[1:]))
-    key_at_i = segments[0]
-    key_at_j = segments[-1]
+    key = segments[-1]
     for message in reversed(messages):
-        key_at_j = np.bitwise_xor(key_at_j, message)
-    return key_at_i, key_at_j, messages
+        key = np.bitwise_xor(key, message)
+    return segments[0], key, messages
 
 
 def assemble_pair_keys(
@@ -341,37 +336,44 @@ def assemble_pair_keys(
     allocation: SegmentAllocation,
     seed: int,
 ) -> Dict[Edge, PairKey]:
-    """Relay every record and write its XOR block into its pair's key.
-
-    Record by record, in canonical order, the record's relay segments are
-    drawn, relayed and dropped.  Each record's block is folded independently
-    at both endpoints, one from first-link segments and one from
-    message-recovered keys, and the two views are compared; ``agreed`` holds
-    when they match for every record of the pair.  Only the first endpoint's
-    block is kept: it is written at its bit offset ``allocation.blocks``
-    into the pair's packed key, allocated up front.
-    """
+    """Relay every record, in canonical order, and write its XOR block into
+    its pair's packed key, allocated up front; ``agreed`` holds when both
+    endpoints' blocks match for every record of the pair."""
     lengths = allocation.key_bits
     keys = {pair: np.zeros((length + 7) // 8, dtype=np.uint8) for pair, length in lengths.items()}
     agreed: Dict[Edge, bool] = {}
     generator = np.random.default_rng(seed).bit_generator
     for record in routing_list.records():
-        path_set = record.path_set
-        pools = accumulate_pools(
-            {edge: allocation[path_set, edge] for edge in path_set.edges},
-            allocation.origins,
-            generator,
-        )
-        block_i: Optional[np.ndarray] = None
-        block_j: Optional[np.ndarray] = None
-        for path in path_set.paths:
-            key_i, key_j, _ = relay_path_key(pools, allocation, path_set, path)
-            block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
-            block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
         pair = record.pair
-        _write_block(keys[pair], allocation.blocks[path_set][0], block_i)
-        agreed[pair] = agreed.get(pair, True) and block_i.tobytes() == block_j.tobytes()
+        same = _relay_record(record.path_set, allocation, generator, keys[pair])
+        agreed[pair] = agreed.get(pair, True) and same
     return {pair: PairKey(keys[pair], lengths[pair], agreed[pair]) for pair in sorted(keys)}
+
+
+def _relay_record(
+    path_set: MPathSet,
+    allocation: SegmentAllocation,
+    generator: np.random.BitGenerator,
+    key: np.ndarray,
+) -> bool:
+    """Draw one record's segments and relay them.  The first endpoint's
+    block, the XOR of the first-link segments, is written at its bit offset
+    into the pair's packed ``key``; True when the far endpoint's block, the
+    XOR of the keys it recovers, is the same.  What the record holds is
+    dropped on return, before the next record is drawn."""
+    pools = accumulate_pools(
+        {edge: allocation[path_set, edge] for edge in path_set.edges},
+        allocation.origins,
+        generator,
+    )
+    block_i: Optional[np.ndarray] = None
+    block_j: Optional[np.ndarray] = None
+    for path in path_set.paths:
+        key_i, key_j = relay_path_key(pools, path.edges)[:2]
+        block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
+        block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
+    _write_block(key, allocation.blocks[path_set][0], block_i)
+    return block_i.tobytes() == block_j.tobytes()
 
 
 def _write_block(key: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -447,12 +449,13 @@ def adversary_reconstruct(
 
     The adversary holds the full pools of every edge incident to a
     compromised node, plus all public relay messages.  For each member path
-    it anchors on the first compromised interior node and recovers the
-    first-link segment by folding the messages before the anchor into the
-    segment on the link arriving at it.  If some path has no compromised
-    interior, there is nothing to anchor on and reconstruction fails before
-    anything is drawn; otherwise only each path's segments up to its anchor
-    are drawn.
+    it anchors on the first compromised interior node.  There it holds the
+    segment of the link arriving at the anchor and the messages of the nodes
+    before it, just what the far endpoint holds over the whole path, so
+    ``relay_path_key`` over the path's edges up to the anchor recovers the
+    first-link segment.  If some path has no compromised interior, there is
+    nothing to anchor on and reconstruction fails before anything is drawn;
+    otherwise only each path's segments up to its anchor are drawn.
 
     Returns:
         The key block, one byte per bit, or None when reconstruction is
@@ -461,8 +464,7 @@ def adversary_reconstruct(
     corrupt = frozenset(compromised)
     reach = []  # each path's edges up to its anchor
     for path in path_set.paths:
-        interior = path.nodes[1:-1]
-        anchor = next((t for t, node in enumerate(interior, 1) if node in corrupt), None)
+        anchor = next((t for t, node in enumerate(path.nodes[1:-1], 1) if node in corrupt), None)
         if anchor is None:
             return None
         reach.append(path.edges[:anchor])
@@ -472,16 +474,7 @@ def adversary_reconstruct(
         allocation.origins,
         np.random.default_rng(sim.seed).bit_generator,
     )
-    block: Optional[np.ndarray] = None
-    for edges in reach:
-        segments = [pools[edge].segment(*allocation[path_set, edge]) for edge in edges]
-        # the segment arriving at the anchor, read from the pool the
-        # adversary owns through it, and the messages of the nodes before it
-        first = segments[-1]
-        for message in map(np.bitwise_xor, segments[:-1], segments[1:]):
-            first = np.bitwise_xor(first, message)
-        block = first if block is None else np.bitwise_xor(block, first)
-    assert block is not None
+    block = functools.reduce(np.bitwise_xor, (relay_path_key(pools, edges)[1] for edges in reach))
     start, stop = allocation.blocks[path_set]
     return np.unpackbits(block, count=stop - start)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .units import UnitScale
 
@@ -38,8 +38,7 @@ class RateMatrix:
 
     ``cells`` holds the rows one after another, so (u, v) is cell
     ``u * n + v``; any iterable of n * n ints is stored as a tuple.  Sums of
-    its cells never wrap around.  ``numpy.asarray(m)`` gives a fresh int
-    array, and imports numpy only then.
+    its cells never wrap around.
     """
 
     n: int
@@ -60,13 +59,6 @@ class RateMatrix:
     def tolist(self) -> List[List[int]]:
         n = self.n
         return [list(self.cells[u * n : (u + 1) * n]) for u in range(n)]
-
-    def __array__(self, dtype: Any = None, copy: Optional[bool] = None) -> Any:
-        if copy is False:
-            raise ValueError("a RateMatrix is converted to an array only by copying")
-        import numpy as np
-
-        return np.array(self.tolist(), dtype=dtype)
 
 
 @dataclass(frozen=True)

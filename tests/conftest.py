@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qkdroute import NetworkGraph, uniform_target
@@ -39,6 +40,11 @@ MESH10_RATES = {
 def as_rate_matrix(rows) -> RateMatrix:
     """The RateMatrix of square rows, given as lists or as an ndarray."""
     return RateMatrix(len(rows), [int(value) for row in rows for value in row])
+
+
+def as_array(matrix: RateMatrix) -> np.ndarray:
+    """A RateMatrix as a fresh int array."""
+    return np.array(matrix.tolist())
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from golden import (
     DENSE5_REFERENCE_SETS,
     RING6_REFERENCE_RECORDS,
 )
+from conftest import as_array
 from oracles import candidate_table, dfs_simple_paths, disjoint_subsets, per_pair, rates_by_pair
 
 from qkdroute import keysim
@@ -100,7 +101,7 @@ def test_acceptance_dense5_golden_run(dense5):
         accepted = [t for t in alt.trace if t.stop_reason is None]
         assert len(accepted) == 4
         for entry in accepted:
-            deficiency = np.asarray(target) - effective
+            deficiency = as_array(target) - as_array(effective)
             assert entry.selected_pair in {(0, 4), (1, 3)}
             shortfall = per_pair(deficiency)
             assert entry.selected_pair in worst_pairs(shortfall, 5, max(shortfall))
@@ -328,7 +329,7 @@ def test_acceptance_compromise_security(k23):
         pools = patched({edge: allocation[set_a, edge] for edge in set_a.edges},
                         allocation.origins, np.random.default_rng(1).bit_generator)
         for path in set_a.paths:
-            key_i, key_j, _ = relay_path_key(pools, allocation, set_a, path)
+            key_i, key_j, _ = relay_path_key(pools, path.edges)
             assert np.array_equal(key_i, key_j)
         with mock.patch.object(keysim, "accumulate_pools", patched):
             seen.add(int(assemble_pair_keys(routing, allocation, base.seed)[(0, 4)].packed[0]))

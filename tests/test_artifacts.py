@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from qkdroute.artifacts import (
@@ -55,7 +54,7 @@ def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     assert doc["seed"] == 4
     assert doc["m"] == 2
     assert doc["stop_reason"] == "converged"
-    assert np.array_equal(routing.effective(graph), outcome.effective)
+    assert routing.effective(graph) == outcome.effective
     original = [(str(r.path_set), r.rate) for r in outcome.routing_list.records()]
     loaded = [(str(r.path_set), r.rate) for r in routing.records()]
     assert original == loaded
@@ -145,9 +144,7 @@ def test_manifest_contents(dense5, dense5_file, tmp_path):
 def test_routing_dict_effective_is_lossless(dense5):
     graph, config, outcome = dense5_outcome(dense5)
     doc = routing_to_dict(outcome, graph, config)
-    assert np.array_equal(
-        np.asarray(doc["effective_units"], dtype=np.int64), outcome.effective
-    )
+    assert doc["effective_units"] == outcome.effective.tolist()
     for entry in doc["records"]:
         assert entry["rate_units"] == 100
         assert entry["rate_kbps"] == "0.1"

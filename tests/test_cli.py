@@ -626,6 +626,18 @@ def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, c
     assert "over-subscribed" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_repeated_path_set(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    # in steps of 50 units, the first record's 100 units split between two
+    # entries of its path set would be merged into one record
+    halved = dict(good, delta_r_units=50, iterations=2 * good["iterations"])
+    assert not refuses_routing(k23_file, tmp_path, capsys, halved, "error")
+    first = dict(good["records"][0], rate_units=50, rate_kbps="0.05")
+    assert refuses_routing(k23_file, tmp_path, capsys,
+                           dict(halved, records=[first, first, *good["records"][1:]]),
+                           "record {(0, 1, 4), (0, 2, 4)} is listed twice")
+
+
 def test_simulate_refuses_rates_off_the_iteration_count(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     for steps in (good["iterations"] - 1, good["iterations"] + 1):
@@ -691,12 +703,13 @@ def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsy
     main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
     capsys.readouterr()
     # four records of 100 units, each over two 2-hop paths: at tau = 1e15 s
-    # the four pair keys take 1.25e16 bytes each, and so do the four relay
-    # segments of one record, held while it is relayed
+    # the four pair keys take 1.25e16 bytes each.  Relaying one record holds
+    # ten times that, its four segments, a joined one, a message, two fold
+    # keys and two blocks, plus one step of raw words
     assert main(["simulate", "--input", str(k23_file), "--routing", str(route_dir),
                  "--out-dir", str(tmp_path / "sim"), "--tau", "1e15"]) == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert "pair keys and relay segments of 100000000000000000 bytes" in captured.err
+    assert "pair keys and relay segments of 175000000004194312 bytes" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "sim").exists()
 
@@ -709,18 +722,20 @@ def test_simulate_refuses_pools_and_pair_keys_beyond_physical_memory(
     capsys.readouterr()
     simulate = ["simulate", "--input", str(k23_file), "--routing", str(route_dir),
                 "--tau", "1"]
-    # at tau = 1 s: four pairs' 100-bit keys, and the four 100-bit segments
-    # of the largest record, not of all four, at 13 bytes each
-    with mock.patch.object(keysim, "_physical_memory", return_value=103), \
+    # at tau = 1 s: four pairs' 100-bit keys at 13 bytes each, and what
+    # relaying the largest record, not all four, holds: its four 100-bit
+    # segments, a joined one, a message, two fold keys and two blocks, at 13
+    # bytes each, plus 14 raw words
+    with mock.patch.object(keysim, "_physical_memory", return_value=293), \
             mock.patch.object(keysim, "accumulate_pools",
                               wraps=keysim.accumulate_pools) as draw:
         assert main(simulate) == EXIT_RUNTIME
     assert not draw.called
     captured = capsys.readouterr()
-    assert captured.err == ("error: pair keys and relay segments of 104 bytes at tau 1 s "
-                            "exceed the 103 bytes of physical memory\n")
+    assert captured.err == ("error: pair keys and relay segments of 294 bytes at tau 1 s "
+                            "exceed the 293 bytes of physical memory\n")
     assert captured.out == ""
-    with mock.patch.object(keysim, "_physical_memory", return_value=104):
+    with mock.patch.object(keysim, "_physical_memory", return_value=294):
         assert main(simulate) == EXIT_OK
 
 

@@ -30,7 +30,7 @@ from qkdroute.paths import (
     set_deficiency,
 )
 
-from conftest import as_rate_matrix
+from conftest import as_array, as_rate_matrix
 from golden import (
     DENSE5_EXPECTED_TABLES,
     DENSE5_REFERENCE_SEED,
@@ -56,8 +56,9 @@ def dense5_config(**overrides):
 
 def test_cost_delta(ring6):
     graph, target = ring6
-    assert cost_delta(per_pair(np.asarray(target) - graph.rate_matrix())) == 100
-    met = np.asarray(graph.rate_matrix())
+    target = as_array(target)
+    assert cost_delta(per_pair(target - as_array(graph.rate_matrix()))) == 100
+    met = as_array(graph.rate_matrix())
     for i, j in graph.remote_pairs():
         met[i, j] = met[j, i] = 100
     assert cost_delta(per_pair(target - met)) == 0
@@ -77,7 +78,7 @@ def test_pair_position_is_row_order():
 
 def test_worst_pair_selection(dense5):
     graph, target = dense5
-    deficiency = np.asarray(target) - graph.rate_matrix()
+    deficiency = as_array(target) - as_array(graph.rate_matrix())
     shortfall = per_pair(deficiency)
     assert worst_pairs(shortfall, 5, max(shortfall)) == [(0, 4), (1, 3)]
     picks = set()
@@ -99,7 +100,7 @@ def test_worst_pair_selection(dense5):
 
 def test_select_optimal_set_filters(dense5):
     graph, target = dense5
-    deficiency = np.asarray(target) - graph.rate_matrix()
+    deficiency = as_array(target) - as_array(graph.rate_matrix())
     table = CandidateTable(graph, (1, 3), 2)
     finalists = optimal_sets(table, per_pair(deficiency), set())
     assert [str(table.candidate(k)[0]) for k in finalists] == ["{(1, 0, 3), (1, 2, 3)}"]
@@ -212,12 +213,12 @@ def test_apply_increment_zero_is_noop(dense5):
     graph, _ = dense5
     effective = graph.rate_matrix()
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
-    assert np.array_equal(apply_increment(effective, (1, 3), s, 0), effective)
+    assert apply_increment(effective, (1, 3), s, 0) == effective
 
 
 def test_apply_increment_guard(dense5):
     graph, _ = dense5
-    effective = np.asarray(graph.rate_matrix())
+    effective = as_array(graph.rate_matrix())
     effective[0, 1] = effective[1, 0] = 40
     effective = as_rate_matrix(effective)
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
@@ -278,7 +279,7 @@ def test_dense5_trajectory_envelope(dense5):
         out = run(graph, target, dense5_config(seed=seed), trace_candidates=True)
         effective = graph.rate_matrix()
         for entry in out.trace:
-            deficiency = np.asarray(target) - effective
+            deficiency = as_array(target) - as_array(effective)
             if entry.stop_reason is not None:
                 break
             shortfall = per_pair(deficiency)
@@ -293,7 +294,7 @@ def test_dense5_trajectory_envelope(dense5):
                 effective, entry.selected_pair, entry.chosen_set, 100
             )
             assert entry.delta_after <= entry.delta_before
-        assert np.array_equal(effective, out.effective)
+        assert effective == out.effective
         # each remote pair takes exactly two accepted increments
         assert out.iterations == 4
         assert rates_by_pair(out.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
@@ -308,7 +309,7 @@ def test_run_is_deterministic(dense5):
     graph, target = dense5
     first = run(graph, target, dense5_config())
     second = run(graph, target, dense5_config())
-    assert np.array_equal(first.effective, second.effective)
+    assert first.effective == second.effective
     assert first.trace == second.trace
     assert [ (str(r.path_set), r.rate) for r in first.routing_list.records() ] == \
            [ (str(r.path_set), r.rate) for r in second.routing_list.records() ]
@@ -351,7 +352,7 @@ def test_zero_target_returns_immediately(ring6):
     out = run(graph, uniform_target(6, 0), RouterConfig(m=2, delta_r=10))
     assert out.iterations == 0
     assert out.stop_reason is StopReason.CONVERGED
-    assert np.array_equal(out.effective, graph.rate_matrix())
+    assert out.effective == graph.rate_matrix()
     assert out.routing_list.records() == ()
 
 
@@ -406,7 +407,7 @@ def test_guard_off_stops_on_cost_instead():
     )
     assert out.stop_reason is StopReason.COST_WORSENED
     # the rejected increment was not routed
-    assert np.array_equal(out.effective, graph.rate_matrix())
+    assert out.effective == graph.rate_matrix()
     entry = out.trace[-1]
     assert entry.delta_after > entry.delta_before
 
@@ -503,7 +504,7 @@ def test_run_invariants_on_random_graphs(case):
     graph, target, config = case
     step, guard = config.delta_r, config.strict_guard
     out = run(graph, target, config, trace_candidates=True)
-    target = np.asarray(target)
+    target = as_array(target)
     sets = {}
 
     def pair_sets(pair):
@@ -514,7 +515,7 @@ def test_run_invariants_on_random_graphs(case):
 
     effective = graph.rate_matrix()
     for entry in out.trace[:-1]:
-        deficiency = target - effective
+        deficiency = target - as_array(effective)
         assert entry.delta_before == reference_cost(target, effective)
         worst = reference_worst_pairs(deficiency)
         assert entry.selected_pair in worst and entry.pairs_tied == len(worst)
@@ -525,14 +526,14 @@ def test_run_invariants_on_random_graphs(case):
         effective = apply_increment(effective, pair, entry.chosen_set, step, guard)
         assert entry.delta_after == reference_cost(target, effective) <= entry.delta_before
         # no edge's deficiency falls, so an edge short under the guard stays short
-        after = target - effective
+        after = target - as_array(effective)
         assert all(after[edge] >= deficiency[edge] for edge in graph.edges)
-    assert np.array_equal(effective, out.effective)
+    assert effective == out.effective
     assert all(type(value) is int for value in out.effective.cells)
-    assert np.array_equal(out.effective, np.asarray(out.effective).T)
+    assert np.array_equal(as_array(out.effective), as_array(out.effective).T)
     # conservation: edge rates + pair credits - edge debits
     records = out.routing_list.records()
-    expected = np.asarray(graph.rate_matrix())
+    expected = as_array(graph.rate_matrix())
     for record in records:
         (i, j), rate = record.pair, record.rate
         expected[i, j] += rate
@@ -540,7 +541,7 @@ def test_run_invariants_on_random_graphs(case):
         for u, v in record.path_set.edges:
             expected[u, v] -= rate
             expected[v, u] -= rate
-    assert np.array_equal(out.effective, expected)
+    assert np.array_equal(as_array(out.effective), expected)
     assert sum(record.rate for record in records) == out.iterations * step
     if guard:
         assert all(out.effective[edge] >= 0 for edge in graph.edges)

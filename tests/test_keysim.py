@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
-from pathlib import Path as FsPath
 from unittest import mock
 
 import numpy as np
@@ -36,9 +36,10 @@ from qkdroute.model import NetworkGraph, RouterConfig
 from qkdroute.netfile import load_network
 from qkdroute.paths import MPathSet, Path
 
+from conftest import NETWORKS_DIR
 from oracles import one_shot_pools, relay_key_forward
 
-MESH10_FILE = FsPath(__file__).resolve().parent.parent / "networks" / "mesh10.json"
+MESH10_FILE = NETWORKS_DIR / "mesh10.json"
 
 SET_A = MPathSet((Path((0, 1, 4)), Path((0, 2, 4))))
 SET_B = MPathSet((Path((0, 1, 4)), Path((0, 3, 4))))
@@ -117,17 +118,12 @@ def assert_origins(origins, lengths):
 
 def assert_drawn(pools, segments, reference):
     """Each pool holds exactly its segment's bits of the reference draw,
-    packed from the top bit of its first byte on with zero pad bits, and
-    refuses a read of other bits."""
+    packed from the top bit of its first byte on with zero pad bits."""
     assert list(pools) == list(segments)
     for edge, (start, stop) in segments.items():
         pool = pools[edge]
         assert (pool.start, pool.stop, len(pool)) == (start, stop, stop - start)
         assert pool.bits.tolist() == packed(reference[edge][start:stop])
-        assert pool.segment(start, stop) is pool.bits
-        if start:
-            with pytest.raises(ValueError, match="were not drawn"):
-                pool.segment(start - 1, stop)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -271,7 +267,7 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
             for edge, bits in zip(path.edges, segments):
                 assert pools[edge].bits.tolist() == packed(bits)
             oracle_key, oracle_messages = relay_key_forward([s.tolist() for s in segments])
-            key_i, key_j, messages = relay_path_key(pools, allocation, record.path_set, path)
+            key_i, key_j, messages = relay_path_key(pools, path.edges)
             assert key_i.tolist() == packed(segments[0])
             assert key_j.tolist() == packed(oracle_key)
             assert [m.tolist() for m in messages] == [packed(m) for m in oracle_messages]
@@ -289,22 +285,16 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
     assert key.hex() == bytes(packed(expected_key)).hex()
 
 
-def test_segment_refuses_bits_outside_the_stored_run():
-    """A drawn KeyPool holds one segment's bits alone, so a read of any
-    other bits of the pool, past its end, before its start, shorter or with
-    its ends swapped, is refused rather than answered with other bits."""
+def test_a_drawn_pool_holds_its_segment_alone():
+    """A drawn KeyPool holds one segment's bits alone, packed: six bits in
+    one byte, and a segment of no bits in no byte."""
     pool = accumulate_pools({(0, 1): (3, 9)}, {(0, 1): 4}, stream(0))[(0, 1)]
     assert len(pool) == 6
     assert pool.bits.nbytes == 1
     assert len(unpacked(pool)) == 6
-    assert pool.segment(3, 9) is pool.bits
-    for start, stop in ((3, 10), (2, 9), (4, 9), (3, 8), (9, 3)):
-        with pytest.raises(ValueError, match=f"bits {start}:{stop} of the pool "
-                                             "were not drawn; 3:9 were"):
-            pool.segment(start, stop)
     empty = accumulate_pools({(0, 1): (5, 5)}, {(0, 1): 4}, stream(0))[(0, 1)]
     assert len(empty) == 0
-    assert empty.segment(5, 5).nbytes == 0
+    assert empty.bits.nbytes == 0
 
 
 def test_pools_refused_beyond_physical_memory(k23):
@@ -312,18 +302,71 @@ def test_pools_refused_beyond_physical_memory(k23):
     routing = RoutingList()
     routing.add(SET_A, 300)
     routing.add(SET_B, 200)
-    # over 2 s the pair key takes 1000 bits, 125 bytes.  At once only one
-    # record's four segments are held: SET_A's 600-bit ones take 4 x 75
-    # bytes, SET_B's 400-bit ones 4 x 50.  Refused before anything is drawn
-    with mock.patch.object(keysim, "_physical_memory", return_value=424), \
+    # over 2 s the pair key takes 1000 bits, 125 bytes.  Relaying one
+    # record holds its four segments, one joined from steps, a 2-hop path's
+    # message and two fold keys, and two blocks: 10 x 75 bytes for SET_A's
+    # 600-bit segments, plus 76 raw words for its longest step, 608 bytes;
+    # SET_B's 400-bit ones take 10 x 50 + 8 x 51.  Refused before anything
+    # is drawn
+    with mock.patch.object(keysim, "_physical_memory", return_value=1482), \
             mock.patch.object(keysim, "accumulate_pools",
                               wraps=keysim.accumulate_pools) as draw:
         with pytest.raises(CapacityError, match="pair keys and relay segments of "
-                                                "425 bytes at tau 2 s exceed the 424 bytes"):
+                                                "1483 bytes at tau 2 s exceed the 1482 bytes"):
             simulate(graph, routing, Decimal(2), seed=0)
     assert not draw.called
-    with mock.patch.object(keysim, "_physical_memory", return_value=425):
+    with mock.patch.object(keysim, "_physical_memory", return_value=1483):
         assert simulate(graph, routing, Decimal(2), seed=0).pair_keys[(0, 4)].agreed
+
+
+def test_memory_count_takes_the_longest_member_path(ring6):
+    """The messages counted are those of the record's longest path: over
+    1 s, 0 - 1 - 4 and 0 - 3 - 2 - 5 - 4 carry 100-bit segments of 13
+    bytes on six hops, and relaying the 4-hop path holds three messages."""
+    graph, _ = ring6
+    routing = RoutingList()
+    routing.add(MPathSet((Path((0, 1, 4)), Path((0, 3, 2, 5, 4)))), 100)
+    # 13 key bytes, (6 + 4 + 4) x 13 and 14 raw words
+    with mock.patch.object(keysim, "_physical_memory", return_value=306):
+        with pytest.raises(CapacityError, match="of 307 bytes at tau 1 s"):
+            simulate(graph, routing, 1, seed=0)
+    with mock.patch.object(keysim, "_physical_memory", return_value=307):
+        assert simulate(graph, routing, 1, seed=0).pair_keys[(0, 4)].agreed
+
+
+def counted_bytes(graph, routing, tau):
+    """The bytes that ``simulate``'s memory refusal counts."""
+    with mock.patch.object(keysim, "_physical_memory", return_value=0):
+        with pytest.raises(CapacityError) as refused:
+            simulate(graph, routing, tau, seed=0)
+    return int(re.search(r"of (\d+) bytes", str(refused.value)).group(1))
+
+
+@pytest.mark.parametrize("network, tau, step_words", [
+    ("mesh10", 10_000, keysim._STEP_WORDS),
+    ("mesh10", 10_000, 1 << 12),
+    ("k23", 10_000, keysim._STEP_WORDS),
+    ("k23", 10_000, 1 << 12),
+], ids=["mesh10", "mesh10-small-steps", "k23", "k23-small-steps"])
+def test_memory_count_bounds_what_assembly_holds(network, tau, step_words):
+    """What ``assemble_pair_keys`` allocates, from its entry to its peak,
+    is no more than the refusal counts: on mesh10 over 10^4 s, with 100 kB
+    segments in one step of 0.8 MB raw words or in 25 steps, and on k23,
+    whose 2-hop paths leave the raw words most of what a record holds."""
+    graph, target, config = load_network(NETWORKS_DIR / f"{network}.json")
+    routing = run(graph, target, config).routing_list
+    tau = Decimal(tau)
+    allocation = allocate_segments(keysim._pool_lengths(graph, tau), routing, graph, tau)
+    stream(0)  # the generator's first seeding imports modules, once a process
+    with mock.patch.object(keysim, "_STEP_WORDS", step_words):
+        counted = counted_bytes(graph, routing, tau)
+        tracemalloc.start()
+        try:
+            assemble_pair_keys(routing, allocation, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= counted
 
 
 def test_simulate_holds_the_pair_keys_and_one_record_at_a_time():
@@ -476,9 +519,7 @@ def test_relay_matches_forward_oracle(k23):
         pools = draw_record(sim, record.path_set)
         for path in record.path_set.paths:
             segments = [unpacked(pools[edge]) for edge in path.edges]
-            key_i, key_j, messages = relay_path_key(
-                pools, sim.allocation, record.path_set, path
-            )
+            key_i, key_j, messages = relay_path_key(pools, path.edges)
             oracle_key, oracle_messages = relay_key_forward(
                 [s.tolist() for s in segments]
             )
@@ -489,6 +530,12 @@ def test_relay_matches_forward_oracle(k23):
                 np.packbits(m).tolist() for m in oracle_messages
             ]
             assert np.array_equal(key_i, key_j)
+            # a node inside the path recovers the key from the edges before
+            # it, as the adversary does at its anchor
+            for cut in range(1, path.hops + 1):
+                prefix_i, prefix_j, _ = relay_path_key(pools, path.edges[:cut])
+                assert prefix_i is pools[path.edges[0]].bits
+                assert np.array_equal(prefix_j, key_i)
 
 
 def test_endpoint_agreement_across_seeds(k23):
@@ -643,7 +690,7 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
             {edge: allocation[SET_A, edge] for edge in SET_A.edges}, allocation.origins, stream(9)
         )
         for path in SET_A.paths:
-            key_i, key_j, _ = relay_path_key(pools, allocation, SET_A, path)
+            key_i, key_j, _ = relay_path_key(pools, path.edges)
             assert np.array_equal(key_i, key_j)
         with mock.patch.object(keysim, "accumulate_pools", patched):
             key = assemble_pair_keys(routing, allocation, sim.seed)[(0, 4)]

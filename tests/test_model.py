@@ -12,7 +12,7 @@ from qkdroute.model import (
     validate,
 )
 
-from conftest import as_rate_matrix
+from conftest import as_array, as_rate_matrix
 
 
 def test_graph_basics(ring6):
@@ -34,9 +34,9 @@ def test_rate_matrix_symmetry(dense5):
     graph, _ = dense5
     mat = graph.rate_matrix()
     assert all(type(value) is int for value in mat.cells)
-    assert np.array_equal(mat, np.asarray(mat).T)
+    assert np.array_equal(as_array(mat), as_array(mat).T)
     assert mat[0, 1] == 500 and mat[2, 4] == 300
-    assert mat[0, 4] == 0 and np.asarray(mat).diagonal().sum() == 0
+    assert mat[0, 4] == 0 and as_array(mat).diagonal().sum() == 0
 
 
 def test_graph_rejects_self_loop():
@@ -78,20 +78,20 @@ def test_disconnected_graph_detected():
 def test_uniform_target():
     target = uniform_target(3, 250)
     assert target[0, 1] == 250 and target[1, 0] == 250
-    assert np.asarray(target).diagonal().sum() == 0
+    assert as_array(target).diagonal().sum() == 0
     check_target_matrix(target, 3)
 
 
 def test_target_matrix_checks():
-    bad = np.asarray(uniform_target(3, 100))
+    bad = as_array(uniform_target(3, 100))
     bad[0, 1] = 50
     with pytest.raises(ValidationError, match="symmetric"):
         check_target_matrix(as_rate_matrix(bad), 3)
-    diag = np.asarray(uniform_target(3, 100))
+    diag = as_array(uniform_target(3, 100))
     diag[1, 1] = 7
     with pytest.raises(ValidationError, match="diagonal"):
         check_target_matrix(as_rate_matrix(diag), 3)
-    neg = np.asarray(uniform_target(3, 100))
+    neg = as_array(uniform_target(3, 100))
     neg[0, 2] = neg[2, 0] = -5
     with pytest.raises(ValidationError, match="non-negative"):
         check_target_matrix(as_rate_matrix(neg), 3)

@@ -15,6 +15,8 @@ from qkdroute.model import NetworkGraph, RouterConfig, ValidationError
 from qkdroute.netfile import NetworkFormatError, load_network
 from qkdroute.units import UnitScale
 
+from conftest import as_array
+
 
 def write(tmp_path, doc, name="net.json"):
     path = tmp_path / name
@@ -220,5 +222,5 @@ def test_round_trip_random_networks(case):
     assert graph2.node_count == graph.node_count
     assert graph2.rates == graph.rates
     assert graph2.scale == graph.scale
-    assert np.array_equal(target2, target)
+    assert np.array_equal(as_array(target2), target)
     assert config2 == config

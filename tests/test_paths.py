@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from qkdroute.paths import (
     set_deficiency,
 )
 
+from conftest import as_array
 from oracles import dfs_simple_paths, ordered_disjoint_subsets, reference_unroutable_pairs
 
 
@@ -201,7 +201,7 @@ def test_paths_longer_than_the_recursion_limit():
 
 def test_set_deficiency_takes_worst_edge(dense5):
     graph, target = dense5
-    deficiency = np.asarray(target) - graph.rate_matrix()
+    deficiency = as_array(target) - as_array(graph.rate_matrix())
     s = MPathSet((Path((1, 0, 3)), Path((1, 2, 3))))
     assert set_deficiency(s, deficiency) == -300
     s2 = MPathSet((Path((1, 0, 3)), Path((1, 2, 4, 3))))
