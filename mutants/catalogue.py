@@ -71,8 +71,15 @@ MUTANTS = (
     Mutant(
         "flow: hop-limited confirmation skipped",
         "qkdroute/paths.py",
-        "hop_limit is not None\n            and not enumerate_m_path_sets(",
-        "False\n            and not enumerate_m_path_sets(",
+        "hop_limit is not None\n            and next(",
+        "False\n            and next(",
+        FLOW_TESTS,
+    ),
+    Mutant(
+        "flow: a hop-bounded set found but not heeded",
+        "qkdroute/paths.py",
+        "None) is None",
+        "None) is False",
         FLOW_TESTS,
     ),
     Mutant(
@@ -84,10 +91,12 @@ MUTANTS = (
     ),
     # the path enumerators
     Mutant(
-        "enumeration: disjoint sets in reversed order",
+        "enumeration: a prefix's other options taken before its extension",
         "qkdroute/paths.py",
-        "    return rows\n",
-        "    return rows[::-1]\n",
+        "stack.append((prefix, options))\n"
+        "                stack.append((prefix + (k,), options & ~conflicts[k]))",
+        "stack.append((prefix + (k,), options & ~conflicts[k]))\n"
+        "                stack.append((prefix, options))",
         (
             "tests/test_paths.py::test_disjoint_sets_match_oracle",
             "tests/test_paths.py::test_random_graphs_match_oracle",
@@ -107,8 +116,8 @@ MUTANTS = (
     Mutant(
         "table: rows in reversed order",
         "qkdroute/engine.py",
-        "self.rows = _disjoint_rows([p[1:-1] for p in paths], m)",
-        "self.rows = _disjoint_rows([p[1:-1] for p in paths], m)[::-1]",
+        "self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))",
+        "self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))[::-1]",
         ("tests/test_engine.py::test_candidate_table_matches_reference",),
     ),
     Mutant(
@@ -184,8 +193,8 @@ MUTANTS = (
         "qkdroute/engine.py",
         """        audit = (
             tuple(
-                (path_set, max(map(deficiency.__getitem__, row_cells)))
-                for path_set, row_cells in map(table.candidate, range(len(table)))
+                (path_set, score)
+                for path_set, score, row_cells in table.scored(deficiency)
                 if short.isdisjoint(row_cells)
             )
             if trace_candidates
@@ -200,8 +209,8 @@ MUTANTS = (
             deficiency[cell] += step
         audit = (
             tuple(
-                (path_set, max(map(deficiency.__getitem__, row_cells)))
-                for path_set, row_cells in map(table.candidate, range(len(table)))
+                (path_set, score)
+                for path_set, score, row_cells in table.scored(deficiency)
                 if short.isdisjoint(row_cells)
             )
             if trace_candidates
@@ -209,6 +218,18 @@ MUTANTS = (
         )
 """,
         ("tests/test_acceptance.py::test_acceptance_dense5_golden_run",),
+    ),
+    # the one row score, which the audit and the paths command share
+    *(
+        Mutant(f"score: a row scored by its least loaded edge, seen by {who}",
+               "qkdroute/engine.py",
+               "yield path_set, max(map(deficiency.__getitem__, cells)), cells",
+               "yield path_set, min(map(deficiency.__getitem__, cells)), cells",
+               (test,))
+        for who, test in (
+            ("the audit", "tests/test_acceptance.py::test_acceptance_dense5_golden_run"),
+            ("paths", "tests/test_cli.py::test_paths_command"),
+        )
     ),
     Mutant(
         "records: the sorted records kept after a change",
@@ -410,11 +431,28 @@ MUTANTS = (
         ("tests/test_keysim.py::test_packed_relay_and_assembly_match_an_unpacked_oracle",),
     ),
     Mutant(
-        "keys: a record's block sliced from the pair key at its byte, not its bit",
+        "keys: a record's block read from the pair key at its byte, not its bit",
         "qkdroute/keysim.py",
         "first, lead = divmod(start, 8)",
         "first, lead = start // 8, 0",
         ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
+    ),
+    Mutant(
+        "keys: a record's block realigned with the next byte's bits one off",
+        "qkdroute/keysim.py",
+        "spill >> (8 - lead)",
+        "spill >> (9 - lead)",
+        ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
+    ),
+    Mutant(
+        "keys: a record's block read with the next block's bits in its pad",
+        "qkdroute/keysim.py",
+        "    block[size - 1 :] &= 0xFF << -(stop - start) % 8 & 0xFF\n",
+        "",
+        (
+            "tests/test_keysim.py::test_multi_record_pair_key_layout",
+            "tests/test_keysim.py::test_every_compromise_subset_cross_checks",
+        ),
     ),
     Mutant(
         "keys: the simulation report unpacks each pair key",

@@ -4,7 +4,7 @@ The package splits into:
 
 - :mod:`qkdroute.model`: graphs, rate matrices, validation
 - :mod:`qkdroute.netfile`: the JSON network description format
-- :mod:`qkdroute.paths`: simple-path and disjoint path-set enumeration
+- :mod:`qkdroute.paths`: disjoint path-set enumeration and the routability test
 - :mod:`qkdroute.engine`: the greedy rate-routing loop
 - :mod:`qkdroute.tiebreak`: the seeded stream that breaks its ties
 - :mod:`qkdroute.keysim`: bit-level key delivery and compromise analysis
@@ -20,7 +20,6 @@ from .engine import (
     RoutingOutcome,
     RoutingRecord,
     StopReason,
-    apply_increment,
     cost_delta,
     run,
 )
@@ -34,14 +33,7 @@ from .model import (
     validate,
 )
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
-from .paths import (
-    MPathSet,
-    Path,
-    enumerate_m_path_sets,
-    enumerate_simple_paths,
-    find_unroutable_pairs,
-    set_deficiency,
-)
+from .paths import MPathSet, Path, find_unroutable_pairs
 from .units import UnitScale
 
 # keysim needs numpy, which nothing else here does, so its names load on use
@@ -81,16 +73,12 @@ __all__ = [
     "UnitScale",
     "ValidationError",
     "ValidationReport",
-    "apply_increment",
     "assess_compromise",
     "compromise_probability_bound",
     "cost_delta",
-    "enumerate_m_path_sets",
-    "enumerate_simple_paths",
     "find_unroutable_pairs",
     "load_network",
     "run",
-    "set_deficiency",
     "simulate",
     "uniform_target",
     "validate",

@@ -16,19 +16,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from operator import sub
 from pathlib import Path as FsPath
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__, engine
-from .model import CapacityError, RateMatrix, RouterConfig, ValidationError, validate
+from .model import CapacityError, RouterConfig, ValidationError, validate
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
-from .paths import (
-    enumerate_m_path_sets,
-    enumerate_simple_paths,
-    find_unroutable_pairs,
-    set_deficiency,
-)
+from .paths import find_unroutable_pairs
 from .units import as_decimal
 
 EXIT_OK = 0
@@ -239,18 +233,14 @@ def cmd_paths(args: argparse.Namespace) -> int:
     graph, target, file_config = load_network(args.input)
     config = _merged_config(file_config, args, graph.scale)
     i, j = args.pair
-    paths = enumerate_simple_paths(graph, i, j, config.hop_limit)
-    sets = enumerate_m_path_sets(paths, config.m)
-    deficiency = RateMatrix(
-        graph.node_count, map(sub, target.cells, graph.rate_matrix().cells)
-    )
+    # the rows route ranks, scored as its trace_candidates audit scores them
+    table = engine.CandidateTable(graph, (i, j), config.m, config.hop_limit)
     print(f"pair ({min(i, j)}, {max(i, j)}), M={config.m}: "
-          f"{len(paths)} simple paths, {len(sets)} disjoint sets")
-    if not sets:
+          f"{len(table.paths)} simple paths, {len(table)} disjoint sets")
+    if not table:
         print("no disjoint path set exists for this pair")
         return EXIT_OK
-    for s in sets:
-        d = set_deficiency(s, deficiency)
+    for s, d, _ in table.scored(engine.pair_deficiency(graph, target)):
         print(f"{s}  D={graph.scale.kbps_str(d)}  hops={s.total_hops}")
     return EXIT_OK
 

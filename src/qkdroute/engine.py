@@ -31,8 +31,8 @@ with one bitmask of rows per edge and per hop count.  A row becomes an
 least loaded rows are found by walking the pair's edges in deficiency
 levels, from the highest down, dropping the rows of each level while any row
 is left; no row is scored.  The strict guard is a set of short edges that
-only grows.  ``apply_increment`` and ``set_deficiency`` are the matrix
-definitions the loop agrees with.
+only grows.  ``CandidateTable.scored`` is the one place that scores rows,
+for the ``trace_candidates`` audit and the ``paths`` command.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
     Edge,
@@ -55,6 +55,7 @@ from .paths import MPathSet, Path, _disjoint_rows, _node_paths
 from .tiebreak import TieBreakStream
 
 
+# no command raises this; perfbench/tracer.py wraps apply_increment by name
 class GuardViolation(RuntimeError):
     """An increment would drive an edge below one rate step."""
 
@@ -179,6 +180,11 @@ def _positions(n: int) -> Dict[Edge, int]:
     return positions
 
 
+def pair_deficiency(graph: NetworkGraph, target: RateMatrix) -> List[int]:
+    """target - edge rate, one ``int`` per pair i < j in row order."""
+    return [target[pair] - graph.rate(*pair) for pair in _pairs(graph.node_count)]
+
+
 def cost_delta(deficiency: Sequence[int]) -> int:
     """Largest shortfall target - effective over the unordered pairs.
 
@@ -222,7 +228,7 @@ class CandidateTable:
     ) -> None:
         position = self._position = _positions(graph.node_count).__getitem__
         paths = self.paths = _node_paths(graph, *pair, hop_limit)
-        self.rows = _disjoint_rows([p[1:-1] for p in paths], m)
+        self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))
         # each path's mask of the rows holding it, ORed into its edges below;
         # a path in no row has no edge in the table
         holding = [0] * len(paths)
@@ -254,6 +260,15 @@ class CandidateTable:
             built = self._built[k] = (path_set, tuple(map(self._position, path_set.edges)))
         return built
 
+    def scored(
+        self, deficiency: Sequence[int]
+    ) -> Iterator[Tuple[MPathSet, int, Tuple[int, ...]]]:
+        """Each row's path set, score and edge positions, in table order.  A
+        row scores the largest value of the per-pair ``deficiency`` list
+        over its cells."""
+        for path_set, cells in map(self.candidate, range(len(self))):
+            yield path_set, max(map(deficiency.__getitem__, cells)), cells
+
 
 def optimal_sets(
     table: CandidateTable, deficiency: Sequence[int], short: Container[int]
@@ -262,14 +277,13 @@ def optimal_sets(
     to minimal total hop count, in table order; empty when every row touches
     a short edge.
 
-    A row's score is the largest value of the per-pair ``deficiency`` list
-    over its cells, which is ``set_deficiency`` of its set.  No row is
-    scored: the table's edges are grouped by deficiency, and the groups are
-    walked from the highest down, dropping the rows that use each group's
-    edges for as long as some row is left.  The group that would drop every
-    remaining row holds the least score, and the rows left are exactly
-    those that score it.  Their mask is then narrowed to the first hop
-    count it meets.
+    A row's score is the one ``CandidateTable.scored`` gives, but no row is
+    scored here: the table's edges are grouped by deficiency, and the
+    groups are walked from the highest down, dropping the rows that use
+    each group's edges for as long as some row is left.  The group that
+    would drop every remaining row holds the least score, and the rows left
+    are exactly those that score it.  Their mask is then narrowed to the
+    first hop count it meets.
     """
     live = (1 << len(table)) - 1
     levels: Dict[int, int] = {}
@@ -298,6 +312,7 @@ def optimal_sets(
     return finalists
 
 
+# no command calls this; perfbench/tracer.py wraps it by name
 def apply_increment(
     effective: RateMatrix,
     pair: Edge,
@@ -363,7 +378,7 @@ def run(
     routing = RoutingList()
     trace: List[IterationTrace] = []
     # target - effective, one entry per pair i < j in row order
-    deficiency = [target[pair] - graph.rate(*pair) for pair in _pairs(n)]
+    deficiency = pair_deficiency(graph, target)
     # under the strict guard, the edges holding less than delta_r, whose
     # deficiency exceeds target - delta_r.  A step debits member edges and
     # credits only the remote pair it serves, so no edge's deficiency falls
@@ -418,8 +433,8 @@ def run(
         chosen, cells = table.candidate(row)
         audit = (
             tuple(
-                (path_set, max(map(deficiency.__getitem__, row_cells)))
-                for path_set, row_cells in map(table.candidate, range(len(table)))
+                (path_set, score)
+                for path_set, score, row_cells in table.scored(deficiency)
                 if short.isdisjoint(row_cells)
             )
             if trace_candidates

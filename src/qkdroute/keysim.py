@@ -29,7 +29,8 @@ segment is packed eight bits to a byte from its first bit on.  The relay XORs
 those bytes, the record's block is written at its bit offset into its pair's
 packed key, and the segments are dropped.  A segment read again is drawn
 again; the compromise analysis draws only the segments that an adversary's
-anchors reach.
+anchors reach, and compares each block it rebuilds, packed, with the
+record's block realigned out of the pair key.
 
 A record's key on one member path is the segment on the path's first link.
 Each interior node publishes the XOR of the segments on its two adjacent
@@ -385,6 +386,18 @@ def _write_block(key: np.ndarray, offset: int, block: np.ndarray) -> None:
     spill |= (block << (8 - shift))[: len(spill)]
 
 
+def _read_block(key: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Bits ``start:stop`` of the packed ``key``, packed from bit 0 on with
+    the pad bits zero: the block that ``_write_block`` wrote there."""
+    first, lead = divmod(start, 8)
+    size = (stop - start + 7) // 8
+    block = key[first : first + size] << lead
+    spill = key[first + 1 : first + 1 + size]
+    block[: len(spill)] |= spill >> (8 - lead)
+    block[size - 1 :] &= 0xFF << -(stop - start) % 8 & 0xFF
+    return block
+
+
 @dataclass(frozen=True)
 class KeySimulation:
     """Everything one end-to-end key delivery simulation keeps: the layout
@@ -399,13 +412,12 @@ class KeySimulation:
     pair_keys: Mapping[Edge, PairKey]
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
-        """True XOR block a record contributes to its pair key, one byte per
-        bit, sliced out of the pair key at the bits the allocation gives
-        it."""
-        start, stop = self.allocation.blocks[path_set]
-        first, lead = divmod(start, 8)
-        packed = self.pair_keys[path_set.endpoints].packed[first : (stop + 7) // 8]
-        return np.unpackbits(packed)[lead : lead + stop - start]
+        """True XOR block a record contributes to its pair key, packed eight
+        bits to a byte from its first bit, pad bits zero: the bits the
+        allocation gives it, realigned out of the pair key."""
+        return _read_block(
+            self.pair_keys[path_set.endpoints].packed, *self.allocation.blocks[path_set]
+        )
 
 
 def simulate(
@@ -458,8 +470,9 @@ def adversary_reconstruct(
     otherwise only each path's segments up to its anchor are drawn.
 
     Returns:
-        The key block, one byte per bit, or None when reconstruction is
-        impossible.
+        The key block, packed eight bits to a byte from its first bit, pad
+        bits zero, as ``KeySimulation.record_block`` gives it; or None when
+        reconstruction is impossible.
     """
     corrupt = frozenset(compromised)
     reach = []  # each path's edges up to its anchor
@@ -474,9 +487,7 @@ def adversary_reconstruct(
         allocation.origins,
         np.random.default_rng(sim.seed).bit_generator,
     )
-    block = functools.reduce(np.bitwise_xor, (relay_path_key(pools, edges)[1] for edges in reach))
-    start, stop = allocation.blocks[path_set]
-    return np.unpackbits(block, count=stop - start)
+    return functools.reduce(np.bitwise_xor, (relay_path_key(pools, edges)[1] for edges in reach))
 
 
 def check_compromise(
@@ -519,17 +530,13 @@ def assess_compromise(
         leaked = record_is_leaked(record.path_set, corrupt)
         rebuilt = adversary_reconstruct(sim, record.path_set, corrupt)
         if leaked != (rebuilt is not None):
-            raise AssertionError(
-                "structural leak rule disagrees with adversary reconstruction"
-            )
-        if rebuilt is not None and not np.array_equal(
-            rebuilt, sim.record_block(record.path_set)
-        ):
+            raise AssertionError("structural leak rule disagrees with adversary reconstruction")
+        # both blocks are packed with zero pad bits, so equal blocks are equal bytes
+        if leaked and rebuilt.tobytes() != sim.record_block(record.path_set).tobytes():
             raise AssertionError("adversary reconstructed an incorrect block")
         pair = record.pair
-        leaked_by_pair[pair] = leaked_by_pair.get(pair, 0) + (
-            len(rebuilt) if leaked else 0
-        )
+        start, stop = sim.allocation.blocks[record.path_set]
+        leaked_by_pair[pair] = leaked_by_pair.get(pair, 0) + (stop - start if leaked else 0)
         verdict = FULLY_LEAKED if leaked else SECURE
         status[pair] = (
             verdict if status.get(pair, verdict) == verdict else PARTIALLY_LEAKED

@@ -10,11 +10,13 @@ a max-flow question (Menger's theorem), which ``find_unroutable_pairs``
 answers without enumerating paths unless a hop limit asks it to confirm.
 
 Two private kernels do the enumerating, on plain tuples: ``_node_paths``
-lists the simple paths as node tuples, and ``_disjoint_rows`` lists the
-disjoint sets as tuples of path indices.  ``enumerate_simple_paths`` and
-``enumerate_m_path_sets`` wrap them in ``Path`` and ``MPathSet`` objects;
-the engine's candidate table uses them directly and builds a set's objects
-only when it routes over that set.
+lists the simple paths as node tuples, and ``_disjoint_rows`` yields the
+disjoint sets as tuples of path indices.  Every command enumerates through
+them: the engine's candidate table, which ``route`` ranks and ``paths``
+lists, and the hop-limited confirmation here, which stops at the first
+set.  ``enumerate_simple_paths``, ``enumerate_m_path_sets``,
+``set_deficiency`` and ``PairPathCache`` wrap them in ``Path`` and
+``MPathSet`` objects for the benchmark's tracer alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .model import Edge, NetworkGraph, NodeId, RateMatrix, canonical_edge
 
@@ -172,34 +174,26 @@ def _node_paths(
     return found
 
 
+# no command calls this; perfbench/tracer.py wraps it by name
 def enumerate_simple_paths(
     graph: NetworkGraph,
     i: NodeId,
     j: NodeId,
     hop_limit: Optional[int] = None,
 ) -> Tuple[Path, ...]:
-    """All simple paths between i and j, lexicographic by node sequence.
-
-    Args:
-        graph: network to search.
-        i, j: distinct endpoints; orientation of the result is always from
-            min(i, j), so (i, j) and (j, i) return the same tuple.
-        hop_limit: keep only paths with at most this many hops.
-
-    Returns:
-        Paths in deterministic lexicographic order.
-    """
+    """The paths of ``_node_paths`` as ``Path`` objects, in its order."""
     return tuple(map(Path, _node_paths(graph, i, j, hop_limit)))
 
 
 def _disjoint_rows(
     interiors: Sequence[Sequence[NodeId]], m: int
-) -> List[Tuple[int, ...]]:
-    """Every size-m set of pairwise disjoint ``interiors``, as a tuple of
-    increasing indices, in ``itertools.combinations`` order.
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every size-m set of pairwise disjoint ``interiors``, as a tuple
+    of increasing indices, in ``itertools.combinations`` order.
 
     Only disjoint prefixes are extended, so the work follows the sets found
-    rather than every m-combination.
+    rather than every m-combination, and a caller that stops early stops
+    the search.
     """
     # conflicts[k]: bitmask over the indices of the interiors that share a
     # node with interior k
@@ -211,7 +205,6 @@ def _disjoint_rows(
         reduce(or_, map(holders.__getitem__, interior), 0)
         for interior in interiors
     ]
-    rows: List[Tuple[int, ...]] = []
     # each entry: a prefix and the bitmask of the later interiors disjoint
     # from every member of it; taking them lowest index first, and a longer
     # prefix before the rest of its parent's options, keeps combinations order
@@ -223,14 +216,14 @@ def _disjoint_rows(
             options ^= low
             k = low.bit_length() - 1
             if len(prefix) == m - 1:
-                rows.append(prefix + (k,))
+                yield prefix + (k,)
             else:
                 stack.append((prefix, options))
                 stack.append((prefix + (k,), options & ~conflicts[k]))
                 break
-    return rows
 
 
+# no command calls this; perfbench/tracer.py wraps it by name
 def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]:
     """All size-m subsets of ``paths`` that are pairwise internally disjoint.
 
@@ -253,17 +246,16 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
     )
 
 
+# no command calls this; perfbench/tracer.py wraps it by name
 def set_deficiency(path_set: MPathSet, deficiency: RateMatrix) -> int:
     """Worst (largest) pair deficiency over every edge of every member path."""
     return max(int(deficiency[u, v]) for u, v in path_set.edges)
 
 
+# no command uses this; perfbench/tracer.py wraps its method by name
 class PairPathCache:
-    """A memo of path-set enumerations, keyed by node pair.
-
-    ``engine.run`` builds its own index-level tables instead.  Not
-    thread-safe; each caller owns its own instance.
-    """
+    """A memo of path-set enumerations, keyed by node pair.  Not
+    thread-safe; each caller owns its own instance."""
 
     def __init__(self, graph: NetworkGraph, m: int, hop_limit: Optional[int] = None):
         self._graph = graph
@@ -289,8 +281,9 @@ def find_unroutable_pairs(
     two endpoints, and every edge becomes two arcs of capacity 1.  Breadth-
     first augmenting paths stop once m units pass.  A remote pair has no
     direct link, so without a hop limit flow >= m is exactly "an m-set
-    exists".  With one, flow >= m is only necessary, so the pairs that pass
-    are confirmed by enumerating their hop-bounded sets.
+    exists".  With one, flow >= m is only necessary, so each pair that
+    passes is confirmed by finding one hop-bounded set, the first the
+    kernels yield.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -337,7 +330,8 @@ def find_unroutable_pairs(
             flow += 1
         if flow < m or (
             hop_limit is not None
-            and not enumerate_m_path_sets(enumerate_simple_paths(graph, i, j, hop_limit), m)
+            and next(_disjoint_rows([p[1:-1] for p in _node_paths(graph, i, j, hop_limit)], m),
+                     None) is None
         ):
             unroutable.append((i, j))
     return tuple(unroutable)

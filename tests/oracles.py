@@ -7,19 +7,22 @@ draws each pool unpacked in a single call.  Shared bugs with the production
 code would defeat the point, so nothing here imports from qkdroute beyond
 plain data types, with one exception: the unroutable-pair reference is the
 enumeration scan that the max-flow test replaced, built on the library's
-enumerators, which are themselves checked against the DFS oracle.  The
-candidate-table reference is the engine's former builder: one row per
-path-set object, its masks ORed in row by row.
+enumerators, which are themselves checked against the DFS oracle, and so is
+the reference listing of ``qkdroute paths``.  The candidate-table reference
+is the engine's former builder: one row per path-set object, its masks ORed
+in row by row.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
-from qkdroute.paths import enumerate_m_path_sets, enumerate_simple_paths
+from qkdroute.model import RateMatrix
+from qkdroute.paths import enumerate_m_path_sets, enumerate_simple_paths, set_deficiency
 
 
 def dfs_simple_paths(
@@ -80,6 +83,24 @@ def reference_unroutable_pairs(
         pair for pair in graph.remote_pairs()
         if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
     )
+
+
+def reference_paths_listing(graph, target, pair, m: int, hop_limit: int | None) -> str:
+    """What ``qkdroute paths`` prints for a pair: its simple path and m-set
+    counts, then every m-set as an object with its worst member edge's
+    target - rate and its total hops."""
+    i, j = pair
+    paths = enumerate_simple_paths(graph, i, j, hop_limit)
+    sets = enumerate_m_path_sets(paths, m)
+    deficiency = RateMatrix(graph.node_count, map(sub, target.cells, graph.rate_matrix().cells))
+    lines = [f"pair ({min(i, j)}, {max(i, j)}), M={m}: "
+             f"{len(paths)} simple paths, {len(sets)} disjoint sets"]
+    if not sets:
+        lines.append("no disjoint path set exists for this pair")
+    for s in sets:
+        score = graph.scale.kbps_str(set_deficiency(s, deficiency))
+        lines.append(f"{s}  D={score}  hops={s.total_hops}")
+    return "".join(line + "\n" for line in lines)
 
 
 class Candidate(NamedTuple):

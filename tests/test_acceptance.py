@@ -184,10 +184,11 @@ def test_acceptance_mesh10_properties(mesh10):
     for pair, recs in multi.items():
         key = sim.pair_keys[pair]
         assert key.agreed
-        expected = np.concatenate(
-            [sim.record_block(r.path_set) for r in recs]
-        )
-        assert np.array_equal(key.bits, expected)
+        blocks = []  # each record's block, one byte per bit
+        for r in recs:
+            start, stop = sim.allocation.blocks[r.path_set]
+            blocks.append(np.unpackbits(sim.record_block(r.path_set), count=stop - start))
+        assert np.array_equal(key.bits, np.concatenate(blocks))
 
 
 def _connected(n: int, edges: list) -> bool:

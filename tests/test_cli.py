@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from qkdroute.artifacts import read_routing_artifact
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 from qkdroute.keysim import record_is_leaked
 from qkdroute.netfile import load_network
+
+from conftest import NETWORKS_DIR
+from oracles import reference_paths_listing
 
 
 def write_net(tmp_path, name, doc):
@@ -363,6 +367,25 @@ def test_paths_accepts_reversed_pair(dense5_file, capsys):
         "paths", "--input", str(dense5_file), "--pair", "3,1",
     ]) == EXIT_OK
     assert "pair (1, 3)" in capsys.readouterr().out
+
+
+def test_paths_lists_what_the_object_level_reference_lists(capsys):
+    # every ordered node pair of the four fixtures, direct and reversed
+    # pairs included, at M from 1 to 3 and hop limits none, 3 and 4
+    cases = 0
+    for network in sorted(NETWORKS_DIR.glob("*.json")):
+        graph, target, _ = load_network(network)
+        for (i, j), m, hop_limit in itertools.product(
+            itertools.permutations(range(graph.node_count), 2), (1, 2, 3), (None, 3, 4)
+        ):
+            argv = ["paths", "--input", str(network), "--pair", f"{i},{j}", "--m", str(m)]
+            if hop_limit is not None:
+                argv += ["--hop-limit", str(hop_limit)]
+            assert main(argv) == EXIT_OK
+            listing = reference_paths_listing(graph, target, (i, j), m, hop_limit)
+            assert capsys.readouterr().out == listing
+            cases += 1
+    assert cases == 1440
 
 
 def test_paths_reports_missing_sets(tmp_path, capsys):

@@ -385,6 +385,27 @@ def test_simulate_holds_the_pair_keys_and_one_record_at_a_time():
     assert peak < key_bytes + 6 * 2**20
 
 
+def test_compromise_check_holds_no_more_than_relaying_a_record():
+    """On mesh10 over 10^4 s with every node compromised, every record is
+    opened, and ``assess_compromise`` compares each rebuilt block, packed,
+    with the record's block in the pair key.  What it allocates from its
+    entry to its peak is within what the memory refusal counts, over the
+    pair keys, for relaying a record."""
+    graph, out = mesh10_routed()
+    tau = Decimal(10_000)
+    sim = simulate(graph, out.routing_list, tau, seed=0)
+    key_bytes = sum(key.packed.nbytes for key in sim.pair_keys.values())
+    relay_bytes = counted_bytes(graph, out.routing_list, tau) - key_bytes
+    tracemalloc.start()
+    try:
+        report = assess_compromise(sim, range(graph.node_count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(report.pair_status.values()) == {FULLY_LEAKED}
+    assert peak <= relay_bytes
+
+
 def test_simulate_draws_each_segment_once_and_the_adversary_to_its_anchors(ring6):
     """``simulate`` draws every allocated segment once, record by record.
     ``assess_compromise`` then draws only for the records the corrupt nodes
@@ -562,15 +583,17 @@ def test_multi_record_pair_key_layout(k23):
     key = sim.pair_keys[(0, 4)]
     assert key.agreed
     assert len(key.bits) == 500
-    # the key is the records' XOR blocks concatenated in canonical order
+    # the key is the records' XOR blocks concatenated in canonical order;
+    # a block is realigned out of it from bit 0, its pad bits zero, though
+    # SET_A's last byte in the key holds SET_B's first four bits
     assert sim.allocation.blocks == {SET_A: (0, 300), SET_B: (300, 500)}
-    expected = np.concatenate([sim.record_block(SET_A), sim.record_block(SET_B)])
-    assert np.array_equal(key.bits, expected)
+    for path_set, (start, stop) in sim.allocation.blocks.items():
+        assert sim.record_block(path_set).tolist() == packed(key.bits[start:stop])
     # and each block really is the XOR of its member-path first-link segments
     for path_set, (first, second) in ((SET_A, ((0, 1), (0, 2))), (SET_B, ((0, 1), (0, 3)))):
         pools = draw_record(sim, path_set)
         manual = np.bitwise_xor(unpacked(pools[first]), unpacked(pools[second]))
-        assert np.array_equal(sim.record_block(path_set), manual)
+        assert sim.record_block(path_set).tolist() == packed(manual)
 
 
 def test_simulate_propagates_capacity_error(k23):
@@ -617,7 +640,8 @@ def test_adversary_reconstruction_exact(k23):
     rebuilt = adversary_reconstruct(sim, SET_A, {1, 2})
     assert rebuilt is not None
     assert np.array_equal(rebuilt, sim.record_block(SET_A))
-    assert np.array_equal(rebuilt, sim.pair_keys[(0, 4)].bits)
+    # the one record's block is its pair's whole key, packed alike
+    assert np.array_equal(rebuilt, sim.pair_keys[(0, 4)].packed)
 
 
 def test_every_compromise_subset_cross_checks(request):

@@ -298,21 +298,21 @@ def _refuse_enumeration(*args, **kwargs):
 
 
 def test_unroutable_scan_without_hop_limit_enumerates_nothing(monkeypatch):
-    monkeypatch.setattr(paths_module, "enumerate_simple_paths", _refuse_enumeration)
-    monkeypatch.setattr(paths_module, "enumerate_m_path_sets", _refuse_enumeration)
+    monkeypatch.setattr(paths_module, "_node_paths", _refuse_enumeration)
+    monkeypatch.setattr(paths_module, "_disjoint_rows", _refuse_enumeration)
     assert find_unroutable_pairs(grid_graph(4), 2) == ()
     assert find_unroutable_pairs(BOWTIE, 2) == ((0, 3), (0, 4), (1, 3), (1, 4))
 
 
 def test_hop_limited_scan_enumerates_only_pairs_that_pass_the_flow_test(monkeypatch):
     enumerated = []
-    original = paths_module.enumerate_simple_paths
+    original = paths_module._node_paths
 
-    def spy(graph, i, j, hop_limit=None):
+    def spy(graph, i, j, hop_limit):
         enumerated.append((i, j))
         return original(graph, i, j, hop_limit)
 
-    monkeypatch.setattr(paths_module, "enumerate_simple_paths", spy)
+    monkeypatch.setattr(paths_module, "_node_paths", spy)
     # every remote pair of the bowtie lies across the cut vertex
     assert find_unroutable_pairs(BOWTIE, 2, hop_limit=3) == ((0, 3), (0, 4), (1, 3), (1, 4))
     assert enumerated == []
@@ -323,6 +323,25 @@ def test_hop_limited_scan_enumerates_only_pairs_that_pass_the_flow_test(monkeypa
     assert find_unroutable_pairs(square, 2, hop_limit=2) == (
         (0, 3), (0, 4), (1, 3), (1, 4), (3, 5), (4, 5))
     assert enumerated == [(0, 2), (1, 5)]
+
+
+def test_hop_limited_confirmation_draws_at_most_one_row_per_pair(monkeypatch):
+    # existence is all the confirmation needs, so it stops at the first
+    # disjoint set the row kernel yields; every remote pair of the 4x4 grid
+    # has two disjoint paths of at most 6 hops, most of them many
+    drawn = []
+    original = paths_module._disjoint_rows
+
+    def spy(interiors, m):
+        drawn.append(0)
+        for row in original(interiors, m):
+            drawn[-1] += 1
+            yield row
+
+    monkeypatch.setattr(paths_module, "_disjoint_rows", spy)
+    graph = grid_graph(4)
+    assert find_unroutable_pairs(graph, 2, hop_limit=6) == ()
+    assert drawn == [1] * len(list(graph.remote_pairs()))
 
 
 def test_six_by_six_grid_is_routable():
