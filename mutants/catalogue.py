@@ -557,11 +557,45 @@ MUTANTS = (
             "tests/test_netfile.py::test_unrepresentable_rate_is_schema_error",
         ),
     ),
+    # the target rules a RateMatrix cannot hold, checked where a file is read
+    Mutant(
+        "netfile: an asymmetric target read as its upper half",
+        "qkdroute/netfile.py",
+        "_require(rows == [list(col) for col in zip(*rows)],",
+        "_require(True,",
+        ("tests/test_netfile.py::test_schema_errors",),
+    ),
+    Mutant(
+        "netfile: a target's non-zero diagonal dropped",
+        "qkdroute/netfile.py",
+        "_require(not any(rows[u][u] for u in range(node_count)),",
+        "_require(True,",
+        ("tests/test_netfile.py::test_schema_errors",),
+    ),
+    # one cell per node pair
+    Mutant(
+        "matrix: m[v, u] read at the position of (v, u), not (u, v)",
+        "qkdroute/model.py",
+        "pair_position(*canonical_edge(u, v), self.n)",
+        "pair_position(u, v, self.n)",
+        ("tests/test_model.py::"
+         "test_rate_matrix_holds_one_cell_per_pair_in_pair_position_order",),
+    ),
+    Mutant(
+        "artifact: the config's ranges not checked",
+        "qkdroute/artifacts.py",
+        "RouterConfig(m=m, delta_r=step,",
+        "dict(m=m, delta_r=step,",
+        ("tests/test_cli.py::test_simulate_refuses_a_config_that_router_config_refuses",),
+    ),
     # the routing artifact's refusals, each replaced by a test that never holds
     *(
         Mutant(f"artifact refusal removed: {what}", "qkdroute/artifacts.py",
                snippet, "if False:", (f"tests/test_cli.py::{test}",))
         for what, snippet, test in (
+            ("node id not an integer",
+             'if not all(_is_int(node) for nodes in entry["paths"] for node in nodes):',
+             "test_simulate_refuses_a_node_id_that_is_not_an_integer"),
             ("path set listed twice", "if path_set in listed:",
              "test_simulate_refuses_a_repeated_path_set"),
             ("path count other than m", "if path_set.m != m:",

@@ -80,7 +80,8 @@ def read_routing_artifact(
     """Load a routing JSON artifact, check it against ``graph`` and return its
     routing list.
 
-    Refuses another node count or resolution, a path set listed twice, a
+    Refuses another node count or resolution, a config ``RouterConfig``
+    refuses, a node id that is not an integer, a path set listed twice, a
     record for a directly linked pair or on a non-edge, with a rate that is
     not a positive multiple of ``delta_r_units`` or is over ``MAX_UNITS``,
     with other than ``m`` paths or with a path longer than a set
@@ -108,17 +109,19 @@ def read_routing_artifact(
         m, steps, step = doc["m"], doc["iterations"], doc["delta_r_units"]
         if not all(_is_int(value) for value in (m, steps, step)):
             raise ValueError("m, iterations and delta_r_units must be integers")
-        if step <= 0:
-            raise ValueError(f"delta_r_units {step} is not positive")
         hop_limit = doc["hop_limit"]
         if hop_limit is not None and not _is_int(hop_limit):
             raise ValueError(f"hop_limit {hop_limit!r} is not an integer or null")
         if not isinstance(doc["strict_guard"], bool):
             raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
+        # RouterConfig is the one check of these ranges; the object is not kept
+        RouterConfig(m=m, delta_r=step, hop_limit=hop_limit, strict_guard=doc["strict_guard"])
         routing = RoutingList()
         routed = 0
         listed = set()
         for entry in doc["records"]:
+            if not all(_is_int(node) for nodes in entry["paths"] for node in nodes):
+                raise ValueError(f"record paths {entry['paths']!r} hold a non-integer node id")
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
             if path_set in listed:
                 raise ValueError(f"record {path_set} is listed twice")
@@ -360,63 +363,54 @@ def write_route_artifacts(
     return files
 
 
-def simulation_report_dict(
-    sim: KeySimulation,
-    report: Optional[CompromiseReport],
-) -> dict:
-    scale = sim.graph.scale
-    pairs = []
-    for pair, key in sorted(sim.pair_keys.items()):
-        entry: dict = {
-            "pair": list(pair),
-            "key_bits": key.length,
-            "endpoints_agree": key.agreed,
-        }
-        if report is not None:
-            entry["status"] = report.pair_status[pair]
-            entry["leaked_bits"] = report.leaked_bits[pair]
-        pairs.append(entry)
+def simulation_report_dict(sim: KeySimulation, report: CompromiseReport) -> dict:
     doc: dict = {
         "format": "qkdroute.simulation/1",
         "tau_seconds": str(sim.tau),
         "seed": sim.seed,
         "pools": {f"{u}-{v}": bits for (u, v), bits in sorted(sim.pool_lengths.items())},
-        "pairs": pairs,
+        "pairs": [
+            {
+                "pair": list(pair),
+                "key_bits": key.length,
+                "endpoints_agree": key.agreed,
+                "status": report.pair_status[pair],
+                "leaked_bits": report.leaked_bits[pair],
+            }
+            for pair, key in sorted(sim.pair_keys.items())
+        ],
+        "compromised_nodes": sorted(report.compromised),
     }
-    if report is not None:
-        doc["compromised_nodes"] = sorted(report.compromised)
-        if report.bound is not None:
-            doc["compromise_probability_bound"] = report.bound
+    if report.bound is not None:
+        doc["compromise_probability_bound"] = report.bound
     return doc
 
 
 def render_simulation_text(
     sim: KeySimulation,
-    report: Optional[CompromiseReport],
+    report: CompromiseReport,
     dump_keys: bool = False,
 ) -> str:
     lines = [f"key simulation: tau={sim.tau}s seed={sim.seed}"]
     for pair, key in sorted(sim.pair_keys.items()):
         verdict = "agree" if key.agreed else "MISMATCH"
-        line = f"pair ({pair[0]}, {pair[1]}): {key.length} bits, endpoints {verdict}"
-        if report is not None:
-            line += f", {report.pair_status[pair]}"
-            if report.leaked_bits[pair]:
-                line += f" ({report.leaked_bits[pair]} bits leaked)"
+        line = (f"pair ({pair[0]}, {pair[1]}): {key.length} bits, "
+                f"endpoints {verdict}, {report.pair_status[pair]}")
+        if report.leaked_bits[pair]:
+            line += f" ({report.leaked_bits[pair]} bits leaked)"
         lines.append(line)
         if dump_keys:
             lines.append(f"  key hex: {key.hex()}")
-    if report is not None:
-        lines.append(f"compromised nodes: {sorted(report.compromised) or 'none'}")
-        if report.bound is not None:
-            lines.append(f"compromise probability bound: {report.bound}")
+    lines.append(f"compromised nodes: {sorted(report.compromised) or 'none'}")
+    if report.bound is not None:
+        lines.append(f"compromise probability bound: {report.bound}")
     return "\n".join(lines) + "\n"
 
 
 def write_simulation_artifacts(
     out_dir: Union[str, FsPath],
     sim: KeySimulation,
-    report: Optional[CompromiseReport],
+    report: CompromiseReport,
     input_path: Union[str, FsPath],
     routing_path: Union[str, FsPath],
     report_text: str,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import operator
 import sys
 from pathlib import Path as FsPath
 from typing import NoReturn, Optional, Sequence
@@ -240,7 +241,8 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if not table:
         print("no disjoint path set exists for this pair")
         return EXIT_OK
-    for s, d, _ in table.scored(engine.pair_deficiency(graph, target)):
+    deficiency = tuple(map(operator.sub, target.cells, graph.rate_matrix().cells))
+    for s, d, _ in table.scored(deficiency):
         print(f"{s}  D={graph.scale.kbps_str(d)}  hops={s.total_hops}")
     return EXIT_OK
 

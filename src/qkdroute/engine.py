@@ -21,25 +21,27 @@ ours: NEP 19 keeps PCG64 and SeedSequence stable across numpy versions, not
 ``Generator.integers``.  It needs no numpy, and neither does this module.
 
 The loop's one state is the deficiency target - effective, one ``int`` per
-node pair i < j in row order, at the pair's ``pair_position``, updated in
-place.  ``RoutingList.effective`` derives the effective matrix, once, for the
-outcome.  A pair's candidates live in a table built the first time the pair
-is served, from indices alone: its simple paths as node tuples with their
-edge positions, and its sets of M disjoint paths as tuples of path indices,
-with one bitmask of rows per edge and per hop count.  A row becomes an
-``MPathSet`` only when it is chosen, or listed for ``trace_candidates``.  The
-least loaded rows are found by walking the pair's edges in deficiency
-levels, from the highest down, dropping the rows of each level while any row
-is left; no row is scored.  The strict guard is a set of short edges that
-only grows.  ``CandidateTable.scored`` is the one place that scores rows,
-for the ``trace_candidates`` audit and the ``paths`` command.
+node pair i < j at the pair's ``pair_position``, the cell layout of
+:class:`~qkdroute.model.RateMatrix`: it starts as the target's cells minus
+the edge rates' cells and is updated in place.  ``RoutingList.effective``
+derives the effective matrix, once, for the outcome.  A pair's candidates
+live in a table built the first time the pair is served, from indices
+alone: its simple paths as node tuples with their edge positions, and its
+sets of M disjoint paths as tuples of path indices, with one bitmask of rows
+per edge and per hop count.  A row becomes an ``MPathSet`` only when it is
+chosen, or listed for ``trace_candidates``.  The least loaded rows are
+found by walking the pair's edges in deficiency levels, from the highest
+down, dropping the rows of each level while any row is left; no row is
+scored.  The strict guard is a set of short edges that only grows.
+``CandidateTable.scored`` is the one place that scores rows, for the
+``trace_candidates`` audit and the ``paths`` command.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -49,7 +51,9 @@ from .model import (
     RateMatrix,
     RouterConfig,
     ValidationError,
+    _pairs,
     check_target_matrix,
+    pair_position,
 )
 from .paths import MPathSet, Path, _disjoint_rows, _node_paths
 from .tiebreak import TieBreakStream
@@ -104,8 +108,8 @@ class RoutingList:
         return self._records
 
     def effective(self, graph: NetworkGraph) -> RateMatrix:
-        """Symmetric effective rates: the edge rates plus each record's pair
-        credit minus its debit on every member edge."""
+        """Effective rates: the edge rates plus each record's pair credit
+        minus its debit on every member edge."""
         n = graph.node_count
         cells = list(graph.rate_matrix().cells)
         for path_set, rate in self._rates.items():
@@ -115,13 +119,10 @@ class RoutingList:
 
 def _move(cells: List[int], n: int, path_set: MPathSet, amount: int) -> None:
     """Credit ``amount`` to the set's pair and debit it from every member
-    edge, both ways round, in the flat n*n ``cells``."""
-    i, j = path_set.endpoints
-    cells[i * n + j] += amount
-    cells[j * n + i] += amount
-    for u, v in path_set.edges:
-        cells[u * n + v] -= amount
-        cells[v * n + u] -= amount
+    edge, in the per-pair ``cells`` of a RateMatrix."""
+    cells[pair_position(*path_set.endpoints, n)] += amount
+    for edge in path_set.edges:
+        cells[pair_position(*edge, n)] -= amount
 
 
 class IterationTrace(NamedTuple):
@@ -160,17 +161,6 @@ class RoutingOutcome:
 
 
 @functools.lru_cache(maxsize=4)
-def _pairs(n: int) -> Tuple[Edge, ...]:
-    """The node pairs i < j in row order."""
-    return tuple(itertools.combinations(range(n), 2))
-
-
-def pair_position(i: int, j: int, n: int) -> int:
-    """Where the pair i < j sits among ``_pairs(n)``."""
-    return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-@functools.lru_cache(maxsize=4)
 def _positions(n: int) -> Dict[Edge, int]:
     """Every pair of distinct nodes, either way round, mapped to the
     ``pair_position`` of i < j; shared, so read only."""
@@ -178,11 +168,6 @@ def _positions(n: int) -> Dict[Edge, int]:
     for i, j in _pairs(n):
         positions[i, j] = positions[j, i] = pair_position(i, j, n)
     return positions
-
-
-def pair_deficiency(graph: NetworkGraph, target: RateMatrix) -> List[int]:
-    """target - edge rate, one ``int`` per pair i < j in row order."""
-    return [target[pair] - graph.rate(*pair) for pair in _pairs(graph.node_count)]
 
 
 def cost_delta(deficiency: Sequence[int]) -> int:
@@ -355,7 +340,7 @@ def run(
 
     Args:
         graph: connected network with positive edge rates.
-        target: symmetric target matrix in the same units as the graph.
+        target: per-pair target rates in the same units as the graph.
         config: run parameters; ``config.delta_r`` must be set.
         trace_candidates: record per-iteration candidate deficiencies in the
             trace (memory-heavy on long runs, meant for audits and demos).
@@ -378,7 +363,7 @@ def run(
     routing = RoutingList()
     trace: List[IterationTrace] = []
     # target - effective, one entry per pair i < j in row order
-    deficiency = pair_deficiency(graph, target)
+    deficiency = list(map(operator.sub, target.cells, graph.rate_matrix().cells))
     # under the strict guard, the edges holding less than delta_r, whose
     # deficiency exceeds target - delta_r.  A step debits member edges and
     # credits only the remote pair it serves, so no edge's deficiency falls

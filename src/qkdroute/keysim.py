@@ -261,7 +261,7 @@ def allocate_segments(
     effective = routing_list.effective(graph)
     cursors: Dict[Edge, int] = {}  # each pool's next free bit
     for edge, size in lengths.items():
-        rate = int(effective[edge[0], edge[1]])
+        rate = effective[edge]
         if rate < 0:
             raise CapacityError(
                 f"edge ({edge[0]}, {edge[1]}) is over-subscribed: "

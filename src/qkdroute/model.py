@@ -1,13 +1,18 @@
 """Network topology, rate matrices and structural validation.
 
 A network is an undirected graph whose edges carry secret-key generation
-rates, plus a symmetric matrix of target rates for every node pair.  Rates
-are integers in the units fixed by the graph's :class:`~qkdroute.units.UnitScale`.
-Matrices of rates are :class:`RateMatrix` values, square and immutable.
+rates, plus a target rate for every node pair.  Rates are integers in the
+units fixed by the graph's :class:`~qkdroute.units.UnitScale`.  Both ends of
+a pair hold the same key, so a rate belongs to the unordered pair: a
+:class:`RateMatrix` stores one immutable cell per pair i < j, at the pair's
+``pair_position``, and reads as a symmetric matrix with a zero diagonal.
+This module is the one place that lays the pairs out.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,13 +37,26 @@ def canonical_edge(u: NodeId, v: NodeId) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+@functools.lru_cache(maxsize=4)
+def _pairs(n: int) -> Tuple[Edge, ...]:
+    """The node pairs i < j in row order."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
+def pair_position(i: int, j: int, n: int) -> int:
+    """Where the pair i < j sits among ``_pairs(n)``."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
 @dataclass(frozen=True)
 class RateMatrix:
-    """An immutable n x n matrix of Python ints, read as ``m[u, v]``.
+    """An immutable symmetric n x n matrix of Python ints with a zero
+    diagonal, read as ``m[u, v]``.
 
-    ``cells`` holds the rows one after another, so (u, v) is cell
-    ``u * n + v``; any iterable of n * n ints is stored as a tuple.  Sums of
-    its cells never wrap around.
+    ``cells`` holds one value per node pair i < j in row order, the pair
+    (i, j) at ``pair_position(i, j, n)``; any iterable of n(n - 1)/2 ints is
+    stored as a tuple.  ``m[v, u]`` reads the cell of (u, v) and
+    ``m[u, u]`` is 0.  Sums of its cells never wrap around.
     """
 
     n: int
@@ -46,19 +64,24 @@ class RateMatrix:
 
     def __post_init__(self) -> None:
         cells = tuple(self.cells)
-        if len(cells) != self.n * self.n:
-            raise ValueError(f"{len(cells)} cells do not make a {self.n} x {self.n} matrix")
+        if len(cells) != self.n * (self.n - 1) // 2:
+            raise ValueError(f"{len(cells)} cells do not hold the pairs of {self.n} nodes")
         object.__setattr__(self, "cells", cells)
 
     def __getitem__(self, index: Tuple[int, int]) -> int:
         u, v = index
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise IndexError(f"({u}, {v}) is outside a {self.n} x {self.n} matrix")
-        return self.cells[u * self.n + v]
+        if u == v:
+            return 0
+        return self.cells[pair_position(*canonical_edge(u, v), self.n)]
 
     def tolist(self) -> List[List[int]]:
-        n = self.n
-        return [list(self.cells[u * n : (u + 1) * n]) for u in range(n)]
+        """The full n x n rows, both halves and the zero diagonal."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for (u, v), value in zip(_pairs(self.n), self.cells):
+            rows[u][v] = rows[v][u] = value
+        return rows
 
 
 @dataclass(frozen=True)
@@ -118,10 +141,7 @@ class NetworkGraph:
     def rate_matrix(self) -> RateMatrix:
         """Symmetric matrix of edge rates, zero where no edge exists."""
         n = self.node_count
-        cells = [0] * (n * n)
-        for (u, v), rate in self.rates.items():
-            cells[u * n + v] = cells[v * n + u] = rate
-        return RateMatrix(n, cells)
+        return RateMatrix(n, (self.rates.get(pair, 0) for pair in _pairs(n)))
 
     def is_connected(self) -> bool:
         seen = {0}
@@ -136,21 +156,14 @@ class NetworkGraph:
 
     def remote_pairs(self) -> Tuple[Edge, ...]:
         """All unordered node pairs without a direct link."""
-        return tuple(
-            (i, j)
-            for i in range(self.node_count)
-            for j in range(i + 1, self.node_count)
-            if not self.has_edge(i, j)
-        )
+        return tuple(pair for pair in _pairs(self.node_count) if pair not in self.rates)
 
 
 def uniform_target(node_count: int, units: int) -> RateMatrix:
     """Target matrix demanding the same rate for every distinct pair."""
     if units < 0:
         raise ValidationError(f"target must be non-negative, got {units}")
-    cells = [int(units)] * (node_count * node_count)
-    cells[:: node_count + 1] = [0] * node_count
-    return RateMatrix(node_count, cells)
+    return RateMatrix(node_count, [int(units)] * (node_count * (node_count - 1) // 2))
 
 
 def check_target_matrix(target: RateMatrix, node_count: int) -> None:
@@ -158,11 +171,6 @@ def check_target_matrix(target: RateMatrix, node_count: int) -> None:
         raise ValidationError(
             f"target matrix must be {node_count}x{node_count}, got {target.n}x{target.n}"
         )
-    rows = target.tolist()
-    if rows != [list(column) for column in zip(*rows)]:
-        raise ValidationError("target matrix must be symmetric")
-    if any(rows[u][u] for u in range(node_count)):
-        raise ValidationError("target matrix diagonal must be zero")
     if min(target.cells) < 0:
         raise ValidationError("target rates must be non-negative")
 

@@ -28,6 +28,7 @@ from .model import (
     RateMatrix,
     RouterConfig,
     ValidationError,
+    _pairs,
     check_target_matrix,
     uniform_target,
 )
@@ -81,7 +82,8 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
     Raises:
         NetworkFormatError: on malformed JSON or schema violations
             (self-loops, duplicate edges, non-positive, unrepresentable or
-            out-of-range rates, asymmetric explicit targets, unknown keys).
+            out-of-range rates, explicit targets that are asymmetric or
+            have a non-zero diagonal, unknown keys).
         ValidationError: when the graph is disconnected.
     """
     path = Path(path)
@@ -136,12 +138,16 @@ def _parse_target(raw: object, node_count: int, scale: UnitScale) -> RateMatrix:
             len(raw) == node_count and all(isinstance(row, list) for row in raw),
             f"target matrix must be {node_count}x{node_count}",
         )
-        cells = []
+        rows = []
         for i, row in enumerate(raw):
             _require(len(row) == node_count, f"target row {i} has wrong length")
-            for j, cell in enumerate(row):
-                cells.append(scale.units_from_kbps(cell, f"target[{i}][{j}]"))
-        mat = RateMatrix(node_count, cells)
+            rows.append([scale.units_from_kbps(cell, f"target[{i}][{j}]")
+                         for j, cell in enumerate(row)])
+        # a RateMatrix holds one cell per pair, so these rules are checked here
+        _require(rows == [list(col) for col in zip(*rows)], "target matrix must be symmetric")
+        _require(not any(rows[u][u] for u in range(node_count)),
+                 "target matrix diagonal must be zero")
+        mat = RateMatrix(node_count, (rows[i][j] for i, j in _pairs(node_count)))
         check_target_matrix(mat, node_count)
         return mat
     return uniform_target(node_count, scale.units_from_kbps(raw, "target"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,12 @@ MESH10_RATES = {
 
 
 def as_rate_matrix(rows) -> RateMatrix:
-    """The RateMatrix of square rows, given as lists or as an ndarray."""
-    return RateMatrix(len(rows), [int(value) for row in rows for value in row])
+    """The RateMatrix of square rows, given as lists or as an ndarray; the
+    rows must be symmetric with a zero diagonal, as a RateMatrix reads."""
+    rows = np.asarray(rows)
+    assert np.array_equal(rows, rows.T) and not rows.diagonal().any()
+    n = len(rows)
+    return RateMatrix(n, [int(rows[i, j]) for i, j in itertools.combinations(range(n), 2)])
 
 
 def as_array(matrix: RateMatrix) -> np.ndarray:

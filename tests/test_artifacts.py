@@ -167,15 +167,15 @@ def test_simulation_report(k23):
     text = render_simulation_text(sim, report)
     assert "compromised nodes: [1, 2]" in text
     assert "compromise probability bound: 0.01" in text
-    bare = render_simulation_text(sim, None)
-    assert "compromised" not in bare
+    bare = render_simulation_text(sim, assess_compromise(sim, ()))
+    assert "compromised nodes: none" in bare and "bound" not in bare
 
 
 def test_simulation_text_key_dump(k23):
     graph, target = k23
     outcome = run(graph, target, RouterConfig(m=2, delta_r=100, seed=0))
     sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
-    text = render_simulation_text(sim, None, dump_keys=True)
+    text = render_simulation_text(sim, assess_compromise(sim, ()), dump_keys=True)
     dumps = [line for line in text.splitlines() if "key hex:" in line]
     assert len(dumps) == len(sim.pair_keys)
     hex_value = dumps[0].split("key hex:")[1].strip()
@@ -191,9 +191,10 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
         tmp_path / "route", outcome, graph, config, k23_file
     )
     sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
-    text = render_simulation_text(sim, None, dump_keys=True)
+    report = assess_compromise(sim, ())
+    text = render_simulation_text(sim, report, dump_keys=True)
     sim_files = write_simulation_artifacts(
-        tmp_path / "sim", sim, None, k23_file, route_files["routing_json"], text
+        tmp_path / "sim", sim, report, k23_file, route_files["routing_json"], text
     )
     manifest = json.loads(sim_files["manifest"].read_text())
     assert manifest["command"] == "simulate"
@@ -201,15 +202,16 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
         route_files["routing_json"].read_bytes()
     ).hexdigest()
     assert manifest["routing_sha256"] == routing_sha
-    report = json.loads(sim_files["report_json"].read_text())
-    assert report["pools"]["0-1"] == sim.pool_lengths[(0, 1)]
+    doc = json.loads(sim_files["report_json"].read_text())
+    assert doc["pools"]["0-1"] == sim.pool_lengths[(0, 1)]
     # the text report holds the rendered text as given, key dumps included
     assert sim_files["report_txt"].read_text() == text
     # repeated simulation writes byte-identical reports
     sim2 = simulate(graph, outcome.routing_list, tau=1, seed=0)
+    report2 = assess_compromise(sim2, ())
     again = write_simulation_artifacts(
-        tmp_path / "sim2", sim2, None, k23_file, route_files["routing_json"],
-        render_simulation_text(sim2, None, dump_keys=True),
+        tmp_path / "sim2", sim2, report2, k23_file, route_files["routing_json"],
+        render_simulation_text(sim2, report2, dump_keys=True),
     )
     assert (
         sim_files["report_json"].read_bytes() == again["report_json"].read_bytes()

@@ -613,6 +613,36 @@ def routed_k23(k23_file, tmp_path):
     return json.loads((tmp_path / "route" / "routing_list.json").read_text())
 
 
+def test_simulate_refuses_a_node_id_that_is_not_an_integer(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["records"][0]["paths"] == [[0, 1, 4], [0, 2, 4]]
+    # true would read as node 1, and 2.0 would reach the rate bookkeeping
+    for paths in ([[0, True, 4], [0, 2, 4]], [[0, 1, 4], [0, 2.0, 4]]):
+        doc = json.loads(json.dumps(good))
+        doc["records"][0]["paths"] = paths
+        artifact = write_net(tmp_path, "edited.json", doc)
+        capsys.readouterr()
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(artifact),
+                     "--tau", "1"]) == EXIT_INVALID, paths
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed routing artifact")
+        assert "non-integer node id" in lines[0], paths
+
+
+def test_simulate_refuses_a_config_that_router_config_refuses(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    graph = load_network(k23_file).graph
+    empty = dict(good, records=[], iterations=0, effective_units=graph.rate_matrix().tolist())
+    assert not refuses_routing(k23_file, tmp_path, capsys, empty, "error")
+    for fields, message in (
+        ({"m": 0, "hop_limit": 0}, "m must be at least 1, got 0"),
+        ({"hop_limit": 0}, "hop_limit must be at least 1, got 0"),
+        ({"delta_r_units": -100}, "delta_r must be positive, got -100"),
+    ):
+        assert refuses_routing(k23_file, tmp_path, capsys, dict(empty, **fields),
+                               message), fields
+
+
 def test_simulate_refuses_path_count_other_than_m(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     assert good["m"] == 2

@@ -17,11 +17,16 @@ from qkdroute.engine import (
     apply_increment,
     cost_delta,
     optimal_sets,
-    pair_position,
     run,
     worst_pairs,
 )
-from qkdroute.model import NetworkGraph, RouterConfig, ValidationError, uniform_target
+from qkdroute.model import (
+    NetworkGraph,
+    RouterConfig,
+    ValidationError,
+    pair_position,
+    uniform_target,
+)
 from qkdroute.paths import (
     MPathSet,
     Path,

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdroute.model import (
     NetworkGraph,
+    RateMatrix,
     RouterConfig,
     ValidationError,
     check_target_matrix,
+    pair_position,
     uniform_target,
     validate,
 )
@@ -82,15 +88,39 @@ def test_uniform_target():
     check_target_matrix(target, 3)
 
 
+@st.composite
+def pair_cells(draw):
+    """A node count n and n(n - 1)/2 cells for it."""
+    n = draw(st.integers(1, 12))
+    count = n * (n - 1) // 2
+    return n, draw(st.lists(st.integers(-10**20, 10**20), min_size=count, max_size=count))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(pair_cells())
+def test_rate_matrix_holds_one_cell_per_pair_in_pair_position_order(case):
+    n, cells = case
+    mat = RateMatrix(n, cells)
+    assert mat.cells == tuple(cells)
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in pairs:
+        assert mat[i, j] == mat[j, i] == cells[pair_position(i, j, n)]
+    rows = mat.tolist()
+    assert rows == [list(column) for column in zip(*rows)]
+    assert [rows[i][j] for i, j in pairs] == cells
+    assert all(mat[u, u] == 0 == rows[u][u] for u in range(n))
+    for outside in ((n, 0), (0, n), (-1, 0)):
+        with pytest.raises(IndexError):
+            mat[outside]
+    with pytest.raises(ValueError, match="cells do not hold"):
+        RateMatrix(n, cells + [0])
+
+
 def test_target_matrix_checks():
-    bad = as_array(uniform_target(3, 100))
-    bad[0, 1] = 50
-    with pytest.raises(ValidationError, match="symmetric"):
-        check_target_matrix(as_rate_matrix(bad), 3)
-    diag = as_array(uniform_target(3, 100))
-    diag[1, 1] = 7
-    with pytest.raises(ValidationError, match="diagonal"):
-        check_target_matrix(as_rate_matrix(diag), 3)
+    # a RateMatrix is symmetric with a zero diagonal by construction; the
+    # file reader refuses target rows that are not (see test_netfile)
+    with pytest.raises(ValidationError, match="must be 3x3"):
+        check_target_matrix(uniform_target(4, 100), 3)
     neg = as_array(uniform_target(3, 100))
     neg[0, 2] = neg[2, 0] = -5
     with pytest.raises(ValidationError, match="non-negative"):

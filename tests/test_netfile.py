@@ -107,6 +107,16 @@ def test_schema_errors(tmp_path):
         load_network(write(tmp_path, doc))
 
     doc = dict(BASE)
+    doc["target"] = [[0, 0.1, 0.1], [0.1, 0.3, 0.1], [0.1, 0.1, 0]]
+    with pytest.raises(NetworkFormatError, match="diagonal must be zero"):
+        load_network(write(tmp_path, doc))
+
+    doc = dict(BASE)
+    doc["target"] = [[0, 0.1, -0.1], [0.1, 0, 0.1], [-0.1, 0.1, 0]]
+    with pytest.raises(NetworkFormatError, match="non-negative"):
+        load_network(write(tmp_path, doc))
+
+    doc = dict(BASE)
     doc["surprise"] = 1
     with pytest.raises(NetworkFormatError, match="unknown top-level"):
         load_network(write(tmp_path, doc))
