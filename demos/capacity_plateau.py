@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from qkdroute import RouterConfig, load_network, run
+from qkdroute import load_network, run
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 

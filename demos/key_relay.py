@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from qkdroute import RouterConfig, load_network, run
+from qkdroute import load_network, run
 from qkdroute.keysim import assess_compromise, compromise_probability_bound, simulate
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"

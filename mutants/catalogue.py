@@ -550,12 +550,19 @@ MUTANTS = (
     Mutant(
         "netfile: _format_errors translates nothing",
         "qkdroute/netfile.py",
-        "except (TypeError, ValueError) as exc:",
+        "except (LookupError, TypeError, ValueError) as exc:",
         "except () as exc:",
         (
             "tests/test_netfile.py::test_schema_errors",
             "tests/test_netfile.py::test_unrepresentable_rate_is_schema_error",
         ),
+    ),
+    Mutant(
+        "netfile: _format_errors drops its prefix",
+        "qkdroute/netfile.py",
+        "raise NetworkFormatError(prefix + detail) from exc",
+        "raise NetworkFormatError(detail) from exc",
+        ("tests/test_cli.py::test_simulate_refuses_run_fields_route_never_writes",),
     ),
     # the target rules a RateMatrix cannot hold, checked where a file is read
     Mutant(
@@ -582,11 +589,30 @@ MUTANTS = (
          "test_rate_matrix_holds_one_cell_per_pair_in_pair_position_order",),
     ),
     Mutant(
-        "artifact: the config's ranges not checked",
+        "artifact: delta_r_units set without RouterConfig's range check",
         "qkdroute/artifacts.py",
-        "RouterConfig(m=m, delta_r=step,",
-        "dict(m=m, delta_r=step,",
+        "config = replace(",
+        'config = (lambda c, delta_r: object.__setattr__(c, "delta_r", delta_r) or c)(',
         ("tests/test_cli.py::test_simulate_refuses_a_config_that_router_config_refuses",),
+    ),
+    # the run fields of a routing artifact, read like the rest
+    *(
+        Mutant(f"artifact: {what}", "qkdroute/artifacts.py", snippet, replacement,
+               ("tests/test_cli.py::test_simulate_refuses_each_field_of_the_wrong_type",
+                "tests/test_cli.py::test_simulate_refuses_run_fields_route_never_writes"))
+        for what, snippet, replacement in (
+            ("seed not read", "{key: doc[key] for key in _CONFIG_FIELDS}",
+             '{key: doc[key] for key in _CONFIG_FIELDS if key != "seed"}'),
+            ("r_max not read", "{key: doc[key] for key in _CONFIG_FIELDS}",
+             '{key: doc[key] for key in _CONFIG_FIELDS if key != "r_max"}'),
+            ("iterations over r_max accepted",
+             "if config.r_max is not None and steps > config.r_max:", "if False:"),
+            ("unknown stop reason accepted", 'StopReason(doc["stop_reason"])',
+             'doc["stop_reason"]'),
+            ("final_delta_units unchecked",
+             '_int_field(doc["final_delta_units"], "final_delta_units")',
+             'doc["final_delta_units"]'),
+        )
     ),
     # the routing artifact's refusals, each replaced by a test that never holds
     *(

@@ -13,13 +13,16 @@ import hashlib
 import io
 import json
 import os
+from dataclasses import replace
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from . import __version__
-from .engine import RoutingList, RoutingOutcome
+from .engine import RoutingList, RoutingOutcome, StopReason
 from .model import NetworkGraph, RateMatrix, RouterConfig
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
+# netfile's one JSON file read, error boundary and integer rule
+from .netfile import _format_errors, _int_field, _is_int, _read_json
 from .paths import MPathSet, Path
 from .units import MAX_UNITS, UnitScale
 
@@ -29,8 +32,18 @@ if TYPE_CHECKING:
 
 ROUTING_FORMAT = "qkdroute.routing/1"
 MANIFEST_FORMAT = "qkdroute.manifest/1"
-# the route manifest's config fields that a replay reads back
-_ROUTE_CONFIG_KEYS = {"m", "delta_r_kbps", "r_max", "seed", "hop_limit", "strict_guard"}
+# the config fields both route artifacts record, named as in RouterConfig
+_CONFIG_FIELDS = ("m", "r_max", "seed", "hop_limit", "strict_guard")
+
+
+def _config_fields(config: RouterConfig) -> dict:
+    return {key: getattr(config, key) for key in _CONFIG_FIELDS}
+
+
+def _parse_config(fields: dict, scale: UnitScale) -> RouterConfig:
+    """Read recorded config fields as a netfile ``router`` object, whose ``m`` is ``M``."""
+    return parse_router({("M" if key == "m" else key): value
+                         for key, value in fields.items()}, scale)
 
 
 def render_routing_text(
@@ -51,12 +64,8 @@ def routing_to_dict(
     return {
         "format": ROUTING_FORMAT,
         "resolution_bps": str(scale.resolution_bps),
-        "m": config.m,
+        **_config_fields(config),
         "delta_r_units": config.delta_r,
-        "seed": config.seed,
-        "r_max": config.r_max,
-        "hop_limit": config.hop_limit,
-        "strict_guard": config.strict_guard,
         "nodes": graph.node_count,
         "iterations": outcome.iterations,
         "final_delta_units": outcome.final_delta,
@@ -80,22 +89,22 @@ def read_routing_artifact(
     """Load a routing JSON artifact, check it against ``graph`` and return its
     routing list.
 
-    Refuses another node count or resolution, a config ``RouterConfig``
-    refuses, a node id that is not an integer, a path set listed twice, a
-    record for a directly linked pair or on a non-edge, with a rate that is
-    not a positive multiple of ``delta_r_units`` or is over ``MAX_UNITS``,
-    with other than ``m`` paths or with a path longer than a set
-    ``hop_limit``, with a ``pair`` other than its paths' endpoints or a
-    ``rate_kbps`` other than its ``rate_units`` in kbit/s,
-    ``effective_units`` that is not the edge rates plus the records' pair
-    credits minus their edge debits, a negative edge under
-    ``strict_guard``, and rates that do not add up to ``iterations`` steps
-    of ``delta_r_units``.
+    Every field must be present.  Refuses another node count or resolution,
+    a config that ``parse_router`` refuses, a ``delta_r_units`` that is not
+    an integer or that ``RouterConfig`` refuses, more ``iterations`` than a
+    set ``r_max``, a ``stop_reason`` that is not a ``StopReason`` value, a
+    ``final_delta_units`` that is not an integer, a node id that is not an
+    integer, a path set listed twice, a record for a directly linked pair or
+    on a non-edge, with a rate that is not a positive multiple of
+    ``delta_r_units`` or is over ``MAX_UNITS``, with other than ``m`` paths
+    or with a path longer than a set ``hop_limit``, with a ``pair`` other
+    than its paths' endpoints or a ``rate_kbps`` other than its
+    ``rate_units`` in kbit/s, ``effective_units`` that is not the edge rates
+    plus the records' pair credits minus their edge debits, a negative edge
+    under ``strict_guard``, and rates that do not add up to ``iterations``
+    steps of ``delta_r_units``.
     """
-    try:
-        doc = json.loads(FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise NetworkFormatError(f"cannot parse routing artifact {path}: {exc}") from exc
+    doc = _read_json(path, "routing artifact ")
     if not isinstance(doc, dict) or doc.get("format") != ROUTING_FORMAT:
         raise NetworkFormatError(f"{path} is not a routing artifact")
     n = graph.node_count
@@ -105,17 +114,17 @@ def read_routing_artifact(
         )
     if doc.get("resolution_bps") != str(graph.scale.resolution_bps):
         raise NetworkFormatError("routing artifact resolution does not match network")
-    try:
-        m, steps, step = doc["m"], doc["iterations"], doc["delta_r_units"]
-        if not all(_is_int(value) for value in (m, steps, step)):
-            raise ValueError("m, iterations and delta_r_units must be integers")
-        hop_limit = doc["hop_limit"]
-        if hop_limit is not None and not _is_int(hop_limit):
-            raise ValueError(f"hop_limit {hop_limit!r} is not an integer or null")
-        if not isinstance(doc["strict_guard"], bool):
-            raise ValueError(f"strict_guard {doc['strict_guard']!r} is not a boolean")
-        # RouterConfig is the one check of these ranges; the object is not kept
-        RouterConfig(m=m, delta_r=step, hop_limit=hop_limit, strict_guard=doc["strict_guard"])
+    with _format_errors(f"malformed routing artifact {path}: "):
+        config = replace(
+            _parse_config({key: doc[key] for key in _CONFIG_FIELDS}, graph.scale),
+            delta_r=_int_field(doc["delta_r_units"], "delta_r_units"),
+        )
+        m, step, hop_limit = config.m, config.delta_r, config.hop_limit
+        steps = _int_field(doc["iterations"], "iterations")
+        if config.r_max is not None and steps > config.r_max:
+            raise ValueError(f"iterations {steps} exceed r_max {config.r_max}")
+        StopReason(doc["stop_reason"])
+        _int_field(doc["final_delta_units"], "final_delta_units")
         routing = RoutingList()
         routed = 0
         listed = set()
@@ -161,33 +170,24 @@ def read_routing_artifact(
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
             routing.add(path_set, rate)
         effective = doc["effective_units"]
-    except (LookupError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"malformed routing artifact {path}: {exc!r}") from exc
-    if not (
-        isinstance(effective, list)
-        and len(effective) == n
-        and all(isinstance(row, list) and len(row) == n for row in effective)
-        and all(_is_int(value) for row in effective for value in row)
-    ):
-        raise NetworkFormatError(f"{path}: effective_units is not {n} x {n} integers")
-    if effective != routing.effective(graph).tolist():
-        raise NetworkFormatError(f"{path}: effective_units disagrees with its records")
-    if doc["strict_guard"]:
-        for u, v in graph.edges:
-            if effective[u][v] < 0:
-                raise NetworkFormatError(
-                    f"{path}: edge ({u}, {v}) is negative under the strict guard"
-                )
-    if routed != steps * step:
-        raise NetworkFormatError(
-            f"{path}: records hold {routed} units, not {steps} iterations "
-            f"of {step} units"
-        )
+        if not (
+            isinstance(effective, list)
+            and len(effective) == n
+            and all(isinstance(row, list) and len(row) == n for row in effective)
+            and all(_is_int(value) for row in effective for value in row)
+        ):
+            raise ValueError(f"effective_units is not {n} x {n} integers")
+        if effective != routing.effective(graph).tolist():
+            raise ValueError("effective_units disagrees with its records")
+        if config.strict_guard:
+            for u, v in graph.edges:
+                if effective[u][v] < 0:
+                    raise ValueError(f"edge ({u}, {v}) is negative under the strict guard")
+        if routed != steps * step:
+            raise ValueError(
+                f"records hold {routed} units, not {steps} iterations of {step} units"
+            )
     return routing
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def render_matrix_csv(matrix: RateMatrix, scale: UnitScale) -> str:
@@ -282,17 +282,14 @@ def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
     A relative ``input`` is resolved against the manifest's directory.
     Refuses a malformed manifest, a changed input and a config ``parse_router`` refuses.
     """
-    try:
-        manifest = json.loads(FsPath(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise NetworkFormatError(f"cannot parse manifest {path}: {exc}") from exc
+    manifest = _read_json(path, "manifest ")
     if (
         not isinstance(manifest, dict)
         or manifest.get("format") != MANIFEST_FORMAT
         or manifest.get("command") != "route"
         or not isinstance(manifest.get("input"), str)
         or not isinstance(manifest.get("config"), dict)
-        or not _ROUTE_CONFIG_KEYS <= manifest["config"].keys()
+        or not {*_CONFIG_FIELDS, "delta_r_kbps"} <= manifest["config"].keys()
     ):
         raise NetworkFormatError(f"{path} is not a route manifest")
     input_path = os.path.normpath(
@@ -305,15 +302,9 @@ def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
         )
     network = load_network(input_path)
     # input_sha256 already pins resolution_bps; the rest is a router object
-    router = {
-        ("M" if key == "m" else key): value
-        for key, value in manifest["config"].items()
-        if key != "resolution_bps"
-    }
-    try:
-        config = parse_router(router, network.graph.scale)
-    except NetworkFormatError as exc:
-        raise NetworkFormatError(f"{path}: {exc}") from exc
+    with _format_errors(f"{path}: "):
+        config = _parse_config({key: value for key, value in manifest["config"].items()
+                                if key != "resolution_bps"}, network.graph.scale)
     return input_path, network._replace(config=config)
 
 
@@ -349,14 +340,10 @@ def write_route_artifacts(
     _write_manifest(
         out, files, "route", input_path,
         config={
-            "m": config.m,
+            **_config_fields(config),
             "delta_r_kbps": None
             if config.delta_r is None
             else scale.kbps_str(config.delta_r),
-            "r_max": config.r_max,
-            "seed": config.seed,
-            "hop_limit": config.hop_limit,
-            "strict_guard": config.strict_guard,
             "resolution_bps": str(scale.resolution_bps),
         },
     )

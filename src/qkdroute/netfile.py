@@ -1,6 +1,8 @@
-"""Reading network description files.
+"""The one reader of JSON files and of router config: network files, routing
+artifacts and route manifests are read by ``_read_json`` and checked inside
+``_format_errors``, and their router config by ``parse_router``.
 
-The wire format is JSON::
+A network description file is JSON::
 
     {
       "nodes": 6,
@@ -55,20 +57,34 @@ def _require(condition: bool, message: str) -> None:
 
 
 @contextmanager
-def _format_errors() -> Iterator[None]:
-    """Re-raise a TypeError or ValueError inside the block as a NetworkFormatError."""
+def _format_errors(prefix: str = "") -> Iterator[None]:
+    """Re-raise a LookupError, TypeError or ValueError inside the block (a
+    NetworkFormatError included) as a NetworkFormatError led by ``prefix``."""
     try:
         yield
-    except NetworkFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(str(exc)) from exc
+    except (LookupError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise NetworkFormatError(prefix + detail) from exc
+
+
+def _read_json(path: Union[str, Path], kind: str = "",
+               parse_float: Optional[type] = None) -> object:
+    """The one read of a JSON input file; ``kind`` leads its path in the error."""
+    try:
+        return json.loads(Path(path).read_text(), parse_float=parse_float)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise NetworkFormatError(f"cannot parse {kind}{path}: {exc}") from exc
+
+
+def _is_int(value: object) -> bool:
+    """Whether a JSON value is an integer; JSON ``true`` is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_field(raw: object, name: str, allow_none: bool = False) -> Optional[int]:
     if raw is None and allow_none:
         return None
-    _require(isinstance(raw, int) and not isinstance(raw, bool), f"{name} must be an integer")
+    _require(_is_int(raw), f"{name} must be an integer")
     return int(raw)  # type: ignore[arg-type]
 
 
@@ -86,11 +102,7 @@ def load_network(path: Union[str, Path]) -> LoadedNetwork:
             have a non-zero diagonal, unknown keys).
         ValidationError: when the graph is disconnected.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(), parse_float=Decimal)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise NetworkFormatError(f"cannot parse {path}: {exc}") from exc
+    raw = _read_json(path, parse_float=Decimal)
 
     with _format_errors():
         _require(isinstance(raw, dict), "top level must be a JSON object")

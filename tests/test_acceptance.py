@@ -47,7 +47,7 @@ from qkdroute.keysim import (
     relay_path_key,
     simulate,
 )
-from qkdroute.model import NetworkGraph, RouterConfig, uniform_target
+from qkdroute.model import NetworkGraph, RouterConfig
 from qkdroute.paths import MPathSet, Path, enumerate_m_path_sets, enumerate_simple_paths
 
 

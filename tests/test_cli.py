@@ -643,6 +643,42 @@ def test_simulate_refuses_a_config_that_router_config_refuses(k23_file, tmp_path
                                message), fields
 
 
+def test_simulate_refuses_each_field_of_the_wrong_type(k23_file, tmp_path, capsys):
+    # every field is read, so none of another JSON type goes through
+    good = routed_k23(k23_file, tmp_path)
+    docs = {}
+    for key, value in good.items():
+        docs[key] = dict(good, **{key: "x" if isinstance(value, list) else []})
+    for key, value in good["records"][0].items():
+        record = dict(good["records"][0], **{key: "x" if isinstance(value, list) else []})
+        docs[f"records[0].{key}"] = dict(good, records=[record, *good["records"][1:]])
+    assert len(docs) == 18
+    for site, doc in docs.items():
+        artifact = write_net(tmp_path, "edited.json", doc)
+        capsys.readouterr()
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(artifact),
+                     "--tau", "1"]) == EXIT_INVALID, site
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (site, lines)
+
+
+def test_simulate_refuses_run_fields_route_never_writes(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    assert good["iterations"] == 4 and good["r_max"] is None
+    assert not refuses_routing(k23_file, tmp_path, capsys, dict(good, r_max=4), "error")
+    for fields, message in (
+        ({"seed": "x"}, "router.seed must be an integer"),
+        ({"seed": 2**64}, "seed must fit in 64 bits"),
+        ({"r_max": -7}, "r_max must be non-negative, got -7"),
+        ({"r_max": 3}, "iterations 4 exceed r_max 3"),
+        ({"stop_reason": "nonsense"}, "'nonsense' is not a valid StopReason"),
+        ({"final_delta_units": "?"}, "final_delta_units must be an integer"),
+    ):
+        assert refuses_routing(k23_file, tmp_path, capsys, dict(good, **fields),
+                               f"malformed routing artifact {tmp_path / 'edited.json'}: "
+                               f"{message}"), fields
+
+
 def test_simulate_refuses_path_count_other_than_m(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     assert good["m"] == 2

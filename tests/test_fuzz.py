@@ -48,9 +48,9 @@ DOCS = {
         "any_int": {"m", "r_max", "seed", "hop_limit"},
     },
     "routing": {
-        "unread": {"seed", "r_max", "final_delta_units", "stop_reason"},
+        "unread": set(),
         "optional": set(),
-        "any_int": {"hop_limit"},
+        "any_int": {"hop_limit", "r_max", "final_delta_units"},
     },
 }
 

@@ -17,6 +17,7 @@ import qkdroute
 from conftest import NETWORKS_DIR
 
 SRC = Path(qkdroute.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MUTANTS = Path(__file__).resolve().parent.parent / "mutants"
@@ -147,8 +148,8 @@ def _unused_imports(tree: ast.Module) -> list:
 
 def test_no_unused_top_level_imports():
     unused = {
-        path.name: _unused_imports(ast.parse(path.read_text()))
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}": _unused_imports(ast.parse(path.read_text()))
+        for folder in (SRC, DEMOS, TESTS) for path in sorted(folder.glob("*.py"))
     }
     assert {name: found for name, found in unused.items() if found} == {}
 
@@ -190,18 +191,36 @@ def test_keysim_draws_no_integers():
 
 
 def test_netfile_translates_value_errors_in_one_handler():
-    # one boundary turns every TypeError or ValueError (ValidationError
-    # included) inside the parsers into a NetworkFormatError
-    tree = ast.parse((SRC / "netfile.py").read_text())
+    # one boundary, netfile._format_errors, turns every TypeError or
+    # ValueError (ValidationError and NetworkFormatError included) of the
+    # package's readers into a NetworkFormatError; the JSON decode error of
+    # the one file read is not counted
     translations = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            caught = {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
-            if caught & {"TypeError", "ValueError", "ValidationError"} \
-                    and "NetworkFormatError" in ast.unparse(node):
-                translations.append(node.lineno)
-    assert len(translations) == 1
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught = {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
+                built = any(
+                    isinstance(call, ast.Call)
+                    and ast.unparse(call.func).endswith("NetworkFormatError")
+                    for statement in node.body for call in ast.walk(statement)
+                )
+                if built and caught & {"TypeError", "ValueError", "ValidationError",
+                                       "NetworkFormatError"}:
+                    translations.append(f"{path.name}:{node.lineno}")
+    assert [site.split(":")[0] for site in translations] == ["netfile.py"], translations
+
+
+def test_json_files_are_read_only_in_netfile():
+    # netfile._read_json is the one read of every JSON input
+    calls = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.loads"
+    ]
+    assert calls == ["netfile.py"]
 
 
 def test_paths_defines_no_nested_function():
