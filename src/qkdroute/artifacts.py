@@ -57,9 +57,9 @@ def render_routing_text(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def routing_to_dict(
-    outcome: RoutingOutcome, graph: NetworkGraph, config: RouterConfig
-) -> dict:
+def routing_to_dict(routing: RoutingList, graph: NetworkGraph, config: RouterConfig,
+                    iterations: int, stop_reason: StopReason, final_delta: int) -> dict:
+    """A run as its routing JSON artifact; the one rendering of every field."""
     scale = graph.scale
     return {
         "format": ROUTING_FORMAT,
@@ -67,9 +67,9 @@ def routing_to_dict(
         **_config_fields(config),
         "delta_r_units": config.delta_r,
         "nodes": graph.node_count,
-        "iterations": outcome.iterations,
-        "final_delta_units": outcome.final_delta,
-        "stop_reason": outcome.stop_reason.value,
+        "iterations": iterations,
+        "final_delta_units": final_delta,
+        "stop_reason": stop_reason.value,
         "records": [
             {
                 "pair": list(record.pair),
@@ -77,32 +77,55 @@ def routing_to_dict(
                 "rate_units": record.rate,
                 "rate_kbps": scale.kbps_str(record.rate),
             }
-            for record in outcome.routing_list.records()
+            for record in routing.records()
         ],
-        "effective_units": outcome.effective.tolist(),
+        "effective_units": routing.effective(graph).tolist(),
     }
 
 
-def read_routing_artifact(
-    path: Union[str, FsPath], graph: NetworkGraph
-) -> RoutingList:
-    """Load a routing JSON artifact, check it against ``graph`` and return its
-    routing list.
+# JSON text tells apart what Python equality does not: true and 1, 700.0 and 700
+_json_text = functools.partial(json.dumps, sort_keys=True)
 
-    Every field must be present.  Refuses another node count or resolution,
-    a config that ``parse_router`` refuses, a ``delta_r_units`` that is not
-    an integer or that ``RouterConfig`` refuses, more ``iterations`` than a
-    set ``r_max``, a ``stop_reason`` that is not a ``StopReason`` value, a
-    ``final_delta_units`` that is not an integer, a node id that is not an
-    integer, a path set listed twice, a record for a directly linked pair or
-    on a non-edge, with a rate that is not a positive multiple of
-    ``delta_r_units`` or is over ``MAX_UNITS``, with other than ``m`` paths
-    or with a path longer than a set ``hop_limit``, with a ``pair`` other
-    than its paths' endpoints or a ``rate_kbps`` other than its
-    ``rate_units`` in kbit/s, ``effective_units`` that is not the edge rates
-    plus the records' pair credits minus their edge debits, a negative edge
-    under ``strict_guard``, and rates that do not add up to ``iterations``
-    steps of ``delta_r_units``.
+
+def _first_difference(found: object, derived: object, site: str = "") -> str:
+    """Name the first place where two JSON values of different JSON text differ."""
+    if isinstance(found, dict) and isinstance(derived, dict):
+        extra = sorted(found.keys() ^ derived.keys())
+        if extra:
+            kind = "unexpected" if extra[0] in found else "missing"
+            return f"{kind} key {extra[0]!r}" + (f" in {site}" if site else "")
+        members = [(f"{site}.{key}" if site else key, found[key], derived[key])
+                   for key in sorted(found)]
+    elif isinstance(found, list) and isinstance(derived, list):
+        members = [(f"{site}[{k}]", *values) for k, values in enumerate(zip(found, derived))]
+    else:
+        # a scalar as itself, a container by its kind
+        found, derived = ({dict: "an object", list: "a list"}.get(type(v)) or repr(v)
+                          for v in (found, derived))
+        return f"{site} {found} is not {derived}"
+    for where, a, b in members:
+        if _json_text(a) != _json_text(b):
+            return _first_difference(a, b, where)
+    return f"{site} holds {len(found)} items, not {len(derived)}"
+
+
+def read_routing_artifact(
+    path: Union[str, FsPath], graph: NetworkGraph, target: RateMatrix
+) -> RoutingList:
+    """Load a routing JSON artifact, check it against ``graph`` and
+    ``target`` and return its routing list.
+
+    Reads what ``route`` chose: the config, ``delta_r_units``,
+    ``iterations``, ``stop_reason`` and each record's ``paths`` and
+    ``rate_units``.  Every other field must be what ``route`` writes for
+    it: ``routing_to_dict`` renders the run from those, with
+    ``final_delta_units`` the largest shortfall of ``target``, and the
+    first field that differs is named.  The chosen fields keep their own
+    rules: integer node ids; ``m`` paths, within a set ``hop_limit``, for
+    a pair with no direct link; rates that are positive multiples of
+    ``delta_r_units`` up to ``MAX_UNITS``, on network edges, adding up to
+    ``iterations`` steps, no more than a set ``r_max``; and no negative
+    edge under ``strict_guard``.
     """
     doc = _read_json(path, "routing artifact ")
     if not isinstance(doc, dict) or doc.get("format") != ROUTING_FORMAT:
@@ -112,8 +135,6 @@ def read_routing_artifact(
         raise NetworkFormatError(
             f"routing artifact is for {doc.get('nodes')} nodes, network has {n}"
         )
-    if doc.get("resolution_bps") != str(graph.scale.resolution_bps):
-        raise NetworkFormatError("routing artifact resolution does not match network")
     with _format_errors(f"malformed routing artifact {path}: "):
         config = replace(
             _parse_config({key: doc[key] for key in _CONFIG_FIELDS}, graph.scale),
@@ -123,25 +144,15 @@ def read_routing_artifact(
         steps = _int_field(doc["iterations"], "iterations")
         if config.r_max is not None and steps > config.r_max:
             raise ValueError(f"iterations {steps} exceed r_max {config.r_max}")
-        StopReason(doc["stop_reason"])
-        _int_field(doc["final_delta_units"], "final_delta_units")
+        stop_reason = StopReason(doc["stop_reason"])
         routing = RoutingList()
-        routed = 0
-        listed = set()
         for entry in doc["records"]:
             if not all(_is_int(node) for nodes in entry["paths"] for node in nodes):
                 raise ValueError(f"record paths {entry['paths']!r} hold a non-integer node id")
             path_set = MPathSet(tuple(Path(tuple(nodes)) for nodes in entry["paths"]))
-            if path_set in listed:
-                raise ValueError(f"record {path_set} is listed twice")
-            listed.add(path_set)
             if path_set.m != m:
                 raise ValueError(f"record {path_set} has {path_set.m} paths, not m = {m}")
             pair = list(path_set.endpoints)
-            if entry["pair"] != pair or not all(map(_is_int, entry["pair"])):
-                raise ValueError(
-                    f"record {path_set} names pair {entry['pair']!r}, not its endpoints {pair}"
-                )
             if graph.has_edge(*pair):
                 raise ValueError(f"record {path_set} routes {pair}, a directly linked pair")
             longest = max(p.hops for p in path_set.paths)
@@ -151,42 +162,28 @@ def read_routing_artifact(
                 )
             rate = entry["rate_units"]
             if not _is_int(rate) or not 0 < rate <= MAX_UNITS:
-                raise ValueError(
-                    f"rate_units {rate!r} is not an integer from 1 to {MAX_UNITS}"
-                )
+                raise ValueError(f"rate_units {rate!r} is not an integer from 1 to {MAX_UNITS}")
             if rate % step:
-                raise ValueError(
-                    f"rate_units {rate} is not a multiple of delta_r_units {step}"
-                )
-            kbps = graph.scale.kbps_str(rate)
-            if entry["rate_kbps"] != kbps:
-                raise ValueError(
-                    f"rate_kbps {entry['rate_kbps']!r} is not {kbps!r}, "
-                    f"the rate of {rate} rate_units"
-                )
-            routed += rate
+                raise ValueError(f"rate_units {rate} is not a multiple of delta_r_units {step}")
             for u, v in path_set.edges:
                 if not graph.has_edge(u, v):
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
             routing.add(path_set, rate)
-        effective = doc["effective_units"]
-        if not (
-            isinstance(effective, list)
-            and len(effective) == n
-            and all(isinstance(row, list) and len(row) == n for row in effective)
-            and all(_is_int(value) for row in effective for value in row)
-        ):
-            raise ValueError(f"effective_units is not {n} x {n} integers")
-        if effective != routing.effective(graph).tolist():
-            raise ValueError("effective_units disagrees with its records")
+        effective = routing.effective(graph)
         if config.strict_guard:
             for u, v in graph.edges:
-                if effective[u][v] < 0:
+                if effective[u, v] < 0:
                     raise ValueError(f"edge ({u}, {v}) is negative under the strict guard")
+        routed = sum(record.rate for record in routing.records())
         if routed != steps * step:
             raise ValueError(
                 f"records hold {routed} units, not {steps} iterations of {step} units"
             )
+        deficiency = [want - have for want, have in zip(target.cells, effective.cells)]
+        final = max(deficiency)
+        derived = routing_to_dict(routing, graph, config, steps, stop_reason, final)
+        if _json_text(doc) != _json_text(derived):
+            raise ValueError(_first_difference(doc, derived))
     return routing
 
 
@@ -330,10 +327,9 @@ def write_route_artifacts(
         "trace_csv": out / "trace.csv",
     }
     files["routing_txt"].write_text(render_routing_text(outcome.routing_list, scale))
-    files["routing_json"].write_text(
-        json.dumps(routing_to_dict(outcome, graph, config), indent=2, sort_keys=True)
-        + "\n"
-    )
+    doc = routing_to_dict(outcome.routing_list, graph, config, outcome.iterations,
+                          outcome.stop_reason, outcome.final_delta)
+    files["routing_json"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     files["effective_csv"].write_text(render_matrix_csv(outcome.effective, scale))
     files["trace_csv"].write_text(render_trace_csv(outcome, scale))
 

@@ -251,11 +251,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # the one command that needs keysim, and with it numpy
     from . import artifacts, keysim
 
-    graph, _, _ = load_network(args.input)
+    graph, target, _ = load_network(args.input)
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
-    routing = artifacts.read_routing_artifact(routing_path, graph)
+    routing = artifacts.read_routing_artifact(routing_path, graph, target)
     tau = as_decimal(args.tau, "--tau")
     # refused before anything is drawn
     keysim.check_compromise(graph, args.compromise, args.epsilon)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -19,10 +20,13 @@ from qkdroute.artifacts import (
     write_route_artifacts,
     write_simulation_artifacts,
 )
-from qkdroute.engine import RoutingList, run
+from qkdroute.cli import EXIT_OK, main
+from qkdroute.engine import RoutingList, StopReason, run
 from qkdroute.keysim import assess_compromise, simulate
 from qkdroute.model import RouterConfig
-from qkdroute.netfile import NetworkFormatError
+from qkdroute.netfile import NetworkFormatError, load_network
+
+from conftest import NETWORKS_DIR
 
 
 def dense5_outcome(dense5):
@@ -48,7 +52,7 @@ def test_routing_text_render(dense5):
 def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
     files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
-    routing = read_routing_artifact(files["routing_json"], graph)
+    routing = read_routing_artifact(files["routing_json"], graph, dense5[1])
     doc = json.loads(files["routing_json"].read_text())
     assert doc["format"] == ROUTING_FORMAT
     assert doc["seed"] == 4
@@ -61,17 +65,17 @@ def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
 
 
 def test_read_rejects_wrong_format(dense5, tmp_path):
-    graph, _ = dense5
+    graph, target = dense5
     bogus = tmp_path / "other.json"
     bogus.write_text(json.dumps({"format": "something/9"}))
     with pytest.raises(NetworkFormatError, match="not a routing artifact"):
-        read_routing_artifact(bogus, graph)
+        read_routing_artifact(bogus, graph, target)
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     with pytest.raises(NetworkFormatError, match="cannot parse"):
-        read_routing_artifact(broken, graph)
+        read_routing_artifact(broken, graph, target)
     with pytest.raises(NetworkFormatError):
-        read_routing_artifact(tmp_path / "missing.json", graph)
+        read_routing_artifact(tmp_path / "missing.json", graph, target)
 
 
 def test_matrix_csv_full_precision(dense5):
@@ -143,7 +147,8 @@ def test_manifest_contents(dense5, dense5_file, tmp_path):
 
 def test_routing_dict_effective_is_lossless(dense5):
     graph, config, outcome = dense5_outcome(dense5)
-    doc = routing_to_dict(outcome, graph, config)
+    doc = routing_to_dict(outcome.routing_list, graph, config, outcome.iterations,
+                          outcome.stop_reason, outcome.final_delta)
     assert doc["effective_units"] == outcome.effective.tolist()
     for entry in doc["records"]:
         assert entry["rate_units"] == 100
@@ -217,3 +222,31 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
         sim_files["report_json"].read_bytes() == again["report_json"].read_bytes()
     )
     assert sim_files["report_txt"].read_bytes() == again["report_txt"].read_bytes()
+
+
+
+def test_every_routing_artifact_reads_back_as_written(tmp_path, capsys):
+    # route writes every stop reason but guard_exhausted here; what the
+    # reader returns renders to the file's bytes again
+    variants = ([], ["--no-strict-guard"], ["--r-max", "3"], ["--hop-limit", "3"],
+                ["--delta-r", "0.05"])
+    stops = set()
+    for network in ("dense5", "k23", "mesh10", "ring6_chord"):
+        net = NETWORKS_DIR / f"{network}.json"
+        graph, target, _ = load_network(net)
+        for m, seed, flags in itertools.product((1, 2, 3), (0, 1, 2), variants):
+            out = tmp_path / f"{network}-{m}-{seed}{'-'.join(['', *flags])}"
+            assert main(["route", "--input", str(net), "--m", str(m), "--seed", str(seed),
+                         *flags, "--out-dir", str(out)]) == EXIT_OK
+            text = (out / "routing_list.json").read_text()
+            doc = json.loads(text)
+            routing = read_routing_artifact(out / "routing_list.json", graph, target)
+            config = RouterConfig(**{key: doc[key] for key in
+                                     ("m", "r_max", "seed", "hop_limit", "strict_guard")},
+                                  delta_r=doc["delta_r_units"])
+            render = routing_to_dict(routing, graph, config, doc["iterations"],
+                                     StopReason(doc["stop_reason"]), doc["final_delta_units"])
+            assert json.dumps(render, indent=2, sort_keys=True) + "\n" == text, out.name
+            stops.add(doc["stop_reason"])
+    capsys.readouterr()
+    assert stops == {reason.value for reason in StopReason} - {"guard_exhausted"}

@@ -418,8 +418,8 @@ def test_simulate_end_to_end(k23_file, tmp_path, capsys):
     report = json.loads((sim_dir / "simulation_report.json").read_text())
     statuses = {tuple(e["pair"]): e["status"] for e in report["pairs"]}
     # recompute each pair's verdict from the routed records themselves
-    graph = load_network(k23_file).graph
-    routing = read_routing_artifact(route_dir / "routing_list.json", graph)
+    graph, target, _ = load_network(k23_file)
+    routing = read_routing_artifact(route_dir / "routing_list.json", graph, target)
     for pair in {r.pair for r in routing.records()}:
         flags = [
             record_is_leaked(r.path_set, {1, 2})
@@ -564,8 +564,9 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
                 sums[u][v] -= big
                 sums[v][u] -= big
     wrapped = [[(value + 2**63) % 2**64 - 2**63 for value in row] for row in sums]
+    # unguarded, so that the records reach the comparison with effective_units
     wide = dict(good, records=records, delta_r_units=big, iterations=2,
-                effective_units=wrapped)
+                effective_units=wrapped, strict_guard=False)
     artifacts = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_rate.json", no_rate),
@@ -581,9 +582,11 @@ def test_simulate_refuses_malformed_routing(k23_file, tmp_path, capsys):
         write_net(tmp_path, f"field_{k}.json", doc) for k, doc in enumerate(bad_fields)
     ]
     messages = {
-        "false_diagonal.json": "effective_units is not 5 x 5 integers",
-        "float_cell.json": "effective_units is not 5 x 5 integers",
-        "wide.json": "effective_units disagrees with its records",
+        "bad_shape.json": "effective_units holds 4 items, not 5",
+        "drifted.json": "effective_units[0][1] 800 is not 700",
+        "false_diagonal.json": "effective_units[0][0] False is not 0",
+        "float_cell.json": "effective_units[0][1] 700.0 is not 700",
+        "wide.json": f"effective_units[0][1] 1002 is not {1000 - 2 * big}",
     }
     capsys.readouterr()
     for artifact in artifacts:
@@ -632,7 +635,9 @@ def test_simulate_refuses_a_node_id_that_is_not_an_integer(k23_file, tmp_path, c
 def test_simulate_refuses_a_config_that_router_config_refuses(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     graph = load_network(k23_file).graph
-    empty = dict(good, records=[], iterations=0, effective_units=graph.rate_matrix().tolist())
+    # no records, cut off at r_max 0: the remote pairs stay 100 units short
+    empty = dict(good, records=[], iterations=0, effective_units=graph.rate_matrix().tolist(),
+                 r_max=0, stop_reason="r_max", final_delta_units=100)
     assert not refuses_routing(k23_file, tmp_path, capsys, empty, "error")
     for fields, message in (
         ({"m": 0, "hop_limit": 0}, "m must be at least 1, got 0"),
@@ -672,7 +677,9 @@ def test_simulate_refuses_run_fields_route_never_writes(k23_file, tmp_path, caps
         ({"r_max": -7}, "r_max must be non-negative, got -7"),
         ({"r_max": 3}, "iterations 4 exceed r_max 3"),
         ({"stop_reason": "nonsense"}, "'nonsense' is not a valid StopReason"),
-        ({"final_delta_units": "?"}, "final_delta_units must be an integer"),
+        ({"final_delta_units": "?"}, "final_delta_units '?' is not 0"),
+        ({"final_delta_units": 12345}, "final_delta_units 12345 is not 0"),
+        ({"final_delta_units": -5}, "final_delta_units -5 is not 0"),
     ):
         assert refuses_routing(k23_file, tmp_path, capsys, dict(good, **fields),
                                f"malformed routing artifact {tmp_path / 'edited.json'}: "
@@ -706,9 +713,12 @@ def test_simulate_refuses_negative_edge_under_strict_guard(k23_file, tmp_path, c
     assert refuses_routing(k23_file, tmp_path, capsys, doc,
                            "edge (0, 1) is negative under the strict guard")
     # without the guard the artifact reads, and the key simulation refuses it
-    graph = load_network(k23_file).graph
-    unguarded = write_net(tmp_path, "unguarded.json", dict(doc, strict_guard=False))
-    routing = read_routing_artifact(unguarded, graph)
+    # a run cut off at r_max 12, with edge (0, 1) 200 units below its target
+    graph, target, _ = load_network(k23_file)
+    unguarded = write_net(tmp_path, "unguarded.json",
+                          dict(doc, strict_guard=False, r_max=12, stop_reason="r_max",
+                               final_delta_units=200))
+    routing = read_routing_artifact(unguarded, graph, target)
     assert routing.effective(graph)[0, 1] == -100
     assert main(["simulate", "--input", str(k23_file), "--routing", str(unguarded),
                  "--tau", "1"]) == EXIT_RUNTIME
@@ -724,7 +734,7 @@ def test_simulate_refuses_a_repeated_path_set(k23_file, tmp_path, capsys):
     first = dict(good["records"][0], rate_units=50, rate_kbps="0.05")
     assert refuses_routing(k23_file, tmp_path, capsys,
                            dict(halved, records=[first, first, *good["records"][1:]]),
-                           "record {(0, 1, 4), (0, 2, 4)} is listed twice")
+                           "records[0].rate_kbps '0.05' is not '0.1'")
 
 
 def test_simulate_refuses_rates_off_the_iteration_count(k23_file, tmp_path, capsys):
@@ -754,11 +764,13 @@ def test_simulate_refuses_rate_off_the_step(k23_file, tmp_path, capsys):
 def test_simulate_refuses_pair_other_than_the_endpoints(k23_file, tmp_path, capsys):
     good = routed_k23(k23_file, tmp_path)
     assert good["records"][0]["pair"] == [0, 4]
-    for pair in ([2, 3], [4, 0], [0], [0.0, 4.0], None):
+    for pair, difference in (([2, 3], "[0] 2 is not 0"), ([4, 0], "[0] 4 is not 0"),
+                             ([0], " holds 1 items, not 2"), ([0.0, 4.0], "[0] 0.0 is not 0"),
+                             (None, " None is not a list")):
         doc = json.loads(json.dumps(good))
         doc["records"][0]["pair"] = pair
         assert refuses_routing(k23_file, tmp_path, capsys, doc,
-                               f"names pair {pair!r}, not its endpoints [0, 4]"), pair
+                               f"records[0].pair{difference}"), pair
 
 
 def test_simulate_refuses_rate_kbps_other_than_rate_units(k23_file, tmp_path, capsys):
@@ -785,6 +797,37 @@ def test_simulate_refuses_a_directly_linked_pair(k23_file, tmp_path, capsys):
     doc["iterations"] += 1
     assert refuses_routing(k23_file, tmp_path, capsys, doc,
                            "routes [0, 1], a directly linked pair")
+
+
+def test_simulate_refuses_what_route_never_writes_in_its_layout(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    first = good["records"][0]
+    assert first["paths"] == [[0, 1, 4], [0, 2, 4]]
+    for doc, message in (
+        (dict(good, note="x"), "unexpected key 'note'"),
+        (dict(good, records=[dict(first, note="x"), *good["records"][1:]]),
+         "unexpected key 'note' in records[0]"),
+        (dict(good, records=good["records"][::-1]), "records[0].pair[0] 2 is not 0"),
+        (dict(good, records=[dict(first, paths=first["paths"][::-1]), *good["records"][1:]]),
+         "records[0].paths[0][1] 2 is not 1"),
+    ):
+        assert refuses_routing(k23_file, tmp_path, capsys, doc, message), message
+
+
+def test_simulate_refuses_a_routing_of_another_target(k23_file, tmp_path, capsys):
+    good = routed_k23(k23_file, tmp_path)
+    # the same edges, but every pair wants 0.2 kbit/s: the four routed pairs
+    # end 100 units short, not on target
+    text = k23_file.read_text()
+    assert text.count('"target": 0.1') == 1
+    net = tmp_path / "k23_more.json"
+    net.write_text(text.replace('"target": 0.1', '"target": 0.2'))
+    artifact = write_net(tmp_path, "routing.json", good)
+    capsys.readouterr()
+    assert main(["simulate", "--input", str(net), "--routing", str(artifact),
+                 "--tau", "1"]) == EXIT_INVALID
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("final_delta_units 0 is not 100"), lines
 
 
 def test_simulate_refuses_pools_beyond_physical_memory(k23_file, tmp_path, capsys):

@@ -50,7 +50,7 @@ DOCS = {
     "routing": {
         "unread": set(),
         "optional": set(),
-        "any_int": {"hop_limit", "r_max", "final_delta_units"},
+        "any_int": {"hop_limit", "r_max"},
     },
 }
 
