@@ -633,6 +633,25 @@ MUTANTS = (
         "final = min(deficiency)",
         ("tests/test_cli.py::test_simulate_refuses_run_fields_route_never_writes",),
     ),
+    # each stop reason's rule on the final state, dropped
+    *(
+        Mutant(f"stop rule dropped: {what}", "qkdroute/artifacts.py", snippet, replacement,
+               ("tests/test_cli.py::test_simulate_checks_the_stop_reason_against_the_final_state",))
+        for what, snippet, replacement in (
+            ("converged if and only if no pair is short",
+             "(stop_reason is StopReason.CONVERGED) != (final <= 0) or ", ""),
+            ("r_max", "StopReason.R_MAX: lambda: steps == config.r_max,",
+             "StopReason.R_MAX: lambda: True,"),
+            ("direct_pair_worst", "StopReason.DIRECT_PAIR_WORST: lambda: any(linked),",
+             "StopReason.DIRECT_PAIR_WORST: lambda: True,"),
+            ("no_m_set", "StopReason.NO_M_SET: lambda: not set(worst).isdisjoint(",
+             "StopReason.NO_M_SET: lambda: True or set(worst).isdisjoint("),
+            ("cost_worsened", "StopReason.COST_WORSENED: lambda: not all(linked),",
+             "StopReason.COST_WORSENED: lambda: True,"),
+            ("guard_exhausted", "StopReason.GUARD_EXHAUSTED: lambda: not all(linked),",
+             "StopReason.GUARD_EXHAUSTED: lambda: True,"),
+        )
+    ),
     # the routing artifact's refusals, each replaced by a test that never holds
     *(
         Mutant(f"artifact refusal removed: {what}", "qkdroute/artifacts.py",

@@ -18,12 +18,12 @@ from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from . import __version__
-from .engine import RoutingList, RoutingOutcome, StopReason
+from .engine import RoutingList, RoutingOutcome, StopReason, worst_pairs
 from .model import NetworkGraph, RateMatrix, RouterConfig
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 # netfile's one JSON file read, error boundary and integer rule
 from .netfile import _format_errors, _int_field, _is_int, _read_json
-from .paths import MPathSet, Path
+from .paths import MPathSet, Path, find_unroutable_pairs
 from .units import MAX_UNITS, UnitScale
 
 if TYPE_CHECKING:
@@ -124,8 +124,8 @@ def read_routing_artifact(
     rules: integer node ids; ``m`` paths, within a set ``hop_limit``, for
     a pair with no direct link; rates that are positive multiples of
     ``delta_r_units`` up to ``MAX_UNITS``, on network edges, adding up to
-    ``iterations`` steps, no more than a set ``r_max``; and no negative
-    edge under ``strict_guard``.
+    ``iterations`` steps, no more than a set ``r_max``; no negative edge
+    under ``strict_guard``; and a ``stop_reason`` that fits the final state.
     """
     doc = _read_json(path, "routing artifact ")
     if not isinstance(doc, dict) or doc.get("format") != ROUTING_FORMAT:
@@ -176,14 +176,28 @@ def read_routing_artifact(
                     raise ValueError(f"edge ({u}, {v}) is negative under the strict guard")
         routed = sum(record.rate for record in routing.records())
         if routed != steps * step:
-            raise ValueError(
-                f"records hold {routed} units, not {steps} iterations of {step} units"
-            )
+            raise ValueError(f"records hold {routed} units, not {steps} iterations "
+                             f"of {step} units")
         deficiency = [want - have for want, have in zip(target.cells, effective.cells)]
         final = max(deficiency)
         derived = routing_to_dict(routing, graph, config, steps, stop_reason, final)
         if _json_text(doc) != _json_text(derived):
             raise ValueError(_first_difference(doc, derived))
+        # what each stop reason says of the pairs left at the final shortfall
+        worst = worst_pairs(deficiency, n, final)
+        linked = [graph.has_edge(*pair) for pair in worst]
+        fits = {
+            StopReason.CONVERGED: lambda: True,
+            StopReason.R_MAX: lambda: steps == config.r_max,
+            StopReason.DIRECT_PAIR_WORST: lambda: any(linked),
+            StopReason.NO_M_SET: lambda: not set(worst).isdisjoint(
+                find_unroutable_pairs(graph, m, hop_limit)),
+            StopReason.COST_WORSENED: lambda: not all(linked),
+            StopReason.GUARD_EXHAUSTED: lambda: not all(linked),
+        }[stop_reason]
+        if (stop_reason is StopReason.CONVERGED) != (final <= 0) or not fits():
+            raise ValueError(f"stop_reason {stop_reason.value!r} does not fit a run that "
+                             f"ends {final} units short after {steps} iterations")
     return routing
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import subprocess
 import sys
 import warnings
@@ -13,6 +15,7 @@ import pytest
 from qkdroute import __version__, keysim
 from qkdroute.artifacts import read_routing_artifact
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from qkdroute.engine import StopReason
 from qkdroute.keysim import record_is_leaked
 from qkdroute.netfile import load_network
 
@@ -812,6 +815,86 @@ def test_simulate_refuses_what_route_never_writes_in_its_layout(k23_file, tmp_pa
          "records[0].paths[0][1] 2 is not 1"),
     ):
         assert refuses_routing(k23_file, tmp_path, capsys, doc, message), message
+
+
+def _leaves(value, site=()):
+    """The key and index path of every scalar in a JSON document."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(item, site + (key,))
+    else:
+        yield site
+
+
+def test_simulate_refuses_every_in_type_edit_of_a_run(k23_file, tmp_path, capsys):
+    # every leaf but the config fields route takes as given, edited within
+    # its JSON type: an integer + 1, a string + "0", another stop reason
+    good = routed_k23(k23_file, tmp_path)
+    reasons = [reason.value for reason in StopReason]
+    sites = [site for site in _leaves(good)
+             if site[0] not in {"seed", "strict_guard", "r_max", "hop_limit"}]
+    assert len(sites) == 73
+    for site in sites:
+        doc = json.loads(json.dumps(good))
+        parent = functools.reduce(operator.getitem, site[:-1], doc)
+        value = parent[site[-1]]
+        if site == ("stop_reason",):
+            parent[site[-1]] = reasons[(reasons.index(value) + 1) % len(reasons)]
+        else:
+            assert isinstance(value, str) or type(value) is int, site
+            parent[site[-1]] = value + ("0" if isinstance(value, str) else 1)
+        artifact = write_net(tmp_path, "edited.json", doc)
+        capsys.readouterr()
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(artifact),
+                     "--tau", "1"]) == EXIT_INVALID, site
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (site, lines)
+
+
+@pytest.mark.parametrize("network, flags, fields, refused", [
+    # k23 converges after 4 iterations, with no pair short
+    ("k23", [], {"stop_reason": "r_max"}, True),
+    ("k23", [], {"stop_reason": "r_max", "r_max": 4}, True),
+    ("k23", [], {"stop_reason": "cost_worsened"}, True),
+    ("k23", [], {"stop_reason": "no_m_set"}, True),
+    # cut off after 2 iterations, with the remote pairs (0, 4) and (1, 3)
+    # 100 units short
+    ("k23", ["--r-max", "2"], {}, False),
+    ("k23", ["--r-max", "2"], {"stop_reason": "converged"}, True),
+    ("k23", ["--r-max", "2"], {"r_max": None}, True),
+    ("k23", ["--r-max", "2"], {"r_max": 3}, True),
+    ("k23", ["--r-max", "2"], {"stop_reason": "direct_pair_worst"}, True),
+    ("k23", ["--r-max", "2"], {"stop_reason": "no_m_set"}, True),
+    ("k23", ["--r-max", "2"], {"stop_reason": "cost_worsened"}, False),
+    ("k23", ["--r-max", "2"], {"stop_reason": "guard_exhausted"}, False),
+    # at M = 3, no pair but (0, 4) has a disjoint path set
+    ("k23", ["--m", "3"], {}, False),
+    # dense5 at seed 0 stops on direct_pair_worst after 4 iterations, with
+    # only the linked pairs (0, 1) and (1, 4) 100 units short
+    ("dense5", ["--seed", "0"], {}, False),
+    ("dense5", ["--seed", "0"], {"stop_reason": "cost_worsened"}, True),
+    ("dense5", ["--seed", "0"], {"stop_reason": "guard_exhausted"}, True),
+    ("dense5", ["--seed", "0"], {"stop_reason": "no_m_set"}, True),
+])
+def test_simulate_checks_the_stop_reason_against_the_final_state(
+    tmp_path, capsys, network, flags, fields, refused
+):
+    net = NETWORKS_DIR / f"{network}.json"
+    assert main(["route", "--input", str(net), *flags,
+                 "--out-dir", str(tmp_path / "route")]) == EXIT_OK
+    doc = json.loads((tmp_path / "route" / "routing_list.json").read_text())
+    if network == "dense5":
+        assert doc["stop_reason"] == "direct_pair_worst"
+    doc.update(fields)
+    artifact = write_net(tmp_path, "edited.json", doc)
+    capsys.readouterr()
+    code = main(["simulate", "--input", str(net), "--routing", str(artifact), "--tau", "1"])
+    lines = capsys.readouterr().err.splitlines()
+    if refused:
+        assert code == EXIT_INVALID and len(lines) == 1, lines
+        assert f"stop_reason '{doc['stop_reason']}' does not fit a run that ends" in lines[0]
+    else:
+        assert code == EXIT_OK, lines
 
 
 def test_simulate_refuses_a_routing_of_another_target(k23_file, tmp_path, capsys):
