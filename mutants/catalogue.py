@@ -277,15 +277,15 @@ MUTANTS = (
     Mutant(
         "pools: a segment drawn from one bit late",
         "qkdroute/keysim.py",
-        "range(origins[edge] + start, end, 8 * _STEP_WORDS)",
-        "range(origins[edge] + start + 1, end + 1, 8 * _STEP_WORDS)",
+        "range(start, stop, 8 * _STEP_WORDS)",
+        "range(start + 1, stop + 1, 8 * _STEP_WORDS)",
         PACKED_TESTS,
     ),
     Mutant(
         "pools: the next pool starts right after the last bit, not its half-word",
         "qkdroute/keysim.py",
-        "origin += 4 * ((length + 3) // 4)",
-        "origin += length",
+        "origin += 4 * ((size + 3) // 4)",
+        "origin += size",
         POOL_TESTS,
     ),
     Mutant(
@@ -326,8 +326,8 @@ MUTANTS = (
     Mutant(
         "memory: pair keys counted at a byte per bit",
         "qkdroute/keysim.py",
-        "sum((bits + 7) // 8 for bits in allocation.key_bits.values())",
-        "sum(allocation.key_bits.values())",
+        "sum((bits + 7) // 8 for bits in layout.key_bits.values())",
+        "sum(layout.key_bits.values())",
         MEMORY_TESTS,
     ),
     Mutant(
@@ -412,15 +412,15 @@ MUTANTS = (
     Mutant(
         "keys: a pair's key sized by its last record alone",
         "qkdroute/keysim.py",
-        "allocation.key_bits[record.pair] += length",
-        "allocation.key_bits[record.pair] = length",
+        "layout.key_bits[record.pair] += length",
+        "layout.key_bits[record.pair] = length",
         ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
     ),
     Mutant(
         "keys: every record's block placed at the start of its pair's key",
         "qkdroute/keysim.py",
-        "allocation.blocks[record.path_set] = (offset, offset + length)",
-        "allocation.blocks[record.path_set] = (0, length)",
+        "layout.blocks[record.path_set] = (offset, offset + length)",
+        "layout.blocks[record.path_set] = (0, length)",
         ("tests/test_keysim.py::test_multi_record_pair_key_layout",),
     ),
     Mutant(
@@ -465,8 +465,8 @@ MUTANTS = (
     Mutant(
         "allocation: the cursor is not advanced",
         "qkdroute/keysim.py",
-        "cursors[edge] = stop",
-        "cursors[edge] = start",
+        "stop = cursors[edge] = start + length",
+        "stop = start + length",
         (
             "tests/test_keysim.py::test_allocation_stacks_records_in_canonical_order",
             "tests/test_acceptance.py::test_acceptance_key_delivery",
@@ -475,12 +475,19 @@ MUTANTS = (
     Mutant(
         "allocation: a relay segment one bit short",
         "qkdroute/keysim.py",
-        "allocation[record.path_set, edge] = (start, stop)",
-        "allocation[record.path_set, edge] = (start, stop - 1)",
+        "segments[edge] = (start, stop)",
+        "segments[edge] = (start, stop - 1)",
         (
             "tests/test_keysim.py::test_allocation_layout",
             "tests/test_keysim.py::test_endpoint_agreement_across_seeds",
         ),
+    ),
+    Mutant(
+        "allocation: a segment placed at its pool offset, without its pool's origin",
+        "qkdroute/keysim.py",
+        "cursors[edge] = origin + length",
+        "cursors[edge] = length",
+        PACKED_TESTS,
     ),
     # the one relay fold, which the far endpoint and the adversary share
     *(
@@ -524,6 +531,23 @@ MUTANTS = (
         "if repeated:",
         "if False:",
         ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
+    ),
+    Mutant(
+        "cli: --delta-r outside the group that excludes --sweep",
+        "qkdroute/cli.py",
+        'step.add_argument("--delta-r",',
+        'p_route.add_argument("--delta-r",',
+        ("tests/test_cli.py::test_usage_errors_exit_1",),
+    ),
+    Mutant(
+        "manifest: resolution_bps not compared with the input's",
+        "qkdroute/artifacts.py",
+        "if resolution != expected:",
+        "if False:",
+        (
+            "tests/test_cli.py::test_route_from_manifest_refuses_malformed",
+            "tests/test_fuzz.py::test_broken_inputs_exit_1_with_an_error_line",
+        ),
     ),
     Mutant(
         "cli: the compromise arguments checked only after the draws",

@@ -312,10 +312,16 @@ def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
             f"{input_path} is missing or differs from the input recorded in {path}"
         )
     network = load_network(input_path)
-    # input_sha256 already pins resolution_bps; the rest is a router object
+    scale = network.graph.scale
+    # resolution_bps must be the input's, as the writer records it; the rest
+    # is a router object
     with _format_errors(f"{path}: "):
-        config = _parse_config({key: value for key, value in manifest["config"].items()
-                                if key != "resolution_bps"}, network.graph.scale)
+        fields = dict(manifest["config"])
+        resolution, expected = fields.pop("resolution_bps", None), str(scale.resolution_bps)
+        if resolution != expected:
+            raise ValueError(f"config.resolution_bps {resolution!r} is not the input's "
+                             f"{expected!r}")
+        config = _parse_config(fields, scale)
     return input_path, network._replace(config=config)
 
 

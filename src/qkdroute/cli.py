@@ -83,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="network description JSON")
     source.add_argument("--from-manifest", default=None,
                         help="re-run a previous route from its manifest.json")
-    p_route.add_argument("--delta-r", default=None,
-                         help="rate step in kbit/s (overrides the file)")
+    # each --sweep value replaces the step, so the two are not given together
+    step = p_route.add_mutually_exclusive_group()
+    step.add_argument("--delta-r", default=None,
+                      help="rate step in kbit/s (overrides the file)")
     p_route.add_argument("--r-max", type=int, default=None,
                          help="iteration budget (overrides the file)")
     p_route.add_argument("--seed", type=int, default=None,
@@ -95,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allow increments that exhaust an edge")
     p_route.add_argument("--out-dir", default="qkdroute_out",
                          help="artifact directory (default qkdroute_out)")
-    p_route.add_argument("--sweep", default=None,
-                         help="comma-separated delta-r values to run in parallel")
+    step.add_argument("--sweep", default=None,
+                      help="comma-separated delta-r values to run in parallel")
 
     p_paths = sub.add_parser("paths", parents=[with_input],
                              help="list disjoint path sets for one pair")

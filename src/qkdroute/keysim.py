@@ -6,11 +6,6 @@ own share, its effective rate as ``RoutingList.effective`` derives it from the
 routing list, then one relay segment per routing record that traverses the
 edge, in canonical record order.  Both endpoints of an
 edge hold the same pool, so they carve identical segments without talking.
-``allocate_segments`` maps each (record set, edge) to the ``(start, stop)``
-bit offsets of that record's relay segment in the edge's pool.  It needs only
-the pool lengths, so ``simulate`` lays everything out once, before anything is
-drawn: the segments, where each pool starts in the stream, and where each
-record's block lies in its pair's key.
 
 The pools are consecutive runs of one bit stream, drawn from one
 ``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of
@@ -20,6 +15,12 @@ ceil(L / 4) half-words and skips the bits of its last one past L: pool p
 starts at bit 4 * H_p of the stream, where H_p = sum over q < p of
 ceil(L_q / 4).  Its bits are exactly those that ``integers(0, 2,
 dtype=uint8)`` would return if called once per pool.
+
+``allocate_segments`` is the one place that lays the stream out.  It needs
+only the pool lengths, so ``simulate`` calls it once, before anything is
+drawn, for a ``Layout``: each record's relay segment on each edge as
+``(start, stop)`` bits of the stream, and where each record's block lies in
+its pair's key.
 
 No command reads an edge's own share, and no pool is kept.
 ``assemble_pair_keys`` takes the records in canonical order and has
@@ -49,7 +50,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,9 +74,9 @@ def _physical_memory() -> int:
 
 @dataclass(eq=False, slots=True)
 class KeyPool:
-    """Bits ``start:stop`` of one edge's shared secret-bit pool, drawn for
-    one relay: the packed bytes ``bits``, first bit highest in
-    ``bits[0]``, pad bits zero.  ``len`` gives the bits drawn."""
+    """Stream bits ``start:stop``, which lie in one edge's shared secret-bit
+    pool, drawn for one relay: the packed bytes ``bits``, first bit highest
+    in ``bits[0]``, pad bits zero.  ``len`` gives the bits drawn."""
 
     bits: np.ndarray
     start: int
@@ -85,18 +86,14 @@ class KeyPool:
         return self.stop - self.start
 
 
-class SegmentAllocation(Dict[Tuple[MPathSet, Edge], Tuple[int, int]]):
-    """(record set, edge) -> the (start, stop) bit offsets of that record's
-    relay segment in the edge's pool.
+class Layout(NamedTuple):
+    """Where everything ``simulate`` draws and assembles lies."""
 
-    ``origins`` maps every edge to the first bit of its pool in the stream.
-    ``blocks`` maps every record set to the (start, stop) bits of its block
-    in its pair's key, and ``key_bits`` every routed pair to the length of
-    its key in bits.
-    """
-
-    origins: Dict[Edge, int]
+    # record set -> edge -> the (start, stop) stream bits of its relay segment
+    segments: Dict[MPathSet, Dict[Edge, Tuple[int, int]]]
+    # record set -> the (start, stop) bits of its block in its pair's key
     blocks: Dict[MPathSet, Tuple[int, int]]
+    # routed pair -> the length of its key in bits
     key_bits: Counter[Edge]
 
 
@@ -166,20 +163,20 @@ def _pool_lengths(graph: NetworkGraph, tau: Decimal) -> Dict[Edge, int]:
     return {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
 
 
-def _refuse_beyond_memory(allocation: SegmentAllocation, tau: Decimal) -> None:
+def _refuse_beyond_memory(layout: Layout, tau: Decimal) -> None:
     """CapacityError when the packed pair keys plus what relaying the largest
     record holds would not fit in physical memory.  A record whose T
     segments take S bytes each, over paths of at most h hops, holds its T
     segments, a segment joined from its steps, one step of raw words (a byte
     per bit drawn, at most ``_STEP_WORDS + 1`` words) and, while one path is
     relayed, its h - 1 messages, the two keys of its fold and two blocks."""
-    key_bytes = sum((bits + 7) // 8 for bits in allocation.key_bits.values())
+    key_bytes = sum((bits + 7) // 8 for bits in layout.key_bits.values())
     relay_bytes = max(
         (
             (path_set.total_hops + max(path.hops for path in path_set.paths) + 4)
             * ((stop - start + 7) // 8)
             + 8 * min(_STEP_WORDS + 1, (stop - start + 14) // 8)
-            for path_set, (start, stop) in allocation.blocks.items()
+            for path_set, (start, stop) in layout.blocks.items()
         ),
         default=0,
     )
@@ -193,16 +190,14 @@ def _refuse_beyond_memory(allocation: SegmentAllocation, tau: Decimal) -> None:
 
 def accumulate_pools(
     segments: Mapping[Edge, Tuple[int, int]],
-    origins: Mapping[Edge, int],
     generator: np.random.BitGenerator,
 ) -> Dict[Edge, KeyPool]:
-    """Draw bits ``start:stop`` of each edge's pool, as ``segments`` gives
+    """Draw stream bits ``start:stop`` for each edge, as ``segments`` gives
     them, from the stream's bit generator.
 
     ``generator`` is at the first word of the stream the module docstring
     sets out, as ``numpy.random.default_rng(seed).bit_generator`` starts,
-    and is left there.  Bit 0 of an edge's pool is stream bit
-    ``origins[edge]``.  Each segment is drawn on its own, in steps of
+    and is left there.  Each segment is drawn on its own, in steps of
     ``8 * _STEP_WORDS`` bits: the generator jumps to the 64-bit word that
     holds a step's first bit and draws the words the step spans, and their
     top-bit octets are sliced at that bit before they are packed.  So every
@@ -213,11 +208,10 @@ def accumulate_pools(
     pools: Dict[Edge, KeyPool] = {}
     at = 0  # the generator's word
     for edge, (start, stop) in segments.items():
-        end = origins[edge] + stop
         steps = []
-        for first in range(origins[edge] + start, end, 8 * _STEP_WORDS):
+        for first in range(start, stop, 8 * _STEP_WORDS):
             word, lead = divmod(first, 8)
-            count = min(8 * _STEP_WORDS, end - first)
+            count = min(8 * _STEP_WORDS, stop - first)
             generator.advance((word - at) % _PERIOD)
             raw = generator.random_raw((lead + count + 7) // 8)
             at = word + len(raw)
@@ -237,19 +231,18 @@ def allocate_segments(
     routing_list: RoutingList,
     graph: NetworkGraph,
     tau: Decimal,
-) -> SegmentAllocation:
-    """Carve every pool, ``lengths[edge]`` bits long, into its own share
-    plus relay segments.
+) -> Layout:
+    """Lay the pools, ``lengths[edge]`` bits long, out in the stream, in the
+    order of ``lengths``, and carve each into its own share plus relay
+    segments.
 
-    Returns a map from (record set, edge) to the ``(start, stop)`` bit
-    offsets of that record's relay segment in the edge's pool, with each
-    pool's first stream bit in ``origins``, each record's bits in its pair's
-    key in ``blocks`` and each pair's key length in ``key_bits``.  An edge's
-    own share, its effective rate ``routing_list.effective``, sits at the
-    pool front.  Segment lengths are floor(rate * tau) bits.  Records are
-    laid out in canonical order, so all parties compute the same offsets
-    independently.  The pools lie in the stream in the order of
-    ``lengths``.
+    Pool p starts at stream bit 4 * H_p, as the module docstring sets out.
+    An edge's own share, its effective rate ``routing_list.effective``, sits
+    at the pool front; the relay segments follow it, floor(rate * tau) bits
+    each, with the records in canonical order, so all parties compute the
+    same layout independently.  Returns each record's relay segment on each
+    edge it uses as ``(start, stop)`` stream bits, each record's bits in its
+    pair's key and each pair's key length.
 
     Raises:
         CapacityError: when an edge pool cannot hold its own share plus
@@ -259,7 +252,9 @@ def allocate_segments(
     """
     scale = graph.scale
     effective = routing_list.effective(graph)
-    cursors: Dict[Edge, int] = {}  # each pool's next free bit
+    cursors: Dict[Edge, int] = {}  # each pool's next free stream bit
+    ends: Dict[Edge, int] = {}  # the stream bit past each pool
+    origin = 0
     for edge, size in lengths.items():
         rate = effective[edge]
         if rate < 0:
@@ -273,18 +268,19 @@ def allocate_segments(
                 f"edge ({edge[0]}, {edge[1]}) pool of {size} bits cannot "
                 f"hold its {length}-bit own share"
             )
-        cursors[edge] = length
-    allocation = SegmentAllocation()
-    allocation.blocks = {}
-    allocation.key_bits = Counter()
+        cursors[edge] = origin + length
+        ends[edge] = origin + size
+        origin += 4 * ((size + 3) // 4)
+    layout = Layout({}, {}, Counter())
     record_bits: Dict[int, int] = {}  # by rate, which many records share
     for record in routing_list.records():
         if record.rate not in record_bits:
             record_bits[record.rate] = scale.bit_count(record.rate, tau)
         length = record_bits[record.rate]
-        offset = allocation.key_bits[record.pair]
-        allocation.blocks[record.path_set] = (offset, offset + length)
-        allocation.key_bits[record.pair] += length
+        offset = layout.key_bits[record.pair]
+        layout.blocks[record.path_set] = (offset, offset + length)
+        layout.key_bits[record.pair] += length
+        segments = layout.segments[record.path_set] = {}
         for path in record.path_set.paths:
             for edge in path.edges:
                 if edge not in lengths:
@@ -293,21 +289,15 @@ def allocate_segments(
                         "which is not an edge of the network"
                     )
                 start = cursors[edge]
-                if start + length > lengths[edge]:
+                stop = cursors[edge] = start + length
+                if stop > ends[edge]:
                     raise CapacityError(
                         f"edge ({edge[0]}, {edge[1]}) pool of "
                         f"{lengths[edge]} bits exhausted while allocating "
                         f"relay segments"
                     )
-                stop = start + length
-                allocation[record.path_set, edge] = (start, stop)
-                cursors[edge] = stop
-    allocation.origins = {}
-    origin = 0
-    for edge, length in lengths.items():
-        allocation.origins[edge] = origin
-        origin += 4 * ((length + 3) // 4)
-    return allocation
+                segments[edge] = (start, stop)
+    return layout
 
 
 def relay_path_key(
@@ -334,26 +324,26 @@ def relay_path_key(
 
 def assemble_pair_keys(
     routing_list: RoutingList,
-    allocation: SegmentAllocation,
+    layout: Layout,
     seed: int,
 ) -> Dict[Edge, PairKey]:
     """Relay every record, in canonical order, and write its XOR block into
     its pair's packed key, allocated up front; ``agreed`` holds when both
     endpoints' blocks match for every record of the pair."""
-    lengths = allocation.key_bits
+    lengths = layout.key_bits
     keys = {pair: np.zeros((length + 7) // 8, dtype=np.uint8) for pair, length in lengths.items()}
     agreed: Dict[Edge, bool] = {}
     generator = np.random.default_rng(seed).bit_generator
     for record in routing_list.records():
         pair = record.pair
-        same = _relay_record(record.path_set, allocation, generator, keys[pair])
+        same = _relay_record(record.path_set, layout, generator, keys[pair])
         agreed[pair] = agreed.get(pair, True) and same
     return {pair: PairKey(keys[pair], lengths[pair], agreed[pair]) for pair in sorted(keys)}
 
 
 def _relay_record(
     path_set: MPathSet,
-    allocation: SegmentAllocation,
+    layout: Layout,
     generator: np.random.BitGenerator,
     key: np.ndarray,
 ) -> bool:
@@ -362,18 +352,14 @@ def _relay_record(
     into the pair's packed ``key``; True when the far endpoint's block, the
     XOR of the keys it recovers, is the same.  What the record holds is
     dropped on return, before the next record is drawn."""
-    pools = accumulate_pools(
-        {edge: allocation[path_set, edge] for edge in path_set.edges},
-        allocation.origins,
-        generator,
-    )
+    pools = accumulate_pools(layout.segments[path_set], generator)
     block_i: Optional[np.ndarray] = None
     block_j: Optional[np.ndarray] = None
     for path in path_set.paths:
         key_i, key_j = relay_path_key(pools, path.edges)[:2]
         block_i = key_i if block_i is None else np.bitwise_xor(block_i, key_i)
         block_j = key_j if block_j is None else np.bitwise_xor(block_j, key_j)
-    _write_block(key, allocation.blocks[path_set][0], block_i)
+    _write_block(key, layout.blocks[path_set][0], block_i)
     return block_i.tobytes() == block_j.tobytes()
 
 
@@ -408,16 +394,15 @@ class KeySimulation:
     tau: Decimal
     seed: int
     pool_lengths: Mapping[Edge, int]  # bits in each edge's pool
-    allocation: SegmentAllocation
+    layout: Layout
     pair_keys: Mapping[Edge, PairKey]
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
         """True XOR block a record contributes to its pair key, packed eight
         bits to a byte from its first bit, pad bits zero: the bits the
-        allocation gives it, realigned out of the pair key."""
-        return _read_block(
-            self.pair_keys[path_set.endpoints].packed, *self.allocation.blocks[path_set]
-        )
+        layout gives it, realigned out of the pair key."""
+        key = self.pair_keys[path_set.endpoints].packed
+        return _read_block(key, *self.layout.blocks[path_set])
 
 
 def simulate(
@@ -438,16 +423,16 @@ def simulate(
     """
     tau = as_decimal(tau, "tau")
     lengths = _pool_lengths(graph, tau)
-    allocation = allocate_segments(lengths, routing_list, graph, tau)
-    _refuse_beyond_memory(allocation, tau)
-    pair_keys = assemble_pair_keys(routing_list, allocation, seed)
+    layout = allocate_segments(lengths, routing_list, graph, tau)
+    _refuse_beyond_memory(layout, tau)
+    pair_keys = assemble_pair_keys(routing_list, layout, seed)
     return KeySimulation(
         graph=graph,
         routing_list=routing_list,
         tau=tau,
         seed=seed,
         pool_lengths=lengths,
-        allocation=allocation,
+        layout=layout,
         pair_keys=pair_keys,
     )
 
@@ -481,10 +466,9 @@ def adversary_reconstruct(
         if anchor is None:
             return None
         reach.append(path.edges[:anchor])
-    allocation = sim.allocation
+    segments = sim.layout.segments[path_set]
     pools = accumulate_pools(
-        {edge: allocation[path_set, edge] for edges in reach for edge in edges},
-        allocation.origins,
+        {edge: segments[edge] for edges in reach for edge in edges},
         np.random.default_rng(sim.seed).bit_generator,
     )
     return functools.reduce(np.bitwise_xor, (relay_path_key(pools, edges)[1] for edges in reach))
@@ -535,7 +519,7 @@ def assess_compromise(
         if leaked and rebuilt.tobytes() != sim.record_block(record.path_set).tobytes():
             raise AssertionError("adversary reconstructed an incorrect block")
         pair = record.pair
-        start, stop = sim.allocation.blocks[record.path_set]
+        start, stop = sim.layout.blocks[record.path_set]
         leaked_by_pair[pair] = leaked_by_pair.get(pair, 0) + (stop - start if leaked else 0)
         verdict = FULLY_LEAKED if leaked else SECURE
         status[pair] = (

@@ -186,7 +186,7 @@ def test_acceptance_mesh10_properties(mesh10):
         assert key.agreed
         blocks = []  # each record's block, one byte per bit
         for r in recs:
-            start, stop = sim.allocation.blocks[r.path_set]
+            start, stop = sim.layout.blocks[r.path_set]
             blocks.append(np.unpackbits(sim.record_block(r.path_set), count=stop - start))
         assert np.array_equal(key.bits, np.concatenate(blocks))
 
@@ -275,15 +275,19 @@ def test_acceptance_key_delivery(ring6):
             assert key.agreed
             assert len(key.bits) == rates[pair] * 100
         # segment accounting: every pool is tiled exactly by its own share
-        # plus the relay segments of the records crossing the edge
+        # plus the relay segments of the records crossing the edge; pool p
+        # starts at stream bit 4 * H_p, H_p the half-words of the pools before it
+        origin = 0
         for edge, length in sim.pool_lengths.items():
             assert length == graph.rate(*edge) * 100
-            relay = sorted(seg for (s, e), seg in sim.allocation.items() if e == edge)
+            relay = sorted(segments[edge] for segments in sim.layout.segments.values()
+                           if edge in segments)
             cursor = int(out.effective[edge]) * 100
             for start, stop in relay:
-                assert start == cursor
-                cursor = stop
+                assert start - origin == cursor
+                cursor = stop - origin
             assert cursor == length
+            origin += 4 * ((length + 3) // 4)
     assert time.perf_counter() - started < 5.0
 
 
@@ -316,24 +320,23 @@ def test_acceptance_compromise_security(k23):
     routing.add(set_a, 100)
     tau = Decimal("0.08")
     base = simulate(graph, routing, tau, seed=1)
-    allocation = base.allocation
-    start, stop = allocation[set_a, (0, 1)]
+    layout = base.layout
+    start, stop = layout.segments[set_a][(0, 1)]
     assert stop - start == 8
     seen = set()
     for value in range(256):
         # the segment drawn on (0, 1) is replaced by this value
-        def patched(segments, origins, generator):
-            pools = accumulate_pools(segments, origins, generator)
+        def patched(segments, generator):
+            pools = accumulate_pools(segments, generator)
             pools[(0, 1)] = KeyPool(np.array([value], np.uint8), start, stop)
             return pools
 
-        pools = patched({edge: allocation[set_a, edge] for edge in set_a.edges},
-                        allocation.origins, np.random.default_rng(1).bit_generator)
+        pools = patched(layout.segments[set_a], np.random.default_rng(1).bit_generator)
         for path in set_a.paths:
             key_i, key_j, _ = relay_path_key(pools, path.edges)
             assert np.array_equal(key_i, key_j)
         with mock.patch.object(keysim, "accumulate_pools", patched):
-            seen.add(int(assemble_pair_keys(routing, allocation, base.seed)[(0, 4)].packed[0]))
+            seen.add(int(assemble_pair_keys(routing, layout, base.seed)[(0, 4)].packed[0]))
     assert seen == set(range(256))
 
     assert compromise_probability_bound(2, "0.1") == 0.01

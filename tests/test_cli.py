@@ -113,11 +113,15 @@ def test_unparseable_input(tmp_path, capsys):
      "qkdroute simulate: error: argument --compromise: expected a comma-separated node list"),
     (["validate"],
      "qkdroute validate: error: the following arguments are required: --input"),
-], ids=["pair", "compromise", "missing-input"])
-def test_usage_errors_exit_1(k23_file, capsys, argv, message):
+    # each sweep value would replace the step, so --delta-r would go unused
+    (["route", "--input", "{net}", "--delta-r", "0.5", "--sweep", "0.01", "--out-dir", "{out}"],
+     "qkdroute route: error: argument --sweep: not allowed with argument --delta-r"),
+], ids=["pair", "compromise", "missing-input", "delta-r-with-sweep"])
+def test_usage_errors_exit_1(k23_file, tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exited:
-        main([arg.format(net=k23_file) for arg in argv])
+        main([arg.format(net=k23_file, out=tmp_path / "out") for arg in argv])
     assert exited.value.code == EXIT_INVALID
+    assert not (tmp_path / "out").exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: qkdroute {argv[0]} ")
@@ -263,7 +267,8 @@ def test_route_from_manifest_refuses_malformed(k23_file, tmp_path, capsys):
     without_input = {k: v for k, v in good.items() if k != "input"}
     without_config = {k: v for k, v in good.items() if k != "config"}
     bad_configs = [{"m": "2"}, {"m": True}, {"seed": "x"}, {"strict_guard": "no"},
-                   {"delta_r_kbps": [1]}]
+                   {"delta_r_kbps": [1]}, {"resolution_bps": "banana"},
+                   {"resolution_bps": "2"}, {"resolution_bps": 1}]
     manifests = [
         write_net(tmp_path, "array.json", [good]),
         write_net(tmp_path, "no_input.json", without_input),

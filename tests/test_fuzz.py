@@ -43,7 +43,7 @@ DOCS = {
         "any_int": {"nodes", "M", "r_max", "seed", "hop_limit"},
     },
     "manifest": {
-        "unread": {"tool", "version", "artifacts", "resolution_bps"},
+        "unread": {"tool", "version", "artifacts"},
         "optional": set(),
         "any_int": {"m", "r_max", "seed", "hop_limit"},
     },

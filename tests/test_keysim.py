@@ -21,7 +21,7 @@ from qkdroute.keysim import (
     SECURE,
     CapacityError,
     KeyPool,
-    SegmentAllocation,
+    Layout,
     accumulate_pools,
     adversary_reconstruct,
     allocate_segments,
@@ -65,11 +65,25 @@ def stream(seed):
 
 def draw_record(sim, path_set):
     """The relay segments of one record, drawn as ``simulate`` draws them."""
-    return accumulate_pools(
-        {edge: sim.allocation[path_set, edge] for edge in path_set.edges},
-        sim.allocation.origins,
-        stream(sim.seed),
-    )
+    return accumulate_pools(sim.layout.segments[path_set], stream(sim.seed))
+
+
+def pool_origins(lengths):
+    """Pool p starts at bit 4 * H_p of the stream, where H_p is the number
+    of 32-bit half-words the pools before it take."""
+    origins, half_words = {}, 0
+    for edge, length in lengths.items():
+        origins[edge] = 4 * half_words
+        half_words += (length + 3) // 4
+    return origins
+
+
+def in_pools(segments, lengths):
+    """Stream-bit segments as bit offsets in their pools: each less its
+    pool's origin as ``pool_origins`` gives it."""
+    origins = pool_origins(lengths)
+    return {edge: (start - origins[edge], stop - origins[edge])
+            for edge, (start, stop) in segments.items()}
 
 
 def unpacked(pool):
@@ -83,9 +97,11 @@ def test_pool_lengths_and_determinism(k23):
     assert sim.pool_lengths == dict.fromkeys(graph.edges, 2000)
     pools = draw_record(sim, SET_A)
     assert set(pools) == set(SET_A.edges)
-    for pool in pools.values():
+    origins = pool_origins(sim.pool_lengths)
+    for edge, pool in pools.items():
         # each relaying edge draws its last 600 bits, packed 8 bits per byte
-        assert (pool.start, pool.stop, len(pool)) == (1400, 2000, 600)
+        in_pool = (pool.start - origins[edge], pool.stop - origins[edge])
+        assert (*in_pool, len(pool)) == (1400, 2000, 600)
         assert pool.bits.dtype == np.uint8
         assert pool.bits.nbytes == 75
     again = simulate(graph, routing, Decimal(2), seed=7)
@@ -106,24 +122,17 @@ def mesh10_routed():
     return graph, run(graph, target, config)
 
 
-def assert_origins(origins, lengths):
-    """Pool p starts at bit 4 * H_p of the stream, where H_p is the number
-    of 32-bit half-words the pools before it take."""
-    half_words = 0
-    assert list(origins) == list(lengths)
-    for edge, length in lengths.items():
-        assert origins[edge] == 4 * half_words
-        half_words += (length + 3) // 4
-
-
-def assert_drawn(pools, segments, reference):
-    """Each pool holds exactly its segment's bits of the reference draw,
-    packed from the top bit of its first byte on with zero pad bits."""
+def assert_drawn(pools, segments, reference, origins):
+    """Each pool holds exactly its segment's bits of the reference draw of
+    its edge's pool, which starts at stream bit ``origins[edge]``, packed
+    from the top bit of its first byte on with zero pad bits."""
     assert list(pools) == list(segments)
     for edge, (start, stop) in segments.items():
         pool = pools[edge]
         assert (pool.start, pool.stop, len(pool)) == (start, stop, stop - start)
-        assert pool.bits.tolist() == packed(reference[edge][start:stop])
+        offset = origins[edge]
+        assert 0 <= start - offset <= stop - offset <= len(reference[edge])
+        assert pool.bits.tolist() == packed(reference[edge][start - offset : stop - offset])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -142,16 +151,15 @@ def test_packed_pools_match_one_shot_draws(seed, tau, step_words):
     graph, out = mesh10_routed()
     lengths = {edge: graph.scale.bit_count(graph.rate(*edge), tau) for edge in graph.edges}
     reference = dict(zip(graph.edges, one_shot_pools(list(lengths.values()), seed)))
-    allocation = allocate_segments(lengths, out.routing_list, graph, tau)
-    assert_origins(allocation.origins, lengths)
+    origins = pool_origins(lengths)
+    layout = allocate_segments(lengths, out.routing_list, graph, tau)
     generator = stream(seed)
     with mock.patch.object(keysim, "_STEP_WORDS", step_words):
         for record in out.routing_list.records():
-            segments = {edge: allocation[record.path_set, edge] for edge in record.path_set.edges}
-            assert_drawn(accumulate_pools(segments, allocation.origins, generator),
-                         segments, reference)
-        whole = {edge: (0, length) for edge, length in lengths.items()}
-        assert_drawn(accumulate_pools(whole, allocation.origins, generator), whole, reference)
+            segments = layout.segments[record.path_set]
+            assert_drawn(accumulate_pools(segments, generator), segments, reference, origins)
+        whole = {edge: (origins[edge], origins[edge] + length) for edge, length in lengths.items()}
+        assert_drawn(accumulate_pools(whole, generator), whole, reference, origins)
 
 
 def test_pool_starts_on_the_carried_half_word():
@@ -175,30 +183,30 @@ def test_pool_starts_on_the_carried_half_word():
     routing = RoutingList()
     routing.add(MPathSet((Path((1, 0, 3)),)), 4)  # 2 bits a link
     routing.add(MPathSet((Path((2, 1, 0, 3)),)), 4)
-    allocation = allocate_segments(lengths, routing, graph, tau)
+    layout = allocate_segments(lengths, routing, graph, tau)
     # pool (0, 3) starts at bit 12; pool (1, 2) on a fresh word at
     # step_bits + 32
-    assert allocation.origins == {(0, 1): 0, (0, 2): 12, (0, 3): 12,
-                                  (1, 2): step_bits + 32}
+    origins = pool_origins(lengths)
+    assert origins == {(0, 1): 0, (0, 2): 12, (0, 3): 12, (1, 2): step_bits + 32}
     first, second = (record.path_set for record in routing.records())
-    assert {edge: allocation[first, edge] for edge in first.edges} == {
+    assert layout.segments[first] == {(0, 1): (5, 7), (0, 3): (step_bits + 26, step_bits + 28)}
+    assert in_pools(layout.segments[first], lengths) == {
         (0, 1): (5, 7), (0, 3): (step_bits + 14, step_bits + 16)}
-    assert {edge: allocation[second, edge] for edge in second.edges} == {
+    assert in_pools(layout.segments[second], lengths) == {
         (1, 2): (3, 5), (0, 1): (7, 9), (0, 3): (step_bits + 16, step_bits + 18)}
     generator = stream(4)
     for path_set in (first, second):
-        segments = {edge: allocation[path_set, edge] for edge in path_set.edges}
-        assert_drawn(accumulate_pools(segments, allocation.origins, generator),
-                     segments, reference)
-    whole = {edge: (0, length) for edge, length in lengths.items()}
-    pools = accumulate_pools(whole, allocation.origins, generator)
-    assert_drawn(pools, whole, reference)
+        segments = layout.segments[path_set]
+        assert_drawn(accumulate_pools(segments, generator), segments, reference, origins)
+    whole = {edge: (origins[edge], origins[edge] + length) for edge, length in lengths.items()}
+    pools = accumulate_pools(whole, generator)
+    assert_drawn(pools, whole, reference, origins)
     assert [pool.bits.nbytes for pool in pools.values()] == [2, 0, step_bits // 8 + 3, 1]
 
     # the first four bits of (0, 3) are the second word's high half
     raw = stream(4).random_raw(2)
     carried = [(int(raw[1]) >> (8 * k + 7)) & 1 for k in range(4, 8)]
-    first_bits = accumulate_pools({(0, 3): (0, 4)}, allocation.origins, stream(4))[(0, 3)]
+    first_bits = accumulate_pools({(0, 3): (12, 16)}, stream(4))[(0, 3)]
     assert unpacked(first_bits).tolist() == carried
 
 
@@ -232,37 +240,36 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
         path_set = MPathSet(tuple(paths))
         routing.add(path_set, 1)
         block_bits[path_set] = bits
-    allocation = SegmentAllocation()
-    allocation.blocks, allocation.key_bits = {}, Counter()
+    layout = Layout({}, {}, Counter())
+    in_pool = {}  # record set -> edge -> its segment's bits in the edge's pool
     lengths = {}  # each edge's pool, in the order the pools lie in the stream
     for record in routing.records():
         bits = block_bits[record.path_set]
-        offset = allocation.key_bits[(0, 1)]
-        allocation.blocks[record.path_set] = (offset, offset + bits)
-        allocation.key_bits[(0, 1)] += bits
+        offset = layout.key_bits[(0, 1)]
+        layout.blocks[record.path_set] = (offset, offset + bits)
+        layout.key_bits[(0, 1)] += bits
+        in_pool[record.path_set] = {}
         for edge in record.path_set.edges:
             if edge not in lengths:
                 lengths[edge] = data.draw(st.integers(0, 20))  # the own share
-            allocation[record.path_set, edge] = (lengths[edge], lengths[edge] + bits)
+            in_pool[record.path_set][edge] = (lengths[edge], lengths[edge] + bits)
             lengths[edge] += bits
     for edge in lengths:
         lengths[edge] += data.draw(st.integers(0, 12))
-    allocation.origins = {}
-    origin = 0
-    for edge, length in lengths.items():
-        allocation.origins[edge] = origin
-        origin += 4 * ((length + 3) // 4)
+    origins = pool_origins(lengths)
+    for path_set, segments in in_pool.items():
+        layout.segments[path_set] = {
+            edge: (origins[edge] + start, origins[edge] + stop)
+            for edge, (start, stop) in segments.items()
+        }
     pool_bits = dict(zip(lengths, one_shot_pools(list(lengths.values()), seed)))
 
     expected_key = []
     for record in routing.records():
-        pools = accumulate_pools(
-            {edge: allocation[record.path_set, edge] for edge in record.path_set.edges},
-            allocation.origins, stream(seed),
-        )
+        pools = accumulate_pools(layout.segments[record.path_set], stream(seed))
         path_keys = []
         for path in record.path_set.paths:
-            segments = [pool_bits[edge][slice(*allocation[record.path_set, edge])]
+            segments = [pool_bits[edge][slice(*in_pool[record.path_set][edge])]
                         for edge in path.edges]
             for edge, bits in zip(path.edges, segments):
                 assert pools[edge].bits.tolist() == packed(bits)
@@ -274,7 +281,7 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
             path_keys.append(segments[0])
         expected_key.extend(functools.reduce(np.bitwise_xor, path_keys).tolist())
 
-    keys = assemble_pair_keys(routing, allocation, seed)
+    keys = assemble_pair_keys(routing, layout, seed)
     assert list(keys) == [(0, 1)]
     key = keys[(0, 1)]
     assert key.agreed
@@ -288,11 +295,11 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
 def test_a_drawn_pool_holds_its_segment_alone():
     """A drawn KeyPool holds one segment's bits alone, packed: six bits in
     one byte, and a segment of no bits in no byte."""
-    pool = accumulate_pools({(0, 1): (3, 9)}, {(0, 1): 4}, stream(0))[(0, 1)]
+    pool = accumulate_pools({(0, 1): (7, 13)}, stream(0))[(0, 1)]
     assert len(pool) == 6
     assert pool.bits.nbytes == 1
     assert len(unpacked(pool)) == 6
-    empty = accumulate_pools({(0, 1): (5, 5)}, {(0, 1): 4}, stream(0))[(0, 1)]
+    empty = accumulate_pools({(0, 1): (9, 9)}, stream(0))[(0, 1)]
     assert len(empty) == 0
     assert empty.bits.nbytes == 0
 
@@ -356,13 +363,13 @@ def test_memory_count_bounds_what_assembly_holds(network, tau, step_words):
     graph, target, config = load_network(NETWORKS_DIR / f"{network}.json")
     routing = run(graph, target, config).routing_list
     tau = Decimal(tau)
-    allocation = allocate_segments(keysim._pool_lengths(graph, tau), routing, graph, tau)
+    layout = allocate_segments(keysim._pool_lengths(graph, tau), routing, graph, tau)
     stream(0)  # the generator's first seeding imports modules, once a process
     with mock.patch.object(keysim, "_STEP_WORDS", step_words):
         counted = counted_bytes(graph, routing, tau)
         tracemalloc.start()
         try:
-            assemble_pair_keys(routing, allocation, seed=0)
+            assemble_pair_keys(routing, layout, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,13 +426,13 @@ def test_simulate_draws_each_segment_once_and_the_adversary_to_its_anchors(ring6
     for corrupt in ({1, 2}, {0, 2}, {4, 2}, {3}, {0, 1, 2, 3, 4, 5}):
         drawn = []
 
-        def counted(segments, origins, generator):
+        def counted(segments, generator):
             drawn.append(len(segments))
-            return accumulate_pools(segments, origins, generator)
+            return accumulate_pools(segments, generator)
 
         with mock.patch.object(keysim, "accumulate_pools", counted):
             sim = simulate(graph, out.routing_list, tau=1, seed=0)
-            assert sum(drawn) == len(sim.allocation)
+            assert sum(drawn) == sum(map(len, sim.layout.segments.values()))
             assess_compromise(sim, corrupt)
         anchored = [
             sum(next(t for t, node in enumerate(path.nodes[1:-1], 1) if node in corrupt)
@@ -453,7 +460,7 @@ def test_fractional_tau_floors_pool(k23):
     # 1000 bit/s for 1.5 ms would be 1.5 bits, and 300 bit/s 0.45 bits;
     # pools and segments hold whole bits
     assert set(sim.pool_lengths.values()) == {1}
-    assert sim.allocation[SET_A, (0, 1)] == (1, 1)
+    assert in_pools(sim.layout.segments[SET_A], sim.pool_lengths)[(0, 1)] == (1, 1)
     assert sim.pair_keys[(0, 4)].length == 0
 
 
@@ -478,12 +485,12 @@ def test_record_is_leaked_rule():
 
 def test_allocation_layout(k23):
     graph, routing = single_record_setup(k23, rate=300)
-    allocation = allocate_segments(edge_lengths(graph), routing, graph, Decimal(1))
+    lengths = edge_lengths(graph)
+    layout = allocate_segments(lengths, routing, graph, Decimal(1))
     # every traversed edge keeps its own share of 1000 - 300 bits at the
     # pool front; one relay segment starts right after it
-    for edge in ((0, 1), (1, 4), (0, 2), (2, 4)):
-        assert allocation[SET_A, edge] == (1000 - 300, 1000)
-    assert (SET_A, (0, 3)) not in allocation
+    assert in_pools(layout.segments[SET_A], lengths) == dict.fromkeys(
+        ((0, 1), (1, 4), (0, 2), (2, 4)), (1000 - 300, 1000))
 
 
 def test_allocation_stacks_records_in_canonical_order(k23):
@@ -491,13 +498,14 @@ def test_allocation_stacks_records_in_canonical_order(k23):
     routing = RoutingList()
     routing.add(SET_B, 200)
     routing.add(SET_A, 300)
-    allocation = allocate_segments(edge_lengths(graph), routing, graph, Decimal(1))
+    lengths = edge_lengths(graph)
+    layout = allocate_segments(lengths, routing, graph, Decimal(1))
     # edge (0, 1) serves both records and keeps 1000 - 300 - 200 bits of its
     # own; SET_A sorts first so it sits first
     cursor = 1000 - 300 - 200
-    assert allocation[SET_A, (0, 1)] == (cursor, cursor + 300)
-    assert allocation[SET_B, (0, 1)] == (cursor + 300, cursor + 500)
-    assert allocation[SET_B, (0, 3)] == (1000 - 200, 1000)
+    assert in_pools(layout.segments[SET_A], lengths)[(0, 1)] == (cursor, cursor + 300)
+    assert in_pools(layout.segments[SET_B], lengths)[(0, 1)] == (cursor + 300, cursor + 500)
+    assert in_pools(layout.segments[SET_B], lengths)[(0, 3)] == (1000 - 200, 1000)
 
 
 def test_allocation_rejects_oversubscribed_edge(k23):
@@ -586,8 +594,8 @@ def test_multi_record_pair_key_layout(k23):
     # the key is the records' XOR blocks concatenated in canonical order;
     # a block is realigned out of it from bit 0, its pad bits zero, though
     # SET_A's last byte in the key holds SET_B's first four bits
-    assert sim.allocation.blocks == {SET_A: (0, 300), SET_B: (300, 500)}
-    for path_set, (start, stop) in sim.allocation.blocks.items():
+    assert sim.layout.blocks == {SET_A: (0, 300), SET_B: (300, 500)}
+    for path_set, (start, stop) in sim.layout.blocks.items():
         assert sim.record_block(path_set).tolist() == packed(key.bits[start:stop])
     # and each block really is the XOR of its member-path first-link segments
     for path_set, (first, second) in ((SET_A, ((0, 1), (0, 2))), (SET_B, ((0, 1), (0, 3)))):
@@ -700,24 +708,22 @@ def test_eight_bit_blocks_exhaustively_uniform(k23):
     graph, routing = single_record_setup(k23, rate=100)
     tau = Decimal("0.08")  # 100 bit/s * 0.08 s = 8-bit relay segments
     sim = simulate(graph, routing, tau, seed=9)
-    allocation = sim.allocation
-    start, stop = allocation[SET_A, (0, 1)]
+    layout = sim.layout
+    start, stop = layout.segments[SET_A][(0, 1)]
     assert stop - start == 8
     seen = set()
     for value in range(256):
-        def patched(segments, origins, generator):
-            pools = accumulate_pools(segments, origins, generator)
+        def patched(segments, generator):
+            pools = accumulate_pools(segments, generator)
             pools[(0, 1)] = KeyPool(np.array([value], dtype=np.uint8), start, stop)
             return pools
 
-        pools = patched(
-            {edge: allocation[SET_A, edge] for edge in SET_A.edges}, allocation.origins, stream(9)
-        )
+        pools = patched(layout.segments[SET_A], stream(9))
         for path in SET_A.paths:
             key_i, key_j, _ = relay_path_key(pools, path.edges)
             assert np.array_equal(key_i, key_j)
         with mock.patch.object(keysim, "accumulate_pools", patched):
-            key = assemble_pair_keys(routing, allocation, sim.seed)[(0, 4)]
+            key = assemble_pair_keys(routing, layout, sim.seed)[(0, 4)]
         assert key.agreed
         seen.add(int(key.packed[0]))
     assert seen == set(range(256))
