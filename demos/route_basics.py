@@ -41,9 +41,11 @@ def main() -> None:
     print("\nrouting list (kbit/s per disjoint path set):")
     print(render_routing_text(outcome.routing_list, graph.scale), end="")
 
+    # the effective rates follow from the routing list alone
+    effective = outcome.routing_list.effective(graph)
     print("\nresidual direct rates after relaying:")
     for u, v in graph.edges:
-        residual = graph.scale.kbps_str(int(outcome.effective[u, v]))
+        residual = graph.scale.kbps_str(effective[u, v])
         print(f"  edge ({u}, {v}): {residual} of "
               f"{graph.scale.kbps_str(graph.rate(u, v))}")
 

@@ -238,6 +238,22 @@ MUTANTS = (
         "        self._rates[path_set] = self._rates.get(path_set, 0) + delta_r\n",
         ("tests/test_engine.py::test_routing_list_merges_records",),
     ),
+    # a run's derived fields, read from its terminal trace entry
+    Mutant(
+        "outcome: the final shortfall read from the rejected step",
+        "qkdroute/engine.py",
+        "return self.trace[-1].delta_before",
+        "return self.trace[-1].delta_after",
+        ("tests/test_artifacts.py::test_artifact_final_shortfall_is_the_loop_cost",),
+    ),
+    Mutant(
+        "outcome: iterations counted as the trace's length",
+        "qkdroute/engine.py",
+        "return self.trace[-1].r",
+        "return len(self.trace)",
+        ("tests/test_engine.py::test_dense5_reference_run",
+         "tests/test_artifacts.py::test_artifact_final_shortfall_is_the_loop_cost"),
+    ),
     # the key pools
     Mutant(
         "pools: little-endian packing",
@@ -651,11 +667,12 @@ MUTANTS = (
         ("tests/test_cli.py::test_simulate_refuses_malformed_routing",),
     ),
     Mutant(
-        "artifact: the final shortfall read as the least one",
+        "artifact: the final shortfall derived as the least one",
         "qkdroute/artifacts.py",
-        "final = max(deficiency)",
-        "final = min(deficiency)",
-        ("tests/test_cli.py::test_simulate_refuses_run_fields_route_never_writes",),
+        '"final_delta_units": max(map(operator.sub, target.cells, effective.cells)),',
+        '"final_delta_units": min(map(operator.sub, target.cells, effective.cells)),',
+        ("tests/test_artifacts.py::test_artifact_final_shortfall_is_the_loop_cost",
+         "tests/test_cli.py::test_simulate_refuses_a_config_that_router_config_refuses"),
     ),
     # each stop reason's rule on the final state, dropped
     *(
@@ -692,7 +709,7 @@ MUTANTS = (
              "test_simulate_refuses_path_over_hop_limit"),
             ("rate off the step", "if rate % step:",
              "test_simulate_refuses_rate_off_the_step"),
-            ("negative edge under the strict guard", "if effective[u, v] < 0:",
+            ("negative edge under the strict guard", "if config.strict_guard and negative:",
              "test_simulate_refuses_negative_edge_under_strict_guard"),
             ("rates off the iteration count", "if routed != steps * step:",
              "test_simulate_refuses_rates_off_the_iteration_count"),

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import io
 import json
+import operator
 import os
 from dataclasses import replace
 from pathlib import Path as FsPath
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from . import __version__
 from .engine import RoutingList, RoutingOutcome, StopReason, worst_pairs
-from .model import NetworkGraph, RateMatrix, RouterConfig
+from .model import NetworkGraph, RateMatrix, RouterConfig, _pairs
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 # netfile's one JSON file read, error boundary and integer rule
 from .netfile import _format_errors, _int_field, _is_int, _read_json
@@ -58,28 +59,28 @@ def render_routing_text(
 
 
 def routing_to_dict(routing: RoutingList, graph: NetworkGraph, config: RouterConfig,
-                    iterations: int, stop_reason: StopReason, final_delta: int) -> dict:
+                    iterations: int, stop_reason: StopReason, target: RateMatrix) -> dict:
     """A run as its routing JSON artifact; the one rendering of every field."""
-    scale = graph.scale
+    effective = routing.effective(graph)
     return {
         "format": ROUTING_FORMAT,
-        "resolution_bps": str(scale.resolution_bps),
+        "resolution_bps": str(graph.scale.resolution_bps),
         **_config_fields(config),
         "delta_r_units": config.delta_r,
         "nodes": graph.node_count,
         "iterations": iterations,
-        "final_delta_units": final_delta,
+        "final_delta_units": max(map(operator.sub, target.cells, effective.cells)),
         "stop_reason": stop_reason.value,
         "records": [
             {
                 "pair": list(record.pair),
                 "paths": [list(p.nodes) for p in record.path_set.paths],
                 "rate_units": record.rate,
-                "rate_kbps": scale.kbps_str(record.rate),
+                "rate_kbps": graph.scale.kbps_str(record.rate),
             }
             for record in routing.records()
         ],
-        "effective_units": routing.effective(graph).tolist(),
+        "effective_units": effective.tolist(),
     }
 
 
@@ -169,21 +170,19 @@ def read_routing_artifact(
                 if not graph.has_edge(u, v):
                     raise ValueError(f"edge ({u}, {v}) is not in the network")
             routing.add(path_set, rate)
-        effective = routing.effective(graph)
-        if config.strict_guard:
-            for u, v in graph.edges:
-                if effective[u, v] < 0:
-                    raise ValueError(f"edge ({u}, {v}) is negative under the strict guard")
+        derived = routing_to_dict(routing, graph, config, steps, stop_reason, target)
+        effective, final = derived["effective_units"], derived["final_delta_units"]
+        negative = [(u, v) for u, v in graph.edges if effective[u][v] < 0]
+        if config.strict_guard and negative:
+            raise ValueError(f"edge {negative[0]} is negative under the strict guard")
         routed = sum(record.rate for record in routing.records())
         if routed != steps * step:
             raise ValueError(f"records hold {routed} units, not {steps} iterations "
                              f"of {step} units")
-        deficiency = [want - have for want, have in zip(target.cells, effective.cells)]
-        final = max(deficiency)
-        derived = routing_to_dict(routing, graph, config, steps, stop_reason, final)
         if _json_text(doc) != _json_text(derived):
             raise ValueError(_first_difference(doc, derived))
         # what each stop reason says of the pairs left at the final shortfall
+        deficiency = [want - effective[i][j] for (i, j), want in zip(_pairs(n), target.cells)]
         worst = worst_pairs(deficiency, n, final)
         linked = [graph.has_edge(*pair) for pair in worst]
         fits = {
@@ -201,12 +200,12 @@ def read_routing_artifact(
     return routing
 
 
-def render_matrix_csv(matrix: RateMatrix, scale: UnitScale) -> str:
-    """Symmetric matrix as CSV in kbit/s, full precision, node index headers."""
+def render_matrix_csv(rows: list[list[int]], scale: UnitScale) -> str:
+    """Matrix rows, such as ``effective_units``, as kbit/s CSV, full precision, node headers."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["node"] + [str(j) for j in range(matrix.n)])
-    for i, row in enumerate(matrix.tolist()):
+    writer.writerow(["node"] + [str(j) for j in range(len(rows))])
+    for i, row in enumerate(rows):
         writer.writerow([str(i)] + [scale.kbps_str(value) for value in row])
     return out.getvalue()
 
@@ -329,6 +328,7 @@ def write_route_artifacts(
     out_dir: Union[str, FsPath],
     outcome: RoutingOutcome,
     graph: NetworkGraph,
+    target: RateMatrix,
     config: RouterConfig,
     input_path: Union[str, FsPath],
 ) -> Dict[str, FsPath]:
@@ -348,18 +348,16 @@ def write_route_artifacts(
     }
     files["routing_txt"].write_text(render_routing_text(outcome.routing_list, scale))
     doc = routing_to_dict(outcome.routing_list, graph, config, outcome.iterations,
-                          outcome.stop_reason, outcome.final_delta)
+                          outcome.stop_reason, target)
     files["routing_json"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    files["effective_csv"].write_text(render_matrix_csv(outcome.effective, scale))
+    files["effective_csv"].write_text(render_matrix_csv(doc["effective_units"], scale))
     files["trace_csv"].write_text(render_trace_csv(outcome, scale))
 
     _write_manifest(
         out, files, "route", input_path,
         config={
             **_config_fields(config),
-            "delta_r_kbps": None
-            if config.delta_r is None
-            else scale.kbps_str(config.delta_r),
+            "delta_r_kbps": scale.kbps_str(config.delta_r),
             "resolution_bps": str(scale.resolution_bps),
         },
     )

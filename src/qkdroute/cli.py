@@ -170,7 +170,8 @@ def _run_route(
     from . import artifacts
 
     outcome = engine.run(network.graph, network.target, config)
-    artifacts.write_route_artifacts(out_dir, outcome, network.graph, config, input_path)
+    artifacts.write_route_artifacts(out_dir, outcome, network.graph, network.target, config,
+                                    input_path)
     return outcome
 
 

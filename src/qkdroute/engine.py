@@ -23,8 +23,8 @@ ours: NEP 19 keeps PCG64 and SeedSequence stable across numpy versions, not
 The loop's one state is the deficiency target - effective, one ``int`` per
 node pair i < j at the pair's ``pair_position``, the cell layout of
 :class:`~qkdroute.model.RateMatrix`: it starts as the target's cells minus
-the edge rates' cells and is updated in place.  ``RoutingList.effective``
-derives the effective matrix, once, for the outcome.  A pair's candidates
+the edge rates' cells and is updated in place.  The run keeps no effective
+matrix: ``routing_list.effective(graph)`` derives it.  A pair's candidates
 live in a table built the first time the pair is served, from indices
 alone: its simple paths as node tuples with their edge positions, and its
 sets of M disjoint paths as tuples of path indices, with one bitmask of rows
@@ -148,16 +148,21 @@ class IterationTrace(NamedTuple):
 @dataclass(frozen=True)
 class RoutingOutcome:
     routing_list: RoutingList
-    effective: RateMatrix
     trace: Tuple[IterationTrace, ...]
-    final_delta: int
-    iterations: int
 
     @property
     def stop_reason(self) -> StopReason:
         reason = self.trace[-1].stop_reason
         assert reason is not None
         return reason
+
+    @property
+    def final_delta(self) -> int:
+        return self.trace[-1].delta_before
+
+    @property
+    def iterations(self) -> int:
+        return self.trace[-1].r
 
 
 @functools.lru_cache(maxsize=4)
@@ -346,8 +351,7 @@ def run(
             trace (memory-heavy on long runs, meant for audits and demos).
 
     Returns:
-        The routing list, final effective matrix, per-iteration trace,
-        final cost and accepted iteration count.
+        The routing list and the per-iteration trace.
     """
     check_target_matrix(target, graph.node_count)
     if config.delta_r is None:
@@ -376,9 +380,6 @@ def run(
     delta = cost_delta(deficiency)
     r = 0
 
-    def outcome() -> RoutingOutcome:
-        return RoutingOutcome(routing, routing.effective(graph), tuple(trace), delta, r)
-
     def stop(
         reason: StopReason,
         pair: Optional[Edge] = None,
@@ -398,7 +399,7 @@ def run(
                 stop_reason=reason,
             )
         )
-        return outcome()
+        return RoutingOutcome(routing, tuple(trace))
 
     while delta > 0 and (config.r_max is None or r < config.r_max):
         pair, pairs_tied = _choose(rng, worst_pairs(deficiency, n, delta))

@@ -2,10 +2,10 @@
 
 Every edge accumulates a pool of secret bits for a harvest window of tau
 seconds.  The front of each pool is carved into segments: first the edge's
-own share, its effective rate as ``RoutingList.effective`` derives it from the
-routing list, then one relay segment per routing record that traverses the
-edge, in canonical record order.  Both endpoints of an
-edge hold the same pool, so they carve identical segments without talking.
+own share, its effective rate in ``routing_list.effective(graph)``, then one
+relay segment per routing record that traverses the edge, in canonical record
+order.  Both endpoints of an edge hold the same pool, so they carve identical
+segments without talking.
 
 The pools are consecutive runs of one bit stream, drawn from one
 ``numpy.random.default_rng(seed)`` in canonical edge order: the top bit of

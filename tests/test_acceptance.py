@@ -138,12 +138,12 @@ def test_acceptance_ring6_counts(ring6):
         assert out.iterations == 8 * (100 // step)
         assert out.final_delta == 0
         for i, j in remote:
-            assert out.effective[i, j] == 100
+            assert out.routing_list.effective(graph)[i, j] == 100
         assert rates_by_pair(out.routing_list.records()) == {pair: 100 for pair in remote}
     # at the fixture's seed the residual direct rate of edge (0, 1) is
     # 0.4 kbit/s and the routing list matches the reference solution
     out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
-    assert out.effective[0, 1] == 400
+    assert out.routing_list.effective(graph)[0, 1] == 400
     records = {str(r.path_set): r.rate for r in out.routing_list.records()}
     assert records == RING6_REFERENCE_RECORDS
 
@@ -282,7 +282,7 @@ def test_acceptance_key_delivery(ring6):
             assert length == graph.rate(*edge) * 100
             relay = sorted(segments[edge] for segments in sim.layout.segments.values()
                            if edge in segments)
-            cursor = int(out.effective[edge]) * 100
+            cursor = int(out.routing_list.effective(graph)[edge]) * 100
             for start, stop in relay:
                 assert start - origin == cursor
                 cursor = stop - origin
@@ -350,7 +350,7 @@ def test_acceptance_determinism(ring6, ring6_file, tmp_path):
     for attempt in range(3):
         out = run(graph, target, config)
         files = write_route_artifacts(
-            tmp_path / str(attempt), out, graph, config, ring6_file
+            tmp_path / str(attempt), out, graph, target, config, ring6_file
         )
         contents.append({name: p.read_bytes() for name, p in files.items()})
     assert contents[0] == contents[1] == contents[2]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,7 +22,7 @@ from qkdroute.artifacts import (
     write_simulation_artifacts,
 )
 from qkdroute.cli import EXIT_OK, main
-from qkdroute.engine import RoutingList, StopReason, run
+from qkdroute.engine import RoutingList, RoutingOutcome, StopReason, run
 from qkdroute.keysim import assess_compromise, simulate
 from qkdroute.model import RouterConfig
 from qkdroute.netfile import NetworkFormatError, load_network
@@ -51,14 +52,14 @@ def test_routing_text_render(dense5):
 
 def test_routing_json_round_trip(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
-    files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
+    files = write_route_artifacts(tmp_path, outcome, graph, dense5[1], config, dense5_file)
     routing = read_routing_artifact(files["routing_json"], graph, dense5[1])
     doc = json.loads(files["routing_json"].read_text())
     assert doc["format"] == ROUTING_FORMAT
     assert doc["seed"] == 4
     assert doc["m"] == 2
     assert doc["stop_reason"] == "converged"
-    assert routing.effective(graph) == outcome.effective
+    assert routing.effective(graph) == outcome.routing_list.effective(graph)
     original = [(str(r.path_set), r.rate) for r in outcome.routing_list.records()]
     loaded = [(str(r.path_set), r.rate) for r in routing.records()]
     assert original == loaded
@@ -80,7 +81,8 @@ def test_read_rejects_wrong_format(dense5, tmp_path):
 
 def test_matrix_csv_full_precision(dense5):
     graph, _, outcome = dense5_outcome(dense5)
-    text = render_matrix_csv(outcome.effective, graph.scale)
+    effective = outcome.routing_list.effective(graph)
+    text = render_matrix_csv(effective.tolist(), graph.scale)
     rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["node", "0", "1", "2", "3", "4"]
     assert len(rows) == 6
@@ -88,9 +90,7 @@ def test_matrix_csv_full_precision(dense5):
         assert rows[i + 1][0] == str(i)
         for j in range(5):
             # cell holds the exact kbit/s rendering of the integer rate
-            assert rows[i + 1][j + 1] == graph.scale.kbps_str(
-                int(outcome.effective[i, j])
-            )
+            assert rows[i + 1][j + 1] == graph.scale.kbps_str(int(effective[i, j]))
     assert rows[1][1] == "0"
     assert rows[2][4] == "0.2"  # routed pair (1, 3) reached its target
 
@@ -121,7 +121,7 @@ def test_route_artifacts_byte_identical(dense5, dense5_file, tmp_path):
     for label in ("a", "b", "c"):
         outcome = run(graph, target, config)
         files = write_route_artifacts(
-            tmp_path / label, outcome, graph, config, dense5_file
+            tmp_path / label, outcome, graph, target, config, dense5_file
         )
         contents.append({name: p.read_bytes() for name, p in files.items()})
     assert contents[0] == contents[1] == contents[2]
@@ -132,7 +132,7 @@ def test_route_artifacts_byte_identical(dense5, dense5_file, tmp_path):
 
 def test_manifest_contents(dense5, dense5_file, tmp_path):
     graph, config, outcome = dense5_outcome(dense5)
-    files = write_route_artifacts(tmp_path, outcome, graph, config, dense5_file)
+    files = write_route_artifacts(tmp_path, outcome, graph, dense5[1], config, dense5_file)
     manifest = json.loads(files["manifest"].read_text())
     assert manifest["format"] == MANIFEST_FORMAT
     assert manifest["command"] == "route"
@@ -148,11 +148,34 @@ def test_manifest_contents(dense5, dense5_file, tmp_path):
 def test_routing_dict_effective_is_lossless(dense5):
     graph, config, outcome = dense5_outcome(dense5)
     doc = routing_to_dict(outcome.routing_list, graph, config, outcome.iterations,
-                          outcome.stop_reason, outcome.final_delta)
-    assert doc["effective_units"] == outcome.effective.tolist()
+                          outcome.stop_reason, dense5[1])
+    assert doc["effective_units"] == outcome.routing_list.effective(graph).tolist()
+    assert doc["final_delta_units"] == outcome.final_delta == 0
     for entry in doc["records"]:
         assert entry["rate_units"] == 100
         assert entry["rate_kbps"] == "0.1"
+
+
+def test_artifact_final_shortfall_is_the_loop_cost():
+    # the artifact derives its shortfall from the routing list; the loop's
+    # cost is the terminal entry's delta_before, which a rejected
+    # cost_worsened step leaves out, as the routing list does
+    assert [f.name for f in dataclasses.fields(RoutingOutcome)] == ["routing_list", "trace"]
+    stops = set()
+    for name in ("dense5", "k23", "mesh10", "ring6_chord"):
+        graph, target, file_config = load_network(NETWORKS_DIR / f"{name}.json")
+        for seed, guard, m in itertools.product((0, 1, 2), (True, False), (1, 2, 3)):
+            config = dataclasses.replace(file_config, seed=seed, strict_guard=guard, m=m)
+            out = run(graph, target, config)
+            doc = routing_to_dict(out.routing_list, graph, config, out.iterations,
+                                  out.stop_reason, target)
+            last = out.trace[-1]
+            assert doc["final_delta_units"] == out.final_delta == last.delta_before, name
+            assert doc["iterations"] == out.iterations == last.r == len(out.trace) - 1
+            if last.stop_reason is StopReason.COST_WORSENED:
+                assert last.delta_after > last.delta_before
+            stops.add(last.stop_reason)
+    assert StopReason.COST_WORSENED in stops
 
 
 def test_simulation_report(k23):
@@ -193,7 +216,7 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     config = RouterConfig(m=2, delta_r=100, seed=0)
     outcome = run(graph, target, config)
     route_files = write_route_artifacts(
-        tmp_path / "route", outcome, graph, config, k23_file
+        tmp_path / "route", outcome, graph, target, config, k23_file
     )
     sim = simulate(graph, outcome.routing_list, tau=1, seed=0)
     report = assess_compromise(sim, ())
@@ -245,7 +268,7 @@ def test_every_routing_artifact_reads_back_as_written(tmp_path, capsys):
                                      ("m", "r_max", "seed", "hop_limit", "strict_guard")},
                                   delta_r=doc["delta_r_units"])
             render = routing_to_dict(routing, graph, config, doc["iterations"],
-                                     StopReason(doc["stop_reason"]), doc["final_delta_units"])
+                                     StopReason(doc["stop_reason"]), target)
             assert json.dumps(render, indent=2, sort_keys=True) + "\n" == text, out.name
             stops.add(doc["stop_reason"])
     capsys.readouterr()

@@ -15,7 +15,7 @@ import pytest
 from qkdroute import __version__, keysim
 from qkdroute.artifacts import read_routing_artifact
 from qkdroute.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
-from qkdroute.engine import StopReason
+from qkdroute.engine import RoutingList, StopReason
 from qkdroute.keysim import record_is_leaked
 from qkdroute.netfile import load_network
 
@@ -638,6 +638,21 @@ def test_simulate_refuses_a_node_id_that_is_not_an_integer(k23_file, tmp_path, c
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: malformed routing artifact")
         assert "non-integer node id" in lines[0], paths
+
+
+def test_route_and_simulate_derive_the_effective_rates_once_and_twice(tmp_path, capsys):
+    # route derives the matrix once, for its artifact; simulate derives it
+    # once to check the artifact and once for the pools' own shares
+    mesh10 = str(NETWORKS_DIR / "mesh10.json")
+    route_dir = str(tmp_path / "route")
+    with mock.patch.object(RoutingList, "effective", autospec=True,
+                           side_effect=RoutingList.effective) as effective:
+        assert main(["route", "--input", mesh10, "--out-dir", route_dir]) == EXIT_OK
+        assert effective.call_count == 1
+        assert main(["simulate", "--input", mesh10, "--routing", route_dir, "--tau", "1",
+                     "--compromise", "1,2", "--out-dir", str(tmp_path / "sim")]) == EXIT_OK
+        assert effective.call_count == 3
+    capsys.readouterr()
 
 
 def test_simulate_refuses_a_config_that_router_config_refuses(k23_file, tmp_path, capsys):

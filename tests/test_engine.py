@@ -261,14 +261,15 @@ def test_dense5_reference_run(dense5):
 def test_dense5_final_state(dense5):
     graph, target = dense5
     out = run(graph, target, dense5_config())
+    effective = out.routing_list.effective(graph)
     expected = {
         (0, 1): 300, (0, 2): 300, (0, 3): 200, (1, 2): 300,
         (1, 4): 200, (2, 3): 300, (2, 4): 200, (3, 4): 300,
     }
     for (u, v), value in expected.items():
-        assert out.effective[u, v] == value
-    assert out.effective[1, 3] == 200
-    assert out.effective[0, 4] == 200
+        assert effective[u, v] == value
+    assert effective[1, 3] == 200
+    assert effective[0, 4] == 200
     assert rates_by_pair(out.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
 
 
@@ -299,7 +300,7 @@ def test_dense5_trajectory_envelope(dense5):
                 effective, entry.selected_pair, entry.chosen_set, 100
             )
             assert entry.delta_after <= entry.delta_before
-        assert effective == out.effective
+        assert effective == out.routing_list.effective(graph)
         # each remote pair takes exactly two accepted increments
         assert out.iterations == 4
         assert rates_by_pair(out.routing_list.records()) == {(1, 3): 200, (0, 4): 200}
@@ -314,7 +315,7 @@ def test_run_is_deterministic(dense5):
     graph, target = dense5
     first = run(graph, target, dense5_config())
     second = run(graph, target, dense5_config())
-    assert first.effective == second.effective
+    assert first.routing_list.effective(graph) == second.routing_list.effective(graph)
     assert first.trace == second.trace
     assert [ (str(r.path_set), r.rate) for r in first.routing_list.records() ] == \
            [ (str(r.path_set), r.rate) for r in second.routing_list.records() ]
@@ -357,7 +358,7 @@ def test_zero_target_returns_immediately(ring6):
     out = run(graph, uniform_target(6, 0), RouterConfig(m=2, delta_r=10))
     assert out.iterations == 0
     assert out.stop_reason is StopReason.CONVERGED
-    assert out.effective == graph.rate_matrix()
+    assert out.routing_list.effective(graph) == graph.rate_matrix()
     assert out.routing_list.records() == ()
 
 
@@ -412,7 +413,7 @@ def test_guard_off_stops_on_cost_instead():
     )
     assert out.stop_reason is StopReason.COST_WORSENED
     # the rejected increment was not routed
-    assert out.effective == graph.rate_matrix()
+    assert out.routing_list.effective(graph) == graph.rate_matrix()
     entry = out.trace[-1]
     assert entry.delta_after > entry.delta_before
 
@@ -425,7 +426,7 @@ def test_ring6_iteration_counts(ring6):
         assert out.iterations == expected
         assert out.final_delta == 0
         for i, j in graph.remote_pairs():
-            assert out.effective[i, j] == 100
+            assert out.routing_list.effective(graph)[i, j] == 100
 
 
 def test_ring6_reference_solution(ring6):
@@ -433,7 +434,7 @@ def test_ring6_reference_solution(ring6):
     out = run(graph, target, RouterConfig(m=2, delta_r=10, seed=0))
     records = {str(r.path_set): r.rate for r in out.routing_list.records()}
     assert records == RING6_REFERENCE_RECORDS
-    assert out.effective[0, 1] == 400
+    assert out.routing_list.effective(graph)[0, 1] == 400
 
 
 def test_conservation_invariants(ring6):
@@ -447,11 +448,12 @@ def test_conservation_invariants(ring6):
         for path in record.path_set.paths:
             for edge in path.edges:
                 consumed[edge] += record.rate
+    effective = out.routing_list.effective(graph)
     for (u, v), used in consumed.items():
-        assert out.effective[u, v] == initial[u, v] - used
-        assert out.effective[u, v] >= 0
+        assert effective[u, v] == initial[u, v] - used
+        assert effective[u, v] >= 0
     assert total_routed == out.iterations * 10
-    remote_sum = sum(int(out.effective[i, j]) for i, j in graph.remote_pairs())
+    remote_sum = sum(int(effective[i, j]) for i, j in graph.remote_pairs())
     assert remote_sum == out.iterations * 10
 
 
@@ -533,9 +535,10 @@ def test_run_invariants_on_random_graphs(case):
         # no edge's deficiency falls, so an edge short under the guard stays short
         after = target - as_array(effective)
         assert all(after[edge] >= deficiency[edge] for edge in graph.edges)
-    assert effective == out.effective
-    assert all(type(value) is int for value in out.effective.cells)
-    assert np.array_equal(as_array(out.effective), as_array(out.effective).T)
+    final = out.routing_list.effective(graph)
+    assert effective == final
+    assert all(type(value) is int for value in final.cells)
+    assert np.array_equal(as_array(final), as_array(final).T)
     # conservation: edge rates + pair credits - edge debits
     records = out.routing_list.records()
     expected = as_array(graph.rate_matrix())
@@ -546,10 +549,10 @@ def test_run_invariants_on_random_graphs(case):
         for u, v in record.path_set.edges:
             expected[u, v] -= rate
             expected[v, u] -= rate
-    assert np.array_equal(as_array(out.effective), expected)
+    assert np.array_equal(as_array(final), expected)
     assert sum(record.rate for record in records) == out.iterations * step
     if guard:
-        assert all(out.effective[edge] >= 0 for edge in graph.edges)
+        assert all(final[edge] >= 0 for edge in graph.edges)
     last = out.trace[-1]
     if last.stop_reason is StopReason.COST_WORSENED:
         assert last.delta_after > last.delta_before

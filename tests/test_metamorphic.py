@@ -7,12 +7,20 @@ scaling, rounding and comparison direction on inputs that no golden covers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from decimal import Decimal
 
 import pytest
 
 from qkdroute.engine import run
-from qkdroute.keysim import assess_compromise, simulate
+from qkdroute.keysim import (
+    FULLY_LEAKED,
+    PARTIALLY_LEAKED,
+    SECURE,
+    assess_compromise,
+    record_is_leaked,
+    simulate,
+)
 from qkdroute.model import NetworkGraph, RateMatrix
 from qkdroute.netfile import load_network
 
@@ -68,3 +76,29 @@ def test_rate_scaling_and_harvest_window(name):
                     for pair, key in window.pair_keys.items()} == {
                 pair: (key.hex(), key.length, key.agreed) for pair, key in sim.pair_keys.items()}
             assert assess_compromise(window, {1, 2}) == report
+
+
+@pytest.mark.parametrize("name", ["dense5", "k23", "mesh10", "ring6_chord"])
+def test_compromise_is_monotone_in_the_compromised_set(name):
+    """One more compromised node leaks a superset of records: no pair leaks
+    fewer bits, and no pair's status moves back toward secure."""
+    network = load_network(NETWORKS_DIR / f"{name}.json")
+    graph = network.graph
+    out = run(*network)
+    sim = simulate(graph, out.routing_list, TAU, 0)
+    rank = {SECURE: 0, PARTIALLY_LEAKED: 1, FULLY_LEAKED: 2}
+    nodes = range(graph.node_count)
+    for size in (0, 1, 2):
+        for before in map(frozenset, itertools.combinations(nodes, size)):
+            report = assess_compromise(sim, before)
+            leaked = {r.path_set for r in out.routing_list.records()
+                      if record_is_leaked(r.path_set, before)}
+            for node in set(nodes) - before:
+                after = before | {node}
+                grown = assess_compromise(sim, after)
+                assert leaked <= {r.path_set for r in out.routing_list.records()
+                                  if record_is_leaked(r.path_set, after)}, (before, node)
+                assert grown.pair_status.keys() == report.pair_status.keys()
+                for pair, status in report.pair_status.items():
+                    assert grown.leaked_bits[pair] >= report.leaked_bits[pair], (after, pair)
+                    assert rank[grown.pair_status[pair]] >= rank[status], (after, pair)
