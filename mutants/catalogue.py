@@ -631,9 +631,48 @@ MUTANTS = (
     Mutant(
         "artifact: delta_r_units set without RouterConfig's range check",
         "qkdroute/artifacts.py",
-        "config = replace(",
-        'config = (lambda c, delta_r: object.__setattr__(c, "delta_r", delta_r) or c)(',
+        "config = config.replace(delta_r=",
+        'object.__setattr__(config, "delta_r", ',
         ("tests/test_cli.py::test_simulate_refuses_a_config_that_router_config_refuses",),
+    ),
+    # a config built by replace is checked as a new one
+    Mutant(
+        "config: replace builds the copy without RouterConfig's checks",
+        "qkdroute/model.py",
+        "return RouterConfig(**{**self._fields(), **changes})",
+        "return (lambda new: new._set(*{**self._fields(), **changes}.values()) or new)"
+        "(object.__new__(RouterConfig))",
+        ("tests/test_model.py::test_router_config_replace_runs_the_checks",),
+    ),
+    # exact unit conversion
+    Mutant(
+        "units: whole bits rounded half-even, not down",
+        "qkdroute/units.py",
+        "rounding=ROUND_FLOOR",
+        'rounding="ROUND_HALF_EVEN"',
+        ("tests/test_units.py::test_bit_count_floors",),
+    ),
+    Mutant(
+        "units: a rate off the resolution truncated, not refused",
+        "qkdroute/units.py",
+        "if units != units.to_integral_value():",
+        "if False:",
+        ("tests/test_units.py::test_unrepresentable_rate_rejected",),
+    ),
+    Mutant(
+        "units: only positive unit counts held to int64",
+        "qkdroute/units.py",
+        "if abs(units) > MAX_UNITS:",
+        "if units > MAX_UNITS:",
+        ("tests/test_units.py::test_unit_counts_must_fit_int64",),
+    ),
+    # the tie-break stream's bounded draw
+    Mutant(
+        "tie-break: a draw at the Lemire threshold rejected",
+        "qkdroute/tiebreak.py",
+        "while scaled & _MASK32 < threshold:",
+        "while scaled & _MASK32 <= threshold:",
+        ("tests/test_fuzz.py::test_tie_break_stream_rejects_only_below_the_lemire_threshold",),
     ),
     # the run fields of a routing artifact, read like the rest
     *(

@@ -14,15 +14,8 @@ The package splits into:
 
 __version__ = "0.1.0"
 
-from .engine import (
-    IterationTrace,
-    RoutingList,
-    RoutingOutcome,
-    RoutingRecord,
-    StopReason,
-    cost_delta,
-    run,
-)
+import importlib
+
 from .model import (
     NetworkGraph,
     RateMatrix,
@@ -33,24 +26,23 @@ from .model import (
     validate,
 )
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
-from .paths import MPathSet, Path, find_unroutable_pairs
 from .units import UnitScale
 
-# keysim needs numpy, which nothing else here does, so its names load on use
-_KEYSIM_NAMES = {
-    "CompromiseReport",
-    "KeySimulation",
-    "assess_compromise",
-    "compromise_probability_bound",
-    "simulate",
+# these modules load on first use of one of their names, so that a command
+# imports only what it runs; keysim needs numpy, which nothing else here does
+_LAZY_NAMES = {
+    "engine": {"IterationTrace", "RoutingList", "RoutingOutcome", "RoutingRecord",
+               "StopReason", "cost_delta", "run"},
+    "paths": {"MPathSet", "Path", "find_unroutable_pairs"},
+    "keysim": {"CompromiseReport", "KeySimulation", "assess_compromise",
+               "compromise_probability_bound", "simulate"},
 }
 
 
 def __getattr__(name: str) -> object:
-    if name in _KEYSIM_NAMES:
-        from . import keysim
-
-        return getattr(keysim, name)
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -14,7 +14,6 @@ import io
 import json
 import operator
 import os
-from dataclasses import replace
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -137,10 +136,8 @@ def read_routing_artifact(
             f"routing artifact is for {doc.get('nodes')} nodes, network has {n}"
         )
     with _format_errors(f"malformed routing artifact {path}: "):
-        config = replace(
-            _parse_config({key: doc[key] for key in _CONFIG_FIELDS}, graph.scale),
-            delta_r=_int_field(doc["delta_r_units"], "delta_r_units"),
-        )
+        config = _parse_config({key: doc[key] for key in _CONFIG_FIELDS}, graph.scale)
+        config = config.replace(delta_r=_int_field(doc["delta_r_units"], "delta_r_units"))
         m, step, hop_limit = config.m, config.delta_r, config.hop_limit
         steps = _int_field(doc["iterations"], "iterations")
         if config.r_max is not None and steps > config.r_max:

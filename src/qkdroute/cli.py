@@ -14,17 +14,22 @@ line included), 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import operator
 import sys
 from pathlib import Path as FsPath
-from typing import NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
-from . import __version__, engine
+from . import __version__
 from .model import CapacityError, RouterConfig, ValidationError, validate
 from .netfile import LoadedNetwork, NetworkFormatError, load_network
-from .paths import find_unroutable_pairs
 from .units import as_decimal
+
+if TYPE_CHECKING:
+    from .engine import RoutingOutcome
+
+# each command imports what it runs, when it runs: paths for validate, engine
+# for paths and route, artifacts (with hashlib and csv) for route and
+# simulate, keysim (with numpy) for simulate alone
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -141,10 +146,12 @@ def _merged_config(file_config: RouterConfig, args: argparse.Namespace,
         updates["hop_limit"] = args.hop_limit
     if getattr(args, "no_strict_guard", False):
         updates["strict_guard"] = False
-    return dataclasses.replace(file_config, **updates)
+    return file_config.replace(**updates)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .paths import find_unroutable_pairs
+
     graph, _, file_config = load_network(args.input)
     config = _merged_config(file_config, args, graph.scale)
     report = validate(graph, config.m)
@@ -166,8 +173,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run_route(
     network: LoadedNetwork, config: RouterConfig, out_dir: str, input_path: str
-) -> engine.RoutingOutcome:
-    from . import artifacts
+) -> RoutingOutcome:
+    from . import artifacts, engine
 
     outcome = engine.run(network.graph, network.target, config)
     artifacts.write_route_artifacts(out_dir, outcome, network.graph, network.target, config,
@@ -181,8 +188,6 @@ def _sweep_worker(task: tuple) -> tuple[str, int, str, int]:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    # artifacts, and with it hashlib and csv, loads only for the commands
-    # that read or write artifact files
     from . import artifacts
 
     if args.from_manifest:
@@ -202,9 +207,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             raise ValidationError(f"--sweep lists {', '.join(repeated)} more than once")
         tasks = []
         for value in values:
-            combo = dataclasses.replace(
-                config, delta_r=scale.units_from_kbps(value, "--sweep")
-            )
+            combo = config.replace(delta_r=scale.units_from_kbps(value, "--sweep"))
             combo_dir = str(FsPath(args.out_dir) / f"delta_r_{value}")
             tasks.append((network, combo, combo_dir, input_path))
         # combos are independent; order of completion does not matter
@@ -234,6 +237,8 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
+    from . import engine
+
     graph, target, file_config = load_network(args.input)
     config = _merged_config(file_config, args, graph.scale)
     i, j = args.pair
@@ -251,7 +256,6 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # the one command that needs keysim, and with it numpy
     from . import artifacts, keysim
 
     graph, target, _ = load_network(args.input)

@@ -15,10 +15,9 @@ import functools
 import itertools
 import numbers
 from collections import deque
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
-from .units import UnitScale
+from .units import Frozen, UnitScale
 
 NodeId = int
 Edge = Tuple[NodeId, NodeId]
@@ -48,8 +47,7 @@ def pair_position(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-@dataclass(frozen=True)
-class RateMatrix:
+class RateMatrix(Frozen):
     """An immutable symmetric n x n matrix of Python ints with a zero
     diagonal, read as ``m[u, v]``.
 
@@ -59,14 +57,13 @@ class RateMatrix:
     ``m[u, u]`` is 0.  Sums of its cells never wrap around.
     """
 
-    n: int
-    cells: Tuple[int, ...]
+    __slots__ = ("n", "cells")
 
-    def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        if len(cells) != self.n * (self.n - 1) // 2:
-            raise ValueError(f"{len(cells)} cells do not hold the pairs of {self.n} nodes")
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, n: int, cells: Iterable[int]) -> None:
+        cells = tuple(cells)
+        if len(cells) != n * (n - 1) // 2:
+            raise ValueError(f"{len(cells)} cells do not hold the pairs of {n} nodes")
+        self._set(n, cells)
 
     def __getitem__(self, index: Tuple[int, int]) -> int:
         u, v = index
@@ -84,27 +81,25 @@ class RateMatrix:
         return rows
 
 
-@dataclass(frozen=True)
-class NetworkGraph:
+class NetworkGraph(Frozen):
     """Undirected graph with per-edge key rates.
 
     ``rates`` maps canonical edges (u < v) to positive integer rate units.
     Instances are treated as immutable after construction.
     """
 
-    node_count: int
-    rates: Mapping[Edge, int]
-    scale: UnitScale = field(default_factory=UnitScale)
+    __slots__ = ("node_count", "rates", "scale", "_adjacency")
 
-    def __post_init__(self) -> None:
-        if self.node_count < 2:
-            raise ValidationError(f"need at least 2 nodes, got {self.node_count}")
+    def __init__(self, node_count: int, rates: Mapping[Edge, int],
+                 scale: UnitScale = UnitScale()) -> None:
+        if node_count < 2:
+            raise ValidationError(f"need at least 2 nodes, got {node_count}")
         clean: dict[Edge, int] = {}
-        adj: dict[NodeId, list[NodeId]] = {u: [] for u in range(self.node_count)}
-        for (u, v), rate in self.rates.items():
+        adj: dict[NodeId, list[NodeId]] = {u: [] for u in range(node_count)}
+        for (u, v), rate in rates.items():
             if u == v:
                 raise ValidationError(f"self-loop on node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+            if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValidationError(f"edge ({u}, {v}) references an unknown node")
             key = canonical_edge(u, v)
             if key in clean:
@@ -118,8 +113,7 @@ class NetworkGraph:
             adj[key[1]].append(key[0])
         if not clean:
             raise ValidationError("network has no edges")
-        object.__setattr__(self, "rates", clean)
-        object.__setattr__(self, "_adjacency", {u: tuple(sorted(ws)) for u, ws in adj.items()})
+        self._set(node_count, clean, scale, {u: tuple(sorted(ws)) for u, ws in adj.items()})
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
@@ -133,7 +127,7 @@ class NetworkGraph:
         return self.rates.get(canonical_edge(u, v), 0)
 
     def neighbors(self, u: NodeId) -> Tuple[NodeId, ...]:
-        return self._adjacency[u]  # type: ignore[attr-defined]
+        return self._adjacency[u]
 
     def degree(self, u: NodeId) -> int:
         return len(self.neighbors(u))
@@ -175,8 +169,7 @@ def check_target_matrix(target: RateMatrix, node_count: int) -> None:
         raise ValidationError("target rates must be non-negative")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structural fitness of a network for routing with M disjoint paths."""
 
     min_degree: int
@@ -209,8 +202,7 @@ def validate(graph: NetworkGraph, m: int) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(Frozen):
     """Parameters of one routing run.
 
     ``delta_r`` is the per-iteration rate step in integer units; it must be
@@ -218,21 +210,23 @@ class RouterConfig:
     unbounded when None.
     """
 
-    m: int = 2
-    delta_r: Optional[int] = None
-    r_max: Optional[int] = None
-    seed: int = 0
-    hop_limit: Optional[int] = None
-    strict_guard: bool = True
+    __slots__ = ("m", "delta_r", "r_max", "seed", "hop_limit", "strict_guard")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValidationError(f"m must be at least 1, got {self.m}")
-        if self.delta_r is not None and self.delta_r <= 0:
-            raise ValidationError(f"delta_r must be positive, got {self.delta_r}")
-        if self.r_max is not None and self.r_max < 0:
-            raise ValidationError(f"r_max must be non-negative, got {self.r_max}")
-        if self.hop_limit is not None and self.hop_limit < 1:
-            raise ValidationError(f"hop_limit must be at least 1, got {self.hop_limit}")
-        if not (0 <= self.seed < 2**64):
+    def __init__(self, m: int = 2, delta_r: Optional[int] = None,
+                 r_max: Optional[int] = None, seed: int = 0,
+                 hop_limit: Optional[int] = None, strict_guard: bool = True) -> None:
+        if m < 1:
+            raise ValidationError(f"m must be at least 1, got {m}")
+        if delta_r is not None and delta_r <= 0:
+            raise ValidationError(f"delta_r must be positive, got {delta_r}")
+        if r_max is not None and r_max < 0:
+            raise ValidationError(f"r_max must be non-negative, got {r_max}")
+        if hop_limit is not None and hop_limit < 1:
+            raise ValidationError(f"hop_limit must be at least 1, got {hop_limit}")
+        if not (0 <= seed < 2**64):
             raise ValidationError("seed must fit in 64 bits")
+        self._set(m, delta_r, r_max, seed, hop_limit, strict_guard)
+
+    def replace(self, **changes: object) -> RouterConfig:
+        """This config with ``changes`` made, built and checked as a new one."""
+        return RouterConfig(**{**self._fields(), **changes})  # type: ignore[arg-type]

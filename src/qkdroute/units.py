@@ -8,7 +8,6 @@ step accounting are exact.  A rate unit is ``resolution_bps`` bits per second
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, InvalidOperation, Overflow, localcontext
 from typing import Iterator
 
@@ -50,17 +49,51 @@ def _in_range(what: str) -> Iterator[None]:
         raise ValueError(f"{what} is out of range") from exc
 
 
-@dataclass(frozen=True)
-class UnitScale:
+class Frozen:
+    """An immutable value whose public ``__slots__`` are its fields, compared,
+    hashed and shown as a frozen dataclass's, without loading ``dataclasses``;
+    the base of ``UnitScale`` here and of the value classes in ``model``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+    __delattr__ = __setattr__
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, from the fields in the order it takes them
+        return type(self), tuple(self._fields().values())
+
+
+class UnitScale(Frozen):
     """Fixed base resolution shared by every rate in one network description."""
 
-    resolution_bps: Decimal = Decimal(1)
+    __slots__ = ("resolution_bps",)
 
-    def __post_init__(self) -> None:
-        res = as_decimal(self.resolution_bps, "resolution_bps")
+    def __init__(self, resolution_bps: object = 1) -> None:
+        res = as_decimal(resolution_bps, "resolution_bps")
         if res <= 0:
             raise ValueError(f"resolution_bps must be positive, got {res}")
-        object.__setattr__(self, "resolution_bps", res)
+        self._set(res)
         # so that kbps() of every unit count that fits the matrices is finite
         with _in_range(f"resolution_bps {res}"):
             self.kbps(MAX_UNITS)

@@ -165,7 +165,7 @@ def test_artifact_final_shortfall_is_the_loop_cost():
     for name in ("dense5", "k23", "mesh10", "ring6_chord"):
         graph, target, file_config = load_network(NETWORKS_DIR / f"{name}.json")
         for seed, guard, m in itertools.product((0, 1, 2), (True, False), (1, 2, 3)):
-            config = dataclasses.replace(file_config, seed=seed, strict_guard=guard, m=m)
+            config = file_config.replace(seed=seed, strict_guard=guard, m=m)
             out = run(graph, target, config)
             doc = routing_to_dict(out.routing_list, graph, config, out.iterations,
                                   out.stop_reason, target)

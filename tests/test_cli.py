@@ -491,6 +491,8 @@ def test_simulate_manifest_records_routing_relative_to_itself(
     (None, None, ["simulate", "--tau", "inf"]),
     (None, None, ["simulate", "--tau", "1", "--epsilon", "nan"]),
     (None, 10**30, ["simulate", "--tau", "1"]),
+    # a flag merged into the file's config is checked as the config is
+    (None, None, ["route", "--m", "0"]),
 ])
 def test_out_of_range_numbers_exit_1(k23_file, tmp_path, capsys, net_edit, rate_units,
                                      command):

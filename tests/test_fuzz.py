@@ -177,6 +177,34 @@ def test_tie_break_stream_matches_numpy(seed, drawn):
     assert [stream.integers(k) for k in bounds] == [int(oracle.integers(k)) for k in bounds]
 
 
+class _FedStream(TieBreakStream):
+    """A stream whose 32-bit draws are the given words, in turn."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words) -> None:
+        super().__init__(0)
+        self._words = iter(words)
+
+    def _next32(self) -> int:
+        return next(self._words)
+
+
+@pytest.mark.parametrize("words, k, drawn", [
+    # 3 * 0xAAAAAAAB = 2 * 2**32 + 1: the low word 1 is 2**32 % 3, so it is kept
+    ((0xAAAAAAAB, 7), 3, 2),
+    # the low word 0 is under the threshold: rejected, the next word is used
+    ((0, 0xAAAAAAAB), 3, 2),
+    # k = 2**31 + 1: the threshold 2**31 - 1 is the low word of 2**32 - 1
+    ((2**32 - 1, 7), 2**31 + 1, 2**31),
+    ((0, 2**32 - 1), 2**31 + 1, 2**31),
+])
+def test_tie_break_stream_rejects_only_below_the_lemire_threshold(words, k, drawn):
+    # a draw whose low word equals 2**32 % k is kept, as numpy keeps it; a
+    # seed that reaches that case is one in 2**32 draws, so the words are fed
+    assert _FedStream(words).integers(k) == drawn
+
+
 @pytest.mark.parametrize("seed, k", [(0, 0), (0, 2**32), (-1, 1), (2**64, 1)])
 def test_tie_break_stream_refuses_bounds_out_of_range(seed, k):
     # numpy draws k >= 2**32 another way; RouterConfig takes 64-bit seeds

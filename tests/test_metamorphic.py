@@ -6,12 +6,13 @@ scaling, rounding and comparison direction on inputs that no golden covers.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import json
 from decimal import Decimal
 
 import pytest
 
+from qkdroute.artifacts import render_routing_text, render_trace_csv
 from qkdroute.engine import run
 from qkdroute.keysim import (
     FULLY_LEAKED,
@@ -36,7 +37,7 @@ def scaled(network, k):
         NetworkGraph(graph.node_count, {edge: k * rate for edge, rate in graph.rates.items()},
                      graph.scale),
         RateMatrix(target.n, [k * cell for cell in target.cells]),
-        dataclasses.replace(config, delta_r=k * config.delta_r),
+        config.replace(delta_r=k * config.delta_r),
     )
 
 
@@ -54,7 +55,7 @@ def test_rate_scaling_and_harvest_window(name):
     report are the same."""
     loaded = load_network(NETWORKS_DIR / f"{name}.json")
     for seed in (0, 1, 4):
-        network = loaded._replace(config=dataclasses.replace(loaded.config, seed=seed))
+        network = loaded._replace(config=loaded.config.replace(seed=seed))
         out = run(*network)
         sim = simulate(network.graph, out.routing_list, TAU, seed)
         report = assess_compromise(sim, {1, 2})
@@ -76,6 +77,27 @@ def test_rate_scaling_and_harvest_window(name):
                     for pair, key in window.pair_keys.items()} == {
                 pair: (key.hex(), key.length, key.agreed) for pair, key in sim.pair_keys.items()}
             assert assess_compromise(window, {1, 2}) == report
+
+
+@pytest.mark.parametrize("name", ["dense5", "k23", "mesh10", "ring6_chord"])
+def test_resolution_does_not_change_the_run(name, tmp_path):
+    """The network written at resolution_bps 10, which divides every rate in
+    the fixtures, routes as it does at 1 bit/s: the same records in kbit/s,
+    stop reason and iteration count, and the same trace.csv text."""
+    fine_path = NETWORKS_DIR / f"{name}.json"
+    coarse_path = tmp_path / f"{name}.json"
+    coarse_path.write_text(json.dumps({**json.loads(fine_path.read_text()),
+                                       "resolution_bps": 10}))
+    fine, coarse = map(load_network, (fine_path, coarse_path))
+    assert fine.config.delta_r == 10 * coarse.config.delta_r
+    seen = []
+    for network in (fine, coarse):
+        out = run(*network)
+        scale = network.graph.scale
+        seen.append((out.stop_reason, out.iterations, list(map(choices, out.trace)),
+                     render_routing_text(out.routing_list, scale),
+                     render_trace_csv(out, scale)))
+    assert seen[1] == seen[0]
 
 
 @pytest.mark.parametrize("name", ["dense5", "k23", "mesh10", "ring6_chord"])

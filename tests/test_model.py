@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from qkdroute.model import (
     uniform_target,
     validate,
 )
+from qkdroute.units import UnitScale
 
 from conftest import as_array, as_rate_matrix
 
@@ -164,3 +167,42 @@ def test_router_config_invariants():
     with pytest.raises(ValidationError):
         RouterConfig(seed=2**64)
     RouterConfig(r_max=0, delta_r=1, hop_limit=1, seed=2**64 - 1)
+
+
+def test_router_config_replace_runs_the_checks():
+    config = RouterConfig(delta_r=5, seed=3, hop_limit=4)
+    assert config.replace(m=3) == RouterConfig(m=3, delta_r=5, seed=3, hop_limit=4)
+    assert config.replace() == config
+    for change in ({"m": 0}, {"seed": -1}, {"hop_limit": 0}, {"delta_r": 0}, {"r_max": -1},
+                   {"seed": 2**64}):
+        with pytest.raises(ValidationError):
+            config.replace(**change)
+    with pytest.raises(TypeError):
+        config.replace(step=1)
+
+
+def test_values_compare_hash_show_and_pickle_by_their_fields():
+    # as frozen dataclasses did: equal fields are equal values of one class,
+    # fields cannot be assigned, and a copy is rebuilt through the checks
+    config = RouterConfig(delta_r=5)
+    matrices = [RateMatrix(3, [1, 2, 3]), RateMatrix(3, (1, 2, 3)), RateMatrix(3, [1, 2, 4])]
+    assert matrices[0] == matrices[1] != matrices[2]
+    assert hash(matrices[0]) == hash(matrices[1])
+    assert matrices[0] != (3, (1, 2, 3)) and RateMatrix(1, []) != UnitScale(1)
+    assert UnitScale(Decimal("0.5")) == UnitScale("0.5") != UnitScale(1)
+    assert repr(config) == ("RouterConfig(m=2, delta_r=5, r_max=None, seed=0, "
+                            "hop_limit=None, strict_guard=True)")
+    assert repr(UnitScale(2)) == "UnitScale(resolution_bps=Decimal('2'))"
+    graph = NetworkGraph(3, {(1, 0): 2, (1, 2): 1})
+    assert repr(graph) == ("NetworkGraph(node_count=3, rates={(0, 1): 2, (1, 2): 1}, "
+                           "scale=UnitScale(resolution_bps=Decimal('1')))")
+    with pytest.raises(AttributeError):
+        config.m = 0
+    with pytest.raises(AttributeError):
+        del config.m
+    with pytest.raises(AttributeError):
+        graph.extra = 1
+    for value in (config, matrices[0], UnitScale(2)):
+        assert pickle.loads(pickle.dumps(value)) == value
+    copied = pickle.loads(pickle.dumps(graph))
+    assert (copied.rates, copied.scale, copied.neighbors(1)) == (graph.rates, graph.scale, (0, 2))

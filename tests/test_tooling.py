@@ -324,26 +324,44 @@ def test_routing_commands_load_no_numpy(command, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# validate and paths read and write no artifact file, so they load neither
-# the artifact module nor the hashing and CSV modules only it uses
-_ARTIFACTS_PROBE = """
+# each command, in a fresh interpreter, loads none of the modules listed for
+# it, and every package name resolves afterwards; "setup" imports the CLI and
+# reads the network, as every command does first
+_UNLOADED_PROBE = """
 import sys
 from qkdroute import cli
-assert cli.main(sys.argv[1:]) == 0
-loaded = sorted({"qkdroute.artifacts", "hashlib", "csv"} & set(sys.modules))
+from qkdroute.netfile import load_network
+unloaded, command = set(sys.argv[1].split(",")), sys.argv[2:]
+if command[0] == "setup":
+    load_network(command[1])
+else:
+    assert cli.main(command) == 0
+loaded = sorted(unloaded & set(sys.modules))
 assert not loaded, f"loaded: {loaded}"
+import qkdroute
+from qkdroute import run, MPathSet, find_unroutable_pairs
+assert [name for name in qkdroute.__all__ if not hasattr(qkdroute, name)] == []
 """
+# the routing loop and its tie-break stream; the artifact module with the
+# hashing and CSV modules only it uses; the key simulation with numpy
+_ENGINE = ("qkdroute.engine", "qkdroute.tiebreak")
+_ARTIFACTS = ("qkdroute.artifacts", "hashlib", "csv")
+_KEYSIM = ("qkdroute.keysim", "numpy")
 
 
-@pytest.mark.parametrize("command", [
-    ["validate", "--input", "{k23}"],
-    ["paths", "--input", "{k23}", "--pair", "0,4"],
-], ids=["validate", "paths"])
-def test_validate_and_paths_load_no_artifacts(command):
-    argv = [arg.format(k23=NETWORKS_DIR / "k23.json") for arg in command]
+@pytest.mark.parametrize("command, unloaded", [
+    (["setup", "{k23}"],
+     (*_ENGINE, "qkdroute.paths", *_ARTIFACTS, *_KEYSIM, "dataclasses", "inspect")),
+    (["validate", "--input", "{k23}"], (*_ENGINE, *_ARTIFACTS, *_KEYSIM)),
+    (["paths", "--input", "{k23}", "--pair", "0,4"], (*_ARTIFACTS, *_KEYSIM)),
+    (["route", "--input", "{k23}", "--out-dir", "{out}"], _KEYSIM),
+], ids=["setup", "validate", "paths", "route"])
+def test_each_command_loads_only_what_it_runs(command, unloaded, tmp_path):
+    argv = [arg.format(k23=NETWORKS_DIR / "k23.json", out=tmp_path / "route")
+            for arg in command]
     done = subprocess.run(
-        [sys.executable, "-c", _ARTIFACTS_PROBE, *argv], capture_output=True, text=True,
-        env=_child_env(), timeout=120,
+        [sys.executable, "-c", _UNLOADED_PROBE, ",".join(unloaded), *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
