@@ -138,15 +138,15 @@ MUTANTS = (
     Mutant(
         "guard: an edge holding exactly delta_r counts as short (<=)",
         "qkdroute/engine.py",
-        "if deficiency[cell] > limits[cell])",
-        "if deficiency[cell] >= limits[cell])",
+        "if guard and deficiency[cell] > limits[cell]:",
+        "if guard and deficiency[cell] >= limits[cell]:",
         ("tests/test_engine.py::test_run_invariants_on_random_graphs",),
     ),
     Mutant(
         "guard: a newly short edge is not added to short after a step",
         "qkdroute/engine.py",
-        "        if guard:\n            short.update(",
-        "        if False:\n            short.update(",
+        "                short.add(cell)\n",
+        "                pass\n",
         ("tests/test_engine.py::test_run_invariants_on_random_graphs",),
     ),
     Mutant(
@@ -203,10 +203,14 @@ MUTANTS = (
         deficiency[positions[pair]] -= step
         for cell in cells:
             deficiency[cell] += step
+            if guard and deficiency[cell] > limits[cell]:
+                short.add(cell)
 """,
         """        deficiency[positions[pair]] -= step
         for cell in cells:
             deficiency[cell] += step
+            if guard and deficiency[cell] > limits[cell]:
+                short.add(cell)
         audit = (
             tuple(
                 (path_set, score)
@@ -218,6 +222,20 @@ MUTANTS = (
         )
 """,
         ("tests/test_acceptance.py::test_acceptance_dense5_golden_run",),
+    ),
+    Mutant(
+        "loop: the direct-link test read from the guard's limits, not the edge rates",
+        "qkdroute/engine.py",
+        "if pair in links:",
+        "if pair in limits:",
+        ("tests/test_engine.py::test_direct_pair_worst_stop",),
+    ),
+    Mutant(
+        "loop: sets_tied recorded as 1 on a real draw",
+        "qkdroute/engine.py",
+        "log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied,",
+        "log(IterationTrace(r, pair, pairs_tied, chosen, 1,",
+        ("tests/test_engine.py::test_dense5_reference_run",),
     ),
     # the one row score, which the audit and the paths command share
     *(
@@ -471,6 +489,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "trace: an accepted step's set cell written unquoted",
+        "qkdroute/artifacts.py",
+        "{set_cell(chosen)}",
+        "{set_text(chosen)}",
+        ("tests/test_artifacts.py::test_trace_csv_layout",),
+    ),
+    Mutant(
         "keys: the simulation report unpacks each pair key",
         "qkdroute/artifacts.py",
         '"key_bits": key.length,',
@@ -571,6 +596,13 @@ MUTANTS = (
         "    keysim.check_compromise(graph, args.compromise, args.epsilon)\n",
         "",
         ("tests/test_cli.py::test_simulate_refuses_compromise_arguments_before_drawing",),
+    ),
+    Mutant(
+        "cli: a negative --seed left to numpy, after the artifact read and the layout",
+        "qkdroute/cli.py",
+        "if args.seed < 0:",
+        "if False:",
+        ("tests/test_cli.py::test_out_of_range_numbers_exit_1",),
     ),
     Mutant(
         "cli: the fractional-bits warning ignores record rates",

@@ -208,7 +208,13 @@ def render_matrix_csv(rows: list[list[int]], scale: UnitScale) -> str:
 
 
 def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
-    """One row per accepted iteration plus the terminal event."""
+    """One row per accepted iteration plus the terminal event.
+
+    The header and the terminal row go through ``csv``.  Every other row
+    is an accepted step, with a pair, a set and no stop reason: its ints
+    and kbit/s values never need quoting, and its set cell is quoted by
+    ``csv`` once per set, so the row is written as one string.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -226,22 +232,39 @@ def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
     )
     # long runs repeat few values and sets, so each is formatted once per call
     kbps = functools.cache(scale.kbps_str)
-    set_text = functools.cache(lambda path_set: "|".join(str(p) for p in path_set.paths))
-    for entry in outcome.trace:
-        pair = entry.selected_pair
-        writer.writerow(
-            [
-              entry.r,
-              "" if pair is None else pair[0],
-              "" if pair is None else pair[1],
-              entry.pairs_tied,
-              "" if entry.chosen_set is None else set_text(entry.chosen_set),
-              entry.sets_tied,
-              kbps(entry.delta_before),
-              kbps(entry.delta_after),
-              entry.stop_reason.value if entry.stop_reason else "",
-            ]
-        )
+    cell = io.StringIO()
+    quote = csv.writer(cell, lineterminator="").writerow
+
+    def set_text(path_set: MPathSet) -> str:
+        return "|".join(map(str, path_set.paths))
+
+    @functools.cache
+    def set_cell(path_set: MPathSet) -> str:
+        cell.seek(0)
+        cell.truncate()
+        quote([set_text(path_set)])
+        return cell.getvalue()
+
+    *steps, last = outcome.trace
+    out.writelines(
+        f"{r},{i},{j},{pairs_tied},{set_cell(chosen)},{sets_tied},"
+        f"{kbps(before)},{kbps(after)},\n"
+        for r, (i, j), pairs_tied, chosen, sets_tied, before, after, _, _ in steps
+    )
+    pair = last.selected_pair
+    writer.writerow(
+        [
+          last.r,
+          "" if pair is None else pair[0],
+          "" if pair is None else pair[1],
+          last.pairs_tied,
+          "" if last.chosen_set is None else set_text(last.chosen_set),
+          last.sets_tied,
+          kbps(last.delta_before),
+          kbps(last.delta_after),
+          last.stop_reason.value if last.stop_reason else "",
+        ]
+    )
     return out.getvalue()
 
 

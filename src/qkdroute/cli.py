@@ -266,6 +266,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tau = as_decimal(args.tau, "--tau")
     # refused before anything is drawn
     keysim.check_compromise(graph, args.compromise, args.epsilon)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     # every own share is an edge rate minus record rates, so it is exact
     # when these are
     rates = {graph.rate(u, v) for u, v in graph.edges}

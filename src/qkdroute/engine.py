@@ -35,6 +35,12 @@ down, dropping the rows of each level while any row is left; no row is
 scored.  The strict guard is a set of short edges that only grows.
 ``CandidateTable.scored`` is the one place that scores rows, for the
 ``trace_candidates`` audit and the ``paths`` command.
+
+A step of ``run`` calls ``worst_pairs``, ``optimal_sets`` and ``cost_delta``
+through this module, where the benchmark's tracer replaces them by name to
+time them; the rest of the step, the tie draws and the deficiency and guard
+updates, is inline.  Records and outcomes are ``units.Frozen`` values, so
+the engine loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
@@ -57,6 +62,7 @@ from .model import (
 )
 from .paths import MPathSet, Path, _disjoint_rows, _node_paths
 from .tiebreak import TieBreakStream
+from .units import Frozen
 
 
 # no command raises this; perfbench/tracer.py wraps apply_increment by name
@@ -73,12 +79,13 @@ class StopReason(str, enum.Enum):
     GUARD_EXHAUSTED = "guard_exhausted"
 
 
-@dataclass(frozen=True)
-class RoutingRecord:
+class RoutingRecord(Frozen):
     """One routed path set and the total rate assigned to it."""
 
-    path_set: MPathSet
-    rate: int
+    __slots__ = ("path_set", "rate")
+
+    def __init__(self, path_set: MPathSet, rate: int) -> None:
+        self._set(path_set, rate)
 
     @property
     def pair(self) -> Edge:
@@ -145,10 +152,13 @@ class IterationTrace(NamedTuple):
     candidates: Optional[Tuple[Tuple[MPathSet, int], ...]] = None
 
 
-@dataclass(frozen=True)
-class RoutingOutcome:
-    routing_list: RoutingList
-    trace: Tuple[IterationTrace, ...]
+class RoutingOutcome(Frozen):
+    """A run's routing list and its trace, the terminal entry last."""
+
+    __slots__ = ("routing_list", "trace")
+
+    def __init__(self, routing_list: RoutingList, trace: Tuple[IterationTrace, ...]) -> None:
+        self._set(routing_list, trace)
 
     @property
     def stop_reason(self) -> StopReason:
@@ -181,13 +191,6 @@ def cost_delta(deficiency: Sequence[int]) -> int:
     ``deficiency`` holds one shortfall per pair i < j, in row order.
     """
     return max(deficiency)
-
-
-def _choose(rng: TieBreakStream, items: Sequence) -> Tuple[object, int]:
-    """Uniform pick; consumes one draw only when there is a real tie."""
-    if len(items) == 1:
-        return items[0], 1
-    return items[rng.integers(len(items))], len(items)
 
 
 def worst_pairs(deficiency: Sequence[int], n: int, top: int) -> List[Edge]:
@@ -275,7 +278,7 @@ def optimal_sets(
     are exactly those that score it.  Their mask is then narrowed to the
     first hop count it meets.
     """
-    live = (1 << len(table)) - 1
+    live = (1 << len(table.rows)) - 1
     levels: Dict[int, int] = {}
     for cell, rows in table.edges:
         if cell in short:
@@ -360,12 +363,16 @@ def run(
         raise ValidationError("graph must be connected")
 
     n = graph.node_count
-    step = config.delta_r
+    step, m, hop_limit, r_max = config.delta_r, config.m, config.hop_limit, config.r_max
     guard = config.strict_guard
-    rng = TieBreakStream(config.seed)
+    links = graph.rates
+    # one draw per tie of two or more, over the tied items in canonical order
+    draw = TieBreakStream(config.seed).integers
     tables: Dict[Edge, CandidateTable] = {}
     routing = RoutingList()
+    add = routing.add
     trace: List[IterationTrace] = []
+    log = trace.append
     # target - effective, one entry per pair i < j in row order
     deficiency = list(map(operator.sub, target.cells, graph.rate_matrix().cells))
     # under the strict guard, the edges holding less than delta_r, whose
@@ -401,22 +408,27 @@ def run(
         )
         return RoutingOutcome(routing, tuple(trace))
 
-    while delta > 0 and (config.r_max is None or r < config.r_max):
-        pair, pairs_tied = _choose(rng, worst_pairs(deficiency, n, delta))
-        if graph.has_edge(*pair):
+    while delta > 0 and (r_max is None or r < r_max):
+        pairs = worst_pairs(deficiency, n, delta)
+        pairs_tied = len(pairs)
+        pair = pairs[0] if pairs_tied == 1 else pairs[draw(pairs_tied)]
+        # pairs come canonical, as the edge rates are keyed
+        if pair in links:
             # the bottleneck is a direct link; no amount of re-routing
             # helps it, so the run ends here
             return stop(StopReason.DIRECT_PAIR_WORST, pair, pairs_tied)
         table = tables.get(pair)
         if table is None:
-            table = tables[pair] = CandidateTable(graph, pair, config.m, config.hop_limit)
-        if not table:
+            table = tables[pair] = CandidateTable(graph, pair, m, hop_limit)
+        if not table.rows:
             return stop(StopReason.NO_M_SET, pair, pairs_tied)
         finalists = optimal_sets(table, deficiency, short)
-        if not finalists:
+        sets_tied = len(finalists)
+        if not sets_tied:
             return stop(StopReason.GUARD_EXHAUSTED, pair, pairs_tied)
-        row, sets_tied = _choose(rng, finalists)
-        chosen, cells = table.candidate(row)
+        chosen, cells = table.candidate(
+            finalists[0] if sets_tied == 1 else finalists[draw(sets_tied)]
+        )
         audit = (
             tuple(
                 (path_set, score)
@@ -429,26 +441,15 @@ def run(
         deficiency[positions[pair]] -= step
         for cell in cells:
             deficiency[cell] += step
-        if guard:
-            short.update(cell for cell in cells if deficiency[cell] > limits[cell])
+            if guard and deficiency[cell] > limits[cell]:
+                short.add(cell)
         new_delta = cost_delta(deficiency)
         if new_delta > delta:
             # the rejected step is left in the list: nothing reads it again
             return stop(StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta)
-        routing.add(chosen, step)
+        add(chosen, step)
         r += 1
-        trace.append(
-            IterationTrace(
-                r=r,
-                selected_pair=pair,
-                pairs_tied=pairs_tied,
-                chosen_set=chosen,
-                sets_tied=sets_tied,
-                delta_before=delta,
-                delta_after=new_delta,
-                candidates=audit,
-            )
-        )
+        log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied, delta, new_delta, None, audit))
         delta = new_delta
 
     return stop(StopReason.CONVERGED if delta <= 0 else StopReason.R_MAX)

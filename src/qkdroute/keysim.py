@@ -41,6 +41,10 @@ at a corrupt interior node alike.  The key block a record
 contributes to its pair is the XOR of all M member-path keys, so an
 eavesdropper needs a corrupt interior node on every member path to learn
 anything.
+
+``PairKey``, ``CompromiseReport`` and ``KeySimulation`` are ``units.Frozen``
+values and ``KeyPool`` a plain ``__slots__`` class, so this module loads no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from __future__ import annotations
 import functools
 import os
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,7 +60,7 @@ import numpy as np
 from .engine import RoutingList
 from .model import CapacityError, Edge, NetworkGraph, NodeId
 from .paths import MPathSet
-from .units import as_decimal
+from .units import Frozen, as_decimal
 
 
 # A step draws 8 * _STEP_WORDS bits: at most _STEP_WORDS + 1 raw 64-bit
@@ -72,15 +75,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-@dataclass(eq=False, slots=True)
 class KeyPool:
     """Stream bits ``start:stop``, which lie in one edge's shared secret-bit
     pool, drawn for one relay: the packed bytes ``bits``, first bit highest
     in ``bits[0]``, pad bits zero.  ``len`` gives the bits drawn."""
 
-    bits: np.ndarray
-    start: int
-    stop: int
+    __slots__ = ("bits", "start", "stop")
+
+    def __init__(self, bits: np.ndarray, start: int, stop: int) -> None:
+        self.bits, self.start, self.stop = bits, start, stop
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -97,13 +100,15 @@ class Layout(NamedTuple):
     key_bits: Counter[Edge]
 
 
-@dataclass(frozen=True)
-class PairKey:
-    """Final key of one node pair and whether both endpoints computed it."""
+class PairKey(Frozen):
+    """Final key of one node pair and whether both endpoints computed it:
+    ``packed`` holds the key bits eight to a byte, first bit highest, pad
+    bits zero, and ``length`` counts them."""
 
-    packed: np.ndarray  # the key bits eight to a byte, first bit highest, pad bits zero
-    length: int  # in bits
-    agreed: bool
+    __slots__ = ("packed", "length", "agreed")
+
+    def __init__(self, packed: np.ndarray, length: int, agreed: bool) -> None:
+        self._set(packed, length, agreed)
 
     @property
     def bits(self) -> np.ndarray:
@@ -120,14 +125,14 @@ PARTIALLY_LEAKED = "partially_leaked"
 FULLY_LEAKED = "fully_leaked"
 
 
-@dataclass(frozen=True)
-class CompromiseReport:
+class CompromiseReport(Frozen):
     """Which routed keys a set of corrupt nodes can reconstruct."""
 
-    compromised: FrozenSet[NodeId]
-    pair_status: Mapping[Edge, str]
-    leaked_bits: Mapping[Edge, int]
-    bound: Optional[float] = None
+    __slots__ = ("compromised", "pair_status", "leaked_bits", "bound")
+
+    def __init__(self, compromised: FrozenSet[NodeId], pair_status: Mapping[Edge, str],
+                 leaked_bits: Mapping[Edge, int], bound: Optional[float] = None) -> None:
+        self._set(compromised, pair_status, leaked_bits, bound)
 
 
 def record_is_leaked(path_set: MPathSet, compromised: Iterable[NodeId]) -> bool:
@@ -384,18 +389,17 @@ def _read_block(key: np.ndarray, start: int, stop: int) -> np.ndarray:
     return block
 
 
-@dataclass(frozen=True)
-class KeySimulation:
+class KeySimulation(Frozen):
     """Everything one end-to-end key delivery simulation keeps: the layout
-    and the pair keys, but no pool bits."""
+    and the pair keys, but no pool bits.  ``pool_lengths`` holds the bits
+    in each edge's pool."""
 
-    graph: NetworkGraph
-    routing_list: RoutingList
-    tau: Decimal
-    seed: int
-    pool_lengths: Mapping[Edge, int]  # bits in each edge's pool
-    layout: Layout
-    pair_keys: Mapping[Edge, PairKey]
+    __slots__ = ("graph", "routing_list", "tau", "seed", "pool_lengths", "layout", "pair_keys")
+
+    def __init__(self, graph: NetworkGraph, routing_list: RoutingList, tau: Decimal,
+                 seed: int, pool_lengths: Mapping[Edge, int], layout: Layout,
+                 pair_keys: Mapping[Edge, PairKey]) -> None:
+        self._set(graph, routing_list, tau, seed, pool_lengths, layout, pair_keys)
 
     def record_block(self, path_set: MPathSet) -> np.ndarray:
         """True XOR block a record contributes to its pair key, packed eight

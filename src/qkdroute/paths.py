@@ -23,32 +23,34 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import Edge, NetworkGraph, NodeId, RateMatrix, canonical_edge
+from .units import Frozen
 
-@dataclass(frozen=True)
-class Path:
+
+class Path(Frozen):
     """A simple path, stored from its smaller endpoint.
 
     A path and its reverse are the same object for routing purposes, so the
     constructor normalizes orientation and equality follows from ``nodes``.
+    The interior and the edges are worked out once, with the path.
     """
 
-    nodes: Tuple[NodeId, ...]
+    __slots__ = ("nodes", "_interior", "_edges")
 
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
+    def __init__(self, nodes: Iterable[NodeId]) -> None:
+        nodes = tuple(nodes)
         if len(nodes) < 2:
             raise ValueError("a path needs at least two nodes")
         if len(set(nodes)) != len(nodes):
             raise ValueError(f"path revisits a node: {nodes}")
         if nodes[0] > nodes[-1]:
             nodes = nodes[::-1]
-        object.__setattr__(self, "nodes", nodes)
+        edges = tuple(canonical_edge(u, v) for u, v in zip(nodes, nodes[1:]))
+        self._set(nodes, frozenset(nodes[1:-1]), edges)
 
     @property
     def endpoints(self) -> Edge:
@@ -58,20 +60,19 @@ class Path:
     def hops(self) -> int:
         return len(self.nodes) - 1
 
-    @cached_property
+    @property
     def interior(self) -> FrozenSet[NodeId]:
-        return frozenset(self.nodes[1:-1])
+        return self._interior
 
-    @cached_property
+    @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(canonical_edge(u, v) for u, v in zip(self.nodes, self.nodes[1:]))
+        return self._edges
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(n) for n in self.nodes) + ")"
 
 
-@dataclass(frozen=True)
-class MPathSet:
+class MPathSet(Frozen):
     """A set of internally disjoint simple paths between one node pair.
 
     Canonical form: members sorted lexicographically by node sequence, so
@@ -79,10 +80,10 @@ class MPathSet:
     hash is computed once, from ``sort_key()``, and kept.
     """
 
-    paths: Tuple[Path, ...]
+    __slots__ = ("paths", "_hash")
 
-    def __post_init__(self) -> None:
-        paths = tuple(sorted(self.paths, key=lambda p: p.nodes))
+    def __init__(self, paths: Iterable[Path]) -> None:
+        paths = tuple(sorted(paths, key=lambda p: p.nodes))
         if not paths:
             raise ValueError("a path set needs at least one path")
         endpoints = paths[0].endpoints
@@ -93,13 +94,13 @@ class MPathSet:
         for a, b in itertools.combinations(paths, 2):
             if a.interior & b.interior:
                 raise ValueError(f"paths {a} and {b} share interior node(s)")
-        object.__setattr__(self, "paths", paths)
+        self._set(paths, hash(tuple(p.nodes for p in paths)))
 
     @classmethod
     def _disjoint(cls, paths: Tuple[Path, ...]) -> "MPathSet":
         """Wrap paths already sorted, same-ended and disjoint, skipping the checks."""
         path_set = object.__new__(cls)
-        object.__setattr__(path_set, "paths", paths)
+        path_set._set(paths, hash(tuple(p.nodes for p in paths)))
         return path_set
 
     @property
@@ -120,10 +121,6 @@ class MPathSet:
 
     def sort_key(self) -> Tuple[Tuple[NodeId, ...], ...]:
         return tuple(p.nodes for p in self.paths)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.sort_key())
 
     def __hash__(self) -> int:
         return self._hash

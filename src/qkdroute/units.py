@@ -52,7 +52,9 @@ def _in_range(what: str) -> Iterator[None]:
 class Frozen:
     """An immutable value whose public ``__slots__`` are its fields, compared,
     hashed and shown as a frozen dataclass's, without loading ``dataclasses``;
-    the base of ``UnitScale`` here and of the value classes in ``model``."""
+    the base of ``UnitScale`` here and of the value classes in ``model``,
+    ``paths``, ``engine`` and ``keysim``.  A slot named with a leading
+    underscore holds a value worked out from the fields, not a field."""
 
     __slots__ = ()
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -160,7 +159,7 @@ def test_artifact_final_shortfall_is_the_loop_cost():
     # the artifact derives its shortfall from the routing list; the loop's
     # cost is the terminal entry's delta_before, which a rejected
     # cost_worsened step leaves out, as the routing list does
-    assert [f.name for f in dataclasses.fields(RoutingOutcome)] == ["routing_list", "trace"]
+    assert RoutingOutcome.__slots__ == ("routing_list", "trace")
     stops = set()
     for name in ("dense5", "k23", "mesh10", "ring6_chord"):
         graph, target, file_config = load_network(NETWORKS_DIR / f"{name}.json")

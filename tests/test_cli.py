@@ -493,10 +493,12 @@ def test_simulate_manifest_records_routing_relative_to_itself(
     (None, 10**30, ["simulate", "--tau", "1"]),
     # a flag merged into the file's config is checked as the config is
     (None, None, ["route", "--m", "0"]),
+    (None, None, ["simulate", "--tau", "1", "--seed", "-1"]),
 ])
 def test_out_of_range_numbers_exit_1(k23_file, tmp_path, capsys, net_edit, rate_units,
                                      command):
-    """Each number is refused where it enters, with one ``error:`` line."""
+    """Each number is refused where it enters, with one ``error:`` line,
+    before any key bit is drawn."""
     route_dir = tmp_path / "route"
     assert main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)]) == EXIT_OK
     net = tmp_path / "net.json"
@@ -511,7 +513,10 @@ def test_out_of_range_numbers_exit_1(k23_file, tmp_path, capsys, net_edit, rate_
     if command[0] == "simulate":
         argv += ["--routing", str(write_net(tmp_path, "routing.json", routing))]
     capsys.readouterr()
-    assert main(argv) == EXIT_INVALID
+    # every draw starts from a seeded generator
+    with mock.patch.object(keysim.np.random, "default_rng",
+                           side_effect=AssertionError("seeded before the refusal")):
+        assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 

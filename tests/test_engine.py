@@ -13,7 +13,6 @@ from qkdroute.engine import (
     RoutingList,
     RoutingRecord,
     StopReason,
-    _choose,
     apply_increment,
     cost_delta,
     optimal_sets,
@@ -34,6 +33,7 @@ from qkdroute.paths import (
     enumerate_simple_paths,
     set_deficiency,
 )
+from qkdroute.tiebreak import TieBreakStream
 
 from conftest import as_array, as_rate_matrix
 from golden import (
@@ -81,26 +81,34 @@ def test_pair_position_is_row_order():
         assert [pair_position(i, j, n) for i, j in pairs] == list(range(n * (n - 1) // 2))
 
 
-def test_worst_pair_selection(dense5):
+def test_worst_pair_selection(dense5, monkeypatch):
     graph, target = dense5
     deficiency = as_array(target) - as_array(graph.rate_matrix())
     shortfall = per_pair(deficiency)
     assert worst_pairs(shortfall, 5, max(shortfall)) == [(0, 4), (1, 3)]
+    # a run draws once per real tie, bounded by the number of tied items
+    draws = []
+    integers = TieBreakStream.integers
+    monkeypatch.setattr(TieBreakStream, "integers",
+                        lambda stream, k: draws.append(k) or integers(stream, k))
+
+    def first_step(target, seed):
+        draws.clear()
+        first = run(graph, target, dense5_config(seed=seed, r_max=1)).trace[0]
+        assert draws == [k for k in (first.pairs_tied, first.sets_tied) if k > 1]
+        return first
+
     picks = set()
     for seed in range(30):
-        rng = np.random.default_rng(seed)
-        pair, tied = _choose(rng, worst_pairs(shortfall, 5, max(shortfall)))
-        assert tied == 2
-        picks.add(pair)
+        first = first_step(target, seed)
+        assert first.pairs_tied == 2
+        picks.add(first.selected_pair)
     assert picks == {(0, 4), (1, 3)}
 
-    # unique maximizer needs no draw and is returned as-is
+    # a unique maximizer needs no draw and is served as-is
     deficiency[0, 4] = deficiency[4, 0] = 999
-    shortfall = per_pair(deficiency)
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    assert _choose(rng, worst_pairs(shortfall, 5, max(shortfall))) == ((0, 4), 1)
-    assert rng.bit_generator.state == before
+    first = first_step(as_rate_matrix(deficiency + as_array(graph.rate_matrix())), 0)
+    assert (first.selected_pair, first.pairs_tied) == ((0, 4), 1)
 
 
 def test_select_optimal_set_filters(dense5):

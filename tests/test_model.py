@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdroute.engine import RoutingList, RoutingOutcome, RoutingRecord, run
+from qkdroute.keysim import CompromiseReport, KeyPool, KeySimulation, PairKey, simulate
 from qkdroute.model import (
     NetworkGraph,
     RateMatrix,
@@ -19,6 +21,7 @@ from qkdroute.model import (
     uniform_target,
     validate,
 )
+from qkdroute.paths import MPathSet, Path
 from qkdroute.units import UnitScale
 
 from conftest import as_array, as_rate_matrix
@@ -206,3 +209,54 @@ def test_values_compare_hash_show_and_pickle_by_their_fields():
         assert pickle.loads(pickle.dumps(value)) == value
     copied = pickle.loads(pickle.dumps(graph))
     assert (copied.rates, copied.scale, copied.neighbors(1)) == (graph.rates, graph.scale, (0, 2))
+
+    # the values of paths, engine and keysim likewise
+    path = Path((2, 1, 0))
+    assert path == Path([0, 1, 2]) != Path((0, 3, 2)) and path != (0, 1, 2)
+    assert (path.interior, path.edges) == ({1}, ((0, 1), (1, 2)))
+    path_set = MPathSet([Path((0, 3, 2)), path])
+    assert path_set == MPathSet((path, Path((2, 3, 0)))) != MPathSet((path,))
+    # the hashes a frozen dataclass gave them
+    assert hash(path) == hash(((0, 1, 2),))
+    assert hash(path_set) == hash(path_set.sort_key()) == hash(((0, 1, 2), (0, 3, 2)))
+    assert repr(path) == "Path(nodes=(0, 1, 2))"
+    assert repr(path_set) == "MPathSet(paths=(Path(nodes=(0, 1, 2)), Path(nodes=(0, 3, 2))))"
+    record = RoutingRecord(path_set, 5)
+    assert record == RoutingRecord(MPathSet([Path((0, 3, 2)), path]), 5) != RoutingRecord(
+        path_set, 6)
+    assert hash(record) == hash((path_set, 5)) and record.pair == (0, 2)
+    assert repr(record) == f"RoutingRecord(path_set={path_set!r}, rate=5)"
+    routing = RoutingList()
+    outcome = RoutingOutcome(routing, ())
+    # a routing list is equal only to itself
+    assert outcome == RoutingOutcome(routing, ()) != RoutingOutcome(RoutingList(), ())
+    assert repr(outcome) == f"RoutingOutcome(routing_list={routing!r}, trace=())"
+    report = CompromiseReport(frozenset({1}), {(0, 2): "secure"}, {(0, 2): 0})
+    assert report == CompromiseReport(frozenset({1}), {(0, 2): "secure"}, {(0, 2): 0}, None)
+    assert report.bound is None and report != CompromiseReport(frozenset(), {}, {})
+    key = PairKey(np.array([0xA0], np.uint8), 3, True)
+    assert repr(key) == "PairKey(packed=array([160], dtype=uint8), length=3, agreed=True)"
+    for value, field in ((path, "nodes"), (path, "_edges"), (path_set, "paths"),
+                         (path_set, "_hash"), (record, "rate"), (outcome, "trace"),
+                         (report, "bound"), (key, "agreed")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    for value in (path, path_set, record, report):
+        assert pickle.loads(pickle.dumps(value)) == value
+    # a value with a mapping field is unhashable, as a frozen dataclass was
+    with pytest.raises(TypeError):
+        hash(report)
+    copied = pickle.loads(pickle.dumps(key))
+    assert (copied.packed.tobytes(), copied.length, copied.agreed) == (b"\xa0", 3, True)
+    # a simulation keeps its routing list, so it is equal only to one of the same list
+    graph = NetworkGraph(4, {(0, 1): 2, (1, 2): 2, (2, 3): 2, (0, 3): 2})
+    sim = simulate(graph, run(graph, uniform_target(4, 1), RouterConfig(delta_r=1)).routing_list, 4)
+    assert sim == KeySimulation(*(getattr(sim, name) for name in KeySimulation.__slots__))
+    assert sim.pair_keys[0, 2].length == 4
+    with pytest.raises(AttributeError):
+        sim.seed = 1
+    # a pool is a plain record of one draw, mutable and without a __dict__
+    pool = KeyPool(np.zeros(1, np.uint8), 8, 13)
+    assert len(pool) == 5 and not hasattr(pool, "__dict__")

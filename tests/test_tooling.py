@@ -325,42 +325,55 @@ def test_routing_commands_load_no_numpy(command, tmp_path):
 
 
 # each command, in a fresh interpreter, loads none of the modules listed for
-# it, and every package name resolves afterwards; "setup" imports the CLI and
-# reads the network, as every command does first
+# it but each of those it needs, and every package name resolves afterwards;
+# "setup" imports the CLI and reads the network, as every command does first
 _UNLOADED_PROBE = """
 import sys
 from qkdroute import cli
 from qkdroute.netfile import load_network
-unloaded, command = set(sys.argv[1].split(",")), sys.argv[2:]
+unloaded, needed = (set(names.split(",")) for names in sys.argv[1:3])
+command = sys.argv[3:]
 if command[0] == "setup":
     load_network(command[1])
 else:
     assert cli.main(command) == 0
 loaded = sorted(unloaded & set(sys.modules))
 assert not loaded, f"loaded: {loaded}"
+assert needed <= set(sys.modules), f"not loaded: {sorted(needed - set(sys.modules))}"
 import qkdroute
 from qkdroute import run, MPathSet, find_unroutable_pairs
 assert [name for name in qkdroute.__all__ if not hasattr(qkdroute, name)] == []
 """
 # the routing loop and its tie-break stream; the artifact module with the
-# hashing and CSV modules only it uses; the key simulation with numpy
+# hashing and CSV modules only it uses; the key simulation with numpy; the
+# dataclass machinery, which no command needs.  numpy loads inspect itself.
 _ENGINE = ("qkdroute.engine", "qkdroute.tiebreak")
 _ARTIFACTS = ("qkdroute.artifacts", "hashlib", "csv")
 _KEYSIM = ("qkdroute.keysim", "numpy")
+_DATACLASSES = ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("command, unloaded", [
+@pytest.mark.parametrize("command, unloaded, needed", [
     (["setup", "{k23}"],
-     (*_ENGINE, "qkdroute.paths", *_ARTIFACTS, *_KEYSIM, "dataclasses", "inspect")),
-    (["validate", "--input", "{k23}"], (*_ENGINE, *_ARTIFACTS, *_KEYSIM)),
-    (["paths", "--input", "{k23}", "--pair", "0,4"], (*_ARTIFACTS, *_KEYSIM)),
-    (["route", "--input", "{k23}", "--out-dir", "{out}"], _KEYSIM),
-], ids=["setup", "validate", "paths", "route"])
-def test_each_command_loads_only_what_it_runs(command, unloaded, tmp_path):
-    argv = [arg.format(k23=NETWORKS_DIR / "k23.json", out=tmp_path / "route")
-            for arg in command]
+     (*_ENGINE, "qkdroute.paths", *_ARTIFACTS, *_KEYSIM, *_DATACLASSES), ("qkdroute.netfile",)),
+    (["validate", "--input", "{k23}"],
+     (*_ENGINE, *_ARTIFACTS, *_KEYSIM, *_DATACLASSES), ("qkdroute.paths",)),
+    (["paths", "--input", "{k23}", "--pair", "0,4"],
+     (*_ARTIFACTS, *_KEYSIM, *_DATACLASSES), _ENGINE),
+    (["route", "--input", "{k23}", "--out-dir", "{out}"],
+     (*_KEYSIM, *_DATACLASSES), (*_ENGINE, *_ARTIFACTS)),
+    (["simulate", "--input", "{k23}", "--routing", "{out}", "--tau", "1"],
+     ("dataclasses",), (*_ENGINE, *_ARTIFACTS, *_KEYSIM)),
+], ids=["setup", "validate", "paths", "route", "simulate"])
+def test_each_command_loads_only_what_it_runs(command, unloaded, needed, tmp_path):
+    k23, out = NETWORKS_DIR / "k23.json", tmp_path / "route"
+    if command[0] == "simulate":
+        from qkdroute import cli
+
+        assert cli.main(["route", "--input", str(k23), "--out-dir", str(out)]) == 0
+    argv = [arg.format(k23=k23, out=out) for arg in command]
     done = subprocess.run(
-        [sys.executable, "-c", _UNLOADED_PROBE, ",".join(unloaded), *argv],
+        [sys.executable, "-c", _UNLOADED_PROBE, ",".join(unloaded), ",".join(needed), *argv],
         capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -387,6 +400,25 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert missing == []
+
+
+def test_benchmark_tracer_sees_each_loop_kernel_once_per_step(monkeypatch, dense5):
+    # the tracer times the loop's kernels by replacing them in the engine
+    # module; a loop that bound them before the tracer was installed, or
+    # inlined them, would leave the benchmark's per-layer counters at 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from qkdroute import engine
+
+    graph, target = dense5
+    with tracer.Tracer().installed() as spy:
+        out = engine.run(graph, target, qkdroute.RouterConfig(m=2, delta_r=100, seed=4))
+    assert (out.stop_reason, out.iterations) == (engine.StopReason.CONVERGED, 4)
+    calls = {name: spy.counts["calls:engine." + name]
+             for name in ("run", "worst_pairs", "optimal_sets", "cost_delta")}
+    # cost_delta also gives the starting cost
+    assert calls == {"run": 1, "worst_pairs": 4, "optimal_sets": 4, "cost_delta": 5}
 
 
 def test_mutant_snippets_occur_once(monkeypatch):
