@@ -140,7 +140,7 @@ MUTANTS = (
         "qkdroute/engine.py",
         "if guard and deficiency[cell] > limits[cell]:",
         "if guard and deficiency[cell] >= limits[cell]:",
-        ("tests/test_engine.py::test_run_invariants_on_random_graphs",),
+        ("tests/test_engine.py::test_guard_lets_an_edge_give_up_its_last_step",),
     ),
     Mutant(
         "guard: a newly short edge is not added to short after a step",
@@ -189,41 +189,6 @@ MUTANTS = (
         ("tests/test_engine.py::test_table_scoring_matches_reference",),
     ),
     Mutant(
-        "audit: candidate deficiencies taken after the step",
-        "qkdroute/engine.py",
-        """        audit = (
-            tuple(
-                (path_set, score)
-                for path_set, score, row_cells in table.scored(deficiency)
-                if short.isdisjoint(row_cells)
-            )
-            if trace_candidates
-            else None
-        )
-        deficiency[positions[pair]] -= step
-        for cell in cells:
-            deficiency[cell] += step
-            if guard and deficiency[cell] > limits[cell]:
-                short.add(cell)
-""",
-        """        deficiency[positions[pair]] -= step
-        for cell in cells:
-            deficiency[cell] += step
-            if guard and deficiency[cell] > limits[cell]:
-                short.add(cell)
-        audit = (
-            tuple(
-                (path_set, score)
-                for path_set, score, row_cells in table.scored(deficiency)
-                if short.isdisjoint(row_cells)
-            )
-            if trace_candidates
-            else None
-        )
-""",
-        ("tests/test_acceptance.py::test_acceptance_dense5_golden_run",),
-    ),
-    Mutant(
         "loop: the direct-link test read from the guard's limits, not the edge rates",
         "qkdroute/engine.py",
         "if pair in links:",
@@ -237,7 +202,7 @@ MUTANTS = (
         "log(IterationTrace(r, pair, pairs_tied, chosen, 1,",
         ("tests/test_engine.py::test_dense5_reference_run",),
     ),
-    # the one row score, which the audit and the paths command share
+    # the one row score, which the walkthrough demo and the paths command share
     *(
         Mutant(f"score: a row scored by its least loaded edge, seen by {who}",
                "qkdroute/engine.py",
@@ -245,7 +210,7 @@ MUTANTS = (
                "yield path_set, min(map(deficiency.__getitem__, cells)), cells",
                (test,))
         for who, test in (
-            ("the audit", "tests/test_acceptance.py::test_acceptance_dense5_golden_run"),
+            ("the walkthrough demo", "tests/test_tooling.py::test_demo_runs"),
             ("paths", "tests/test_cli.py::test_paths_command"),
         )
     ),

@@ -249,7 +249,7 @@ def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
     out.writelines(
         f"{r},{i},{j},{pairs_tied},{set_cell(chosen)},{sets_tied},"
         f"{kbps(before)},{kbps(after)},\n"
-        for r, (i, j), pairs_tied, chosen, sets_tied, before, after, _, _ in steps
+        for r, (i, j), pairs_tied, chosen, sets_tied, before, after, _ in steps
     )
     pair = last.selected_pair
     writer.writerow(

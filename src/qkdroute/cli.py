@@ -242,11 +242,11 @@ def cmd_paths(args: argparse.Namespace) -> int:
     graph, target, file_config = load_network(args.input)
     config = _merged_config(file_config, args, graph.scale)
     i, j = args.pair
-    # the rows route ranks, scored as its trace_candidates audit scores them
+    # the rows route ranks, each scored by its most deficient edge
     table = engine.CandidateTable(graph, (i, j), config.m, config.hop_limit)
     print(f"pair ({min(i, j)}, {max(i, j)}), M={config.m}: "
-          f"{len(table.paths)} simple paths, {len(table)} disjoint sets")
-    if not table:
+          f"{len(table.paths)} simple paths, {len(table.rows)} disjoint sets")
+    if not table.rows:
         print("no disjoint path set exists for this pair")
         return EXIT_OK
     deficiency = tuple(map(operator.sub, target.cells, graph.rate_matrix().cells))

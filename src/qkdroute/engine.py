@@ -29,12 +29,11 @@ live in a table built the first time the pair is served, from indices
 alone: its simple paths as node tuples with their edge positions, and its
 sets of M disjoint paths as tuples of path indices, with one bitmask of rows
 per edge and per hop count.  A row becomes an ``MPathSet`` only when it is
-chosen, or listed for ``trace_candidates``.  The least loaded rows are
-found by walking the pair's edges in deficiency levels, from the highest
-down, dropping the rows of each level while any row is left; no row is
-scored.  The strict guard is a set of short edges that only grows.
-``CandidateTable.scored`` is the one place that scores rows, for the
-``trace_candidates`` audit and the ``paths`` command.
+chosen.  The least loaded rows are found by walking the pair's edges in
+deficiency levels, from the highest down, dropping the rows of each level
+while any row is left; no row is scored.  The strict guard is a set of
+short edges that only grows.  ``CandidateTable.scored`` is the one place
+that scores rows, for the ``paths`` command.
 
 A step of ``run`` calls ``worst_pairs``, ``optimal_sets`` and ``cost_delta``
 through this module, where the benchmark's tracer replaces them by name to
@@ -148,8 +147,6 @@ class IterationTrace(NamedTuple):
     delta_before: int
     delta_after: int
     stop_reason: Optional[StopReason] = None
-    # per-candidate (set, deficiency) pairs, kept only when requested
-    candidates: Optional[Tuple[Tuple[MPathSet, int], ...]] = None
 
 
 class RoutingOutcome(Frozen):
@@ -242,6 +239,7 @@ class CandidateTable:
         self.hops = tuple(hops[count] for count in sorted(hops))
         self._built: Dict[int, Tuple[MPathSet, Tuple[int, ...]]] = {}
 
+    # no command calls this; perfbench/tracer.py counts the ranked rows by it
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -259,7 +257,7 @@ class CandidateTable:
         """Each row's path set, score and edge positions, in table order.  A
         row scores the largest value of the per-pair ``deficiency`` list
         over its cells."""
-        for path_set, cells in map(self.candidate, range(len(self))):
+        for path_set, cells in map(self.candidate, range(len(self.rows))):
             yield path_set, max(map(deficiency.__getitem__, cells)), cells
 
 
@@ -338,20 +336,13 @@ def apply_increment(
     return RateMatrix(effective.n, cells)
 
 
-def run(
-    graph: NetworkGraph,
-    target: RateMatrix,
-    config: RouterConfig,
-    trace_candidates: bool = False,
-) -> RoutingOutcome:
+def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> RoutingOutcome:
     """Route key rate until every pair meets its target or a stop is hit.
 
     Args:
         graph: connected network with positive edge rates.
         target: per-pair target rates in the same units as the graph.
         config: run parameters; ``config.delta_r`` must be set.
-        trace_candidates: record per-iteration candidate deficiencies in the
-            trace (memory-heavy on long runs, meant for audits and demos).
 
     Returns:
         The routing list and the per-iteration trace.
@@ -429,15 +420,6 @@ def run(
         chosen, cells = table.candidate(
             finalists[0] if sets_tied == 1 else finalists[draw(sets_tied)]
         )
-        audit = (
-            tuple(
-                (path_set, score)
-                for path_set, score, row_cells in table.scored(deficiency)
-                if short.isdisjoint(row_cells)
-            )
-            if trace_candidates
-            else None
-        )
         deficiency[positions[pair]] -= step
         for cell in cells:
             deficiency[cell] += step
@@ -449,7 +431,7 @@ def run(
             return stop(StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta)
         add(chosen, step)
         r += 1
-        log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied, delta, new_delta, None, audit))
+        log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied, delta, new_delta))
         delta = new_delta
 
     return stop(StopReason.CONVERGED if delta <= 0 else StopReason.R_MAX)

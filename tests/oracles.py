@@ -10,7 +10,9 @@ enumeration scan that the max-flow test replaced, built on the library's
 enumerators, which are themselves checked against the DFS oracle, and so is
 the reference listing of ``qkdroute paths``.  The candidate-table reference
 is the engine's former builder: one row per path-set object, its masks ORed
-in row by row.
+in row by row.  The audit reference replays a run's trace on pair-keyed
+dicts and scores every candidate set of each served pair from the DFS
+oracle's paths.
 """
 
 from __future__ import annotations
@@ -65,6 +67,60 @@ def ordered_disjoint_subsets(
         ):
             result.append(combo)
     return result
+
+
+def reference_audit(
+    graph, target, config, trace: Iterable
+) -> List[List[Tuple[Tuple[Tuple[int, ...], ...], int]]]:
+    """The candidate table of each accepted step of a run, from its trace.
+
+    Replays the steps from the edge rates.  Before each step, every
+    internally disjoint set of ``config.m`` simple paths of the served pair
+    is listed as its sorted node tuples, in combinations order, with its
+    score: the largest target - effective over its edges.  Under the strict
+    guard a set is left out when one of its edges holds less than delta_r.
+    """
+    n, step = graph.node_count, config.delta_r
+    adjacency: Dict[int, Set[int]] = {}
+    effective: Dict[Tuple[int, int], int] = {}
+    demand: Dict[Tuple[int, int], int] = {}
+    for i, j in itertools.combinations(range(n), 2):
+        effective[i, j] = graph.rates.get((i, j), 0)
+        demand[i, j] = target[i, j]
+    for u, v in graph.rates:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+
+    def edges(combo):
+        return [(min(a, b), max(a, b)) for nodes in combo for a, b in zip(nodes, nodes[1:])]
+
+    # each served pair's sets with their edges, listed once
+    candidates: Dict[Tuple[int, int], list] = {}
+    tables = []
+    for entry in trace:
+        if entry.stop_reason is not None:
+            break
+        pair = entry.selected_pair
+        if pair not in candidates:
+            paths = dfs_simple_paths(adjacency, *pair, config.hop_limit)
+            candidates[pair] = [
+                (combo, edges(combo)) for combo in ordered_disjoint_subsets(list(paths), config.m)
+            ]
+        tables.append([
+            (combo, max(demand[e] - effective[e] for e in used))
+            for combo, used in candidates[pair]
+            if not config.strict_guard or all(effective[e] >= step for e in used)
+        ])
+        effective[pair] += step
+        for e in edges(p.nodes for p in entry.chosen_set.paths):
+            effective[e] -= step
+    return tables
+
+
+def audit_table(rows: Iterable) -> Dict[str, int]:
+    """One step's ``reference_audit`` rows, each set keyed by its text as
+    ``MPathSet`` prints it."""
+    return {"{" + ", ".join(map(str, combo)) + "}": score for combo, score in rows}
 
 
 def disjoint_subsets(

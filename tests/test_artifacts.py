@@ -21,7 +21,7 @@ from qkdroute.artifacts import (
     write_simulation_artifacts,
 )
 from qkdroute.cli import EXIT_OK, main
-from qkdroute.engine import RoutingList, RoutingOutcome, StopReason, run
+from qkdroute.engine import IterationTrace, RoutingList, RoutingOutcome, StopReason, run
 from qkdroute.keysim import assess_compromise, simulate
 from qkdroute.model import RouterConfig
 from qkdroute.netfile import NetworkFormatError, load_network
@@ -94,6 +94,19 @@ def test_matrix_csv_full_precision(dense5):
     assert rows[2][4] == "0.2"  # routed pair (1, 3) reached its target
 
 
+# each IterationTrace field and the trace.csv columns that carry it
+TRACE_COLUMNS = {
+    "r": ("r",),
+    "selected_pair": ("pair_i", "pair_j"),
+    "pairs_tied": ("pairs_tied",),
+    "chosen_set": ("chosen_set",),
+    "sets_tied": ("sets_tied",),
+    "delta_before": ("delta_before_kbps",),
+    "delta_after": ("delta_after_kbps",),
+    "stop_reason": ("stop_reason",),
+}
+
+
 def test_trace_csv_layout(dense5):
     graph, _, outcome = dense5_outcome(dense5)
     text = render_trace_csv(outcome, graph.scale)
@@ -111,6 +124,30 @@ def test_trace_csv_layout(dense5):
     terminal = rows[5]
     assert terminal[8] == "converged"
     assert terminal[6] == "0" and terminal[7] == "0"
+
+    # every row carries every field of its entry, so no trace field goes
+    # unrecorded; mesh10's terminal row also carries a pair and a set
+    assert tuple(TRACE_COLUMNS) == IterationTrace._fields
+    mesh10, target, config = load_network(NETWORKS_DIR / "mesh10.json")
+    stopped = run(mesh10, target, config)
+    assert stopped.stop_reason is StopReason.COST_WORSENED
+    for graph, outcome in ((graph, outcome), (mesh10, stopped)):
+        kbps = graph.scale.kbps_str
+        rows = list(csv.reader(render_trace_csv(outcome, graph.scale).splitlines()))
+        assert rows[0] == [column for columns in TRACE_COLUMNS.values() for column in columns]
+        assert len(rows) == len(outcome.trace) + 1
+        for row, entry in zip(rows[1:], outcome.trace):
+            pair, chosen, reason = entry.selected_pair, entry.chosen_set, entry.stop_reason
+            assert row == [
+                str(entry.r),
+                *(("", "") if pair is None else map(str, pair)),
+                str(entry.pairs_tied),
+                "" if chosen is None else "|".join(map(str, chosen.paths)),
+                str(entry.sets_tied),
+                kbps(entry.delta_before),
+                kbps(entry.delta_after),
+                "" if reason is None else reason.value,
+            ]
 
 
 def test_route_artifacts_byte_identical(dense5, dense5_file, tmp_path):

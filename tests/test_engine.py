@@ -21,6 +21,7 @@ from qkdroute.engine import (
 )
 from qkdroute.model import (
     NetworkGraph,
+    RateMatrix,
     RouterConfig,
     ValidationError,
     pair_position,
@@ -43,10 +44,12 @@ from golden import (
     RING6_REFERENCE_RECORDS,
 )
 from oracles import (
+    audit_table,
     candidate_table,
     guard_ok,
     per_pair,
     rates_by_pair,
+    reference_audit,
     reference_cost,
     reference_finalists,
     reference_worst_pairs,
@@ -195,7 +198,7 @@ def test_table_scoring_matches_reference(case):
         if deficiency[u, v] > int(target[u, v]) - delta_r
     }
     table = CandidateTable(graph, pair, m)
-    assert len(table) == len(sets)
+    assert len(table.rows) == len(sets)
     for guard in (strict_guard, not strict_guard):
         finalists = optimal_sets(table, per_pair(deficiency), short if guard else set())
         kept = [s for s in sets if not guard or guard_ok(s, effective, delta_r)]
@@ -251,16 +254,18 @@ def test_apply_increment_endpoint_mismatch(dense5):
 
 def test_dense5_reference_run(dense5):
     graph, target = dense5
-    out = run(graph, target, dense5_config(), trace_candidates=True)
+    config = dense5_config()
+    out = run(graph, target, config)
     assert out.stop_reason is StopReason.CONVERGED
     assert out.iterations == 4
     assert out.final_delta == 0
     accepted = [t for t in out.trace if t.stop_reason is None]
     assert [t.selected_pair for t in accepted] == [(1, 3), (0, 4), (1, 3), (0, 4)]
     assert [str(t.chosen_set) for t in accepted] == DENSE5_REFERENCE_SETS
-    for entry in accepted:
-        table = {str(s): d for s, d in entry.candidates}
-        assert table == DENSE5_EXPECTED_TABLES[entry.r]
+    audit = reference_audit(graph, target, config, out.trace)
+    assert len(audit) == len(accepted)
+    for entry, rows in zip(accepted, audit):
+        assert audit_table(rows) == DENSE5_EXPECTED_TABLES[entry.r]
     # per-iteration tie counts: pair tie on iterations 1 and 3
     assert [t.pairs_tied for t in accepted] == [2, 1, 2, 1]
     assert [t.sets_tied for t in accepted] == [1, 1, 3, 1]
@@ -290,7 +295,7 @@ def test_dense5_trajectory_envelope(dense5):
     """
     graph, target = dense5
     for seed in range(30):
-        out = run(graph, target, dense5_config(seed=seed), trace_candidates=True)
+        out = run(graph, target, dense5_config(seed=seed))
         effective = graph.rate_matrix()
         for entry in out.trace:
             deficiency = as_array(target) - as_array(effective)
@@ -412,6 +417,18 @@ def test_guard_exhausted_stop():
     assert out.iterations == 0
 
 
+def test_guard_lets_an_edge_give_up_its_last_step():
+    # each relay edge holds exactly two steps; after the first it holds one,
+    # which the guard still lets it give up
+    graph = NetworkGraph(3, {(0, 1): 20, (1, 2): 20})
+    target = RateMatrix(3, [0, 20, 0])
+    out = run(graph, target, RouterConfig(m=1, delta_r=10, seed=0))
+    assert out.stop_reason is StopReason.CONVERGED
+    assert out.iterations == 2
+    effective = out.routing_list.effective(graph)
+    assert effective[0, 1] == effective[1, 2] == 0
+
+
 def test_guard_off_stops_on_cost_instead():
     graph = NetworkGraph(4, {(0, 1): 5, (1, 3): 5, (0, 2): 5, (2, 3): 5})
     target = uniform_target(4, 100)
@@ -515,12 +532,16 @@ def routing_cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(routing_cases())
 def test_run_invariants_on_random_graphs(case):
-    """Replays every accepted step against the ndarray references."""
+    """Replays every accepted step against the ndarray references, and lists
+    each step's guard-clear rows as the audit reference does."""
     graph, target, config = case
     step, guard = config.delta_r, config.strict_guard
-    out = run(graph, target, config, trace_candidates=True)
+    out = run(graph, target, config)
+    audit = reference_audit(graph, target, config, out.trace)
+    assert len(audit) == len(out.trace) - 1
     target = as_array(target)
     sets = {}
+    tables = {}
 
     def pair_sets(pair):
         if pair not in sets:
@@ -529,7 +550,7 @@ def test_run_invariants_on_random_graphs(case):
         return sets[pair]
 
     effective = graph.rate_matrix()
-    for entry in out.trace[:-1]:
+    for entry, rows in zip(out.trace, audit):
         deficiency = target - as_array(effective)
         assert entry.delta_before == reference_cost(target, effective)
         worst = reference_worst_pairs(deficiency)
@@ -537,7 +558,13 @@ def test_run_invariants_on_random_graphs(case):
         pair = entry.selected_pair
         finalists = reference_finalists(pair_sets(pair), deficiency, effective, step, guard)
         assert entry.chosen_set in finalists and entry.sets_tied == len(finalists)
-        assert all(score == set_deficiency(s, deficiency) for s, score in entry.candidates)
+        if pair not in tables:
+            tables[pair] = CandidateTable(graph, pair, config.m, config.hop_limit)
+        assert rows == [
+            (tuple(path.nodes for path in s.paths), score)
+            for s, score, _ in tables[pair].scored(per_pair(deficiency))
+            if not guard or guard_ok(s, effective, step)
+        ]
         effective = apply_increment(effective, pair, entry.chosen_set, step, guard)
         assert entry.delta_after == reference_cost(target, effective) <= entry.delta_before
         # no edge's deficiency falls, so an edge short under the guard stays short

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -379,13 +380,23 @@ def test_each_command_loads_only_what_it_runs(command, unloaded, needed, tmp_pat
     assert done.returncode == 0, done.stderr
 
 
+# the sha256 of each demo's stdout; a demo prints exactly what it printed
+# when it was pinned
+DEMO_STDOUT = {
+    "capacity_plateau.py": "5c305dc54fbd3e5d330ed89e192acdcd0599764f01fc2eb83a7411b9f49ab482",
+    "greedy_walkthrough.py": "d920c7c5c7e409e6283a7974aeade8eb1a0c6c941bd6a4f091f4630de8e97276",
+    "key_relay.py": "1f5c50cbaa5ec01eaa673aeab9664485cb6fe18589d0aae5814a758ca9a7ffbc",
+    "route_basics.py": "af1ed9f9644e8a42957c19b30b3fe9e27029123490ec0256fda1434828c0d3f0",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
     done = subprocess.run(
-        [sys.executable, str(DEMOS / demo)], capture_output=True, text=True,
-        env=_child_env(), timeout=120,
+        [sys.executable, str(DEMOS / demo)], capture_output=True, env=_child_env(), timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT[demo], done.stdout.decode()
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):
