@@ -138,8 +138,8 @@ MUTANTS = (
     Mutant(
         "guard: an edge holding exactly delta_r counts as short (<=)",
         "qkdroute/engine.py",
-        "if guard and deficiency[cell] > limits[cell]:",
-        "if guard and deficiency[cell] >= limits[cell]:",
+        "if guard and value > limits[cell]:",
+        "if guard and value >= limits[cell]:",
         ("tests/test_engine.py::test_guard_lets_an_edge_give_up_its_last_step",),
     ),
     Mutant(
@@ -182,6 +182,16 @@ MUTANTS = (
         ("tests/test_engine.py::test_table_scoring_matches_reference",),
     ),
     Mutant(
+        "finalists: the one-row exit taken before the short-edge filter",
+        "qkdroute/engine.py",
+        "    live = (1 << len(table.rows)) - 1\n    if short:\n",
+        "    live = (1 << len(table.rows)) - 1\n"
+        "    if not live & (live - 1):\n"
+        "        return [live.bit_length() - 1] if live else []\n"
+        "    if short:\n",
+        ("tests/test_engine.py::test_guard_exhausted_stop",),
+    ),
+    Mutant(
         "finalists: bits read highest first",
         "qkdroute/engine.py",
         "low = live & -live",
@@ -194,6 +204,30 @@ MUTANTS = (
         "if pair in links:",
         "if pair in limits:",
         ("tests/test_engine.py::test_direct_pair_worst_stop",),
+    ),
+    # the tied worst pairs, kept across a deficiency level
+    Mutant(
+        "level: a pair joining the level appended, not inserted in row order",
+        "qkdroute/engine.py",
+        "insort(pairs, pair_at[cell])",
+        "pairs.append(pair_at[cell])",
+        ("tests/test_engine.py::test_tie_draws_replay_when_an_edge_joins_the_level",),
+    ),
+    Mutant(
+        "level: the served pair left among the tied pairs",
+        "qkdroute/engine.py",
+        "        del pairs[pick]\n",
+        "",
+        ("tests/test_engine.py::test_dense5_reference_run",
+         "tests/test_engine.py::test_tie_draws_replay_on_the_fixtures"),
+    ),
+    Mutant(
+        "level: the pairs not rescanned when the level empties",
+        "qkdroute/engine.py",
+        "if not pairs:",
+        "if not r:",
+        ("tests/test_engine.py::test_dense5_reference_run",
+         "tests/test_engine.py::test_tie_draws_replay_on_the_fixtures"),
     ),
     Mutant(
         "loop: sets_tied recorded as 1 on a real draw",

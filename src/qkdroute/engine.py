@@ -35,11 +35,16 @@ while any row is left; no row is scored.  The strict guard is a set of
 short edges that only grows.  ``CandidateTable.scored`` is the one place
 that scores rows, for the ``paths`` command.
 
-A step of ``run`` calls ``worst_pairs``, ``optimal_sets`` and ``cost_delta``
-through this module, where the benchmark's tracer replaces them by name to
-time them; the rest of the step, the tie draws and the deficiency and guard
-updates, is inline.  Records and outcomes are ``units.Frozen`` values, so
-the engine loads no ``dataclasses``.
+The loop keeps the pairs tied at the top deficiency, in row order, across
+a level: a step deletes the pair it served and inserts any member edge that
+rises to the top, and a member edge that passes it ends the run.  Only when
+the list empties does ``run`` call ``cost_delta`` and ``worst_pairs``, once
+per level, for the next maximum and its pairs; it calls ``optimal_sets``
+once per step.  It calls all three through this module, where the
+benchmark's tracer replaces them by name to time them; the rest of the
+step, the tie draws and the deficiency, level and guard updates, is inline.
+Records and outcomes are ``units.Frozen`` values, so the engine loads no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from bisect import insort
 from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
@@ -274,18 +280,23 @@ def optimal_sets(
     each group's edges for as long as some row is left.  The group that
     would drop every remaining row holds the least score, and the rows left
     are exactly those that score it.  Their mask is then narrowed to the
-    first hop count it meets.
+    first hop count it meets.  A pair with one row clear of ``short`` edges
+    skips the walk.
     """
     live = (1 << len(table.rows)) - 1
+    if short:
+        for cell, rows in table.edges:
+            if cell in short:
+                live &= ~rows
+    if not live & (live - 1):
+        # no row or one row is left, so there is nothing to rank
+        return [live.bit_length() - 1] if live else []
+    # a short edge's rows are out of live already, so grouping them too
+    # changes no step of the walk
     levels: Dict[int, int] = {}
     for cell, rows in table.edges:
-        if cell in short:
-            live &= ~rows
-        else:
-            value = deficiency[cell]
-            levels[value] = levels.get(value, 0) | rows
-    if not live:
-        return []
+        value = deficiency[cell]
+        levels[value] = levels.get(value, 0) | rows
     for value in sorted(levels, reverse=True):
         rest = live & ~levels[value]
         if not rest:
@@ -371,11 +382,14 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
     # credits only the remote pair it serves, so no edge's deficiency falls
     # and a short edge stays short: the loop only adds the newly short ones.
     positions = _positions(n)
+    pair_at = _pairs(n)
     limits = {positions[edge]: target[edge] - step for edge in graph.edges}
     short = (
         {cell for cell, limit in limits.items() if deficiency[cell] > limit} if guard else set()
     )
     delta = cost_delta(deficiency)
+    # the pairs at deficiency delta, in row order; rescanned when emptied
+    pairs: List[Edge] = []
     r = 0
 
     def stop(
@@ -400,9 +414,11 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
         return RoutingOutcome(routing, tuple(trace))
 
     while delta > 0 and (r_max is None or r < r_max):
-        pairs = worst_pairs(deficiency, n, delta)
+        if not pairs:
+            pairs = worst_pairs(deficiency, n, delta)
         pairs_tied = len(pairs)
-        pair = pairs[0] if pairs_tied == 1 else pairs[draw(pairs_tied)]
+        pick = 0 if pairs_tied == 1 else draw(pairs_tied)
+        pair = pairs[pick]
         # pairs come canonical, as the edge rates are keyed
         if pair in links:
             # the bottleneck is a direct link; no amount of re-routing
@@ -420,15 +436,25 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
         chosen, cells = table.candidate(
             finalists[0] if sets_tied == 1 else finalists[draw(sets_tied)]
         )
+        # the served pair leaves the level; the other pairs at it stay
         deficiency[positions[pair]] -= step
+        del pairs[pick]
+        worsened = False
         for cell in cells:
-            deficiency[cell] += step
-            if guard and deficiency[cell] > limits[cell]:
+            value = deficiency[cell] = deficiency[cell] + step
+            if value >= delta:
+                if value > delta:
+                    worsened = True
+                else:
+                    insort(pairs, pair_at[cell])
+            if guard and value > limits[cell]:
                 short.add(cell)
-        new_delta = cost_delta(deficiency)
-        if new_delta > delta:
-            # the rejected step is left in the list: nothing reads it again
+        if worsened:
+            # the rejected step stays in deficiency: nothing reads it again
+            new_delta = max(map(deficiency.__getitem__, cells))
             return stop(StopReason.COST_WORSENED, pair, pairs_tied, chosen, new_delta)
+        # no pair is at delta once the level empties: find the next one
+        new_delta = delta if pairs else cost_delta(deficiency)
         add(chosen, step)
         r += 1
         log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied, delta, new_delta))

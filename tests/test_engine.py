@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdroute.engine import (
@@ -27,6 +27,7 @@ from qkdroute.model import (
     pair_position,
     uniform_target,
 )
+from qkdroute.netfile import load_network
 from qkdroute.paths import (
     MPathSet,
     Path,
@@ -36,7 +37,7 @@ from qkdroute.paths import (
 )
 from qkdroute.tiebreak import TieBreakStream
 
-from conftest import as_array, as_rate_matrix
+from conftest import NETWORKS_DIR, as_array, as_rate_matrix
 from golden import (
     DENSE5_EXPECTED_TABLES,
     DENSE5_REFERENCE_SEED,
@@ -143,6 +144,11 @@ def table_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(table_cases())
+# the first row of (0, 3) takes three hops and the second two
+@example((NetworkGraph(4, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 3): 1}), (0, 3), 1, None))
+# each path through a relay of K{2,3} lies in two of the three rows
+@example((NetworkGraph(5, dict.fromkeys([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], 1)),
+          (0, 4), 2, None))
 def test_candidate_table_matches_reference(case):
     """The table built from path indices has the rows, in order, and the edge
     and hop masks of the reference built from one path-set object per row;
@@ -184,6 +190,13 @@ def scoring_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scoring_cases())
+# three one-path rows of (0, 3) at one score, two of them on different
+# edges at the fewest hops
+@example((
+    NetworkGraph(6, dict.fromkeys([(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 5), (4, 5)], 1)),
+    (0, 3), 1, np.ones((6, 6), dtype=np.int64) - np.eye(6, dtype=np.int64),
+    np.zeros((6, 6), dtype=np.int64), 0, False,
+))
 def test_table_scoring_matches_reference(case):
     """The level walk over the table's masks picks the reference finalists,
     in order, with the strict guard's short edges and without them."""
@@ -531,6 +544,10 @@ def routing_cases(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(routing_cases())
+# the first step leaves both edges of the one route of (0, 2) empty, so
+# the guard refuses the second
+@example((NetworkGraph(3, {(0, 1): 10, (1, 2): 10}), RateMatrix(3, [0, 30, 0]),
+          RouterConfig(m=1, delta_r=10, seed=0)))
 def test_run_invariants_on_random_graphs(case):
     """Replays every accepted step against the ndarray references, and lists
     each step's guard-clear rows as the audit reference does."""
@@ -594,3 +611,71 @@ def test_run_invariants_on_random_graphs(case):
     if last.stop_reason is StopReason.GUARD_EXHAUSTED:
         # every set of the pair crosses an edge holding less than delta_r
         assert not any(guard_ok(s, effective, step) for s in pair_sets(last.selected_pair))
+
+
+def replay_tie_draws(graph, target, config) -> int:
+    """Replays a run's tie draws from ``TieBreakStream(config.seed)``
+    against the ndarray references, and counts the steps after which a
+    pair joined a level that was not emptied.
+
+    At each served pair, the next draw over the reference's worst pairs,
+    in row order, gives the pair; the draw after it, over the reference
+    finalists in table order, gives the chosen set.  A draw over one item
+    takes nothing from the stream.
+    """
+    out = run(graph, target, config)
+    draw = TieBreakStream(config.seed).integers
+    target = as_array(target)
+    effective = graph.rate_matrix()
+    sets = {}
+    joined = 0
+    level = top = None
+    for entry in out.trace:
+        if entry.selected_pair is None:
+            break
+        deficiency = target - as_array(effective)
+        worst = reference_worst_pairs(deficiency)
+        assert entry.pairs_tied == len(worst)
+        assert worst[draw(len(worst))] == entry.selected_pair
+        if top == deficiency[worst[0]] and not set(worst) <= level:
+            joined += 1
+        if entry.chosen_set is None:
+            break
+        pair = entry.selected_pair
+        if pair not in sets:
+            paths = enumerate_simple_paths(graph, *pair, config.hop_limit)
+            sets[pair] = enumerate_m_path_sets(paths, config.m)
+        finalists = reference_finalists(
+            sets[pair], deficiency, effective, config.delta_r, config.strict_guard
+        )
+        assert finalists[draw(len(finalists))] == entry.chosen_set
+        effective = apply_increment(effective, pair, entry.chosen_set, config.delta_r)
+        level, top = set(worst) - {pair}, deficiency[worst[0]]
+    return joined
+
+
+@pytest.mark.parametrize("name", ["dense5", "k23", "mesh10", "ring6_chord"])
+def test_tie_draws_replay_on_the_fixtures(name):
+    graph, target, config = load_network(NETWORKS_DIR / f"{name}.json")
+    for seed in range(3):
+        replay_tie_draws(graph, target, config.replace(seed=seed))
+
+
+def test_tie_draws_replay_when_an_edge_joins_the_level():
+    # on the path 0-1-2-3 the remote pairs start at deficiency 10; edge
+    # (0, 1) starts one step below, so serving (0, 2) or (0, 3) lifts it
+    # to 10 while other pairs are still at 10.  It sorts before them all,
+    # and once drawn it ends the run as a direct link.
+    graph = NetworkGraph(4, {(0, 1): 100, (1, 2): 100, (2, 3): 100})
+    target = RateMatrix(4, [109, 10, 10, 0, 10, 0])
+    joined = [
+        replay_tie_draws(graph, target, RouterConfig(m=1, delta_r=1, seed=seed))
+        for seed in range(5)
+    ]
+    assert any(joined)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(routing_cases())
+def test_tie_draws_replay_on_random_graphs(case):
+    replay_tie_draws(*case)

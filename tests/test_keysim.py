@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdroute import keysim
@@ -218,23 +218,43 @@ def packed(bits):
 SEGMENT_BITS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 70)
 
 
+@st.composite
+def relay_cases(draw):
+    """Records of pair (0, 1), each its block's bit count and the hop counts
+    of its one or two paths; an own share and a tail for each edge, in the
+    order the records first meet the edges; and a stream seed."""
+    # only a second path may be the direct link, so no two sets are equal
+    records = draw(st.lists(
+        st.tuples(SEGMENT_BITS, st.integers(2, 4), st.none() | st.integers(1, 4)),
+        min_size=1, max_size=5,
+    ))
+    # every path takes fresh relays; the one-hop paths share the direct link
+    seconds = [second for _, _, second in records if second]
+    edges = sum(first for _, first, _ in records) + sum(h for h in seconds if h > 1)
+    edges += 1 in seconds
+    shares = draw(st.lists(st.integers(0, 20), min_size=edges, max_size=edges))
+    tails = draw(st.lists(st.integers(0, 12), min_size=edges, max_size=edges))
+    return records, shares, tails, draw(st.integers(0, 2**32 - 1))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
+@given(relay_cases())
+# the second block starts three bits into the key's first byte
+@example(([(3, 2, None), (5, 2, None)], [0] * 4, [0] * 4, 0))
+def test_packed_relay_and_assembly_match_an_unpacked_oracle(case):
     """Drawn segments, the relay's XORs and the pair key's assembly equal
     the same steps done one byte per bit on one draw per pool.  The records
     of pair (0, 1) take blocks of 0, 1, 7, 8, 9 or other bit counts, so
     blocks land at many bit offsets of the key; each edge's pool takes an
     own share and a tail of random length, so pools and segments start at
     many bit offsets of the stream."""
+    records, shares, tails, seed = case
     routing = RoutingList()
     block_bits = {}
     node = 2
-    for bits in data.draw(st.lists(SEGMENT_BITS, min_size=1, max_size=5)):
+    for bits, *hop_counts in records:
         paths = []
-        for k in range(data.draw(st.integers(1, 2))):
-            # only a second path may be the direct link, so no two sets are equal
-            hops = data.draw(st.integers(2 if k == 0 else 1, 4))
+        for hops in filter(None, hop_counts):
             paths.append(Path((0, *range(node, node + hops - 1), 1)))
             node += hops - 1
         path_set = MPathSet(tuple(paths))
@@ -243,6 +263,7 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
     layout = Layout({}, {}, Counter())
     in_pool = {}  # record set -> edge -> its segment's bits in the edge's pool
     lengths = {}  # each edge's pool, in the order the pools lie in the stream
+    own_shares = iter(shares)
     for record in routing.records():
         bits = block_bits[record.path_set]
         offset = layout.key_bits[(0, 1)]
@@ -251,11 +272,12 @@ def test_packed_relay_and_assembly_match_an_unpacked_oracle(data, seed):
         in_pool[record.path_set] = {}
         for edge in record.path_set.edges:
             if edge not in lengths:
-                lengths[edge] = data.draw(st.integers(0, 20))  # the own share
+                lengths[edge] = next(own_shares)
             in_pool[record.path_set][edge] = (lengths[edge], lengths[edge] + bits)
             lengths[edge] += bits
-    for edge in lengths:
-        lengths[edge] += data.draw(st.integers(0, 12))
+    assert len(lengths) == len(tails)
+    for edge, tail in zip(lengths, tails):
+        lengths[edge] += tail
     origins = pool_origins(lengths)
     for path_set, segments in in_pool.items():
         layout.segments[path_set] = {

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdroute.engine import RoutingList, RoutingOutcome, RoutingRecord, run
@@ -104,6 +104,8 @@ def pair_cells(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(pair_cells())
+# (2, 0) read at the position of (2, 0) reads the cell of (0, 3)
+@example((4, [1, 2, 3, 4, 5, 6]))
 def test_rate_matrix_holds_one_cell_per_pair_in_pair_position_order(case):
     n, cells = case
     mat = RateMatrix(n, cells)

@@ -413,7 +413,7 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     assert missing == []
 
 
-def test_benchmark_tracer_sees_each_loop_kernel_once_per_step(monkeypatch, dense5):
+def test_benchmark_tracer_sees_the_loop_kernels_through_the_module(monkeypatch, dense5):
     # the tracer times the loop's kernels by replacing them in the engine
     # module; a loop that bound them before the tracer was installed, or
     # inlined them, would leave the benchmark's per-layer counters at 0
@@ -428,8 +428,10 @@ def test_benchmark_tracer_sees_each_loop_kernel_once_per_step(monkeypatch, dense
     assert (out.stop_reason, out.iterations) == (engine.StopReason.CONVERGED, 4)
     calls = {name: spy.counts["calls:engine." + name]
              for name in ("run", "worst_pairs", "optimal_sets", "cost_delta")}
-    # cost_delta also gives the starting cost
-    assert calls == {"run": 1, "worst_pairs": 4, "optimal_sets": 4, "cost_delta": 5}
+    # the pairs are scanned once per deficiency level, 200 and 100, and
+    # cost_delta also gives the starting cost and the final 0; the rows
+    # are ranked once per step
+    assert calls == {"run": 1, "worst_pairs": 2, "optimal_sets": 4, "cost_delta": 3}
 
 
 def test_mutant_snippets_occur_once(monkeypatch):
@@ -453,3 +455,28 @@ def test_mutant_snippets_occur_once(monkeypatch):
                        for node in tree.body):
                 missing.append(test_id)
     assert missing == []
+
+
+def test_every_mutant_has_a_killer_with_fixed_inputs(monkeypatch):
+    # a derandomized @given test draws its examples from a seed that
+    # Hypothesis takes from the test's source, so an edit to the test can
+    # draw examples that no longer kill a mutant; a plain test, or an
+    # @example on a @given one, runs the same inputs whatever is edited
+    monkeypatch.syspath_prepend(str(MUTANTS))
+    import catalogue
+
+    def decorators(test_id):
+        path, name = test_id.split("::")
+        tree = ast.parse((MUTANTS.parent / path).read_text())
+        test = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        for decorator in test.decorator_list:
+            call = decorator.func if isinstance(decorator, ast.Call) else decorator
+            yield call.id if isinstance(call, ast.Name) else call.attr
+
+    drawn_only = [
+        mutant.name for mutant in catalogue.MUTANTS
+        if not any("given" not in names or "example" in names
+                   for names in (set(decorators(test)) for test in mutant.tests))
+    ]
+    assert drawn_only == []
