@@ -490,9 +490,23 @@ MUTANTS = (
     Mutant(
         "trace: an accepted step's set cell written unquoted",
         "qkdroute/artifacts.py",
-        "{set_cell(chosen)}",
-        "{set_text(chosen)}",
+        """'"' + "|".join(map(str, path_set.paths)) + '"'""",
+        """"|".join(map(str, path_set.paths))""",
         ("tests/test_artifacts.py::test_trace_csv_layout",),
+    ),
+    Mutant(
+        "trace: a terminal row with no pair writes None",
+        "qkdroute/artifacts.py",
+        "'' if pair is None else pair[0]",
+        "None if pair is None else pair[0]",
+        ("tests/test_artifacts.py::test_trace_csv_layout",),
+    ),
+    Mutant(
+        "matrix: the header lists one node too few",
+        "qkdroute/artifacts.py",
+        "range(len(rows))",
+        "range(len(rows) - 1)",
+        ("tests/test_artifacts.py::test_matrix_csv_full_precision",),
     ),
     Mutant(
         "keys: the simulation report unpacks each pair key",

@@ -7,10 +7,8 @@ artifacts reproducible from their manifest alone.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import json
 import operator
 import os
@@ -199,73 +197,37 @@ def read_routing_artifact(
 
 def render_matrix_csv(rows: list[list[int]], scale: UnitScale) -> str:
     """Matrix rows, such as ``effective_units``, as kbit/s CSV, full precision, node headers."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["node"] + [str(j) for j in range(len(rows))])
-    for i, row in enumerate(rows):
-        writer.writerow([str(i)] + [scale.kbps_str(value) for value in row])
-    return out.getvalue()
+    lines = [",".join(["node", *map(str, range(len(rows)))])]
+    lines += [",".join([str(i), *map(scale.kbps_str, row)]) for i, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+_TRACE_HEADER = ("r,pair_i,pair_j,pairs_tied,chosen_set,sets_tied,"
+                 "delta_before_kbps,delta_after_kbps,stop_reason\n")
 
 
 def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
     """One row per accepted iteration plus the terminal event.
 
-    The header and the terminal row go through ``csv``.  Every other row
-    is an accepted step, with a pair, a set and no stop reason: its ints
-    and kbit/s values never need quoting, and its set cell is quoted by
-    ``csv`` once per set, so the row is written as one string.
+    Only the set cell is quoted.  Its text, the paths joined by ``|``,
+    always holds ``", "``, since a path has at least two nodes, and never a
+    ``"``, so it is quoted and never escaped.  Ints, kbit/s values and stop
+    reasons never need quoting.  The terminal row leaves empty what its
+    event lacks: the pair, the set or the stop reason.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "r",
-            "pair_i",
-            "pair_j",
-            "pairs_tied",
-            "chosen_set",
-            "sets_tied",
-            "delta_before_kbps",
-            "delta_after_kbps",
-            "stop_reason",
-        ]
-    )
     # long runs repeat few values and sets, so each is formatted once per call
     kbps = functools.cache(scale.kbps_str)
-    cell = io.StringIO()
-    quote = csv.writer(cell, lineterminator="").writerow
-
-    def set_text(path_set: MPathSet) -> str:
-        return "|".join(map(str, path_set.paths))
 
     @functools.cache
     def set_cell(path_set: MPathSet) -> str:
-        cell.seek(0)
-        cell.truncate()
-        quote([set_text(path_set)])
-        return cell.getvalue()
+        return '"' + "|".join(map(str, path_set.paths)) + '"'
 
-    *steps, last = outcome.trace
-    out.writelines(
-        f"{r},{i},{j},{pairs_tied},{set_cell(chosen)},{sets_tied},"
-        f"{kbps(before)},{kbps(after)},\n"
-        for r, (i, j), pairs_tied, chosen, sets_tied, before, after, _ in steps
+    return _TRACE_HEADER + "".join(
+        f"{r},{'' if pair is None else pair[0]},{'' if pair is None else pair[1]},"
+        f"{pairs_tied},{'' if chosen is None else set_cell(chosen)},{sets_tied},"
+        f"{kbps(before)},{kbps(after)},{'' if reason is None else reason.value}\n"
+        for r, pair, pairs_tied, chosen, sets_tied, before, after, reason in outcome.trace
     )
-    pair = last.selected_pair
-    writer.writerow(
-        [
-          last.r,
-          "" if pair is None else pair[0],
-          "" if pair is None else pair[1],
-          last.pairs_tied,
-          "" if last.chosen_set is None else set_text(last.chosen_set),
-          last.sets_tied,
-          kbps(last.delta_before),
-          kbps(last.delta_after),
-          last.stop_reason.value if last.stop_reason else "",
-        ]
-    )
-    return out.getvalue()
 
 
 def _sha256(path: FsPath) -> str:

@@ -28,8 +28,8 @@ if TYPE_CHECKING:
     from .engine import RoutingOutcome
 
 # each command imports what it runs, when it runs: paths for validate, engine
-# for paths and route, artifacts (with hashlib and csv) for route and
-# simulate, keysim (with numpy) for simulate alone
+# for paths and route, artifacts (with hashlib) for route and simulate,
+# keysim (with numpy) for simulate alone
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -268,6 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     keysim.check_compromise(graph, args.compromise, args.epsilon)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    sim = keysim.simulate(graph, routing, tau, seed=args.seed)
     # every own share is an edge rate minus record rates, so it is exact
     # when these are
     rates = {graph.rate(u, v) for u, v in graph.edges}
@@ -278,7 +279,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "segments; lengths are rounded down",
             file=sys.stderr,
         )
-    sim = keysim.simulate(graph, routing, tau, seed=args.seed)
     report = keysim.assess_compromise(sim, args.compromise, epsilon=args.epsilon)
     text = artifacts.render_simulation_text(sim, report, dump_keys=args.dump_keys)
     sys.stdout.write(text)

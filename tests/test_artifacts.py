@@ -23,7 +23,7 @@ from qkdroute.artifacts import (
 from qkdroute.cli import EXIT_OK, main
 from qkdroute.engine import IterationTrace, RoutingList, RoutingOutcome, StopReason, run
 from qkdroute.keysim import assess_compromise, simulate
-from qkdroute.model import RouterConfig
+from qkdroute.model import NetworkGraph, RateMatrix, RouterConfig
 from qkdroute.netfile import NetworkFormatError, load_network
 
 from conftest import NETWORKS_DIR
@@ -126,12 +126,28 @@ def test_trace_csv_layout(dense5):
     assert terminal[6] == "0" and terminal[7] == "0"
 
     # every row carries every field of its entry, so no trace field goes
-    # unrecorded; mesh10's terminal row also carries a pair and a set
+    # unrecorded.  The runs end in each stop reason and route records at
+    # M = 1 and M = 3; mesh10's cost_worsened row also carries a pair and a set
     assert tuple(TRACE_COLUMNS) == IterationTrace._fields
-    mesh10, target, config = load_network(NETWORKS_DIR / "mesh10.json")
-    stopped = run(mesh10, target, config)
-    assert stopped.stop_reason is StopReason.COST_WORSENED
-    for graph, outcome in ((graph, outcome), (mesh10, stopped)):
+
+    def routed(name, **changes):
+        graph, target, config = load_network(NETWORKS_DIR / f"{name}.json")
+        return graph, run(graph, target, config.replace(**changes))
+
+    cycle = NetworkGraph(4, {(0, 1): 5, (1, 3): 5, (0, 2): 5, (2, 3): 5})
+    runs = [
+        (graph, outcome),
+        routed("mesh10"),
+        routed("mesh10", r_max=7),
+        routed("dense5", seed=2),
+        routed("k23", m=3),
+        (cycle, run(cycle, RateMatrix(4, [100] * 6), RouterConfig(m=2, delta_r=10, seed=0))),
+        routed("dense5", m=1),
+        routed("dense5", m=3),
+    ]
+    assert {outcome.stop_reason for _, outcome in runs} == set(StopReason)
+    assert all(outcome.iterations for _, outcome in runs[-2:])
+    for graph, outcome in runs:
         kbps = graph.scale.kbps_str
         rows = list(csv.reader(render_trace_csv(outcome, graph.scale).splitlines()))
         assert rows[0] == [column for columns in TRACE_COLUMNS.values() for column in columns]

@@ -1032,6 +1032,16 @@ def test_simulate_warns_on_fractional_bits(k23_file, tmp_path, capsys):
     assert "(0, 4): 0 bits" in captured.out
 
 
+def test_simulate_refuses_non_positive_tau_without_warning(k23_file, tmp_path, capsys):
+    route_dir = tmp_path / "route"
+    main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)])
+    capsys.readouterr()
+    for tau in ("-0.0005", "0"):
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(route_dir),
+                     f"--tau={tau}"]) == EXIT_INVALID, tau
+        assert capsys.readouterr().err == f"error: tau must be positive, got {tau}\n"
+
+
 def test_simulate_checks_epsilon_without_records(k23_file, tmp_path, capsys):
     # a zero target routes no record, so there is no bound to report, yet a
     # bad --epsilon is refused as it is with records

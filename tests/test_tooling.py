@@ -346,25 +346,27 @@ from qkdroute import run, MPathSet, find_unroutable_pairs
 assert [name for name in qkdroute.__all__ if not hasattr(qkdroute, name)] == []
 """
 # the routing loop and its tie-break stream; the artifact module with the
-# hashing and CSV modules only it uses; the key simulation with numpy; the
-# dataclass machinery, which no command needs.  numpy loads inspect itself.
+# hashing module only it uses; the key simulation with numpy; the dataclass
+# machinery and the csv module, which no command needs.  numpy loads inspect
+# itself.
 _ENGINE = ("qkdroute.engine", "qkdroute.tiebreak")
-_ARTIFACTS = ("qkdroute.artifacts", "hashlib", "csv")
+_ARTIFACTS = ("qkdroute.artifacts", "hashlib")
 _KEYSIM = ("qkdroute.keysim", "numpy")
 _DATACLASSES = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("command, unloaded, needed", [
     (["setup", "{k23}"],
-     (*_ENGINE, "qkdroute.paths", *_ARTIFACTS, *_KEYSIM, *_DATACLASSES), ("qkdroute.netfile",)),
+     (*_ENGINE, "qkdroute.paths", *_ARTIFACTS, *_KEYSIM, *_DATACLASSES, "csv"),
+     ("qkdroute.netfile",)),
     (["validate", "--input", "{k23}"],
-     (*_ENGINE, *_ARTIFACTS, *_KEYSIM, *_DATACLASSES), ("qkdroute.paths",)),
+     (*_ENGINE, *_ARTIFACTS, *_KEYSIM, *_DATACLASSES, "csv"), ("qkdroute.paths",)),
     (["paths", "--input", "{k23}", "--pair", "0,4"],
-     (*_ARTIFACTS, *_KEYSIM, *_DATACLASSES), _ENGINE),
+     (*_ARTIFACTS, *_KEYSIM, *_DATACLASSES, "csv"), _ENGINE),
     (["route", "--input", "{k23}", "--out-dir", "{out}"],
-     (*_KEYSIM, *_DATACLASSES), (*_ENGINE, *_ARTIFACTS)),
+     (*_KEYSIM, *_DATACLASSES, "csv"), (*_ENGINE, *_ARTIFACTS)),
     (["simulate", "--input", "{k23}", "--routing", "{out}", "--tau", "1"],
-     ("dataclasses",), (*_ENGINE, *_ARTIFACTS, *_KEYSIM)),
+     ("dataclasses", "csv"), (*_ENGINE, *_ARTIFACTS, *_KEYSIM)),
 ], ids=["setup", "validate", "paths", "route", "simulate"])
 def test_each_command_loads_only_what_it_runs(command, unloaded, needed, tmp_path):
     k23, out = NETWORKS_DIR / "k23.json", tmp_path / "route"
