@@ -46,6 +46,14 @@ PACKED_TESTS = (
 )
 
 MUTANTS = (
+    # the path model
+    Mutant(
+        "path: hashed as its node tuple, not as its one field",
+        "qkdroute/paths.py",
+        "return hash((self.nodes,))",
+        "return hash(self.nodes)",
+        ("tests/test_model.py::test_values_compare_hash_show_and_pickle_by_their_fields",),
+    ),
     # the max-flow routability test
     Mutant(
         "flow: interior nodes carry m units, not 1",
@@ -582,9 +590,33 @@ MUTANTS = (
     Mutant(
         "cli: a repeated --sweep value runs twice into one directory",
         "qkdroute/cli.py",
-        "if repeated:",
+        "if delta_r in spelled:",
         "if False:",
         ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
+    ),
+    Mutant(
+        "cli: --sweep repeats compared as text, so 0.1,0.10 runs one step twice",
+        "qkdroute/cli.py",
+        "if delta_r in spelled:",
+        "if value in spelled.values():",
+        ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
+    ),
+    Mutant(
+        "cli: simulate writes its manifest over the route's",
+        "qkdroute/cli.py",
+        "if args.out_dir and FsPath(args.out_dir).resolve() == routing_path.parent.resolve():",
+        "if False:",
+        ("tests/test_cli.py::test_simulate_refuses_an_out_dir_holding_the_routing",),
+    ),
+    Mutant(
+        "manifest: the last artifact left out of its artifacts map",
+        "qkdroute/artifacts.py",
+        '"artifacts": {name: file_name for name, (file_name, _) in texts.items()},',
+        '"artifacts": {name: file_name for name, (file_name, _) in list(texts.items())[:-1]},',
+        (
+            "tests/test_artifacts.py::test_manifest_contents",
+            "tests/test_artifacts.py::test_write_simulation_artifacts",
+        ),
     ),
     Mutant(
         "cli: --delta-r outside the group that excludes --sweep",

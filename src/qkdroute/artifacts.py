@@ -234,19 +234,23 @@ def _sha256(path: FsPath) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out: FsPath,
-    files: Dict[str, FsPath],
+def _write_artifacts(
+    out_dir: Union[str, FsPath],
+    texts: Dict[str, Tuple[str, Union[str, dict]]],
     command: str,
     input_path: Union[str, FsPath],
     routing_path: Optional[Union[str, FsPath]] = None,
     **fields: object,
-) -> None:
-    """Write ``manifest.json`` listing ``files`` and add it to ``files``.
+) -> Dict[str, FsPath]:
+    """The one writer of an artifact directory: each of ``texts``, a file
+    name and its text or JSON document by artifact name, then
+    ``manifest.json`` listing them.  Returns every written path by name.
 
-    ``input`` and ``routing`` are recorded relative to ``out``, so the
+    ``input`` and ``routing`` are recorded relative to ``out_dir``, so the
     manifest reads the same, and replays, from any working directory.
     """
+    out = FsPath(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def relative(path: Union[str, FsPath]) -> str:
         return os.path.relpath(os.path.abspath(path), os.path.abspath(out))
@@ -254,18 +258,20 @@ def _write_manifest(
     if routing_path is not None:
         fields["routing"] = relative(routing_path)
         fields["routing_sha256"] = _sha256(FsPath(routing_path))
-    manifest = {
+    texts["manifest"] = ("manifest.json", {
         "format": MANIFEST_FORMAT,
         "tool": "qkdroute",
         "version": __version__,
         "command": command,
         "input": relative(input_path),
         "input_sha256": _sha256(FsPath(input_path)),
-        "artifacts": {name: path.name for name, path in files.items()},
+        "artifacts": {name: file_name for name, (file_name, _) in texts.items()},
         **fields,
-    }
-    files["manifest"] = out / "manifest.json"
-    files["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
+    for file_name, text in texts.values():
+        (out / file_name).write_text(text if isinstance(text, str)
+                                     else json.dumps(text, indent=2, sort_keys=True) + "\n")
+    return {name: out / file_name for name, (file_name, _) in texts.items()}
 
 
 def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:
@@ -314,36 +320,22 @@ def write_route_artifacts(
     config: RouterConfig,
     input_path: Union[str, FsPath],
 ) -> Dict[str, FsPath]:
-    """Write routing list (text + JSON), matrix CSV, trace CSV and manifest.
-
-    Returns:
-        Mapping of artifact name to written path.
-    """
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write routing list (text + JSON), matrix CSV, trace CSV and manifest;
+    return each written path by artifact name."""
     scale = graph.scale
-    files = {
-        "routing_txt": out / "routing_list.txt",
-        "routing_json": out / "routing_list.json",
-        "effective_csv": out / "effective_rates.csv",
-        "trace_csv": out / "trace.csv",
-    }
-    files["routing_txt"].write_text(render_routing_text(outcome.routing_list, scale))
     doc = routing_to_dict(outcome.routing_list, graph, config, outcome.iterations,
                           outcome.stop_reason, target)
-    files["routing_json"].write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    files["effective_csv"].write_text(render_matrix_csv(doc["effective_units"], scale))
-    files["trace_csv"].write_text(render_trace_csv(outcome, scale))
-
-    _write_manifest(
-        out, files, "route", input_path,
-        config={
-            **_config_fields(config),
-            "delta_r_kbps": scale.kbps_str(config.delta_r),
-            "resolution_bps": str(scale.resolution_bps),
-        },
-    )
-    return files
+    return _write_artifacts(out_dir, {
+        "routing_txt": ("routing_list.txt", render_routing_text(outcome.routing_list, scale)),
+        "routing_json": ("routing_list.json", doc),
+        "effective_csv": ("effective_rates.csv",
+                          render_matrix_csv(doc["effective_units"], scale)),
+        "trace_csv": ("trace.csv", render_trace_csv(outcome, scale)),
+    }, "route", input_path, config={
+        **_config_fields(config),
+        "delta_r_kbps": scale.kbps_str(config.delta_r),
+        "resolution_bps": str(scale.resolution_bps),
+    })
 
 
 def simulation_report_dict(sim: KeySimulation, report: CompromiseReport) -> dict:
@@ -399,18 +391,8 @@ def write_simulation_artifacts(
     report_text: str,
 ) -> Dict[str, FsPath]:
     """Write the JSON report, ``report_text`` as the text report, and a manifest."""
-    out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "report_json": out / "simulation_report.json",
-        "report_txt": out / "simulation_report.txt",
-    }
-    files["report_json"].write_text(
-        json.dumps(simulation_report_dict(sim, report), indent=2, sort_keys=True) + "\n"
-    )
-    files["report_txt"].write_text(report_text)
-    _write_manifest(
-        out, files, "simulate", input_path, routing_path,
-        config={"tau_seconds": str(sim.tau), "seed": sim.seed},
-    )
-    return files
+    return _write_artifacts(out_dir, {
+        "report_json": ("simulation_report.json", simulation_report_dict(sim, report)),
+        "report_txt": ("simulation_report.txt", report_text),
+    }, "simulate", input_path, routing_path,
+        config={"tau_seconds": str(sim.tau), "seed": sim.seed})

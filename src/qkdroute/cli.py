@@ -133,17 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _merged_config(file_config: RouterConfig, args: argparse.Namespace,
                    scale) -> RouterConfig:
     """The one place where command-line flags override the file's router config."""
-    updates: dict = {}
-    if args.m is not None:
-        updates["m"] = args.m
+    # a command without one of these flags leaves the file's value
+    updates = {key: value for key in ("m", "r_max", "seed", "hop_limit")
+               if (value := getattr(args, key, None)) is not None}
     if getattr(args, "delta_r", None) is not None:
         updates["delta_r"] = scale.units_from_kbps(args.delta_r, "--delta-r")
-    if getattr(args, "r_max", None) is not None:
-        updates["r_max"] = args.r_max
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "hop_limit", None) is not None:
-        updates["hop_limit"] = args.hop_limit
     if getattr(args, "no_strict_guard", False):
         updates["strict_guard"] = False
     return file_config.replace(**updates)
@@ -202,14 +196,17 @@ def cmd_route(args: argparse.Namespace) -> int:
         values = [v.strip() for v in args.sweep.split(",") if v.strip()]
         if not values:
             raise ValidationError("--sweep lists no delta-r value")
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise ValidationError(f"--sweep lists {', '.join(repeated)} more than once")
-        tasks = []
+        # a repeat, in any spelling, would run one step twice
+        tasks, spelled = [], {}
         for value in values:
-            combo = config.replace(delta_r=scale.units_from_kbps(value, "--sweep"))
+            delta_r = scale.units_from_kbps(value, "--sweep")
+            if delta_r in spelled:
+                first = spelled[delta_r]
+                raise ValidationError(f"--sweep lists {value} more than once" if first == value
+                                      else f"--sweep lists {first} and {value}, the same delta-r")
+            spelled[delta_r] = value
             combo_dir = str(FsPath(args.out_dir) / f"delta_r_{value}")
-            tasks.append((network, combo, combo_dir, input_path))
+            tasks.append((network, config.replace(delta_r=delta_r), combo_dir, input_path))
         # combos are independent; order of completion does not matter
         from concurrent.futures import ProcessPoolExecutor
 
@@ -262,6 +259,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
+    if args.out_dir and FsPath(args.out_dir).resolve() == routing_path.parent.resolve():
+        raise ValidationError(f"--out-dir {args.out_dir} would replace the route's manifest.json")
     routing = artifacts.read_routing_artifact(routing_path, graph, target)
     tau = as_decimal(args.tau, "--tau")
     # refused before anything is drawn

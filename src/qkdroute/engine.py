@@ -253,7 +253,7 @@ class CandidateTable:
         """Row k's path set and the positions of its edges, built on first use."""
         built = self._built.get(k)
         if built is None:
-            path_set = MPathSet._disjoint(tuple(Path(self.paths[p]) for p in self.rows[k]))
+            path_set = MPathSet(Path(self.paths[p]) for p in self.rows[k])
             built = self._built[k] = (path_set, tuple(map(self._position, path_set.edges)))
         return built
 

@@ -68,6 +68,9 @@ class Path(Frozen):
     def edges(self) -> Tuple[Edge, ...]:
         return self._edges
 
+    def __hash__(self) -> int:
+        return hash((self.nodes,))  # Frozen's value, without building a fields dict
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(n) for n in self.nodes) + ")"
 
@@ -95,13 +98,6 @@ class MPathSet(Frozen):
             if a.interior & b.interior:
                 raise ValueError(f"paths {a} and {b} share interior node(s)")
         self._set(paths, hash(tuple(p.nodes for p in paths)))
-
-    @classmethod
-    def _disjoint(cls, paths: Tuple[Path, ...]) -> "MPathSet":
-        """Wrap paths already sorted, same-ended and disjoint, skipping the checks."""
-        path_set = object.__new__(cls)
-        path_set._set(paths, hash(tuple(p.nodes for p in paths)))
-        return path_set
 
     @property
     def endpoints(self) -> Edge:
@@ -238,7 +234,7 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
         if len(set(paths)) != len(paths):
             raise ValueError("duplicate path")
     return tuple(
-        MPathSet._disjoint(tuple(map(paths.__getitem__, row)))
+        MPathSet(map(paths.__getitem__, row))
         for row in _disjoint_rows([p.nodes[1:-1] for p in paths], m)
     )
 

@@ -4,27 +4,23 @@ Deliberately naive and structured differently from the library: the path
 oracle is a recursive depth-first search over adjacency sets, the relay
 oracle walks a path node by node handing a key forward, and the pool oracle
 draws each pool unpacked in a single call.  Shared bugs with the production
-code would defeat the point, so nothing here imports from qkdroute beyond
-plain data types, with one exception: the unroutable-pair reference is the
-enumeration scan that the max-flow test replaced, built on the library's
-enumerators, which are themselves checked against the DFS oracle, and so is
-the reference listing of ``qkdroute paths``.  The candidate-table reference
-is the engine's former builder: one row per path-set object, its masks ORed
-in row by row.  The audit reference replays a run's trace on pair-keyed
-dicts and scores every candidate set of each served pair from the DFS
-oracle's paths.
+code would defeat the point, so nothing here imports from qkdroute.  The
+unroutable-pair reference is the enumeration scan that the max-flow test
+replaced, and the reference listing of ``qkdroute paths`` lists every set
+with its score; both take their paths from the DFS oracle and their sets
+from ``ordered_disjoint_subsets``, with the adjacency read off the graph's
+``rates`` dict.  The candidate-table reference is the engine's former
+builder: one row per path-set object, its masks ORed in row by row.  The
+audit reference replays a run's trace on pair-keyed dicts and scores every
+candidate set of each served pair from the DFS oracle's paths.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import sub
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
-
-from qkdroute.model import RateMatrix
-from qkdroute.paths import enumerate_m_path_sets, enumerate_simple_paths, set_deficiency
 
 
 def dfs_simple_paths(
@@ -69,6 +65,20 @@ def ordered_disjoint_subsets(
     return result
 
 
+def graph_adjacency(graph) -> Dict[int, Set[int]]:
+    """Each node's neighbours, read off the graph's ``rates`` dict."""
+    adjacency: Dict[int, Set[int]] = {}
+    for u, v in graph.rates:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    return adjacency
+
+
+def combo_edges(combo: Iterable[Tuple[int, ...]]) -> List[Tuple[int, int]]:
+    """The edges of node tuples, each as (smaller, larger), in path order."""
+    return [(min(a, b), max(a, b)) for nodes in combo for a, b in zip(nodes, nodes[1:])]
+
+
 def reference_audit(
     graph, target, config, trace: Iterable
 ) -> List[List[Tuple[Tuple[Tuple[int, ...], ...], int]]]:
@@ -81,18 +91,12 @@ def reference_audit(
     guard a set is left out when one of its edges holds less than delta_r.
     """
     n, step = graph.node_count, config.delta_r
-    adjacency: Dict[int, Set[int]] = {}
+    adjacency = graph_adjacency(graph)
     effective: Dict[Tuple[int, int], int] = {}
     demand: Dict[Tuple[int, int], int] = {}
     for i, j in itertools.combinations(range(n), 2):
         effective[i, j] = graph.rates.get((i, j), 0)
         demand[i, j] = target[i, j]
-    for u, v in graph.rates:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-
-    def edges(combo):
-        return [(min(a, b), max(a, b)) for nodes in combo for a, b in zip(nodes, nodes[1:])]
 
     # each served pair's sets with their edges, listed once
     candidates: Dict[Tuple[int, int], list] = {}
@@ -104,7 +108,8 @@ def reference_audit(
         if pair not in candidates:
             paths = dfs_simple_paths(adjacency, *pair, config.hop_limit)
             candidates[pair] = [
-                (combo, edges(combo)) for combo in ordered_disjoint_subsets(list(paths), config.m)
+                (combo, combo_edges(combo))
+                for combo in ordered_disjoint_subsets(list(paths), config.m)
             ]
         tables.append([
             (combo, max(demand[e] - effective[e] for e in used))
@@ -112,7 +117,7 @@ def reference_audit(
             if not config.strict_guard or all(effective[e] >= step for e in used)
         ])
         effective[pair] += step
-        for e in edges(p.nodes for p in entry.chosen_set.paths):
+        for e in combo_edges(p.nodes for p in entry.chosen_set.paths):
             effective[e] -= step
     return tables
 
@@ -135,27 +140,29 @@ def reference_unroutable_pairs(
 ) -> Tuple[Tuple[int, int], ...]:
     """Remote pairs, in order, none of whose m-subsets of simple paths (at
     most hop_limit hops each) is internally disjoint."""
+    adjacency = graph_adjacency(graph)
     return tuple(
-        pair for pair in graph.remote_pairs()
-        if not enumerate_m_path_sets(enumerate_simple_paths(graph, *pair, hop_limit), m)
+        pair for pair in itertools.combinations(range(graph.node_count), 2)
+        if pair not in graph.rates
+        and not ordered_disjoint_subsets(list(dfs_simple_paths(adjacency, *pair, hop_limit)), m)
     )
 
 
 def reference_paths_listing(graph, target, pair, m: int, hop_limit: int | None) -> str:
     """What ``qkdroute paths`` prints for a pair: its simple path and m-set
-    counts, then every m-set as an object with its worst member edge's
-    target - rate and its total hops."""
-    i, j = pair
-    paths = enumerate_simple_paths(graph, i, j, hop_limit)
-    sets = enumerate_m_path_sets(paths, m)
-    deficiency = RateMatrix(graph.node_count, map(sub, target.cells, graph.rate_matrix().cells))
-    lines = [f"pair ({min(i, j)}, {max(i, j)}), M={m}: "
-             f"{len(paths)} simple paths, {len(sets)} disjoint sets"]
+    counts, then every m-set with its worst member edge's target - rate
+    and its total hops."""
+    i, j = sorted(pair)
+    paths = dfs_simple_paths(graph_adjacency(graph), i, j, hop_limit)
+    sets = ordered_disjoint_subsets(list(paths), m)
+    lines = [f"pair ({i}, {j}), M={m}: {len(paths)} simple paths, {len(sets)} disjoint sets"]
     if not sets:
         lines.append("no disjoint path set exists for this pair")
-    for s in sets:
-        score = graph.scale.kbps_str(set_deficiency(s, deficiency))
-        lines.append(f"{s}  D={score}  hops={s.total_hops}")
+    for combo in sets:
+        text = "{" + ", ".join(map(str, combo)) + "}"
+        score = max(target[e] - graph.rates[e] for e in combo_edges(combo))
+        hops = sum(len(nodes) - 1 for nodes in combo)
+        lines.append(f"{text}  D={graph.scale.kbps_str(score)}  hops={hops}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -192,7 +192,12 @@ def test_manifest_contents(dense5, dense5_file, tmp_path):
     assert manifest["input_sha256"] == expected_sha
     assert manifest["config"]["delta_r_kbps"] == "0.1"
     assert manifest["config"]["seed"] == 4
-    assert manifest["artifacts"]["routing_json"] == "routing_list.json"
+    assert manifest["artifacts"] == {
+        "routing_txt": "routing_list.txt", "routing_json": "routing_list.json",
+        "effective_csv": "effective_rates.csv", "trace_csv": "trace.csv",
+    }
+    assert {name: path.name for name, path in files.items()} == {
+        **manifest["artifacts"], "manifest": "manifest.json"}
     # reproducible artifacts carry no clock readings
     assert "time" not in json.dumps(manifest).lower()
 
@@ -278,6 +283,11 @@ def test_write_simulation_artifacts(k23, k23_file, tmp_path):
     )
     manifest = json.loads(sim_files["manifest"].read_text())
     assert manifest["command"] == "simulate"
+    assert manifest["artifacts"] == {
+        "report_json": "simulation_report.json", "report_txt": "simulation_report.txt",
+    }
+    assert {name: path.name for name, path in sim_files.items()} == {
+        **manifest["artifacts"], "manifest": "manifest.json"}
     routing_sha = hashlib.sha256(
         route_files["routing_json"].read_bytes()
     ).hexdigest()

@@ -308,10 +308,13 @@ def test_route_sweep(k23_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "sweep, message",
     [(",", "lists no delta-r value"), ("", "lists no delta-r value"),
-     ("0.1,0.05,0.1", "lists 0.1 more than once")],
+     ("0.1,0.05,0.1", "lists 0.1 more than once"),
+     ("0.1,0.10", "lists 0.1 and 0.10, the same delta-r"),
+     ("0.1,1e-1", "lists 0.1 and 1e-1, the same delta-r")],
 )
 def test_route_sweep_refuses_empty_and_repeated_values(k23_file, tmp_path, capsys, sweep, message):
-    # a repeated value would run two processes into one delta_r directory
+    # a repeated value would run one step twice, into one delta_r directory
+    # when spelled alike
     out_dir = tmp_path / "sweep"
     assert main([
         "route", "--input", str(k23_file), "--out-dir", str(out_dir), "--sweep", sweep,
@@ -377,7 +380,7 @@ def test_paths_accepts_reversed_pair(dense5_file, capsys):
     assert "pair (1, 3)" in capsys.readouterr().out
 
 
-def test_paths_lists_what_the_object_level_reference_lists(capsys):
+def test_paths_lists_what_the_reference_lists(capsys):
     # every ordered node pair of the four fixtures, direct and reversed
     # pairs included, at M from 1 to 3 and hop limits none, 3 and 4
     cases = 0
@@ -478,6 +481,28 @@ def test_simulate_manifest_records_routing_relative_to_itself(
     assert manifests[0] == manifests[1]
     recorded = json.loads(manifests[0])["routing"]
     assert (trees[0] / "sim" / recorded).resolve() == trees[0] / "route" / "routing_list.json"
+
+
+@pytest.mark.parametrize("routing", ["d", "d/routing_list.json"])
+def test_simulate_refuses_an_out_dir_holding_the_routing(k23_file, tmp_path, capsys, routing):
+    # its manifest.json would replace the route's, which a replay reads
+    route_dir = tmp_path / "d"
+    assert main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)]) == EXIT_OK
+    manifest = (route_dir / "manifest.json").read_bytes()
+    capsys.readouterr()
+    # refused before the routing artifact is read
+    with mock.patch("qkdroute.artifacts.read_routing_artifact",
+                    side_effect=AssertionError("read before the refusal")):
+        assert main([
+            "simulate", "--input", str(k23_file), "--routing", str(tmp_path / routing),
+            "--tau", "1", "--out-dir", f"{route_dir}/.",
+        ]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert (route_dir / "manifest.json").read_bytes() == manifest
+    assert not list(route_dir.glob("simulation_report.*"))
+    assert main(["route", "--from-manifest", str(route_dir / "manifest.json"),
+                 "--out-dir", str(tmp_path / "again")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("net_edit, rate_units, command", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import hashlib
 import importlib
 import os
@@ -436,26 +437,28 @@ def test_benchmark_tracer_sees_the_loop_kernels_through_the_module(monkeypatch, 
     assert calls == {"run": 1, "worst_pairs": 2, "optimal_sets": 4, "cost_delta": 3}
 
 
+@functools.cache
+def _test_functions(path: str) -> dict:
+    """The top-level functions of a repository file, by name, parsed once."""
+    tree = ast.parse((MUTANTS.parent / path).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_mutant_snippets_occur_once(monkeypatch):
     # mutants/run.py replaces each snippet; code that moves must take its
     # catalogue entry along, and every test named must still exist
     monkeypatch.syspath_prepend(str(MUTANTS))
     import catalogue
 
-    root = MUTANTS.parent
     counts = {
         mutant.name: (SRC.parent / mutant.file).read_text().count(mutant.snippet)
         for mutant in catalogue.MUTANTS
     }
     assert counts == {mutant.name: 1 for mutant in catalogue.MUTANTS}
-    missing = []
-    for mutant in catalogue.MUTANTS:
-        for test_id in mutant.tests:
-            path, name = test_id.split("::")
-            tree = ast.parse((root / path).read_text())
-            if not any(isinstance(node, ast.FunctionDef) and node.name == name
-                       for node in tree.body):
-                missing.append(test_id)
+    missing = [
+        test_id for mutant in catalogue.MUTANTS for test_id in mutant.tests
+        if test_id.split("::")[1] not in _test_functions(test_id.split("::")[0])
+    ]
     assert missing == []
 
 
@@ -469,10 +472,7 @@ def test_every_mutant_has_a_killer_with_fixed_inputs(monkeypatch):
 
     def decorators(test_id):
         path, name = test_id.split("::")
-        tree = ast.parse((MUTANTS.parent / path).read_text())
-        test = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == name)
-        for decorator in test.decorator_list:
+        for decorator in _test_functions(path)[name].decorator_list:
             call = decorator.func if isinstance(decorator, ast.Call) else decorator
             yield call.id if isinstance(call, ast.Name) else call.attr
 
