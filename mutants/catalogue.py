@@ -113,19 +113,42 @@ MUTANTS = (
     Mutant(
         "enumeration: a path of hop_limit hops cut, not kept",
         "qkdroute/paths.py",
-        "elif not visited[w] and len(trail) < limit:",
-        "elif not visited[w] and len(trail) < limit - 1:",
+        "if len(trail) < limit:",
+        "if len(trail) < limit - 1:",
         (
             "tests/test_paths.py::test_hop_limit",
             "tests/test_paths.py::test_random_graphs_match_oracle",
         ),
     ),
+    # one search per source, its lists handed to the tables
+    Mutant(
+        "search: one list shared by every goal",
+        "qkdroute/paths.py",
+        "= {goal: [] for goal in goals}",
+        "= dict.fromkeys(goals, [])",
+        ("tests/test_paths.py::test_one_search_lists_each_goals_paths",),
+    ),
+    Mutant(
+        "search: goals listed below the source too",
+        "qkdroute/engine.py",
+        "if goal > i and (i, goal) not in links]",
+        "if goal != i and (i, goal) not in links]",
+        ("tests/test_engine.py::test_run_searches_each_source_once_for_its_remote_goals_above_it",),
+    ),
+    Mutant(
+        "search: a source's first pending list handed to whichever of its pairs is served",
+        "qkdroute/engine.py",
+        "lists.pop(j)",
+        "lists.pop(next(iter(lists)))",
+        ("tests/test_engine.py::test_dense5_reference_run",
+         "tests/test_cli.py::test_route_grid_outputs_pinned"),
+    ),
     # the candidate table built from path indices
     Mutant(
         "table: rows in reversed order",
         "qkdroute/engine.py",
-        "self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))",
-        "self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))[::-1]",
+        "rows.append(row)",
+        "rows.insert(0, row)",
         ("tests/test_engine.py::test_candidate_table_matches_reference",),
     ),
     Mutant(
@@ -185,15 +208,15 @@ MUTANTS = (
     Mutant(
         "finalists: one edge stripped at a time instead of one deficiency level",
         "qkdroute/engine.py",
-        "levels[value] = levels.get(value, 0) | rows",
-        "levels[value, cell] = rows",
+        "drop |= edges[cell]",
+        "drop = edges[cell]",
         ("tests/test_engine.py::test_table_scoring_matches_reference",),
     ),
     Mutant(
         "finalists: the one-row exit taken before the short-edge filter",
         "qkdroute/engine.py",
-        "    live = (1 << len(table.rows)) - 1\n    if short:\n",
-        "    live = (1 << len(table.rows)) - 1\n"
+        "    live = table.all_rows\n    if short:\n",
+        "    live = table.all_rows\n"
         "    if not live & (live - 1):\n"
         "        return [live.bit_length() - 1] if live else []\n"
         "    if short:\n",
@@ -602,11 +625,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_route_sweep_refuses_empty_and_repeated_values",),
     ),
     Mutant(
-        "cli: simulate writes its manifest over the route's",
-        "qkdroute/cli.py",
-        "if args.out_dir and FsPath(args.out_dir).resolve() == routing_path.parent.resolve():",
+        "out-dir: a manifest that another command wrote replaced",
+        "qkdroute/artifacts.py",
+        "if writer != command:",
         "if False:",
-        ("tests/test_cli.py::test_simulate_refuses_an_out_dir_holding_the_routing",),
+        ("tests/test_cli.py::test_simulate_refuses_an_out_dir_holding_the_routing",
+         "tests/test_cli.py::test_simulate_refuses_an_out_dir_holding_another_route",
+         "tests/test_cli.py::test_route_refuses_an_out_dir_holding_a_simulation"),
     ),
     Mutant(
         "manifest: the last artifact left out of its artifacts map",

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from . import __version__
 from .engine import RoutingList, RoutingOutcome, StopReason, worst_pairs
-from .model import NetworkGraph, RateMatrix, RouterConfig, _pairs
+from .model import NetworkGraph, RateMatrix, RouterConfig, ValidationError, _pairs
 from .netfile import LoadedNetwork, NetworkFormatError, load_network, parse_router
 # netfile's one JSON file read, error boundary and integer rule
 from .netfile import _format_errors, _int_field, _is_int, _read_json
@@ -272,6 +272,26 @@ def _write_artifacts(
         (out / file_name).write_text(text if isinstance(text, str)
                                      else json.dumps(text, indent=2, sort_keys=True) + "\n")
     return {name: out / file_name for name, (file_name, _) in texts.items()}
+
+
+def check_out_dir(out_dir: Union[str, FsPath], command: str) -> None:
+    """Refuse an artifact directory whose ``manifest.json`` another command
+    wrote, before the run: replacing it would leave that run's artifacts
+    without the manifest that replays or checks them.
+
+    A directory with no manifest, or with one that ``command`` wrote, may
+    be written.  A manifest that cannot be parsed is refused too.
+    """
+    path = FsPath(out_dir) / "manifest.json"
+    if not path.exists():
+        return
+    manifest = _read_json(path, "manifest ")
+    writer = manifest.get("command") if isinstance(manifest, dict) else None
+    if writer != command:
+        owner = f"a {writer} run" if isinstance(writer, str) else "another program"
+        raise ValidationError(
+            f"--out-dir {out_dir} holds the manifest.json of {owner}, which {command} would replace"
+        )
 
 
 def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:

@@ -167,23 +167,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _run_route(
     network: LoadedNetwork, config: RouterConfig, out_dir: str, input_path: str
-) -> RoutingOutcome:
+) -> tuple[RoutingOutcome, dict[str, FsPath]]:
+    """The run and the paths of the artifacts it wrote, by artifact name."""
     from . import artifacts, engine
 
     outcome = engine.run(network.graph, network.target, config)
-    artifacts.write_route_artifacts(out_dir, outcome, network.graph, network.target, config,
-                                    input_path)
-    return outcome
+    written = artifacts.write_route_artifacts(out_dir, outcome, network.graph, network.target,
+                                              config, input_path)
+    return outcome, written
 
 
 def _sweep_worker(task: tuple) -> tuple[str, int, str, int]:
-    outcome = _run_route(*task)
+    outcome, _ = _run_route(*task)
     return task[2], outcome.iterations, outcome.stop_reason.value, outcome.final_delta
 
 
 def cmd_route(args: argparse.Namespace) -> int:
     from . import artifacts
 
+    if args.sweep is None:
+        artifacts.check_out_dir(args.out_dir, "route")
     if args.from_manifest:
         input_path, network = artifacts.read_route_manifest(args.from_manifest)
     else:
@@ -206,6 +209,7 @@ def cmd_route(args: argparse.Namespace) -> int:
                                       else f"--sweep lists {first} and {value}, the same delta-r")
             spelled[delta_r] = value
             combo_dir = str(FsPath(args.out_dir) / f"delta_r_{value}")
+            artifacts.check_out_dir(combo_dir, "route")
             tasks.append((network, config.replace(delta_r=delta_r), combo_dir, input_path))
         # combos are independent; order of completion does not matter
         from concurrent.futures import ProcessPoolExecutor
@@ -223,12 +227,13 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise ValidationError(
             "delta_r is not set; pass --delta-r or add router.delta_r_kbps to the file"
         )
-    outcome = _run_route(network, config, args.out_dir, input_path)
+    outcome, written = _run_route(network, config, args.out_dir, input_path)
     print(
         f"stop: {outcome.stop_reason.value} after {outcome.iterations} iterations, "
         f"final delta {scale.kbps_str(outcome.final_delta)} kbit/s"
     )
-    sys.stdout.write(artifacts.render_routing_text(outcome.routing_list, scale))
+    # the routing list as rendered once, for its file
+    sys.stdout.write(written["routing_txt"].read_text())
     print(f"artifacts in {FsPath(args.out_dir)}")
     return EXIT_OK
 
@@ -255,12 +260,12 @@ def cmd_paths(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import artifacts, keysim
 
+    if args.out_dir:
+        artifacts.check_out_dir(args.out_dir, "simulate")
     graph, target, _ = load_network(args.input)
     routing_path = FsPath(args.routing)
     if routing_path.is_dir():
         routing_path = routing_path / "routing_list.json"
-    if args.out_dir and FsPath(args.out_dir).resolve() == routing_path.parent.resolve():
-        raise ValidationError(f"--out-dir {args.out_dir} would replace the route's manifest.json")
     routing = artifacts.read_routing_artifact(routing_path, graph, target)
     tau = as_decimal(args.tau, "--tau")
     # refused before anything is drawn

@@ -28,12 +28,16 @@ matrix: ``routing_list.effective(graph)`` derives it.  A pair's candidates
 live in a table built the first time the pair is served, from indices
 alone: its simple paths as node tuples with their edge positions, and its
 sets of M disjoint paths as tuples of path indices, with one bitmask of rows
-per edge and per hop count.  A row becomes an ``MPathSet`` only when it is
-chosen.  The least loaded rows are found by walking the pair's edges in
-deficiency levels, from the highest down, dropping the rows of each level
-while any row is left; no row is scored.  The strict guard is a set of
-short edges that only grows.  ``CandidateTable.scored`` is the one place
-that scores rows, for the ``paths`` command.
+per edge and per hop count, ORed in as each row arrives.  The paths come
+from one depth-first search per source node, run when the first pair from
+it is served, for every remote goal above it; each pair's list leaves the
+run's cache for its table.  A row becomes an ``MPathSet`` only when it is
+chosen, from one ``Path`` per path index.  The least loaded rows are found
+by walking the pair's edges sorted by deficiency, from the highest level
+down, dropping the rows of each level while any row is left; no row is
+scored.  The strict guard is a set of short edges that only grows.
+``CandidateTable.scored`` is the one place that scores rows, for the
+``paths`` command.
 
 The loop keeps the pairs tied at the top deficiency, in row order, across
 a level: a step deletes the pair it served and inserts any member edge that
@@ -58,6 +62,7 @@ from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequen
 from .model import (
     Edge,
     NetworkGraph,
+    NodeId,
     RateMatrix,
     RouterConfig,
     ValidationError,
@@ -65,7 +70,7 @@ from .model import (
     check_target_matrix,
     pair_position,
 )
-from .paths import MPathSet, Path, _disjoint_rows, _node_paths
+from .paths import MPathSet, Path, _disjoint_rows, _goal_paths, _pair_paths
 from .tiebreak import TieBreakStream
 from .units import Frozen
 
@@ -211,39 +216,57 @@ class CandidateTable:
     ``paths`` holds the pair's simple paths as node tuples, lexicographic.
     Row k, ``rows[k]``, is a set of M internally disjoint paths as
     increasing indices into ``paths``; the rows come in canonical order.
-    Bit k of a mask stands for row k.  ``edges`` pairs each edge position
-    that some row uses with the mask of the rows using it; ``hops`` holds
-    the mask of the rows of each total hop count, fewest hops first.  Built
-    once per pair, as the masks depend on no rate.
+    Bit k of a mask stands for row k, and ``all_rows`` has a bit for every
+    row.  ``edges`` maps each edge position that some row uses to the mask
+    of the rows using it; ``hops`` holds the mask of the rows of each total
+    hop count, fewest hops first.  Built once per pair, in one pass over the
+    rows as the row kernel yields them, as the masks depend on no rate.
     """
 
-    __slots__ = ("paths", "rows", "edges", "hops", "_position", "_built")
+    __slots__ = ("paths", "rows", "all_rows", "edges", "hops", "_position", "_built",
+                 "_path_objects")
 
     def __init__(
-        self, graph: NetworkGraph, pair: Edge, m: int, hop_limit: Optional[int] = None
+        self,
+        graph: NetworkGraph,
+        pair: Edge,
+        m: int,
+        hop_limit: Optional[int] = None,
+        paths: Optional[List[Tuple[NodeId, ...]]] = None,
     ) -> None:
-        position = self._position = _positions(graph.node_count).__getitem__
-        paths = self.paths = _node_paths(graph, *pair, hop_limit)
-        self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m))
+        """``paths`` is the pair's list from ``paths._goal_paths``, when the
+        caller has searched already; otherwise the table searches for it."""
+        n = graph.node_count
+        position = self._position = _positions(n).__getitem__
+        if paths is None:
+            paths = _pair_paths(graph, *pair, hop_limit)
+        self.paths = paths
+        rows: List[Tuple[int, ...]] = []
+        self.rows = rows
         # each path's mask of the rows holding it, ORed into its edges below;
         # a path in no row has no edge in the table
         holding = [0] * len(paths)
+        # by the nodes a row's paths hold, which is its total hops plus m
         hops: Dict[int, int] = {}
-        for index, row in enumerate(self.rows):
+        lengths = list(map(len, paths))
+        for index, row in enumerate(_disjoint_rows([p[1:-1] for p in paths], m, n)):
+            rows.append(row)
             bit = 1 << index
-            count = -len(row)  # a path of k nodes takes k - 1 hops
+            count = 0
             for k in row:
                 holding[k] |= bit
-                count += len(paths[k])
+                count += lengths[k]
             hops[count] = hops.get(count, 0) | bit
         edges: Dict[int, int] = {}
-        for rows, nodes in zip(holding, paths):
-            if rows:
+        for held, nodes in zip(holding, paths):
+            if held:
                 for cell in map(position, zip(nodes, nodes[1:])):
-                    edges[cell] = edges.get(cell, 0) | rows
-        self.edges = tuple(edges.items())
+                    edges[cell] = edges.get(cell, 0) | held
+        self.edges = edges
+        self.all_rows = (1 << len(rows)) - 1
         self.hops = tuple(hops[count] for count in sorted(hops))
         self._built: Dict[int, Tuple[MPathSet, Tuple[int, ...]]] = {}
+        self._path_objects: Dict[int, Path] = {}
 
     # no command calls this; perfbench/tracer.py counts the ranked rows by it
     def __len__(self) -> int:
@@ -253,7 +276,11 @@ class CandidateTable:
         """Row k's path set and the positions of its edges, built on first use."""
         built = self._built.get(k)
         if built is None:
-            path_set = MPathSet(Path(self.paths[p]) for p in self.rows[k])
+            objects = self._path_objects
+            for p in self.rows[k]:
+                if p not in objects:
+                    objects[p] = Path(self.paths[p])
+            path_set = MPathSet(map(objects.__getitem__, self.rows[k]))
             built = self._built[k] = (path_set, tuple(map(self._position, path_set.edges)))
         return built
 
@@ -275,33 +302,40 @@ def optimal_sets(
     a short edge.
 
     A row's score is the one ``CandidateTable.scored`` gives, but no row is
-    scored here: the table's edges are grouped by deficiency, and the
-    groups are walked from the highest down, dropping the rows that use
-    each group's edges for as long as some row is left.  The group that
-    would drop every remaining row holds the least score, and the rows left
-    are exactly those that score it.  Their mask is then narrowed to the
-    first hop count it meets.  A pair with one row clear of ``short`` edges
-    skips the walk.
+    scored here: the table's edges are sorted by deficiency and walked from
+    the highest down, one level of equal deficiency at a time, dropping the
+    rows that use each level's edges for as long as some row is left.  The
+    level that would drop every remaining row holds the least score, and
+    the rows left are exactly those that score it; the walk stops there,
+    having read no lower edge.  Their mask is then narrowed to the first
+    hop count it meets.  A pair with one row clear of ``short`` edges skips
+    the walk.
     """
-    live = (1 << len(table.rows)) - 1
+    edges = table.edges
+    live = table.all_rows
     if short:
-        for cell, rows in table.edges:
+        for cell, rows in edges.items():
             if cell in short:
                 live &= ~rows
     if not live & (live - 1):
         # no row or one row is left, so there is nothing to rank
         return [live.bit_length() - 1] if live else []
-    # a short edge's rows are out of live already, so grouping them too
-    # changes no step of the walk
-    levels: Dict[int, int] = {}
-    for cell, rows in table.edges:
+    # a short edge's rows are out of live already, so walking its edge too
+    # changes no step; the lowest level always drops every row left, as
+    # every row uses an edge, so a walk that runs out has nothing to drop
+    level = None
+    drop = 0
+    for cell in sorted(edges, key=deficiency.__getitem__, reverse=True):
         value = deficiency[cell]
-        levels[value] = levels.get(value, 0) | rows
-    for value in sorted(levels, reverse=True):
-        rest = live & ~levels[value]
-        if not rest:
-            break
-        live = rest
+        if value != level:
+            rest = live & ~drop
+            if not rest:
+                break
+            live = rest
+            level = value
+            drop = edges[cell]
+        else:
+            drop |= edges[cell]
     for rows in table.hops:
         if live & rows:
             live &= rows
@@ -371,6 +405,9 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
     # one draw per tie of two or more, over the tied items in canonical order
     draw = TieBreakStream(config.seed).integers
     tables: Dict[Edge, CandidateTable] = {}
+    # by source, its paths to each remote goal above it, from one search; a
+    # pair's list leaves for its table when the pair is first served
+    pending: Dict[NodeId, Dict[NodeId, List[Tuple[NodeId, ...]]]] = {}
     routing = RoutingList()
     add = routing.add
     trace: List[IterationTrace] = []
@@ -426,7 +463,12 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
             return stop(StopReason.DIRECT_PAIR_WORST, pair, pairs_tied)
         table = tables.get(pair)
         if table is None:
-            table = tables[pair] = CandidateTable(graph, pair, m, hop_limit)
+            i, j = pair
+            lists = pending.get(i)
+            if lists is None:
+                goals = [goal for goal in range(n) if goal > i and (i, goal) not in links]
+                lists = pending[i] = _goal_paths(graph, i, goals, hop_limit)
+            table = tables[pair] = CandidateTable(graph, pair, m, hop_limit, lists.pop(j))
         if not table.rows:
             return stop(StopReason.NO_M_SET, pair, pairs_tied)
         finalists = optimal_sets(table, deficiency, short)

@@ -9,14 +9,17 @@ downstream tie-breaking relies on.  Whether a pair has any such set at all is
 a max-flow question (Menger's theorem), which ``find_unroutable_pairs``
 answers without enumerating paths unless a hop limit asks it to confirm.
 
-Two private kernels do the enumerating, on plain tuples: ``_node_paths``
-lists the simple paths as node tuples, and ``_disjoint_rows`` yields the
+Two private kernels do the enumerating, on plain tuples: ``_goal_paths``
+lists, in one depth-first search from a start node, the simple paths to
+each of a set of goals as node tuples, and ``_disjoint_rows`` yields the
 disjoint sets as tuples of path indices.  Every command enumerates through
-them: the engine's candidate table, which ``route`` ranks and ``paths``
-lists, and the hop-limited confirmation here, which stops at the first
-set.  ``enumerate_simple_paths``, ``enumerate_m_path_sets``,
-``set_deficiency`` and ``PairPathCache`` wrap them in ``Path`` and
-``MPathSet`` objects for the benchmark's tracer alone.
+them.  ``route`` searches once per source, for all of the source's remote
+goals above it, and hands each pair's list to the pair's candidate table;
+``paths`` and the hop-limited confirmation here, which stops at the first
+set, search for one goal through ``_pair_paths``.  ``enumerate_simple_paths``,
+``enumerate_m_path_sets``, ``set_deficiency`` and ``PairPathCache`` wrap
+the kernels in ``Path`` and ``MPathSet`` objects for the benchmark's tracer
+alone.
 """
 
 from __future__ import annotations
@@ -130,41 +133,65 @@ def _check_hop_limit(hop_limit: Optional[int]) -> None:
         raise ValueError(f"hop_limit must be at least 1, got {hop_limit}")
 
 
-def _node_paths(
-    graph: NetworkGraph, i: NodeId, j: NodeId, hop_limit: Optional[int]
-) -> List[Tuple[NodeId, ...]]:
-    """Every simple path between i and j as a node tuple from min(i, j),
-    lexicographic, each of at most ``hop_limit`` hops when one is given."""
-    if i == j:
-        raise ValueError("path endpoints must differ")
-    for node in (i, j):
-        if not (0 <= node < graph.node_count):
+def _goal_paths(
+    graph: NetworkGraph, start: NodeId, goals: Sequence[NodeId], hop_limit: Optional[int]
+) -> Dict[NodeId, List[Tuple[NodeId, ...]]]:
+    """Every simple path from ``start`` to each of ``goals``, found in one
+    depth-first search: by goal, node tuples from ``start``, lexicographic,
+    each of at most ``hop_limit`` hops when one is given.
+
+    A trail runs on through a goal only while there is another goal to
+    reach, so a one-goal search tries exactly the trails that may end at it.
+    """
+    n = graph.node_count
+    for node in (start, *goals):
+        if not 0 <= node < n:
             raise ValueError(f"node {node} is not in the graph")
+    if start in goals:
+        raise ValueError("path endpoints must differ")
     _check_hop_limit(hop_limit)
-    start, goal = (i, j) if i < j else (j, i)
-    # a trail never holds the goal, so it is shorter than node_count
-    limit = graph.node_count if hop_limit is None else hop_limit
-    neighbors = graph.neighbors
-    found: List[Tuple[NodeId, ...]] = []
-    visited = [False] * graph.node_count
+    found: Dict[NodeId, List[Tuple[NodeId, ...]]] = {goal: [] for goal in goals}
+    # ends[w]: goal w's list, None for a node that is no goal
+    ends: List[Optional[List[Tuple[NodeId, ...]]]] = [None] * n
+    for goal, paths in found.items():
+        ends[goal] = paths
+    lone = len(found) == 1
+    # a trail holds each node at most once, so without a hop limit it can
+    # take at most n nodes
+    limit = n if hop_limit is None else hop_limit
+    adjacency = [graph.neighbors(v) for v in range(n)]
+    visited = [False] * n
     visited[start] = True
     trail = [start]
     # stack[t]: the neighbours of trail[t] not tried yet; a node gets one only
     # while a path through it may still take another hop
-    stack = [iter(neighbors(start))]
+    stack = [iter(adjacency[start])]
     while stack:
         for w in stack[-1]:
-            if w == goal:
-                found.append((*trail, w))
-            elif not visited[w] and len(trail) < limit:
+            if visited[w]:
+                continue
+            paths = ends[w]
+            if paths is not None:
+                paths.append((*trail, w))
+                if lone:
+                    continue
+            if len(trail) < limit:
                 visited[w] = True
                 trail.append(w)
-                stack.append(iter(neighbors(w)))
+                stack.append(iter(adjacency[w]))
                 break
         else:
             stack.pop()
             visited[trail.pop()] = False
     return found
+
+
+def _pair_paths(
+    graph: NetworkGraph, i: NodeId, j: NodeId, hop_limit: Optional[int]
+) -> List[Tuple[NodeId, ...]]:
+    """The simple paths between i and j, from min(i, j): a one-goal search."""
+    start, goal = (i, j) if i < j else (j, i)
+    return _goal_paths(graph, start, (goal,), hop_limit)[goal]
 
 
 # no command calls this; perfbench/tracer.py wraps it by name
@@ -174,30 +201,30 @@ def enumerate_simple_paths(
     j: NodeId,
     hop_limit: Optional[int] = None,
 ) -> Tuple[Path, ...]:
-    """The paths of ``_node_paths`` as ``Path`` objects, in its order."""
-    return tuple(map(Path, _node_paths(graph, i, j, hop_limit)))
+    """The paths of ``_pair_paths`` as ``Path`` objects, in its order."""
+    return tuple(map(Path, _pair_paths(graph, i, j, hop_limit)))
 
 
 def _disjoint_rows(
-    interiors: Sequence[Sequence[NodeId]], m: int
+    interiors: Sequence[Sequence[NodeId]], m: int, n: int
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every size-m set of pairwise disjoint ``interiors``, as a tuple
-    of increasing indices, in ``itertools.combinations`` order.
+    of increasing indices, in ``itertools.combinations`` order.  Nodes are
+    below ``n``.
 
     Only disjoint prefixes are extended, so the work follows the sets found
     rather than every m-combination, and a caller that stops early stops
     the search.
     """
-    # conflicts[k]: bitmask over the indices of the interiors that share a
-    # node with interior k
-    holders: Dict[NodeId, int] = {}
+    # holders[v]: bitmask over the indices of the interiors holding node v;
+    # conflicts[k]: those of the interiors that share a node with interior k
+    holders = [0] * n
     for k, interior in enumerate(interiors):
+        bit = 1 << k
         for v in interior:
-            holders[v] = holders.get(v, 0) | (1 << k)
-    conflicts = [
-        reduce(or_, map(holders.__getitem__, interior), 0)
-        for interior in interiors
-    ]
+            holders[v] |= bit
+    held = holders.__getitem__
+    conflicts = [reduce(or_, map(held, interior), 0) for interior in interiors]
     # each entry: a prefix and the bitmask of the later interiors disjoint
     # from every member of it; taking them lowest index first, and a longer
     # prefix before the rest of its parent's options, keeps combinations order
@@ -233,9 +260,11 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
             raise ValueError("all paths must share the same endpoints")
         if len(set(paths)) != len(paths):
             raise ValueError("duplicate path")
+    # a node id indexes the row kernel's holders
+    n = 1 + max((v for p in paths for v in p.nodes), default=0)
     return tuple(
         MPathSet(map(paths.__getitem__, row))
-        for row in _disjoint_rows([p.nodes[1:-1] for p in paths], m)
+        for row in _disjoint_rows([p.nodes[1:-1] for p in paths], m, n)
     )
 
 
@@ -323,7 +352,7 @@ def find_unroutable_pairs(
             flow += 1
         if flow < m or (
             hop_limit is not None
-            and next(_disjoint_rows([p[1:-1] for p in _node_paths(graph, i, j, hop_limit)], m),
+            and next(_disjoint_rows([p[1:-1] for p in _pair_paths(graph, i, j, hop_limit)], m, n),
                      None) is None
         ):
             unroutable.append((i, j))

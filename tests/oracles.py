@@ -176,8 +176,9 @@ class Candidate(NamedTuple):
 
 class ReferenceTable:
     """A pair's candidate rows, with the bitmasks the engine's table holds:
-    ``edges`` pairs each edge position with the mask of the rows using it,
-    and ``hops`` holds the mask of each total hop count, fewest hops first."""
+    ``all_rows`` has a bit for every row, ``edges`` maps each edge position
+    to the mask of the rows using it, and ``hops`` holds the mask of each
+    total hop count, fewest hops first."""
 
     def __init__(self, rows: Sequence[Candidate]) -> None:
         edges: Dict[int, int] = {}
@@ -188,7 +189,8 @@ class ReferenceTable:
                 edges[cell] = edges.get(cell, 0) | bit
             hops[row.hops] = hops.get(row.hops, 0) | bit
         self.rows = tuple(rows)
-        self.edges = tuple(edges.items())
+        self.all_rows = (1 << len(rows)) - 1
+        self.edges = edges
         self.hops = tuple(hops[count] for count in sorted(hops))
 
     def __len__(self) -> int:

@@ -505,6 +505,64 @@ def test_simulate_refuses_an_out_dir_holding_the_routing(k23_file, tmp_path, cap
                  "--out-dir", str(tmp_path / "again")]) == EXIT_OK
 
 
+def test_simulate_refuses_an_out_dir_holding_another_route(k23_file, tmp_path, capsys):
+    # simulate --routing a --out-dir b would replace route b's manifest, and
+    # a replay of b would then fail
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out_dir in (a, b):
+        assert main(["route", "--input", str(k23_file), "--out-dir", str(out_dir)]) == EXIT_OK
+    manifest = (b / "manifest.json").read_bytes()
+    capsys.readouterr()
+    with mock.patch("qkdroute.artifacts.read_routing_artifact",
+                    side_effect=AssertionError("read before the refusal")):
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(a), "--tau", "1",
+                     "--out-dir", str(b)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == (f"error: --out-dir {b} holds the manifest.json of a route run, "
+                   "which simulate would replace\n")
+    assert (b / "manifest.json").read_bytes() == manifest
+    assert main(["route", "--from-manifest", str(b / "manifest.json"),
+                 "--out-dir", str(tmp_path / "again")]) == EXIT_OK
+    # a simulation may write over its own directory
+    sim = tmp_path / "sim"
+    for _ in range(2):
+        assert main(["simulate", "--input", str(k23_file), "--routing", str(a), "--tau", "1",
+                     "--out-dir", str(sim)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_route_refuses_an_out_dir_holding_a_simulation(k23_file, tmp_path, capsys, sweep):
+    route_dir, out = tmp_path / "route", tmp_path / "out"
+    sim = out / "delta_r_0.1" if sweep else out
+    assert main(["route", "--input", str(k23_file), "--out-dir", str(route_dir)]) == EXIT_OK
+    assert main(["simulate", "--input", str(k23_file), "--routing", str(route_dir), "--tau", "1",
+                 "--out-dir", str(sim)]) == EXIT_OK
+    manifest = (sim / "manifest.json").read_bytes()
+    capsys.readouterr()
+    step = ["--sweep", "0.1"] if sweep else ["--delta-r", "0.1"]
+    with mock.patch("qkdroute.engine.run", side_effect=AssertionError("ran before the refusal")):
+        assert main(["route", "--input", str(k23_file), "--out-dir", str(out), *step]) \
+            == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == (f"error: --out-dir {sim} holds the manifest.json of a simulate run, "
+                   "which route would replace\n")
+    assert (sim / "manifest.json").read_bytes() == manifest
+    assert not (sim / "routing_list.json").exists()
+
+
+def test_route_refuses_an_out_dir_holding_a_foreign_manifest(k23_file, tmp_path, capsys):
+    for text, message in (
+        ('{"tool": "other"}', "holds the manifest.json of another program"),
+        ("not json", "cannot parse manifest"),
+    ):
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["route", "--input", str(k23_file), "--out-dir", str(tmp_path)]) \
+            == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err, err
+        assert (tmp_path / "manifest.json").read_text() == text
+
+
 @pytest.mark.parametrize("net_edit, rate_units, command", [
     (('"rate_kbps": 1.0', '"rate_kbps": "Infinity"'), None, ["validate"]),
     (('"rate_kbps": 1.0', '"rate_kbps": 1e30'), None, ["route", "--delta-r", "0.1"]),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkdroute import engine as engine_module
 from qkdroute.engine import (
     CandidateTable,
     GuardViolation,
@@ -652,6 +653,27 @@ def replay_tie_draws(graph, target, config) -> int:
         effective = apply_increment(effective, pair, entry.chosen_set, config.delta_r)
         level, top = set(worst) - {pair}, deficiency[worst[0]]
     return joined
+
+
+def test_run_searches_each_source_once_for_its_remote_goals_above_it(monkeypatch):
+    """A pair's paths come from one search per source, which lists the
+    paths to every node above the source that it has no link to."""
+    graph, target, config = load_network(NETWORKS_DIR / "mesh10.json")
+    searches = []
+    original = engine_module._goal_paths
+
+    def spy(graph, start, goals, hop_limit):
+        searches.append((start, list(goals)))
+        return original(graph, start, goals, hop_limit)
+
+    monkeypatch.setattr(engine_module, "_goal_paths", spy)
+    outcome = run(graph, target, config)
+    served = {entry.selected_pair for entry in outcome.trace} - {None, *graph.rates}
+    assert len({pair[0] for pair in served}) < len(served)
+    assert sorted(searches) == [
+        (i, [j for j in range(i + 1, graph.node_count) if (i, j) not in graph.rates])
+        for i in sorted({pair[0] for pair in served})
+    ]
 
 
 @pytest.mark.parametrize("name", ["dense5", "k23", "mesh10", "ring6_chord"])

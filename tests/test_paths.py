@@ -8,7 +8,7 @@ import tracemalloc
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
@@ -277,6 +277,32 @@ def connected_graphs(draw):
     return NetworkGraph(n, dict.fromkeys(edges, 100))
 
 
+@st.composite
+def search_cases(draw):
+    """A connected graph, a start node and goals on either side of it."""
+    graph = draw(connected_graphs())
+    start = draw(st.integers(0, graph.node_count - 1))
+    others = [v for v in range(graph.node_count) if v != start]
+    return graph, start, draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=search_cases(), hop_limit=st.none() | st.integers(1, 5))
+# on the 4-cycle 0-1-2-3, from 2: goal 0 below it, goal 3 above it and a
+# neighbour; each goal's list is its own
+@example(case=(NetworkGraph(4, dict.fromkeys([(0, 1), (1, 2), (2, 3), (0, 3)], 100)), 2, [0, 3]),
+         hop_limit=None)
+def test_one_search_lists_each_goals_paths(case, hop_limit):
+    """One search from a start lists, for each goal, exactly the simple paths
+    the reference lists between them, from the start, lexicographic."""
+    graph, start, goals = case
+    found = paths_module._goal_paths(graph, start, goals, hop_limit)
+    assert list(found) == goals
+    adjacency = adjacency_of(graph)
+    for goal in goals:
+        assert found[goal] == sorted(dfs_simple_paths(adjacency, start, goal, hop_limit))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(graph=connected_graphs(), m=st.integers(1, 3),
        hop_limit=st.none() | st.integers(1, 4))
@@ -298,7 +324,7 @@ def _refuse_enumeration(*args, **kwargs):
 
 
 def test_unroutable_scan_without_hop_limit_enumerates_nothing(monkeypatch):
-    monkeypatch.setattr(paths_module, "_node_paths", _refuse_enumeration)
+    monkeypatch.setattr(paths_module, "_goal_paths", _refuse_enumeration)
     monkeypatch.setattr(paths_module, "_disjoint_rows", _refuse_enumeration)
     assert find_unroutable_pairs(grid_graph(4), 2) == ()
     assert find_unroutable_pairs(BOWTIE, 2) == ((0, 3), (0, 4), (1, 3), (1, 4))
@@ -306,13 +332,13 @@ def test_unroutable_scan_without_hop_limit_enumerates_nothing(monkeypatch):
 
 def test_hop_limited_scan_enumerates_only_pairs_that_pass_the_flow_test(monkeypatch):
     enumerated = []
-    original = paths_module._node_paths
+    original = paths_module._goal_paths
 
-    def spy(graph, i, j, hop_limit):
-        enumerated.append((i, j))
-        return original(graph, i, j, hop_limit)
+    def spy(graph, start, goals, hop_limit):
+        enumerated.extend((start, goal) for goal in goals)
+        return original(graph, start, goals, hop_limit)
 
-    monkeypatch.setattr(paths_module, "_node_paths", spy)
+    monkeypatch.setattr(paths_module, "_goal_paths", spy)
     # every remote pair of the bowtie lies across the cut vertex
     assert find_unroutable_pairs(BOWTIE, 2, hop_limit=3) == ((0, 3), (0, 4), (1, 3), (1, 4))
     assert enumerated == []
@@ -332,9 +358,9 @@ def test_hop_limited_confirmation_draws_at_most_one_row_per_pair(monkeypatch):
     drawn = []
     original = paths_module._disjoint_rows
 
-    def spy(interiors, m):
+    def spy(interiors, m, n):
         drawn.append(0)
-        for row in original(interiors, m):
+        for row in original(interiors, m, n):
             drawn[-1] += 1
             yield row
 
