@@ -75,7 +75,7 @@ class Path(Frozen):
         return hash((self.nodes,))  # Frozen's value, without building a fields dict
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(n) for n in self.nodes) + ")"
+        return "(" + ", ".join(map(str, self.nodes)) + ")"
 
 
 class MPathSet(Frozen):
@@ -140,15 +140,15 @@ def _goal_paths(
     depth-first search: by goal, node tuples from ``start``, lexicographic,
     each of at most ``hop_limit`` hops when one is given.
 
-    A trail runs on through a goal only while there is another goal to
-    reach, so a one-goal search tries exactly the trails that may end at it.
+    A trail runs on through a goal only in a search for more than one goal,
+    so a one-goal search tries exactly the trails that may end at its goal.
     """
+    if start in goals:
+        raise ValueError("path endpoints must differ")
     n = graph.node_count
     for node in (start, *goals):
         if not 0 <= node < n:
             raise ValueError(f"node {node} is not in the graph")
-    if start in goals:
-        raise ValueError("path endpoints must differ")
     _check_hop_limit(hop_limit)
     found: Dict[NodeId, List[Tuple[NodeId, ...]]] = {goal: [] for goal in goals}
     # ends[w]: goal w's list, None for a node that is no goal
