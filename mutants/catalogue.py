@@ -102,9 +102,9 @@ MUTANTS = (
         "enumeration: a prefix's other options taken before its extension",
         "qkdroute/paths.py",
         "stack.append((prefix, options))\n"
-        "                stack.append((prefix + (k,), options & ~conflicts[k]))",
-        "stack.append((prefix + (k,), options & ~conflicts[k]))\n"
-        "                stack.append((prefix, options))",
+        "                    stack.append((prefix + (k,), rest))",
+        "stack.append((prefix + (k,), rest))\n"
+        "                    stack.append((prefix, options))",
         (
             "tests/test_paths.py::test_disjoint_sets_match_oracle",
             "tests/test_paths.py::test_random_graphs_match_oracle",
@@ -147,15 +147,15 @@ MUTANTS = (
     Mutant(
         "table: rows in reversed order",
         "qkdroute/engine.py",
-        "rows.append(row)",
-        "rows.insert(0, row)",
+        "for p in paths], m, n))",
+        "for p in paths], m, n))[::-1]",
         ("tests/test_engine.py::test_candidate_table_matches_reference",),
     ),
     Mutant(
-        "table: hop masks in the order first met, not fewest hops first",
+        "table: hop masks most hops first, not fewest hops first",
         "qkdroute/engine.py",
-        "self.hops = tuple(hops[count] for count in sorted(hops))",
-        "self.hops = tuple(hops.values())",
+        "self.hops = tuple(filter(None, hops))",
+        "self.hops = tuple(filter(None, hops[::-1]))",
         ("tests/test_engine.py::test_candidate_table_matches_reference",),
     ),
     Mutant(
@@ -263,8 +263,8 @@ MUTANTS = (
     Mutant(
         "loop: sets_tied recorded as 1 on a real draw",
         "qkdroute/engine.py",
-        "log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied,",
-        "log(IterationTrace(r, pair, pairs_tied, chosen, 1,",
+        "log(entry((r, pair, pairs_tied, chosen, sets_tied,",
+        "log(entry((r, pair, pairs_tied, chosen, 1,",
         ("tests/test_engine.py::test_dense5_reference_run",),
     ),
     # the one row score, which the walkthrough demo and the paths command share
@@ -642,6 +642,20 @@ MUTANTS = (
             "tests/test_artifacts.py::test_manifest_contents",
             "tests/test_artifacts.py::test_write_simulation_artifacts",
         ),
+    ),
+    Mutant(
+        "json: a document's keys written in insertion order",
+        "qkdroute/artifacts.py",
+        "for key, item in sorted(value.items())",
+        "for key, item in value.items()",
+        ("tests/test_artifacts.py::test_json_document_is_the_standard_indented_layout",),
+    ),
+    Mutant(
+        "json: a bool written as an int",
+        "qkdroute/artifacts.py",
+        "    if kind is int:\n",
+        "    if isinstance(value, int):\n",
+        ("tests/test_artifacts.py::test_json_document_is_the_standard_indented_layout",),
     ),
     Mutant(
         "cli: --delta-r outside the group that excludes --sweep",

@@ -12,6 +12,7 @@ import hashlib
 import json
 import operator
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -230,6 +231,28 @@ def render_trace_csv(outcome: RoutingOutcome, scale: UnitScale) -> str:
     )
 
 
+def _json_document(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a document whose
+    keys are strings, built by one join per container: the standard
+    library's indenting encoder is pure Python and yields item by item."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    deeper = newline + "  "
+    if isinstance(value, dict) and value:
+        return "{" + deeper + ("," + deeper).join([
+            encode_basestring_ascii(key) + ": " + _json_document(item, deeper)
+            for key, item in sorted(value.items())
+        ]) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + deeper + ("," + deeper).join([
+            _json_document(item, deeper) for item in value
+        ]) + newline + "]"
+    return json.dumps(value)
+
+
 def _sha256(path: FsPath) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -270,7 +293,7 @@ def _write_artifacts(
     })
     for file_name, text in texts.values():
         (out / file_name).write_text(text if isinstance(text, str)
-                                     else json.dumps(text, indent=2, sort_keys=True) + "\n")
+                                     else _json_document(text) + "\n")
     return {name: out / file_name for name, (file_name, _) in texts.items()}
 
 
@@ -289,9 +312,8 @@ def check_out_dir(out_dir: Union[str, FsPath], command: str) -> None:
     writer = manifest.get("command") if isinstance(manifest, dict) else None
     if writer != command:
         owner = f"a {writer} run" if isinstance(writer, str) else "another program"
-        raise ValidationError(
-            f"--out-dir {out_dir} holds the manifest.json of {owner}, which {command} would replace"
-        )
+        raise ValidationError(f"--out-dir {out_dir} holds the manifest.json of {owner}, "
+                              f"which {command} would replace")
 
 
 def read_route_manifest(path: Union[str, FsPath]) -> Tuple[str, LoadedNetwork]:

@@ -28,7 +28,7 @@ matrix: ``routing_list.effective(graph)`` derives it.  A pair's candidates
 live in a table built the first time the pair is served, from indices
 alone: its simple paths as node tuples with their edge positions, and its
 sets of M disjoint paths as tuples of path indices, with one bitmask of rows
-per edge and per hop count, ORed in as each row arrives.  The paths come
+per edge and per hop count, from one pass over the rows.  The paths come
 from one depth-first search per source node, run when the first pair from
 it is served, for every remote goal above it; each pair's list leaves the
 run's cache for its table.  A row becomes an ``MPathSet`` only when it is
@@ -57,6 +57,7 @@ import enum
 import functools
 import operator
 from bisect import insort
+from itertools import compress
 from typing import Container, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
@@ -137,9 +138,10 @@ class RoutingList:
 def _move(cells: List[int], n: int, path_set: MPathSet, amount: int) -> None:
     """Credit ``amount`` to the set's pair and debit it from every member
     edge, in the per-pair ``cells`` of a RateMatrix."""
-    cells[pair_position(*path_set.endpoints, n)] += amount
-    for edge in path_set.edges:
-        cells[pair_position(*edge, n)] -= amount
+    position = _positions(n)
+    cells[position[path_set.endpoints]] += amount
+    for cell in map(position.__getitem__, path_set.edges):
+        cells[cell] -= amount
 
 
 class IterationTrace(NamedTuple):
@@ -218,12 +220,14 @@ class CandidateTable:
     increasing indices into ``paths``; the rows come in canonical order.
     Bit k of a mask stands for row k, and ``all_rows`` has a bit for every
     row.  ``edges`` maps each edge position that some row uses to the mask
-    of the rows using it; ``hops`` holds the mask of the rows of each total
-    hop count, fewest hops first.  Built once per pair, in one pass over the
-    rows as the row kernel yields them, as the masks depend on no rate.
+    of the rows using it, and ``order`` lists those positions for the
+    ranking to sort; ``hops`` holds the mask of the rows of each total hop
+    count, fewest hops first.  Built once per pair, as the masks depend
+    on no rate: one pass over the rows gives each path the mask of the rows
+    holding it, and one pass over those paths ORs it into their edges.
     """
 
-    __slots__ = ("paths", "rows", "all_rows", "edges", "hops", "_position", "_built",
+    __slots__ = ("paths", "rows", "all_rows", "edges", "order", "hops", "_position", "_built",
                  "_path_objects")
 
     def __init__(
@@ -241,30 +245,31 @@ class CandidateTable:
         if paths is None:
             paths = _pair_paths(graph, *pair, hop_limit)
         self.paths = paths
-        rows: List[Tuple[int, ...]] = []
-        self.rows = rows
+        rows = self.rows = list(_disjoint_rows([p[1:-1] for p in paths], m, n))
         # each path's mask of the rows holding it, ORed into its edges below;
         # a path in no row has no edge in the table
         holding = [0] * len(paths)
-        # by the nodes a row's paths hold, which is its total hops plus m
-        hops: Dict[int, int] = {}
+        # by the nodes a row's paths hold, its total hops plus m, at most m * n
+        hops = [0] * (m * n + 1)
         lengths = list(map(len, paths))
-        for index, row in enumerate(_disjoint_rows([p[1:-1] for p in paths], m, n)):
-            rows.append(row)
-            bit = 1 << index
+        bit = 1
+        for row in rows:
             count = 0
             for k in row:
                 holding[k] |= bit
                 count += lengths[k]
-            hops[count] = hops.get(count, 0) | bit
-        edges: Dict[int, int] = {}
+            hops[count] |= bit
+            bit <<= 1
+        # by edge position, the mask of the rows using the edge
+        masks = [0] * (n * (n - 1) // 2)
         for held, nodes in zip(holding, paths):
             if held:
                 for cell in map(position, zip(nodes, nodes[1:])):
-                    edges[cell] = edges.get(cell, 0) | held
-        self.edges = edges
-        self.all_rows = (1 << len(rows)) - 1
-        self.hops = tuple(hops[count] for count in sorted(hops))
+                    masks[cell] |= held
+        self.edges = dict(compress(enumerate(masks), masks))
+        self.order = list(self.edges)
+        self.all_rows = bit - 1
+        self.hops = tuple(filter(None, hops))
         self._built: Dict[int, Tuple[MPathSet, Tuple[int, ...]]] = {}
         self._path_objects: Dict[int, Path] = {}
 
@@ -310,6 +315,11 @@ def optimal_sets(
     having read no lower edge.  Their mask is then narrowed to the first
     hop count it meets.  A pair with one row clear of ``short`` edges skips
     the walk.
+
+    The edges are sorted in place, in ``table.order``: a step moves few
+    deficiencies, so the order the pair's last ranking left is nearly sorted
+    already.  Edges of equal deficiency fall in one level, so their order
+    changes no result.
     """
     edges = table.edges
     live = table.all_rows
@@ -325,7 +335,9 @@ def optimal_sets(
     # every row uses an edge, so a walk that runs out has nothing to drop
     level = None
     drop = 0
-    for cell in sorted(edges, key=deficiency.__getitem__, reverse=True):
+    order = table.order
+    order.sort(key=deficiency.__getitem__, reverse=True)
+    for cell in order:
         value = deficiency[cell]
         if value != level:
             rest = live & ~drop
@@ -412,6 +424,8 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
     add = routing.add
     trace: List[IterationTrace] = []
     log = trace.append
+    # an entry from a tuple of every field, without the generated __new__
+    entry = IterationTrace._make
     # target - effective, one entry per pair i < j in row order
     deficiency = list(map(operator.sub, target.cells, graph.rate_matrix().cells))
     # under the strict guard, the edges holding less than delta_r, whose
@@ -499,7 +513,7 @@ def run(graph: NetworkGraph, target: RateMatrix, config: RouterConfig) -> Routin
         new_delta = delta if pairs else cost_delta(deficiency)
         add(chosen, step)
         r += 1
-        log(IterationTrace(r, pair, pairs_tied, chosen, sets_tied, delta, new_delta))
+        log(entry((r, pair, pairs_tied, chosen, sets_tied, delta, new_delta, None)))
         delta = new_delta
 
     return stop(StopReason.CONVERGED if delta <= 0 else StopReason.R_MAX)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import Edge, NetworkGraph, NodeId, RateMatrix, canonical_edge
@@ -52,7 +52,7 @@ class Path(Frozen):
             raise ValueError(f"path revisits a node: {nodes}")
         if nodes[0] > nodes[-1]:
             nodes = nodes[::-1]
-        edges = tuple(canonical_edge(u, v) for u, v in zip(nodes, nodes[1:]))
+        edges = tuple(map(canonical_edge, nodes, nodes[1:]))
         self._set(nodes, frozenset(nodes[1:-1]), edges)
 
     @property
@@ -78,6 +78,9 @@ class Path(Frozen):
         return "(" + ", ".join(map(str, self.nodes)) + ")"
 
 
+_nodes = attrgetter("nodes")
+
+
 class MPathSet(Frozen):
     """A set of internally disjoint simple paths between one node pair.
 
@@ -89,18 +92,19 @@ class MPathSet(Frozen):
     __slots__ = ("paths", "_hash")
 
     def __init__(self, paths: Iterable[Path]) -> None:
-        paths = tuple(sorted(paths, key=lambda p: p.nodes))
+        paths = tuple(sorted(paths, key=_nodes))
         if not paths:
             raise ValueError("a path set needs at least one path")
-        endpoints = paths[0].endpoints
-        if any(p.endpoints != endpoints for p in paths):
+        # a path is its node tuple: equal paths have equal ones
+        keys = tuple(map(_nodes, paths))
+        if len({(nodes[0], nodes[-1]) for nodes in keys}) > 1:
             raise ValueError("all member paths must share the same endpoints")
-        if len(set(paths)) != len(paths):
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate member path")
         for a, b in itertools.combinations(paths, 2):
             if a.interior & b.interior:
                 raise ValueError(f"paths {a} and {b} share interior node(s)")
-        self._set(paths, hash(tuple(p.nodes for p in paths)))
+        self._set(paths, hash(keys))
 
     @property
     def endpoints(self) -> Edge:
@@ -116,10 +120,10 @@ class MPathSet(Frozen):
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(e for p in self.paths for e in p.edges)
+        return tuple(itertools.chain.from_iterable(p.edges for p in self.paths))
 
     def sort_key(self) -> Tuple[Tuple[NodeId, ...], ...]:
-        return tuple(p.nodes for p in self.paths)
+        return tuple(map(_nodes, self.paths))
 
     def __hash__(self) -> int:
         return self._hash
@@ -227,7 +231,9 @@ def _disjoint_rows(
     conflicts = [reduce(or_, map(held, interior), 0) for interior in interiors]
     # each entry: a prefix and the bitmask of the later interiors disjoint
     # from every member of it; taking them lowest index first, and a longer
-    # prefix before the rest of its parent's options, keeps combinations order
+    # prefix before the rest of its parent's options, keeps combinations order.
+    # A longer prefix with no option left would yield nothing, so it is not
+    # pushed.
     stack: List[Tuple[Tuple[int, ...], int]] = [((), (1 << len(interiors)) - 1)]
     while stack:
         prefix, options = stack.pop()
@@ -238,9 +244,11 @@ def _disjoint_rows(
             if len(prefix) == m - 1:
                 yield prefix + (k,)
             else:
-                stack.append((prefix, options))
-                stack.append((prefix + (k,), options & ~conflicts[k]))
-                break
+                rest = options & ~conflicts[k]
+                if rest:
+                    stack.append((prefix, options))
+                    stack.append((prefix + (k,), rest))
+                    break
 
 
 # no command calls this; perfbench/tracer.py wraps it by name
@@ -253,7 +261,7 @@ def enumerate_m_path_sets(paths: Sequence[Path], m: int) -> Tuple[MPathSet, ...]
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    paths = sorted(paths, key=lambda p: p.nodes)
+    paths = sorted(paths, key=_nodes)
     if paths:
         endpoints = paths[0].endpoints
         if any(p.endpoints != endpoints for p in paths):

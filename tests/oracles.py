@@ -177,8 +177,8 @@ class Candidate(NamedTuple):
 class ReferenceTable:
     """A pair's candidate rows, with the bitmasks the engine's table holds:
     ``all_rows`` has a bit for every row, ``edges`` maps each edge position
-    to the mask of the rows using it, and ``hops`` holds the mask of each
-    total hop count, fewest hops first."""
+    to the mask of the rows using it, ``order`` lists those positions, and
+    ``hops`` holds the mask of each total hop count, fewest hops first."""
 
     def __init__(self, rows: Sequence[Candidate]) -> None:
         edges: Dict[int, int] = {}
@@ -191,6 +191,7 @@ class ReferenceTable:
         self.rows = tuple(rows)
         self.all_rows = (1 << len(rows)) - 1
         self.edges = edges
+        self.order = list(edges)
         self.hops = tuple(hops[count] for count in sorted(hops))
 
     def __len__(self) -> int:

@@ -6,10 +6,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdroute.artifacts import (
     MANIFEST_FORMAT,
     ROUTING_FORMAT,
+    _json_document,
     read_routing_artifact,
     render_matrix_csv,
     render_routing_text,
@@ -76,6 +79,24 @@ def test_read_rejects_wrong_format(dense5, tmp_path):
         read_routing_artifact(broken, graph, target)
     with pytest.raises(NetworkFormatError):
         read_routing_artifact(tmp_path / "missing.json", graph, target)
+
+
+# documents as the writer takes them: string keys, any JSON value below
+_JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_JSON_DOCUMENTS)
+# keys out of order, empty containers, a list of ints, non-ASCII text, and
+# the scalars that are not ints: bools, None and floats
+@example(doc={"b": [[0, 1, 5], [], 7], "a": {}, "\u00e9": "\u2192", "c": (True, None, 2.5)})
+def test_json_document_is_the_standard_indented_layout(doc):
+    assert _json_document(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_matrix_csv_full_precision(dense5):
